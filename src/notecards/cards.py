@@ -5,12 +5,14 @@ The maker accumulates refined-note evidence into one premature card per
 the concept threshold. The manager is the single serialization point: it
 alone writes the official card ledger, resolves exclusion conflicts
 (expire-older or flag-only), and runs the remake protocol. Every action
-lands as a reasoning event on the affected cards, so a committed card
-explains itself end to end.
+lands as a reasoning event on the affected cards' trails, so a committed
+card explains itself end to end.
 
-The ledger on disk is an event-sourced JSON Lines log (events plus card
-snapshots) with a materialized current-state index; replaying the log
-reconstructs the index bit-exactly.
+The ledger on disk is a JSON Lines log holding one card snapshot per
+state change; each snapshot carries the card's whole reasoning trail.
+The log is the durable record. The current-state index and the maker
+state are derived whole files, rewritten once at the end of each manager
+batch; replaying the log reconstructs the index bit-exactly.
 """
 
 from __future__ import annotations
@@ -100,11 +102,6 @@ class Card:
                 if evidence_id not in seen:
                     seen.append(evidence_id)
         return tuple(seen)
-
-
-def score_card(card: Card) -> tuple[tuple[int, ...], int]:
-    """Per-criterion evidence counts and how many criteria are met."""
-    return card.score_vector(), card.criteria_met
 
 
 def card_to_dict(card: Card) -> dict:
@@ -268,6 +265,15 @@ def detect_conflicts(
     return conflicts
 
 
+def _already_flagged(candidate: Card, conflict: Conflict) -> bool:
+    """The candidate's trail already flags this rule against this counterpart."""
+    flagged = {"rule": conflict.rule_id, "counterpart": conflict.card_b}
+    return any(
+        event.kind == "flagged" and event.detail_map() == flagged
+        for event in candidate.reasoning_trail
+    )
+
+
 def older_of(a: Card, b: Card) -> Card:
     """Earlier validity.start; ties break by card_id ordering."""
     a_key = (format_instant(a.validity[0]) if a.validity[0] else "", a.card_id)
@@ -381,7 +387,7 @@ class CardMaker:
 
 
 class CardLedger:
-    """Event-sourced log plus materialized index; manager-only writes."""
+    """Snapshot log plus derived current-state index; manager-only writes."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -409,13 +415,9 @@ class CardLedger:
         with self.log_path.open("a", encoding="utf-8", newline="\n") as handle:
             handle.write(canonical_json(record) + "\n")
 
-    def write_event(self, card_id: str, event: ReasoningEvent) -> None:
-        self._append({"type": "event", "card_id": card_id, **event.as_dict()})
-
     def write_snapshot(self, card: Card) -> None:
         self._append({"type": "snapshot", "card": card_to_dict(card)})
         self._cards[card.card_id] = card
-        self.write_index()
 
     def write_index(self) -> None:
         payload = {cid: card_to_dict(card) for cid, card in sorted(self._cards.items())}
@@ -471,9 +473,13 @@ class CardManager:
         event = ReasoningEvent(
             kind=kind, timestamp=now, detail=tuple(sorted(detail.items()))
         )
-        card = replace(card, reasoning_trail=card.reasoning_trail + (event,))
-        self.ledger.write_event(card.card_id, event)
-        return card
+        return replace(card, reasoning_trail=card.reasoning_trail + (event,))
+
+    def _save(self) -> None:
+        # Derived whole-file state, rewritten once after a batch's last log append.
+        self.ledger.write_index()
+        if self.maker is not None:
+            self.maker.save()
 
     def _current(self, card_id: str) -> Card:
         if card_id in self._pending:
@@ -513,7 +519,6 @@ class CardManager:
         self.ledger.write_snapshot(card)
         if self.maker is not None:
             self.maker.close_slot(card.subject, card.concept_id)
-            self.maker.save()
         return card
 
     def resolve_conflict(
@@ -561,34 +566,39 @@ class CardManager:
             ),
         )
         for card in ordered:
+            logged = self.ledger.get(card.card_id)
+            if logged is not None and logged.status in (STATUS_COMMITTED, STATUS_EXPIRED):
+                # Settled by a batch that stopped before its maker save.
+                if self.maker is not None:
+                    self.maker.close_slot(card.subject, card.concept_id)
+                continue
             self._pending = {card.card_id: card}
             conflicts = detect_conflicts([card], self.ledger.committed(), spec)
             report.conflicts.extend(conflicts)
             expired_self = False
             blocked = False
             for conflict in conflicts:
-                self.resolve_conflict(conflict, conflict.resolution, now)
-                current = self._pending.get(card.card_id, card)
-                if conflict.resolution == "expire-older":
-                    if current.status == STATUS_EXPIRED:
-                        expired_self = True
-                        break
-                else:
+                if conflict.resolution != "expire-older":
                     blocked = True
-            current = self._pending.get(card.card_id, card)
+                    if _already_flagged(self._pending[card.card_id], conflict):
+                        continue
+                self.resolve_conflict(conflict, conflict.resolution, now)
+                if self._pending[card.card_id].status == STATUS_EXPIRED:
+                    expired_self = True
+                    break
+            current = self._pending[card.card_id]
             if expired_self:
                 report.expired.append(current)
                 if self.maker is not None:
                     self.maker.close_slot(current.subject, current.concept_id)
-                    self.maker.save()
             elif blocked:
                 report.blocked.append(current)
                 if self.maker is not None:
                     self.maker.reopen_slot(current.subject, current.concept_id, current)
-                    self.maker.save()
             else:
                 report.committed.append(self.commit_card(current, now, spec))
             self._pending = {}
+        self._save()
         return report
 
     # -- remakes -------------------------------------------------------------
@@ -611,6 +621,7 @@ class CardManager:
             ready_at=format_instant(ready_at),
         )
         self.ledger.write_snapshot(card)
+        self._save()
         return ticket
 
     def complete_remake(
@@ -663,5 +674,5 @@ class CardManager:
         self.ledger.write_snapshot(rebuilt)
         if self.maker is not None:
             self.maker.reopen_slot(rebuilt.subject, rebuilt.concept_id, rebuilt)
-            self.maker.save()
+        self._save()
         return rebuilt

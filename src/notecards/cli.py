@@ -127,6 +127,13 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+def _open_existing(config: PipelineConfig) -> Stores:
+    """Stores for a read-only command, which must not create a missing root."""
+    if not Path(config.store_root).is_dir():
+        raise PipelineError(f"store not found: {config.store_root}")
+    return Stores(config)
+
+
 def cmd_ontology_validate(args) -> int:
     reports = []
     specs = []
@@ -228,8 +235,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_notes_list(args) -> int:
-    config = _build_config(args)
-    stores = Stores(config)
+    stores = _open_existing(_build_config(args))
     action = None
     if args.entity or args.relationship:
         if not (args.entity and args.relationship):
@@ -249,8 +255,7 @@ def cmd_notes_list(args) -> int:
 
 
 def cmd_cards_list(args) -> int:
-    config = _build_config(args)
-    stores = Stores(config)
+    stores = _open_existing(_build_config(args))
     cards = query_cards(
         stores.all_cards(),
         concept=args.concept,
@@ -273,8 +278,7 @@ def cmd_cards_list(args) -> int:
 
 
 def cmd_card_show(args) -> int:
-    config = _build_config(args)
-    stores = Stores(config)
+    stores = _open_existing(_build_config(args))
     payload = drill_down(args.card_id, stores)
     if args.audit:
         problems = audit_card(args.card_id, stores)
@@ -309,7 +313,7 @@ def cmd_card_show(args) -> int:
 
 
 def _graph_for(args, config: PipelineConfig):
-    stores = Stores(config)
+    stores = _open_existing(config)
     time_range = None
     valid_from = getattr(args, "valid_from", None)
     valid_to = getattr(args, "valid_to", None)

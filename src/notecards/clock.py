@@ -32,20 +32,12 @@ def format_instant(instant: datetime) -> str:
     return normalized.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def epoch_seconds(instant: datetime) -> float:
-    return instant.astimezone(UTC).timestamp()
-
-
 class Clock:
     """Source of "now". A fixed clock also reports zero elapsed time."""
 
     def __init__(self, fixed: datetime | None = None):
         self._fixed = fixed.astimezone(UTC) if fixed is not None else None
         self._started = time.monotonic()
-
-    @property
-    def pinned(self) -> bool:
-        return self._fixed is not None
 
     def now(self) -> datetime:
         if self._fixed is not None:

@@ -261,13 +261,12 @@ def note_from_dict(raw: dict) -> Note:
 
 
 class NoteStore:
-    """Append-only note table keyed by note_id, indexed by (subject, action)."""
+    """Append-only note table keyed by note_id; filters scan it in memory."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "notes.jsonl"
-        self._index_path = self.root / "index.json"
         self._notes: dict[str, Note] = {}
         if self._path.exists():
             with self._path.open("r", encoding="utf-8") as handle:
@@ -293,19 +292,7 @@ class NoteStore:
             for note in new:
                 handle.write(canonical_json(note_to_dict(note)) + "\n")
                 self._notes[note.note_id] = note
-        self._write_index()
         return len(new)
-
-    def _write_index(self) -> None:
-        index: dict[str, list[str]] = {}
-        for note in self._notes.values():
-            key = canonical_json([note.subject, list(note.action)])
-            index.setdefault(key, []).append(note.note_id)
-        self._index_path.write_text(
-            json.dumps({k: sorted(v) for k, v in sorted(index.items())}, indent=0)
-            + "\n",
-            encoding="utf-8",
-        )
 
     def list(
         self, subject: str | None = None, action: tuple[str, str] | None = None

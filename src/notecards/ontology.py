@@ -106,18 +106,12 @@ class EntityClass:
     description: str = ""
     attribute_schema: tuple[tuple[str, str], ...] = ()
 
-    def attributes(self) -> dict[str, str]:
-        return dict(self.attribute_schema)
-
 
 @dataclass(frozen=True)
 class RelationshipClass:
     id: str
     description: str = ""
     attribute_schema: tuple[tuple[str, str], ...] = ()
-
-    def attributes(self) -> dict[str, str]:
-        return dict(self.attribute_schema)
 
 
 @dataclass(frozen=True)
@@ -251,27 +245,8 @@ class OntologySpec:
     refinement_policies: tuple[RefinementPolicy, ...] = ()
     exclusion_rules: tuple[ExclusionRule, ...] = ()
 
-    def entity(self, class_id: str) -> EntityClass | None:
-        return next((e for e in self.entity_classes if e.id == class_id), None)
-
-    def relationship(self, class_id: str) -> RelationshipClass | None:
-        return next((r for r in self.relationship_classes if r.id == class_id), None)
-
     def concept(self, concept_id: str) -> ConceptDef | None:
         return next((c for c in self.concepts if c.concept_id == concept_id), None)
-
-    def policy_for(self, action: tuple[str, str], attribute: str) -> RefinementPolicy | None:
-        for policy in self.refinement_policies:
-            if policy.selector == (action[0], action[1], attribute):
-                return policy
-        return None
-
-    def exclusions_for(self, concept_id: str) -> list[ExclusionRule]:
-        return [
-            rule
-            for rule in self.exclusion_rules
-            if concept_id in (rule.concept_a, rule.concept_b)
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -493,15 +493,17 @@ class RefinedNoteStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "refined.jsonl"
-        self._records: dict[str, RefinedNote] = {}
-        self._sequence: list[str] = []
+        self._records: dict[str, RefinedNote] = {}  # in log order
+        self._position: dict[str, int] = {}
         if self._path.exists():
             with self._path.open("r", encoding="utf-8") as handle:
                 for line in handle:
                     if line.strip():
-                        record = refined_from_dict(json.loads(line))
-                        self._records[record.refined_id] = record
-                        self._sequence.append(record.refined_id)
+                        self._remember(refined_from_dict(json.loads(line)))
+
+    def _remember(self, record: RefinedNote) -> None:
+        self._position.setdefault(record.refined_id, len(self._position))
+        self._records[record.refined_id] = record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -526,15 +528,11 @@ class RefinedNoteStore:
         with self._path.open("a", encoding="utf-8", newline="\n") as handle:
             for record in new:
                 handle.write(canonical_json(refined_to_dict(record)) + "\n")
-                self._records[record.refined_id] = record
-                self._sequence.append(record.refined_id)
+                self._remember(record)
         return len(new)
 
     def sequence_of(self, refined_id: str) -> int:
-        return self._sequence.index(refined_id)
+        return self._position[refined_id]
 
     def newer_than(self, sequence: int) -> list[RefinedNote]:
-        return [self._records[rid] for rid in self._sequence[sequence + 1 :]]
-
-    def all(self) -> list[RefinedNote]:
-        return [self._records[rid] for rid in self._sequence]
+        return list(self._records.values())[sequence + 1 :]

@@ -20,7 +20,6 @@ from notecards.cards import (
     detect_conflicts,
     map_note_to_criteria,
     new_card,
-    score_card,
 )
 from notecards.ontology import parse_ontology
 from notecards.refine import RefinedNoteStore
@@ -137,16 +136,15 @@ def test_monotone_evidence(tmp_path, ocpd_spec, jobs_rows):
 def test_score_card_golden(tmp_path, ocpd_spec, jobs_rows):
     maker = CardMaker(tmp_path)
     maker.update_premature_cards(fixture_refined_rows(jobs_rows), ocpd_spec, NOW)
-    vector, met = score_card(maker.premature_cards()[0])
-    assert vector == GOLDEN_SCORES
-    assert met == 6
+    card = maker.premature_cards()[0]
+    assert card.score_vector() == GOLDEN_SCORES
+    assert card.criteria_met == 6
 
 
 def test_score_card_empty(ocpd_spec):
     card = new_card(ocpd_spec.concept("301.4"), "steve")
-    vector, met = score_card(card)
-    assert vector == (0,) * 8
-    assert met == 0
+    assert card.score_vector() == (0,) * 8
+    assert card.criteria_met == 0
 
 
 def test_score_card_matches_recount_oracle(ocpd_spec):
@@ -372,6 +370,26 @@ def test_flag_only_blocks_without_expiring(tmp_path):
     assert any(e.kind == "flagged" for e in stored_old.reasoning_trail)
 
 
+def test_readmitting_a_flagged_candidate_appends_nothing(tmp_path):
+    spec = exclusive_pair_spec("flag-only")
+    later = NOW + timedelta(days=1)
+    ledger = CardLedger(tmp_path / "cards")
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
+    old = manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
+    manager.admit([candidate(spec, "296.00", "pm", later)], spec, later)
+    log = ledger.log_path.read_bytes()
+    trail = ledger.get(old.card_id).reasoning_trail
+    # A rerun reopens the stores; the blocked candidate comes back from maker.json.
+    for _ in range(2):
+        maker = CardMaker(tmp_path / "cards")
+        rerun = CardManager(CardLedger(tmp_path / "cards"), maker)
+        report = rerun.admit(maker.open_candidates(), spec, later)
+        assert [c.concept_id for c in report.blocked] == ["296.00"]
+        assert report.committed == []
+    assert ledger.log_path.read_bytes() == log
+    assert CardLedger(tmp_path / "cards").get(old.card_id).reasoning_trail == trail
+
+
 def test_identical_start_tie_breaks_by_card_id(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
@@ -478,3 +496,31 @@ def test_replaying_the_log_reconstructs_the_index(tmp_path):
     }
     stored_index = json.loads(ledger.index_path.read_text(encoding="utf-8"))
     assert index_from_log == stored_index
+
+
+def test_log_holds_one_snapshot_per_state_change(tmp_path):
+    spec = exclusive_pair_spec()
+    ledger = CardLedger(tmp_path / "cards")
+    manager = CardManager(ledger)
+    manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
+    later = NOW + timedelta(days=5)
+    manager.admit([candidate(spec, "296.00", "pm", later)], spec, later)
+    records = [json.loads(line) for line in ledger.log_path.read_text("utf-8").splitlines()]
+    # Commit, expiry of the older card, commit of the newer one.
+    assert [(r["type"], r["card"]["status"]) for r in records] == [
+        ("snapshot", STATUS_COMMITTED),
+        ("snapshot", STATUS_EXPIRED),
+        ("snapshot", STATUS_COMMITTED),
+    ]
+    expired = records[1]["card"]["reasoning_trail"]
+    assert [e["kind"] for e in expired] == ["committed", "conflict-detected", "expired"]
+
+
+def test_replay_skips_event_records_of_older_logs(tmp_path):
+    spec = exclusive_pair_spec()
+    ledger = CardLedger(tmp_path / "cards")
+    card = CardManager(ledger).commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
+    lines = ledger.log_path.read_text("utf-8").splitlines()
+    event = {"type": "event", "card_id": card.card_id, **card.reasoning_trail[-1].as_dict()}
+    ledger.log_path.write_text("\n".join([json.dumps(event)] + lines) + "\n", "utf-8")
+    assert CardLedger(tmp_path / "cards").cards() == [card]

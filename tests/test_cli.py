@@ -193,3 +193,21 @@ def test_store_lock_blocks_concurrent_runs(tmp_path, capsys):
     code = run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", store)
     assert code == 2
     assert "locked" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("notes", "list"),
+        ("cards", "list"),
+        ("card", "show", "301.4@steve#g1"),
+        ("export", "--format", "json"),
+        ("routes", "301.4@steve#g1", "subject:steve"),
+    ],
+)
+def test_read_only_command_on_missing_store_exits_two(tmp_path, capsys, command):
+    store = tmp_path / "typo"
+    code = run_cli(*command, "--store", store)
+    assert code == 2
+    assert "store not found" in capsys.readouterr().err
+    assert not store.exists()

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from notecards.cards import STATUS_SUPERSEDED
+from notecards.cards import (
+    STATUS_COMMITTED,
+    STATUS_SUPERSEDED,
+    CardLedger,
+    CardMaker,
+    CardManager,
+    card_to_dict,
+)
 from notecards.clock import parse_instant
 from notecards.pipeline import (
     PipelineConfig,
@@ -174,3 +181,88 @@ def test_rerun_releases_nothing_new(tmp_path):
     assert second.groups_released == 0
     assert second.notes_synthesized == 0
     assert second.cards_committed == first.cards_committed == 1
+
+
+# ---------------------------------------------------------------------------
+# Card write policy: one log line per card change, whole files once per batch
+# ---------------------------------------------------------------------------
+
+
+def many_subjects_corpus(tmp_path: Path, count: int) -> Path:
+    """The jobs fixture once per subject, each subject under its own URIs."""
+    records = [
+        json.loads(line)
+        for line in (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+    corpus = tmp_path / "subjects.jsonl"
+    with corpus.open("w", encoding="utf-8") as handle:
+        for i in range(count):
+            for record in records:
+                copy = dict(record, subjects=[f"subject{i}"])
+                copy["source_uri"] = f"{record['source_uri']}/subject{i}"
+                handle.write(json.dumps(copy) + "\n")
+    return corpus
+
+
+def test_golden_run_logs_only_snapshots(tmp_path):
+    config = jobs_config(tmp_path / "store")
+    run_pipeline(config)
+    log = tmp_path / "store" / "cards" / "log.jsonl"
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert records and all(record["type"] == "snapshot" for record in records)
+    card = Stores(config).ledger.committed()[0]
+    assert card.reasoning_trail[-1].kind == "committed"
+    assert sorted(p.name for p in (tmp_path / "store" / "notes").iterdir()) == ["notes.jsonl"]
+
+
+def test_whole_file_card_state_is_written_once_per_run(tmp_path, monkeypatch):
+    calls = {"index": 0, "maker": 0}
+    write_index, save = CardLedger.write_index, CardMaker.save
+
+    def counted_index(self):
+        calls["index"] += 1
+        write_index(self)
+
+    def counted_save(self):
+        calls["maker"] += 1
+        save(self)
+
+    monkeypatch.setattr(CardLedger, "write_index", counted_index)
+    monkeypatch.setattr(CardMaker, "save", counted_save)
+    config = jobs_config(tmp_path / "store", corpus=many_subjects_corpus(tmp_path, 5))
+    summary = run_pipeline(config)
+    assert summary.cards_committed == 5
+    assert calls["index"] == 1
+    assert calls["maker"] <= 2
+    ledger = Stores(config).ledger
+    index = json.loads(ledger.index_path.read_text(encoding="utf-8"))
+    replayed = CardLedger.replay(ledger.log_path)
+    assert index == {cid: card_to_dict(card) for cid, card in replayed.items()}
+
+
+def test_rerun_after_a_crash_in_admit_matches_an_uninterrupted_run(tmp_path, monkeypatch):
+    corpus = many_subjects_corpus(tmp_path, 5)
+    clean = jobs_config(tmp_path / "clean", corpus=corpus)
+    run_pipeline(clean)
+
+    commit_card = CardManager.commit_card
+    calls = []
+
+    def crash_on_third(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("injected crash")
+        return commit_card(self, *args, **kwargs)
+
+    crashed = jobs_config(tmp_path / "crashed", corpus=corpus)
+    monkeypatch.setattr(CardManager, "commit_card", crash_on_third)
+    with pytest.raises(RuntimeError):
+        run_pipeline(crashed)
+    monkeypatch.setattr(CardManager, "commit_card", commit_card)
+    summary = run_pipeline(crashed)
+
+    assert summary.cards_committed == 5
+    log = "cards/log.jsonl"
+    assert (tmp_path / "crashed" / log).read_bytes() == (tmp_path / "clean" / log).read_bytes()
+    assert len(Stores(crashed).ledger.cards(STATUS_COMMITTED)) == 5
