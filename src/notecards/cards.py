@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .clock import format_instant, parse_instant
-from .encoding import canonical_json, content_hash
+from .encoding import canonical_json, content_hash, write_atomic
 from .ontology import ConceptDef, OntologySpec
 from .refine import RefinedNote, RefinedNoteStore
 
@@ -315,9 +315,7 @@ class CardMaker:
             "generations": dict(sorted(self._generations.items())),
             "announced": sorted(self._announced),
         }
-        self._path.write_text(
-            json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_atomic(self._path, json.dumps(state, indent=0, sort_keys=True) + "\n")
 
     def premature_cards(self) -> list[Card]:
         return [self._cards[k] for k in sorted(self._cards)]
@@ -421,9 +419,7 @@ class CardLedger:
 
     def write_index(self) -> None:
         payload = {cid: card_to_dict(card) for cid, card in sorted(self._cards.items())}
-        self.index_path.write_text(
-            json.dumps(payload, indent=0, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_atomic(self.index_path, json.dumps(payload, indent=0, sort_keys=True) + "\n")
 
     def get(self, card_id: str) -> Card | None:
         return self._cards.get(card_id)

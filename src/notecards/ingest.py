@@ -20,10 +20,10 @@ import unicodedata
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
-from .encoding import canonical_json, name_uuid
+from .encoding import canonical_json, name_uuid, write_atomic
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -215,9 +215,7 @@ class TextStore:
         return added, duplicates
 
     def _write_index(self) -> None:
-        self._index_path.write_text(
-            json.dumps(self._index, indent=0, sort_keys=False) + "\n", encoding="utf-8"
-        )
+        write_atomic(self._index_path, json.dumps(self._index, indent=0, sort_keys=False) + "\n")
 
     def get(self, doc_id: str) -> Document:
         entry = self._index.get(doc_id)
@@ -232,11 +230,27 @@ class TextStore:
         self,
         time_range: tuple[datetime, datetime] | None = None,
         source_prefix: str | None = None,
+        skip_ids: Container[str] = frozenset(),
     ) -> list[Document]:
-        """Documents in ingestion order; time filter is half-open [start, end)."""
+        """Documents in ingestion order, minus ``skip_ids``.
+
+        The time filter is half-open [start, end). Each run file is opened
+        once and read in offset order.
+        """
+        wanted = [doc_id for doc_id in self._index if doc_id not in skip_ids]
+        by_file: dict[str, list[tuple[int, str]]] = {}
+        for doc_id in wanted:
+            entry = self._index[doc_id]
+            by_file.setdefault(entry["file"], []).append((entry["offset"], doc_id))
+        loaded: dict[str, Document] = {}
+        for name, entries in by_file.items():
+            with (self.root / name).open("rb") as handle:
+                for offset, doc_id in sorted(entries):
+                    handle.seek(offset)
+                    loaded[doc_id] = _document_from_dict(json.loads(handle.readline()))
         out = []
-        for doc_id in self._index:
-            doc = self.get(doc_id)
+        for doc_id in wanted:
+            doc = loaded[doc_id]
             if time_range is not None:
                 ts = doc.meta.timestamp
                 if ts is None or not time_range[0] <= ts < time_range[1]:

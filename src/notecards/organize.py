@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
-from .encoding import canonical_json
+from .encoding import canonical_json, write_atomic
 
 WILDCARD_PLACE = "*"
 
@@ -193,12 +193,15 @@ class OrganizerStore:
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.json"
         self._chunks: dict[str, AnnotatedChunk] = {}
+        # Documents with at least one stored chunk; a rerun need not annotate them.
+        self.doc_ids: set[str] = set()
         if self._chunks_path.exists():
             with self._chunks_path.open("r", encoding="utf-8") as handle:
                 for line in handle:
                     if line.strip():
                         chunk = chunk_from_dict(json.loads(line))
                         self._chunks[chunk.chunk_id] = chunk
+                        self.doc_ids.add(chunk.doc_id)
         self._released: dict[str, list[str]] = {}
         if self._released_path.exists():
             self._released = json.loads(self._released_path.read_text(encoding="utf-8"))
@@ -221,6 +224,7 @@ class OrganizerStore:
             for chunk in new:
                 handle.write(canonical_json(chunk_to_dict(chunk)) + "\n")
                 self._chunks[chunk.chunk_id] = chunk
+                self.doc_ids.add(chunk.doc_id)
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:
@@ -247,8 +251,7 @@ class OrganizerStore:
                 self._released[group.key] = sorted(c.chunk_id for c in group.chunks)
                 released_now.append(group)
         if released_now:
-            self._released_path.write_text(
-                json.dumps(self._released, indent=0, sort_keys=True) + "\n",
-                encoding="utf-8",
+            write_atomic(
+                self._released_path, json.dumps(self._released, indent=0, sort_keys=True) + "\n"
             )
         return released_now

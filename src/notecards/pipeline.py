@@ -4,12 +4,15 @@ A run is: ingest -> annotate -> organize -> synthesize -> validate ->
 refine -> accumulate cards -> admit. Every stage writes through
 content-derived ids, so re-running over the same inputs is a no-op at
 every store and two fresh runs with a pinned clock produce byte-identical
-stores. One pipeline run per store root at a time, enforced by a lock
-file.
+stores. A run annotates only the stored documents that have no chunk yet,
+which is safe because ``store.json`` pins the ontology and the grouping
+parameters a store was built with. One pipeline run per store root at a
+time, enforced by a lock file that names its owner's pid.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -28,6 +31,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
+from .encoding import write_atomic
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -129,6 +133,7 @@ def config_from_dict(data: dict[str, Any], base: Path | None = None) -> Pipeline
 class RunSummary:
     documents_ingested: int = 0
     documents_rejected: int = 0
+    documents_annotated: int = 0
     chunks_emitted: int = 0
     chunks_skipped: int = 0
     groups_released: int = 0
@@ -151,6 +156,7 @@ class RunSummary:
             "documents": {
                 "ingested": self.documents_ingested,
                 "rejected": self.documents_rejected,
+                "annotated": self.documents_annotated,
             },
             "chunks": {"emitted": self.chunks_emitted, "skipped": self.chunks_skipped},
             "groups": {"released": self.groups_released},
@@ -179,7 +185,8 @@ class RunSummary:
     def format_text(self) -> str:
         return "\n".join(
             [
-                f"documents   ingested={self.documents_ingested} rejected={self.documents_rejected}",
+                f"documents   ingested={self.documents_ingested} rejected={self.documents_rejected}"
+                f" annotated={self.documents_annotated}",
                 f"chunks      emitted={self.chunks_emitted} skipped={self.chunks_skipped}",
                 f"groups      released={self.groups_released}",
                 f"notes       synthesized={self.notes_synthesized} refined={self.notes_refined} rejected={self.notes_rejected}",
@@ -202,8 +209,18 @@ class StoreLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise PipelineError(f"store is locked by another run: {self.path}") from None
-        os.close(fd)
+            try:
+                owner = self.path.read_text(encoding="utf-8").strip() or "unknown"
+            except OSError:
+                owner = "unknown"
+            raise PipelineError(
+                f"store is locked by another run (pid {owner}): {self.path}; "
+                "delete it if that process is gone"
+            ) from None
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        finally:
+            os.close(fd)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -245,18 +262,54 @@ def load_specs(config: PipelineConfig) -> OntologySpec:
     return merged_or_single([load_ontology(Path(p)) for p in config.ontology_paths])
 
 
+MANIFEST = "store.json"
+
+
+def store_manifest(config: PipelineConfig) -> dict[str, str]:
+    """What a store's derived records depend on: ontology bytes and grouping."""
+    digest = hashlib.sha256()
+    for path in config.ontology_paths:
+        try:
+            digest.update(hashlib.sha256(Path(path).read_bytes()).digest())
+        except OSError as exc:
+            raise PipelineError(f"cannot read ontology {path}: {exc}") from exc
+    return {
+        "ontology_sha256": digest.hexdigest(),
+        "window": format_duration(config.window),
+        "epsilon": format_duration(config.epsilon),
+        "watermark": format_duration(config.watermark),
+    }
+
+
+def check_manifest(store_root: Path, manifest: dict[str, str]) -> None:
+    """Refuse a store built with other inputs; adopt a store that has no manifest."""
+    path = Path(store_root) / MANIFEST
+    if not path.exists():
+        write_atomic(path, json.dumps(manifest, indent=0, sort_keys=True) + "\n")
+        return
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    for name, value in manifest.items():
+        if stored.get(name) != value:
+            raise PipelineError(
+                f"store {store_root} was built with {name}={stored.get(name)!r}, "
+                f"this run has {name}={value!r}; use a new store"
+            )
+
+
 def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSummary:
     """One full deterministic pass over the configured corpora."""
     clock = clock or config.clock()
     if not config.corpus_paths:
         raise PipelineError("at least one corpus is required")
     spec = load_specs(config)
+    manifest = store_manifest(config)
     summary = RunSummary(
-        window=format_duration(config.window),
-        epsilon=format_duration(config.epsilon),
-        watermark=format_duration(config.watermark),
+        window=manifest["window"],
+        epsilon=manifest["epsilon"],
+        watermark=manifest["watermark"],
     )
     with StoreLock(config.store_root):
+        check_manifest(config.store_root, manifest)
         stores = Stores(config)
         now = clock.now()
 
@@ -270,9 +323,12 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         summary.documents_ingested = ingest_summary.accepted
         summary.documents_rejected = ingest_summary.rejected
 
+        # Pending: stored documents without a chunk, wherever they came from.
+        pending = stores.text.list(skip_ids=stores.organizer.doc_ids)
+        summary.documents_annotated = len(pending)
         matcher = GazetteerMatcher(spec)
         produced = []
-        for doc in stores.text.list():
+        for doc in pending:
             outcome = annotate_with_matcher(doc, matcher)
             produced.extend(outcome.chunks)
             summary.chunks_skipped += outcome.skipped

@@ -36,6 +36,15 @@ def jobs_rows() -> list[dict]:
     return json.loads((FIXTURES / "jobs_rows.json").read_text(encoding="utf-8"))
 
 
+def store_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under a store root, by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 def utc(year, month, day, hour=0, minute=0, second=0) -> datetime:
     return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
 

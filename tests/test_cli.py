@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from notecards.cli import main
+from notecards.pipeline import StoreLock
 
 from conftest import FIXTURES
 
@@ -193,6 +195,23 @@ def test_store_lock_blocks_concurrent_runs(tmp_path, capsys):
     code = run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", store)
     assert code == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_stale_lock_error_names_its_owner(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "lock").write_text("4242\n", encoding="utf-8")
+    code = run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", store)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "pid 4242" in err
+    assert str(store / "lock") in err
+
+
+def test_lock_holds_the_pid_of_the_run(tmp_path):
+    with StoreLock(tmp_path / "store") as lock:
+        assert lock.path.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+    assert not lock.path.exists()
 
 
 @pytest.mark.parametrize(

@@ -229,3 +229,53 @@ def test_masking_replaces_configured_aliases_in_text():
 def test_short_key_rejected():
     with pytest.raises(IngestError):
         mask_subjects(sample_doc(), b"short")
+
+
+def test_list_skips_ids_and_keeps_ingestion_order_across_run_files(tmp_path):
+    records = corpus_records()
+    store = TextStore(tmp_path / "docs")
+    ingest_corpus([write_jsonl(tmp_path / "a.jsonl", records[:2])], store, CLOCK)
+    ingest_corpus([write_jsonl(tmp_path / "b.jsonl", records[2:])], store, CLOCK)
+    assert sorted(p.name for p in store.root.glob("run-*.jsonl")) == [
+        "run-0001.jsonl",
+        "run-0002.jsonl",
+    ]
+    every = store.list()
+    assert [doc.meta.source_uri for doc in every] == ["bio://ch01", "bio://ch02", "bio://ch03"]
+    assert every == [store.get(doc.doc_id) for doc in every]
+    rest = store.list(skip_ids={every[1].doc_id})
+    assert rest == [every[0], every[2]]
+    assert store.list(skip_ids={doc.doc_id for doc in every}) == []
+
+
+def test_list_opens_each_run_file_once(tmp_path, monkeypatch):
+    store = TextStore(tmp_path / "docs")
+    ingest_corpus([write_jsonl(tmp_path / "a.jsonl", corpus_records())], store, CLOCK)
+    opened = []
+    path_open = Path.open
+
+    def counted_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    assert len(store.list()) == 3
+    assert opened == ["run-0001.jsonl"]
+
+
+def test_failed_index_rewrite_leaves_the_old_index(tmp_path, monkeypatch):
+    records = corpus_records()
+    store = TextStore(tmp_path / "docs")
+    ingest_corpus([write_jsonl(tmp_path / "a.jsonl", records[:2])], store, CLOCK)
+    index = tmp_path / "docs" / "index.json"
+    before = index.read_bytes()
+
+    def crash(fd):
+        raise OSError("injected crash mid-write")
+
+    monkeypatch.setattr("notecards.encoding.os.fsync", crash)
+    with pytest.raises(OSError):
+        ingest_corpus([write_jsonl(tmp_path / "b.jsonl", records[2:])], store, CLOCK)
+    assert index.read_bytes() == before
+    assert not (tmp_path / "docs" / "index.json.tmp").exists()
+    assert len(TextStore(tmp_path / "docs")) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from datetime import timedelta
 from pathlib import Path
@@ -14,7 +15,10 @@ from notecards.cards import (
     CardManager,
     card_to_dict,
 )
+from notecards import pipeline
+from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
+from notecards.ingest import TextStore
 from notecards.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -24,7 +28,7 @@ from notecards.pipeline import (
     run_pipeline,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, store_bytes
 
 PINNED = "2011-11-13T00:00:00Z"
 
@@ -266,3 +270,169 @@ def test_rerun_after_a_crash_in_admit_matches_an_uninterrupted_run(tmp_path, mon
     log = "cards/log.jsonl"
     assert (tmp_path / "crashed" / log).read_bytes() == (tmp_path / "clean" / log).read_bytes()
     assert len(Stores(crashed).ledger.cards(STATUS_COMMITTED)) == 5
+
+
+# ---------------------------------------------------------------------------
+# Incremental annotation: only stored documents without chunks are annotated
+# ---------------------------------------------------------------------------
+
+
+def reference_run(config: PipelineConfig, monkeypatch) -> None:
+    """Full re-annotation: every stored document, each read back on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            TextStore, "list", lambda self, **kw: [self.get(doc_id) for doc_id in self._index]
+        )
+        run_pipeline(config)
+
+
+def halves(tmp_path: Path) -> tuple[Path, Path]:
+    lines = (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    head = tmp_path / "first-half.jsonl"
+    tail = tmp_path / "second-half.jsonl"
+    head.write_text("\n".join(lines[:10]) + "\n", encoding="utf-8")
+    tail.write_text("\n".join(lines[10:]) + "\n", encoding="utf-8")
+    return head, tail
+
+
+def head_then_tail(tmp_path, store, run, monkeypatch):
+    head, tail = halves(tmp_path)
+    run(jobs_config(store, corpus=head))
+    run(jobs_config(store, corpus=tail))
+
+
+def rerun_without_new_input(tmp_path, store, run, monkeypatch):
+    run(jobs_config(store))
+    run(jobs_config(store))
+
+
+def ingest_command_then_run(tmp_path, store, run, monkeypatch):
+    corpus = FIXTURES / "jobs_corpus.jsonl"
+    assert cli_main(["ingest", "--corpus", str(corpus), "--store", str(store), "--now", PINNED]) == 0
+    run(jobs_config(store))
+
+
+def crash_after_ingest_then_rerun(tmp_path, store, run, monkeypatch):
+    ingest = pipeline.ingest_corpus
+
+    def ingest_then_crash(*args, **kwargs):
+        ingest(*args, **kwargs)
+        raise RuntimeError("injected crash")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "ingest_corpus", ingest_then_crash)
+        with pytest.raises(RuntimeError):
+            run(jobs_config(store))
+    run(jobs_config(store))
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [head_then_tail, rerun_without_new_input, ingest_command_then_run, crash_after_ingest_then_rerun],
+)
+def test_pending_annotation_matches_full_reannotation(tmp_path, monkeypatch, sequence):
+    sequence(tmp_path, tmp_path / "pending", run_pipeline, monkeypatch)
+    sequence(tmp_path, tmp_path / "reference", lambda c: reference_run(c, monkeypatch), monkeypatch)
+    pending = store_bytes(tmp_path / "pending")
+    assert pending == store_bytes(tmp_path / "reference")
+    assert "cards/log.jsonl" in pending and "store.json" in pending
+
+
+def test_rerun_annotates_only_documents_without_chunks(tmp_path):
+    head, tail = halves(tmp_path)
+    store = tmp_path / "store"
+    first = run_pipeline(jobs_config(store, corpus=head))
+    assert first.documents_annotated == 10
+    second = run_pipeline(jobs_config(store, corpus=tail))
+    assert second.documents_annotated == 10
+    third = run_pipeline(jobs_config(store, corpus=tail))
+    assert third.documents_annotated == 0
+    assert third.chunks_emitted == third.chunks_skipped == 0
+
+
+def test_documents_without_chunks_are_annotated_again(tmp_path):
+    memo = tmp_path / "memo.txt"
+    memo.write_text("He agonizes over beige.", encoding="utf-8")
+    config = jobs_config(tmp_path / "store", corpus=memo)
+    assert run_pipeline(config).documents_annotated == 1
+    rerun = run_pipeline(config)
+    assert rerun.documents_annotated == 1
+    assert rerun.chunks_skipped == 1
+
+
+def test_rerun_without_new_input_reports_zero_annotated(tmp_path, capsys):
+    argv = ["run", "--config", str(FIXTURES / "jobs_config.json"), "--store", str(tmp_path / "s")]
+    assert cli_main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["documents"]["annotated"] == 20
+    assert cli_main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["documents"]["annotated"] == 0
+    assert cli_main(argv) == 0
+    assert "ingested=20 rejected=0 annotated=0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Store manifest: ontology bytes and grouping parameters are pinned per store
+# ---------------------------------------------------------------------------
+
+
+def test_first_run_writes_the_manifest(tmp_path):
+    store = tmp_path / "store"
+    run_pipeline(jobs_config(store))
+    manifest = json.loads((store / "store.json").read_text(encoding="utf-8"))
+    assert manifest == {
+        "ontology_sha256": hashlib.sha256(
+            hashlib.sha256((FIXTURES / "ocpd.json").read_bytes()).digest()
+        ).hexdigest(),
+        "window": "1w",
+        "epsilon": "1d",
+        "watermark": "2d",
+    }
+
+
+def test_store_without_a_manifest_adopts_one(tmp_path):
+    store = tmp_path / "store"
+    run_pipeline(jobs_config(store))
+    written = (store / "store.json").read_bytes()
+    (store / "store.json").unlink()
+    summary = run_pipeline(jobs_config(store))
+    assert summary.cards_committed == 1
+    assert (store / "store.json").read_bytes() == written
+
+
+def test_manifest_ignores_where_the_ontology_lives(tmp_path):
+    store = tmp_path / "store"
+    run_pipeline(jobs_config(store))
+    moved = tmp_path / "elsewhere" / "renamed.json"
+    moved.parent.mkdir()
+    moved.write_bytes((FIXTURES / "ocpd.json").read_bytes())
+    config = jobs_config(store)
+    config.ontology_paths = [moved]
+    assert run_pipeline(config).cards_committed == 1
+
+
+def test_changed_ontology_exits_two_and_leaves_the_store(tmp_path, capsys):
+    store = tmp_path / "store"
+    corpus = FIXTURES / "jobs_corpus.jsonl"
+    argv = ["run", "--corpus", str(corpus), "--store", str(store), "--now", PINNED]
+    assert cli_main(argv + ["--ontology", str(FIXTURES / "ocpd.json")]) == 0
+    before = store_bytes(store)
+    changed = tmp_path / "ocpd.json"
+    spec = json.loads((FIXTURES / "ocpd.json").read_text(encoding="utf-8"))
+    spec["dictionary"] = spec["dictionary"][: len(spec["dictionary"]) // 2]
+    changed.write_text(json.dumps(spec), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(argv + ["--ontology", str(changed)]) == 2
+    assert "ontology_sha256" in capsys.readouterr().err
+    assert store_bytes(store) == before
+
+
+@pytest.mark.parametrize("name", ["window", "epsilon", "watermark"])
+def test_changed_grouping_parameter_is_refused(tmp_path, name):
+    store = tmp_path / "store"
+    run_pipeline(jobs_config(store))
+    before = store_bytes(store)
+    config = jobs_config(store)
+    setattr(config, name, getattr(config, name) + timedelta(days=1))
+    with pytest.raises(PipelineError, match=name):
+        run_pipeline(config)
+    assert store_bytes(store) == before
