@@ -17,18 +17,15 @@ batch; replaying the log reconstructs the index bit-exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .clock import format_instant, parse_instant
-from .encoding import canonical_json, content_hash, write_atomic
+from .encoding import append_jsonl, canonical_json, content_hash, read_json, read_jsonl, write_json
 from .ontology import ConceptDef, OntologySpec
 from .refine import RefinedNote, RefinedNoteStore
-
-DEFAULT_WAITING_PERIOD = timedelta(days=2)
 
 STATUS_PREMATURE = "premature"
 STATUS_COMMITTED = "committed"
@@ -293,16 +290,13 @@ class CardMaker:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "maker.json"
-        self._cards: dict[str, Card] = {}
-        self._closed: set[str] = set()
-        self._generations: dict[str, int] = {}
-        self._announced: set[str] = set()
-        if self._path.exists():
-            state = json.loads(self._path.read_text(encoding="utf-8"))
-            self._cards = {k: card_from_dict(v) for k, v in state.get("cards", {}).items()}
-            self._closed = set(state.get("closed", ()))
-            self._generations = dict(state.get("generations", {}))
-            self._announced = set(state.get("announced", ()))
+        state = read_json(self._path, {})
+        self._cards: dict[str, Card] = {
+            k: card_from_dict(v) for k, v in state.get("cards", {}).items()
+        }
+        self._closed: set[str] = set(state.get("closed", ()))
+        self._generations: dict[str, int] = dict(state.get("generations", {}))
+        self._announced: set[str] = set(state.get("announced", ()))
 
     @staticmethod
     def slot_key(subject: str, concept_id: str) -> str:
@@ -310,12 +304,12 @@ class CardMaker:
 
     def save(self) -> None:
         state = {
-            "cards": {k: card_to_dict(v) for k, v in sorted(self._cards.items())},
+            "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
-            "generations": dict(sorted(self._generations.items())),
+            "generations": self._generations,
             "announced": sorted(self._announced),
         }
-        write_atomic(self._path, json.dumps(state, indent=0, sort_keys=True) + "\n")
+        write_json(self._path, state)
 
     def premature_cards(self) -> list[Card]:
         return [self._cards[k] for k in sorted(self._cards)]
@@ -387,39 +381,28 @@ class CardMaker:
 class CardLedger:
     """Snapshot log plus derived current-state index; manager-only writes."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, repaired: list[Path] | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.log_path = self.root / "log.jsonl"
         self.index_path = self.root / "index.json"
-        self._cards: dict[str, Card] = {}
-        if self.log_path.exists():
-            self._cards = self.replay(self.log_path)
+        self._cards = self.replay(self.log_path, repaired)
 
     @staticmethod
-    def replay(log_path: Path) -> dict[str, Card]:
+    def replay(log_path: Path, repaired: list[Path] | None = None) -> dict[str, Card]:
         cards: dict[str, Card] = {}
-        with log_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record["type"] == "snapshot":
-                    card = card_from_dict(record["card"])
-                    cards[card.card_id] = card
+        for record in read_jsonl(log_path, repaired):
+            if record["type"] == "snapshot":
+                card = card_from_dict(record["card"])
+                cards[card.card_id] = card
         return cards
 
-    def _append(self, record: dict) -> None:
-        with self.log_path.open("a", encoding="utf-8", newline="\n") as handle:
-            handle.write(canonical_json(record) + "\n")
-
     def write_snapshot(self, card: Card) -> None:
-        self._append({"type": "snapshot", "card": card_to_dict(card)})
+        append_jsonl(self.log_path, [{"type": "snapshot", "card": card_to_dict(card)}])
         self._cards[card.card_id] = card
 
     def write_index(self) -> None:
-        payload = {cid: card_to_dict(card) for cid, card in sorted(self._cards.items())}
-        write_atomic(self.index_path, json.dumps(payload, indent=0, sort_keys=True) + "\n")
+        write_json(self.index_path, {cid: card_to_dict(card) for cid, card in self._cards.items()})
 
     def get(self, card_id: str) -> Card | None:
         return self._cards.get(card_id)

@@ -134,6 +134,11 @@ def _open_existing(config: PipelineConfig) -> Stores:
     return Stores(config)
 
 
+def _report_repaired(paths: list[Path]) -> None:
+    for path in paths:
+        print(f"repaired: cut the torn last line off {path}", file=sys.stderr)
+
+
 def cmd_ontology_validate(args) -> int:
     reports = []
     specs = []
@@ -202,8 +207,9 @@ def cmd_ingest(args) -> int:
     if not config.corpus_paths:
         raise PipelineError("no corpus given (use --corpus or a config file)")
     clock = config.clock()
+    repaired: list[Path] = []
     with StoreLock(config.store_root):
-        stores = Stores(config)
+        stores = Stores(config, repaired)
         summary = ingest_corpus(
             config.corpus_paths,
             stores.text,
@@ -211,6 +217,7 @@ def cmd_ingest(args) -> int:
             mask_key=config.mask_key(),
             mask_aliases=config.mask_aliases or None,
         )
+    _report_repaired(repaired)
     if args.json:
         print(
             json.dumps(
@@ -227,6 +234,7 @@ def cmd_ingest(args) -> int:
 def cmd_run(args) -> int:
     config = _build_config(args)
     summary = run_pipeline(config)
+    _report_repaired(summary.repaired)
     if args.json:
         print(json.dumps(summary.as_dict(), indent=2, sort_keys=True))
     else:

@@ -1,10 +1,17 @@
-"""Canonical JSON encoding, content-derived identifiers, whole-file writes.
+"""Canonical JSON, content-derived ids, and the two store file formats.
 
-Every persisted record and every content-derived id goes through
-:func:`canonical_json` so equal values always produce equal bytes,
-which is what makes whole-store byte determinism achievable. Every file
-a store rewrites whole goes through :func:`write_atomic`, so a crash
-leaves either the old or the new version, never a torn one.
+:func:`canonical_json` gives equal values equal bytes, which is what
+makes whole-store byte determinism achievable. Every store file is read
+and written here, in one of two formats:
+
+- Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
+  :func:`read_jsonl_at`, :func:`append_jsonl`). A last line without its
+  newline is an append cut short: a writer holding the lock cuts it off,
+  a reader refuses it.
+- Whole files are indented JSON with sorted keys (:func:`read_json`,
+  :func:`write_json`), written to a synced temp file (:func:`stage_json`)
+  and renamed over the old one, so a crash leaves the old or the new
+  version, never a torn one.
 """
 
 from __future__ import annotations
@@ -14,10 +21,14 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 # Namespace for all name-based UUIDs minted by this package.
 ID_NAMESPACE = uuid.NAMESPACE_DNS
+
+
+class StoreFormatError(ValueError):
+    """A store file that does not decode; the message names the file."""
 
 
 def canonical_json(value: Any) -> str:
@@ -36,15 +47,82 @@ def name_uuid(*parts: str) -> str:
     return str(uuid.uuid5(ID_NAMESPACE, "\x1f".join(parts)))
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace *path* with *text* via a synced temp file in the same directory."""
+def stage_json(path: Path, value: Any) -> Path:
+    """Write *value* to a synced temp file beside *path*; ``os.replace`` commits it."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.write(json.dumps(value, indent=0, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return tmp
+
+
+def read_json(path: Path, default: Any = None) -> Any:
+    """The value of a whole-file JSON store file, or *default* if it is missing."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return default
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: not valid JSON: {exc}") from None
+
+
+def write_json(path: Path, value: Any) -> None:
+    """Replace a whole-file JSON store file with *value*."""
+    os.replace(stage_json(path, value), path)
+
+
+def _decode(path: Path, where: str, line: str | bytes) -> Any:
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: {where} does not decode: {exc}") from None
+
+
+def read_jsonl(path: Path, repaired: list[Path] | None = None) -> Iterator[Any]:
+    """The records of a log, in order; a missing log has none.
+
+    A torn last line raises, unless the caller holds the store lock and
+    passes *repaired*: then it is cut off and *path* is added to *repaired*.
+    """
+    if not path.exists():
+        return
+    with path.open("r", encoding="utf-8", newline="\n") as handle:
+        for number, line in enumerate(handle, 1):
+            if line.endswith("\n"):
+                yield _decode(path, f"line {number}", line)
+                continue
+            if repaired is None:
+                raise StoreFormatError(
+                    f"{path}: line {number} is the torn end of an interrupted append; "
+                    "the next run repairs it"
+                )
+            os.truncate(path, path.stat().st_size - len(line.encode("utf-8")))
+            repaired.append(path)
+
+
+def read_jsonl_at(path: Path, offsets: Iterable[int]) -> Iterator[Any]:
+    """The records of the log lines that start at *offsets*, in that order."""
+    with path.open("rb") as handle:
+        for offset in offsets:
+            handle.seek(offset)
+            yield _decode(path, f"the line at byte {offset}", handle.readline())
+
+
+def append_jsonl(path: Path, records: Iterable[Any]) -> list[int]:
+    """Append one canonical line per record; returns each line's byte offset."""
+    offsets = []
+    with path.open("ab") as handle:
+        position = handle.tell()
+        for record in records:
+            line = canonical_json(record).encode("ascii") + b"\n"
+            handle.write(line)
+            offsets.append(position)
+            position += len(line)
+    return offsets

@@ -7,8 +7,9 @@ Document ids are name-based UUIDs over (text, source_uri, timestamp), so
 re-ingesting identical records is a no-op and needs no central counter.
 
 The text store is append-only: one JSON Lines file per ingest run plus an
-index mapping doc_id to (file, offset). Single writer per store root,
-unlimited concurrent readers.
+index mapping doc_id to (file, offset). Run files are numbered in the
+order they were written, so (run number, offset) is ingestion order.
+Single writer per store root, unlimited concurrent readers.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import json
 import unicodedata
 from dataclasses import dataclass, replace
 from datetime import datetime
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Container, Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
-from .encoding import canonical_json, name_uuid, write_atomic
+from .encoding import append_jsonl, canonical_json, name_uuid, read_json, read_jsonl_at, write_json
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -169,6 +172,10 @@ def _document_from_dict(raw: dict) -> Document:
     )
 
 
+def _ingestion_order(entry: dict) -> tuple[int, int]:
+    return int(entry["file"][len("run-") : -len(".jsonl")]), entry["offset"]
+
+
 class TextStore:
     """Append-only document store: run files plus a doc_id index."""
 
@@ -176,9 +183,7 @@ class TextStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / "index.json"
-        self._index: dict[str, dict] = {}
-        if self._index_path.exists():
-            self._index = json.loads(self._index_path.read_text(encoding="utf-8"))
+        self._index: dict[str, dict] = read_json(self._index_path, {})
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._index
@@ -192,73 +197,39 @@ class TextStore:
 
     def add_all(self, documents: Iterable[Document]) -> tuple[int, int]:
         """Append new documents in one run file; returns (added, duplicates)."""
-        added = duplicates = 0
-        run_path: Path | None = None
-        handle = None
-        try:
-            for doc in documents:
-                if doc.doc_id in self._index:
-                    duplicates += 1
-                    continue
-                if handle is None:
-                    run_path = self._next_run_file()
-                    handle = run_path.open("w", encoding="utf-8", newline="\n")
-                offset = handle.tell()
-                handle.write(canonical_json(_document_to_dict(doc)) + "\n")
-                self._index[doc.doc_id] = {"file": run_path.name, "offset": offset}
-                added += 1
-        finally:
-            if handle is not None:
-                handle.close()
-        if added:
-            self._write_index()
-        return added, duplicates
-
-    def _write_index(self) -> None:
-        write_atomic(self._index_path, json.dumps(self._index, indent=0, sort_keys=False) + "\n")
+        new: dict[str, Document] = {}
+        duplicates = 0
+        for doc in documents:
+            if doc.doc_id in self._index or doc.doc_id in new:
+                duplicates += 1
+            else:
+                new[doc.doc_id] = doc
+        if new:
+            run_path = self._next_run_file()
+            offsets = append_jsonl(run_path, map(_document_to_dict, new.values()))
+            for doc_id, offset in zip(new, offsets):
+                self._index[doc_id] = {"file": run_path.name, "offset": offset}
+            write_json(self._index_path, self._index)
+        return len(new), duplicates
 
     def get(self, doc_id: str) -> Document:
         entry = self._index.get(doc_id)
         if entry is None:
             raise IngestError(f"unknown doc_id {doc_id!r}")
-        path = self.root / entry["file"]
-        with path.open("r", encoding="utf-8") as handle:
-            handle.seek(entry["offset"])
-            return _document_from_dict(json.loads(handle.readline()))
+        [record] = read_jsonl_at(self.root / entry["file"], [entry["offset"]])
+        return _document_from_dict(record)
 
-    def list(
-        self,
-        time_range: tuple[datetime, datetime] | None = None,
-        source_prefix: str | None = None,
-        skip_ids: Container[str] = frozenset(),
-    ) -> list[Document]:
-        """Documents in ingestion order, minus ``skip_ids``.
-
-        The time filter is half-open [start, end). Each run file is opened
-        once and read in offset order.
-        """
-        wanted = [doc_id for doc_id in self._index if doc_id not in skip_ids]
-        by_file: dict[str, list[tuple[int, str]]] = {}
-        for doc_id in wanted:
-            entry = self._index[doc_id]
-            by_file.setdefault(entry["file"], []).append((entry["offset"], doc_id))
-        loaded: dict[str, Document] = {}
-        for name, entries in by_file.items():
-            with (self.root / name).open("rb") as handle:
-                for offset, doc_id in sorted(entries):
-                    handle.seek(offset)
-                    loaded[doc_id] = _document_from_dict(json.loads(handle.readline()))
-        out = []
-        for doc_id in wanted:
-            doc = loaded[doc_id]
-            if time_range is not None:
-                ts = doc.meta.timestamp
-                if ts is None or not time_range[0] <= ts < time_range[1]:
-                    continue
-            if source_prefix is not None and not doc.meta.source_uri.startswith(source_prefix):
-                continue
-            out.append(doc)
-        return out
+    def list(self, skip_ids: Container[str] = frozenset()) -> list[Document]:
+        """Documents in ingestion order, minus ``skip_ids``; one open per run file."""
+        entries = sorted(
+            (entry for doc_id, entry in self._index.items() if doc_id not in skip_ids),
+            key=_ingestion_order,
+        )
+        documents = []
+        for name, run in groupby(entries, key=itemgetter("file")):
+            offsets = [entry["offset"] for entry in run]
+            documents.extend(map(_document_from_dict, read_jsonl_at(self.root / name, offsets)))
+        return documents
 
 
 # ---------------------------------------------------------------------------

@@ -19,29 +19,29 @@ extraction limitation, not a tunable.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .annotate import AnnotatedChunk
 from .clock import format_instant, parse_instant
-from .encoding import canonical_json, content_hash
+from .encoding import append_jsonl, content_hash, read_jsonl
 from .ontology import Confidence, Intensity, NoteTemplate, OntologySpec
 from .organize import DEFAULT_WINDOW, ChunkGroup
 
 NOTE_SCHEMA_VERSION = 1
+
+# Events-per-week upper bounds for rare / occasional / frequent.
+INTENSITY_BOUNDS = (1.0, 2.0, 3.0)
+HIGH_CONFIDENCE = (3, 0.8)  # (sources, agreement)
+MEDIUM_CONFIDENCE = (2, 0.6)
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     window_length: timedelta = DEFAULT_WINDOW
     horizon_windows: int = 4
-    # events-per-week upper bounds for rare / occasional / frequent
-    intensity_bounds: tuple[float, float, float] = (1.0, 2.0, 3.0)
-    high_confidence: tuple[int, float] = (3, 0.8)  # (sources, agreement)
-    medium_confidence: tuple[int, float] = (2, 0.6)
 
     @property
     def horizon(self) -> timedelta:
@@ -69,9 +69,9 @@ class Note:
         return dict(self.attributes)
 
 
-def intensity_for_rate(rate: float, config: SynthesisConfig) -> Intensity:
+def intensity_for_rate(rate: float) -> Intensity:
     """Every non-negative rate maps to exactly one bucket."""
-    low, mid, high = config.intensity_bounds
+    low, mid, high = INTENSITY_BOUNDS
     if rate < low:
         return Intensity.RARE
     if rate < mid:
@@ -81,16 +81,33 @@ def intensity_for_rate(rate: float, config: SynthesisConfig) -> Intensity:
     return Intensity.VERY_FREQUENT
 
 
-def confidence_for(sources: int, agreement: float, config: SynthesisConfig) -> Confidence:
-    if sources >= config.high_confidence[0] and agreement >= config.high_confidence[1]:
+def confidence_for(sources: int, agreement: float) -> Confidence:
+    if sources >= HIGH_CONFIDENCE[0] and agreement >= HIGH_CONFIDENCE[1]:
         return Confidence.HIGH
-    if sources >= config.medium_confidence[0] and agreement >= config.medium_confidence[1]:
+    if sources >= MEDIUM_CONFIDENCE[0] and agreement >= MEDIUM_CONFIDENCE[1]:
         return Confidence.MEDIUM
     return Confidence.LOW
 
 
-def derive_note_id(fields: dict) -> str:
-    return "n-" + content_hash(fields)
+def new_note(
+    subject: str,
+    action: tuple[str, str],
+    attributes: Iterable[tuple[str, float | str]],
+    intensity: Intensity,
+    confidence: Confidence,
+    time_range: tuple[datetime | None, datetime | None],
+    provenance: Iterable[str],
+    place: str | None,
+) -> Note:
+    """The one way to make a note: its id is a hash over every other field."""
+    note = Note(
+        "", subject, action, tuple(sorted(attributes)), intensity, confidence, time_range,
+        tuple(sorted(provenance)), place=place,
+    )
+    fields = note_to_dict(note)
+    del fields["note_id"]
+    fields["attributes"] = note.attributes  # hashed as sorted pairs, not as the stored mapping
+    return replace(note, note_id="n-" + content_hash(fields))
 
 
 def _chunk_matches(chunk: AnnotatedChunk, template: NoteTemplate) -> bool:
@@ -154,7 +171,7 @@ def _build_note(
 ) -> Note:
     count = len(chunks)
     rate = count / config.horizon_weeks
-    intensity = intensity_for_rate(rate, config)
+    intensity = intensity_for_rate(rate)
 
     per_event = [(_event_value(chunk, template), chunk) for chunk in chunks]
     extracted = [v for v, _ in per_event if v is not None]
@@ -180,7 +197,7 @@ def _build_note(
         agreement = consistent / count
     else:
         agreement = 1.0
-    confidence = confidence_for(sources, agreement, config)
+    confidence = confidence_for(sources, agreement)
 
     times = [chunk.time for chunk in chunks if chunk.time is not None]
     time_range: tuple[datetime | None, datetime | None]
@@ -189,32 +206,15 @@ def _build_note(
     places = {chunk.place for chunk in chunks}
     place = places.pop() if len(places) == 1 else None
 
-    provenance = tuple(sorted(chunk.chunk_id for chunk in chunks))
-    fields = {
-        "subject": subject,
-        "action": [template.trigger_entity, template.trigger_relationship],
-        "attributes": sorted(attributes),
-        "intensity": intensity.value,
-        "confidence": confidence.value,
-        "time_range": [
-            format_instant(time_range[0]) if time_range[0] else None,
-            format_instant(time_range[1]) if time_range[1] else None,
-        ],
-        "provenance": list(provenance),
-        "schema_version": NOTE_SCHEMA_VERSION,
-        "place": place,
-    }
-    return Note(
-        note_id=derive_note_id(fields),
-        subject=subject,
-        action=template.trigger,
-        attributes=tuple(sorted(attributes)),
-        intensity=intensity,
-        confidence=confidence,
-        time_range=time_range,
-        provenance=provenance,
-        schema_version=NOTE_SCHEMA_VERSION,
-        place=place,
+    return new_note(
+        subject,
+        template.trigger,
+        attributes,
+        intensity,
+        confidence,
+        time_range,
+        (chunk.chunk_id for chunk in chunks),
+        place,
     )
 
 
@@ -263,17 +263,14 @@ def note_from_dict(raw: dict) -> Note:
 class NoteStore:
     """Append-only note table keyed by note_id; filters scan it in memory."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, repaired: list[Path] | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "notes.jsonl"
         self._notes: dict[str, Note] = {}
-        if self._path.exists():
-            with self._path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        note = note_from_dict(json.loads(line))
-                        self._notes[note.note_id] = note
+        for raw in read_jsonl(self._path, repaired):
+            note = note_from_dict(raw)
+            self._notes[note.note_id] = note
 
     def __len__(self) -> int:
         return len(self._notes)
@@ -288,10 +285,9 @@ class NoteStore:
         new = [n for n in notes if n.note_id not in self._notes]
         if not new:
             return 0
-        with self._path.open("a", encoding="utf-8", newline="\n") as handle:
-            for note in new:
-                handle.write(canonical_json(note_to_dict(note)) + "\n")
-                self._notes[note.note_id] = note
+        append_jsonl(self._path, map(note_to_dict, new))
+        for note in new:
+            self._notes[note.note_id] = note
         return len(new)
 
     def list(

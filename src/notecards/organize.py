@@ -13,7 +13,7 @@ downstream refinement reconciles those against the released notes.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
-from .encoding import canonical_json, write_atomic
+from .encoding import append_jsonl, canonical_json, read_json, read_jsonl, stage_json
 
 WILDCARD_PLACE = "*"
 
@@ -184,6 +184,7 @@ class OrganizerStore:
         window_length: timedelta = DEFAULT_WINDOW,
         epsilon: timedelta = DEFAULT_EPSILON,
         watermark: timedelta = DEFAULT_WATERMARK,
+        repaired: list[Path] | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -195,16 +196,12 @@ class OrganizerStore:
         self._chunks: dict[str, AnnotatedChunk] = {}
         # Documents with at least one stored chunk; a rerun need not annotate them.
         self.doc_ids: set[str] = set()
-        if self._chunks_path.exists():
-            with self._chunks_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        chunk = chunk_from_dict(json.loads(line))
-                        self._chunks[chunk.chunk_id] = chunk
-                        self.doc_ids.add(chunk.doc_id)
-        self._released: dict[str, list[str]] = {}
-        if self._released_path.exists():
-            self._released = json.loads(self._released_path.read_text(encoding="utf-8"))
+        for raw in read_jsonl(self._chunks_path, repaired):
+            chunk = chunk_from_dict(raw)
+            self._chunks[chunk.chunk_id] = chunk
+            self.doc_ids.add(chunk.doc_id)
+        self._released: dict[str, list[str]] = read_json(self._released_path, {})
+        self._staged: Path | None = None  # synced by close_window, not yet committed
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -220,11 +217,10 @@ class OrganizerStore:
         new = [c for c in chunks if c.chunk_id not in self._chunks]
         if not new:
             return 0
-        with self._chunks_path.open("a", encoding="utf-8", newline="\n") as handle:
-            for chunk in new:
-                handle.write(canonical_json(chunk_to_dict(chunk)) + "\n")
-                self._chunks[chunk.chunk_id] = chunk
-                self.doc_ids.add(chunk.doc_id)
+        append_jsonl(self._chunks_path, map(chunk_to_dict, new))
+        for chunk in new:
+            self._chunks[chunk.chunk_id] = chunk
+            self.doc_ids.add(chunk.doc_id)
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:
@@ -232,7 +228,8 @@ class OrganizerStore:
 
         Released groups are immutable: a key is released at most once for
         a given chunk set, and chunks that arrive for an already-released
-        key come back as a supplemental group flagged ``late``.
+        key come back as a supplemental group flagged ``late``. The state
+        is staged here and committed by :meth:`save_released`.
         """
         released_now: list[ChunkGroup] = []
         for group in assign_windows(self._chunks.values(), self.window_length):
@@ -251,7 +248,8 @@ class OrganizerStore:
                 self._released[group.key] = sorted(c.chunk_id for c in group.chunks)
                 released_now.append(group)
         if released_now:
-            write_atomic(
-                self._released_path, json.dumps(self._released, indent=0, sort_keys=True) + "\n"
-            )
+            self._staged = stage_json(self._released_path, self._released)
         return released_now
+
+    def save_released(self) -> None:
+        os.replace(self._staged, self._released_path)

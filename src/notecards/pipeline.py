@@ -27,11 +27,10 @@ from .cards import (
     CardManager,
     STATUS_COMMITTED,
     STATUS_EXPIRED,
-    DEFAULT_WAITING_PERIOD,
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import write_atomic
+from .encoding import read_json, write_json
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -57,7 +56,6 @@ class PipelineConfig:
     epsilon: timedelta = DEFAULT_EPSILON
     watermark: timedelta = DEFAULT_WATERMARK
     horizon_windows: int = 4
-    waiting_period: timedelta = DEFAULT_WAITING_PERIOD
     mask_key_file: Path | None = None
     mask_aliases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     now_override: str | None = None
@@ -116,9 +114,6 @@ def config_from_dict(data: dict[str, Any], base: Path | None = None) -> Pipeline
     notes = data.get("notes", {})
     if "horizon_windows" in notes:
         config.horizon_windows = int(notes["horizon_windows"])
-    cards = data.get("cards", {})
-    if "waiting_period" in cards:
-        config.waiting_period = parse_duration(cards["waiting_period"])
     if data.get("mask_key_file"):
         config.mask_key_file = resolve(data["mask_key_file"])
     config.mask_aliases = {
@@ -150,6 +145,8 @@ class RunSummary:
     window: str = "7d"
     epsilon: str = "1d"
     watermark: str = "2d"
+    # Logs whose torn last line this run cut off; reported on stderr only.
+    repaired: list[Path] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -231,9 +228,9 @@ class StoreLock:
 
 
 class Stores:
-    """All five stores under one root, opened together."""
+    """All five stores under one root; *repaired* as in ``encoding.read_jsonl``."""
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, repaired: list[Path] | None = None):
         root = Path(config.store_root)
         self.root = root
         self.text = TextStore(root / "documents")
@@ -242,11 +239,12 @@ class Stores:
             window_length=config.window,
             epsilon=config.epsilon,
             watermark=config.watermark,
+            repaired=repaired,
         )
-        self.notes = NoteStore(root / "notes")
-        self.refined = RefinedNoteStore(root / "refined")
+        self.notes = NoteStore(root / "notes", repaired)
+        self.refined = RefinedNoteStore(root / "refined", repaired)
         self.maker = CardMaker(root / "cards")
-        self.ledger = CardLedger(root / "cards")
+        self.ledger = CardLedger(root / "cards", repaired)
         self.manager = CardManager(self.ledger, self.maker)
 
     def all_cards(self):
@@ -284,10 +282,10 @@ def store_manifest(config: PipelineConfig) -> dict[str, str]:
 def check_manifest(store_root: Path, manifest: dict[str, str]) -> None:
     """Refuse a store built with other inputs; adopt a store that has no manifest."""
     path = Path(store_root) / MANIFEST
-    if not path.exists():
-        write_atomic(path, json.dumps(manifest, indent=0, sort_keys=True) + "\n")
+    stored = read_json(path)
+    if stored is None:
+        write_json(path, manifest)
         return
-    stored = json.loads(path.read_text(encoding="utf-8"))
     for name, value in manifest.items():
         if stored.get(name) != value:
             raise PipelineError(
@@ -310,7 +308,7 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
     )
     with StoreLock(config.store_root):
         check_manifest(config.store_root, manifest)
-        stores = Stores(config)
+        stores = Stores(config, summary.repaired)
         now = clock.now()
 
         ingest_summary = ingest_corpus(
@@ -355,6 +353,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
             refined, spec, now, seq_of=stores.refined.sequence_of
         )
         report = stores.manager.admit(stores.maker.open_candidates(), spec, now)
+        # The commit point: until it is saved, a rerun releases the same groups again.
+        if released:
+            stores.organizer.save_released()
         summary.conflicts_detected = len(report.conflicts)
         summary.conflicts_resolved = sum(
             1 for c in report.conflicts if c.resolution == "expire-older"

@@ -21,8 +21,7 @@ Partitions are formed per batch; evidence that arrives in a later run
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
@@ -30,8 +29,8 @@ from typing import Any, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
-from .encoding import canonical_json, content_hash
-from .notes import Note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
+from .encoding import append_jsonl, content_hash, read_jsonl
+from .notes import Note, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
 
@@ -239,39 +238,15 @@ def _merge_notes(notes: list[Note], resolved: dict[str, Any]) -> Note:
     starts = [n.time_range[0] for n in notes if n.time_range[0]]
     ends = [n.time_range[1] for n in notes if n.time_range[1]]
     places = {n.place for n in notes}
-    provenance = tuple(sorted({cid for n in notes for cid in n.provenance}))
-    intensity = max((n.intensity for n in notes), key=lambda i: i.rank)
-    confidence = min((n.confidence for n in notes), key=lambda c: c.rank)
-    time_range = (min(starts) if starts else None, max(ends) if ends else None)
-    place = places.pop() if len(places) == 1 else None
-    attributes = tuple(
-        sorted((k, str(v) if isinstance(v, Conflicted) else v) for k, v in attrs.items())
-    )
-    fields = {
-        "subject": notes[0].subject,
-        "action": list(notes[0].action),
-        "attributes": [[k, v] for k, v in attributes],
-        "intensity": intensity.value,
-        "confidence": confidence.value,
-        "time_range": [
-            format_instant(time_range[0]) if time_range[0] else None,
-            format_instant(time_range[1]) if time_range[1] else None,
-        ],
-        "provenance": list(provenance),
-        "schema_version": NOTE_SCHEMA_VERSION,
-        "place": place,
-    }
-    return Note(
-        note_id="n-" + content_hash(fields),
-        subject=notes[0].subject,
-        action=notes[0].action,
-        attributes=attributes,
-        intensity=intensity,
-        confidence=confidence,
-        time_range=time_range,
-        provenance=provenance,
-        schema_version=NOTE_SCHEMA_VERSION,
-        place=place,
+    return new_note(
+        notes[0].subject,
+        notes[0].action,
+        ((k, str(v) if isinstance(v, Conflicted) else v) for k, v in attrs.items()),
+        max((n.intensity for n in notes), key=lambda i: i.rank),
+        min((n.confidence for n in notes), key=lambda c: c.rank),
+        (min(starts) if starts else None, max(ends) if ends else None),
+        {cid for n in notes for cid in n.provenance},
+        places.pop() if len(places) == 1 else None,
     )
 
 
@@ -434,20 +409,10 @@ def refine_notes(
 
         for note in stage3:
             trail = tuple(trails.get(note.note_id, ()))
-            passthrough = not trail
-            payload = {
-                "note": note_to_dict(note),
-                "applied_rules": [a.as_dict() for a in trail],
-                "passthrough": passthrough,
-            }
-            refined.append(
-                RefinedNote(
-                    note=note,
-                    applied_rules=trail,
-                    refined_id="rn-" + content_hash(payload),
-                    passthrough=passthrough,
-                )
-            )
+            record = RefinedNote(note, trail, refined_id="", passthrough=not trail)
+            payload = refined_to_dict(record)
+            del payload["refined_id"], payload["schema_version"]  # hashed without either
+            refined.append(replace(record, refined_id="rn-" + content_hash(payload)))
 
     refined.sort(key=lambda r: (r.subject, r.action, r.refined_id))
     return refined
@@ -489,17 +454,14 @@ def refined_from_dict(raw: dict) -> RefinedNote:
 class RefinedNoteStore:
     """Append-only refined-note log; trails embedded per record."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, repaired: list[Path] | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "refined.jsonl"
         self._records: dict[str, RefinedNote] = {}  # in log order
         self._position: dict[str, int] = {}
-        if self._path.exists():
-            with self._path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        self._remember(refined_from_dict(json.loads(line)))
+        for raw in read_jsonl(self._path, repaired):
+            self._remember(refined_from_dict(raw))
 
     def _remember(self, record: RefinedNote) -> None:
         self._position.setdefault(record.refined_id, len(self._position))
@@ -525,10 +487,9 @@ class RefinedNoteStore:
         new = [r for r in records if r.refined_id not in self._records]
         if not new:
             return 0
-        with self._path.open("a", encoding="utf-8", newline="\n") as handle:
-            for record in new:
-                handle.write(canonical_json(refined_to_dict(record)) + "\n")
-                self._remember(record)
+        append_jsonl(self._path, map(refined_to_dict, new))
+        for record in new:
+            self._remember(record)
         return len(new)
 
     def sequence_of(self, refined_id: str) -> int:

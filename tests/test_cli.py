@@ -9,7 +9,7 @@ import pytest
 from notecards.cli import main
 from notecards.pipeline import StoreLock
 
-from conftest import FIXTURES
+from conftest import FIXTURES, store_bytes
 
 
 def run_cli(*args) -> int:
@@ -230,3 +230,63 @@ def test_read_only_command_on_missing_store_exits_two(tmp_path, capsys, command)
     assert code == 2
     assert "store not found" in capsys.readouterr().err
     assert not store.exists()
+
+
+# ---------------------------------------------------------------------------
+# Store files that do not decode
+# ---------------------------------------------------------------------------
+
+LOGS = ["chunks/chunks.jsonl", "notes/notes.jsonl", "refined/refined.jsonl", "cards/log.jsonl"]
+
+
+def tear(log: Path) -> bytes:
+    """Leave *log* as an append cut short would: half a line after the last one."""
+    intact = log.read_bytes()
+    last = intact.splitlines(keepends=True)[-1]
+    log.write_bytes(intact + last[: len(last) // 2])
+    return intact
+
+
+@pytest.mark.parametrize("log", LOGS)
+def test_read_only_command_on_a_torn_log_exits_two_and_writes_nothing(fixture_store, capsys, log):
+    tear(fixture_store / log)
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    assert run_cli("cards", "list", "--store", fixture_store) == 2
+    err = capsys.readouterr().err
+    assert str(fixture_store / log) in err
+    assert "the next run repairs it" in err
+    assert store_bytes(fixture_store) == before
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("log", LOGS)
+def test_writer_cuts_a_torn_log_and_reports_it(fixture_store, capsys, log, command):
+    intact = tear(fixture_store / log)
+    capsys.readouterr()
+    code = run_cli(command, "--config", FIXTURES / "jobs_config.json", "--store", fixture_store)
+    assert code == 0
+    assert f"repaired: cut the torn last line off {fixture_store / log}\n" in capsys.readouterr().err
+    assert (fixture_store / log).read_bytes() == intact
+    assert run_cli("cards", "list", "--store", fixture_store) == 0
+
+
+@pytest.mark.parametrize("log", LOGS)
+def test_undecodable_log_line_exits_two_naming_file_and_line(fixture_store, capsys, log):
+    path = fixture_store / log
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-1] = b"{not json\n"
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    for command in (["cards", "list"], ["run", "--config", FIXTURES / "jobs_config.json"]):
+        assert run_cli(*command, "--store", fixture_store) == 2
+        assert f"{path}: line {len(lines)} does not decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["documents/index.json", "chunks/released.json", "cards/maker.json"])
+def test_undecodable_whole_file_exits_two_naming_it(fixture_store, capsys, name):
+    path = fixture_store / name
+    path.write_bytes(path.read_bytes()[:-10])
+    capsys.readouterr()
+    assert run_cli("cards", "list", "--store", fixture_store) == 2
+    assert f"{path}: not valid JSON" in capsys.readouterr().err

@@ -121,25 +121,6 @@ def test_list_empty_store(tmp_path):
     assert TextStore(tmp_path / "docs").list() == []
 
 
-def test_list_time_filter_is_half_open(tmp_path):
-    corpus = write_jsonl(tmp_path / "c.jsonl", corpus_records())
-    store = TextStore(tmp_path / "docs")
-    ingest_corpus([corpus], store, CLOCK)
-    t1 = parse_instant("2011-10-14T09:00:00Z")
-    t2 = parse_instant("2011-10-15T09:00:00Z")
-    docs = store.list(time_range=(t1, t2))
-    assert len(docs) == 1  # the doc stamped exactly t2 is excluded
-    assert docs[0].meta.source_uri == "bio://ch01"
-
-
-def test_list_source_prefix_filter(tmp_path):
-    corpus = write_jsonl(tmp_path / "c.jsonl", corpus_records())
-    store = TextStore(tmp_path / "docs")
-    ingest_corpus([corpus], store, CLOCK)
-    assert len(store.list(source_prefix="bio://ch0")) == 3
-    assert store.list(source_prefix="log://") == []
-
-
 def test_doc_id_is_stable_across_processes():
     doc_id = derive_doc_id(
         "He admits no middle ground.", "bio://ch07", parse_instant("2011-10-20T12:00:00Z")

@@ -134,13 +134,13 @@ def test_every_rate_lands_in_exactly_one_bucket():
     rng = random.Random(11)
     for _ in range(500):
         rate = rng.random() * rng.choice([0.5, 1, 3, 10])
-        bucket = intensity_for_rate(rate, CONFIG)
+        bucket = intensity_for_rate(rate)
         assert isinstance(bucket, Intensity)
-    assert intensity_for_rate(0.0, CONFIG) is Intensity.RARE
-    assert intensity_for_rate(0.999, CONFIG) is Intensity.RARE
-    assert intensity_for_rate(1.0, CONFIG) is Intensity.OCCASIONAL
-    assert intensity_for_rate(2.0, CONFIG) is Intensity.FREQUENT
-    assert intensity_for_rate(3.0, CONFIG) is Intensity.VERY_FREQUENT
+    assert intensity_for_rate(0.0) is Intensity.RARE
+    assert intensity_for_rate(0.999) is Intensity.RARE
+    assert intensity_for_rate(1.0) is Intensity.OCCASIONAL
+    assert intensity_for_rate(2.0) is Intensity.FREQUENT
+    assert intensity_for_rate(3.0) is Intensity.VERY_FREQUENT
 
 
 def test_intensity_monotone_in_event_count():
@@ -163,11 +163,11 @@ def test_intensity_monotone_in_event_count():
 def test_confidence_monotone_in_sources_at_fixed_agreement():
     previous = -1
     for sources in range(1, 5):
-        rank = confidence_for(sources, 1.0, CONFIG).rank
+        rank = confidence_for(sources, 1.0).rank
         assert rank >= previous
         previous = rank
     # Disagreement caps confidence regardless of source count.
-    assert confidence_for(5, 0.5, CONFIG) is Confidence.LOW
+    assert confidence_for(5, 0.5) is Confidence.LOW
 
 
 def test_note_ids_deterministic():

@@ -15,10 +15,12 @@ from notecards.cards import (
     CardManager,
     card_to_dict,
 )
-from notecards import pipeline
+from notecards import cards, notes, organize, pipeline
+from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
 from notecards.ingest import TextStore
+from notecards.organize import OrganizerStore
 from notecards.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -272,17 +274,72 @@ def test_rerun_after_a_crash_in_admit_matches_an_uninterrupted_run(tmp_path, mon
     assert len(Stores(crashed).ledger.cards(STATUS_COMMITTED)) == 5
 
 
+def crash_mid_append(patch, module, after: int) -> None:
+    """*module*'s log appends write *after* whole lines, then half a line, then raise."""
+    written = []
+
+    def append(path, records):
+        for record in records:
+            line = canonical_json(record).encode("ascii") + b"\n"
+            if len(written) == after:
+                line = line[: len(line) // 2]
+            with path.open("ab") as handle:
+                handle.write(line)
+            if len(written) == after:
+                raise RuntimeError("injected crash mid-append")
+            written.append(line)
+
+    patch.setattr(module, "append_jsonl", append)
+
+
+def crash_after_close_window(patch) -> None:
+    close_window = OrganizerStore.close_window
+
+    def close_then_crash(self, now):
+        close_window(self, now)
+        raise RuntimeError("injected crash")
+
+    patch.setattr(OrganizerStore, "close_window", close_then_crash)
+
+
+@pytest.mark.parametrize(
+    "crash, torn",
+    [
+        (crash_after_close_window, None),
+        (lambda patch: crash_mid_append(patch, notes, 7), "notes/notes.jsonl"),
+        (lambda patch: crash_mid_append(patch, organize, 25), "chunks/chunks.jsonl"),
+        (lambda patch: crash_mid_append(patch, cards, 1), "cards/log.jsonl"),
+    ],
+    ids=["after-close-window", "mid-notes-append", "mid-chunk-append", "mid-card-append"],
+)
+def test_rerun_after_a_crash_matches_an_uninterrupted_run(tmp_path, monkeypatch, crash, torn):
+    corpus = many_subjects_corpus(tmp_path, 3)
+    run_pipeline(jobs_config(tmp_path / "clean", corpus=corpus))
+    crashed = jobs_config(tmp_path / "crashed", corpus=corpus)
+    with monkeypatch.context() as patch:
+        crash(patch)
+        with pytest.raises(RuntimeError):
+            run_pipeline(crashed)
+    summary = run_pipeline(crashed)
+    assert summary.repaired == ([tmp_path / "crashed" / torn] if torn else [])
+    assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
+
+
 # ---------------------------------------------------------------------------
 # Incremental annotation: only stored documents without chunks are annotated
 # ---------------------------------------------------------------------------
 
 
 def reference_run(config: PipelineConfig, monkeypatch) -> None:
-    """Full re-annotation: every stored document, each read back on its own."""
+    """Full re-annotation: every stored document in (run file, offset) order,
+    each read back on its own."""
+
+    def every_document(self, **kw):
+        order = sorted(self._index, key=lambda d: (self._index[d]["file"], self._index[d]["offset"]))
+        return [self.get(doc_id) for doc_id in order]
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            TextStore, "list", lambda self, **kw: [self.get(doc_id) for doc_id in self._index]
-        )
+        patch.setattr(TextStore, "list", every_document)
         run_pipeline(config)
 
 
