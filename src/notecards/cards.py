@@ -93,12 +93,8 @@ class Card:
         )
 
     def evidence_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for _, ids in self.dimensions:
-            for evidence_id in ids:
-                if evidence_id not in seen:
-                    seen.append(evidence_id)
-        return tuple(seen)
+        """Every evidence id once, in first-seen order across criteria."""
+        return tuple(dict.fromkeys(eid for _, ids in self.dimensions for eid in ids))
 
 
 def card_to_dict(card: Card) -> dict:

@@ -13,12 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .cards import CardError
+from .cards import Card, CardError, CardLedger, CardMaker, card_to_dict
 from .clock import parse_instant
 from .durations import DurationError
 from .graph import GraphError, GraphFilter, build_graph, export_graph, find_routes, query_cards
 from .ingest import IngestError, ingest_corpus
-from .notes import note_to_dict
+from .notes import NoteStore, note_to_dict
 from .ontology import (
     OntologyError,
     load_ontology,
@@ -31,11 +31,11 @@ from .pipeline import (
     Stores,
     StoreLock,
     audit_card,
+    check_store_files,
     drill_down,
     load_config,
     run_pipeline,
 )
-from .cards import card_to_dict
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -127,11 +127,30 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _open_existing(config: PipelineConfig) -> Stores:
-    """Stores for a read-only command, which must not create a missing root."""
-    if not Path(config.store_root).is_dir():
-        raise PipelineError(f"store not found: {config.store_root}")
-    return Stores(config)
+def _store_root(config: PipelineConfig) -> Path:
+    """The root of a read-only command, which must not create a missing one."""
+    root = Path(config.store_root)
+    if not root.is_dir():
+        raise PipelineError(f"store not found: {root}")
+    return root
+
+
+def _checked_root(config: PipelineConfig) -> Path:
+    """The root of a read-only command that opens only the stores it reads.
+
+    Every store file is decoded first, so the command refuses a damaged
+    store just as one that opens all of them through ``Stores`` does.
+    """
+    root = _store_root(config)
+    check_store_files(root)
+    return root
+
+
+def _all_cards(ledger: CardLedger, maker: CardMaker) -> list[Card]:
+    """The ledger's cards, then the held cards the ledger does not hold yet."""
+    cards = ledger.cards()
+    in_ledger = {card.card_id for card in cards}
+    return cards + [card for card in maker.premature_cards() if card.card_id not in in_ledger]
 
 
 def _report_repaired(paths: list[Path]) -> None:
@@ -243,13 +262,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_notes_list(args) -> int:
-    stores = _open_existing(_build_config(args))
+    root = _checked_root(_build_config(args))
     action = None
     if args.entity or args.relationship:
         if not (args.entity and args.relationship):
             raise PipelineError("--entity and --relationship go together")
         action = (args.entity, args.relationship)
-    notes = stores.notes.list(subject=args.subject, action=action)
+    notes = NoteStore(root / "notes").list(subject=args.subject, action=action)
     if args.json:
         print(json.dumps([note_to_dict(n) for n in notes], indent=2, sort_keys=True))
     else:
@@ -263,9 +282,9 @@ def cmd_notes_list(args) -> int:
 
 
 def cmd_cards_list(args) -> int:
-    stores = _open_existing(_build_config(args))
+    root = _checked_root(_build_config(args))
     cards = query_cards(
-        stores.all_cards(),
+        _all_cards(CardLedger(root / "cards"), CardMaker(root / "cards")),
         concept=args.concept,
         status=args.status,
         subject=args.subject,
@@ -286,7 +305,9 @@ def cmd_cards_list(args) -> int:
 
 
 def cmd_card_show(args) -> int:
-    stores = _open_existing(_build_config(args))
+    config = _build_config(args)
+    _store_root(config)
+    stores = Stores(config)
     payload = drill_down(args.card_id, stores)
     if args.audit:
         problems = audit_card(args.card_id, stores)
@@ -321,7 +342,7 @@ def cmd_card_show(args) -> int:
 
 
 def _graph_for(args, config: PipelineConfig):
-    stores = _open_existing(config)
+    root = _checked_root(config)
     time_range = None
     valid_from = getattr(args, "valid_from", None)
     valid_to = getattr(args, "valid_to", None)
@@ -334,7 +355,7 @@ def _graph_for(args, config: PipelineConfig):
         concepts=frozenset(getattr(args, "concept", []) or []),
         time_range=time_range,
     )
-    return build_graph(stores.ledger.cards(), card_filter)
+    return build_graph(CardLedger(root / "cards").cards(), card_filter)
 
 
 def cmd_export(args) -> int:

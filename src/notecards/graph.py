@@ -10,8 +10,10 @@ simple paths ordered shortest first, then by node-id sequence.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cards import Card
@@ -116,13 +118,14 @@ def build_graph(cards: Sequence[Card], card_filter: GraphFilter | None = None) -
                 if successor in selected_ids:
                     edges.add(GraphEdge(successor, card.card_id, "supersedes"))
 
-    for i, card in enumerate(selected):
-        mine = set(card.evidence_ids())
-        if not mine:
-            continue
-        for other in selected[i + 1 :]:
-            if mine & set(other.evidence_ids()):
-                edges.add(GraphEdge(card.card_id, other.card_id, "evidence-shared"))
+    # Cards holding each refined note, in card_id order, so every pair is (lower, higher).
+    holders: dict[str, list[str]] = defaultdict(list)
+    for card in selected:
+        for evidence_id in card.evidence_ids():
+            holders[evidence_id].append(card.card_id)
+    for card_ids in holders.values():
+        for a, b in combinations(card_ids, 2):
+            edges.add(GraphEdge(a, b, "evidence-shared"))
 
     return CardGraph(
         nodes=tuple(sorted(nodes.values(), key=lambda n: n.node_id)),

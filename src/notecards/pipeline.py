@@ -30,7 +30,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import read_json, write_json
+from .encoding import read_json, read_jsonl, write_json
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -247,11 +247,33 @@ class Stores:
         self.ledger = CardLedger(root / "cards", repaired)
         self.manager = CardManager(self.ledger, self.maker)
 
-    def all_cards(self):
-        ledger_ids = {card.card_id for card in self.ledger.cards()}
-        return self.ledger.cards() + [
-            card for card in self.maker.premature_cards() if card.card_id not in ledger_ids
-        ]
+
+# Every file Stores decodes, in the order it decodes them.
+STORE_FILES = (
+    "documents/index.json",
+    "chunks/chunks.jsonl",
+    "chunks/released.json",
+    "notes/notes.jsonl",
+    "refined/refined.jsonl",
+    "cards/maker.json",
+    "cards/log.jsonl",
+)
+
+
+def check_store_files(root: Path) -> None:
+    """Decode every file Stores decodes and keep nothing.
+
+    A damaged file raises ``StoreFormatError`` naming it, as ``Stores``
+    would, so a command that opens only some stores still refuses a
+    damaged store. Never repairs: it is for commands without the lock.
+    """
+    for name in STORE_FILES:
+        path = Path(root) / name
+        if path.suffix == ".jsonl":
+            for _record in read_jsonl(path):
+                pass
+        else:
+            read_json(path)
 
 
 def load_specs(config: PipelineConfig) -> OntologySpec:

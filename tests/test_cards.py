@@ -162,6 +162,12 @@ def test_score_card_matches_recount_oracle(ocpd_spec):
         expected = tuple(len(placed.get(i, ())) for i in range(1, 9))
         assert card.score_vector() == expected
         assert card.criteria_met == sum(1 for v in expected if v >= 1)
+        first_seen: list[str] = []
+        for _, ids in card.dimensions:
+            for evidence_id in ids:
+                if evidence_id not in first_seen:
+                    first_seen.append(evidence_id)
+        assert card.evidence_ids() == tuple(first_seen)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from notecards.cards import CardLedger, CardMaker
 from notecards.cli import main
+from notecards.ingest import TextStore
+from notecards.notes import NoteStore
+from notecards.organize import OrganizerStore
 from notecards.pipeline import StoreLock
+from notecards.refine import RefinedNoteStore
 
 from conftest import FIXTURES, store_bytes
 
@@ -232,6 +237,35 @@ def test_read_only_command_on_missing_store_exits_two(tmp_path, capsys, command)
     assert not store.exists()
 
 
+# Each command that does not drill down, and the only stores it reads.
+PARTIAL_READERS = [
+    (("cards", "list"), {CardLedger, CardMaker}),
+    (("export", "--format", "dot"), {CardLedger}),
+    (("export", "--format", "json"), {CardLedger}),
+    (("routes", "301.4@steve#g1", "subject:steve"), {CardLedger}),
+    (("notes", "list"), {NoteStore}),
+]
+PARTIAL_IDS = ["cards-list", "export-dot", "export-json", "routes", "notes-list"]
+
+
+def refuse(store, *args, **kwargs):
+    raise AssertionError(f"built {type(store).__name__}, which the command does not read")
+
+
+@pytest.mark.parametrize("command, reads", PARTIAL_READERS, ids=PARTIAL_IDS)
+def test_read_only_command_builds_only_the_stores_it_reads(
+    fixture_store, capsys, monkeypatch, command, reads
+):
+    capsys.readouterr()
+    assert run_cli(*command, "--store", fixture_store) == 0
+    expected = capsys.readouterr().out
+    everything = {TextStore, OrganizerStore, NoteStore, RefinedNoteStore, CardLedger, CardMaker}
+    for store in everything - reads:
+        monkeypatch.setattr(store, "__init__", refuse)
+    assert run_cli(*command, "--store", fixture_store) == 0
+    assert capsys.readouterr().out == expected
+
+
 # ---------------------------------------------------------------------------
 # Store files that do not decode
 # ---------------------------------------------------------------------------
@@ -290,3 +324,18 @@ def test_undecodable_whole_file_exits_two_naming_it(fixture_store, capsys, name)
     capsys.readouterr()
     assert run_cli("cards", "list", "--store", fixture_store) == 2
     assert f"{path}: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damaged", ["refined/refined.jsonl", "documents/index.json"])
+@pytest.mark.parametrize("command", [command for command, _ in PARTIAL_READERS], ids=PARTIAL_IDS)
+def test_command_refuses_damage_in_a_store_it_does_not_read(fixture_store, capsys, command, damaged):
+    path = fixture_store / damaged
+    if path.suffix == ".jsonl":
+        tear(path)
+    else:
+        path.write_bytes(path.read_bytes()[:-10])
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    assert run_cli(*command, "--store", fixture_store) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert store_bytes(fixture_store) == before

@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 
-from notecards.cards import add_evidence, new_card
+from notecards.cards import Card, ReasoningEvent, add_evidence, make_card_id, new_card
 from notecards.graph import (
     CardGraph,
     GraphEdge,
@@ -114,6 +116,109 @@ def test_filter_by_subject_and_concept():
     assert {n.node_id for n in only_woz.nodes if n.kind == "card"} == {"c1@woz#g1"}
     only_c0 = build_graph(cards, GraphFilter(concepts=frozenset({"c0"})))
     assert {n.node_id for n in only_c0.nodes if n.kind == "card"} == {"c0@steve#g1"}
+
+
+def pairwise_graph(cards, card_filter: GraphFilter) -> CardGraph:
+    """build_graph with its evidence-shared edges found by comparing every pair of cards."""
+    bare = build_graph([replace(card, dimensions=()) for card in cards], card_filter)
+    selected = sorted((c for c in cards if card_filter.admits(c)), key=lambda c: c.card_id)
+    edges = set(bare.edges)
+    for i, card in enumerate(selected):
+        mine = {eid for _, ids in card.dimensions for eid in ids}
+        for other in selected[i + 1 :]:
+            if mine & {eid for _, ids in other.dimensions for eid in ids}:
+                edges.add(GraphEdge(card.card_id, other.card_id, "evidence-shared"))
+    return CardGraph(
+        nodes=bare.nodes,
+        edges=tuple(sorted(edges, key=lambda e: (e.source, e.target, e.edge_type))),
+    )
+
+
+def random_cards(rng: random.Random, n: int) -> list[Card]:
+    """Cards over few subjects, concepts and refined ids, so that they overlap often."""
+    ids = sorted(
+        {
+            make_card_id(f"c{rng.randrange(3)}", f"s{rng.randrange(4)}", rng.randint(1, 3))
+            for _ in range(n)
+        }
+    )
+    pool = [f"rn-{i}" for i in range(rng.randint(1, 12))]
+    cards = []
+    for card_id in ids:
+        concept, rest = card_id.split("@")
+        subject = rest.split("#")[0]
+        dimensions = tuple(
+            (index, tuple(rng.sample(pool, rng.randint(0, min(3, len(pool))))))
+            for index in sorted(rng.sample(range(1, 4), rng.randint(0, 3)))
+        )
+        trail = tuple(
+            ReasoningEvent(
+                kind,
+                NOW,
+                ((key, rng.choice(ids + ["c9@nobody#g1"])),),
+            )
+            for kind, key in rng.sample(
+                [("conflict-detected", "counterpart"), ("remake-completed", "successor"),
+                 ("committed", "by")],
+                rng.randint(0, 3),
+            )
+        )
+        start = None if rng.random() < 0.2 else NOW + timedelta(days=rng.randrange(20))
+        end = None if start is None or rng.random() < 0.5 else start + timedelta(days=rng.randint(1, 9))
+        cards.append(
+            Card(
+                card_id=card_id,
+                concept_id=concept,
+                subject=subject,
+                dimensions=dimensions,
+                threshold=1,
+                min_score_per_criterion=1,
+                criteria_count=3,
+                status="committed",
+                validity=(start, end),
+                reasoning_trail=trail,
+            )
+        )
+    rng.shuffle(cards)
+    return cards
+
+
+def random_filter(rng: random.Random) -> GraphFilter:
+    time_range = None
+    if rng.random() < 0.3:
+        lo = NOW + timedelta(days=rng.randrange(20))
+        time_range = (lo, lo + timedelta(days=rng.randint(1, 9)))
+    return GraphFilter(
+        subjects=frozenset(f"s{i}" for i in range(4) if rng.random() < 0.3),
+        concepts=frozenset(f"c{i}" for i in range(3) if rng.random() < 0.3),
+        time_range=time_range,
+    )
+
+
+def test_graph_matches_pairwise_oracle_on_random_card_sets():
+    rng = random.Random(7)
+    shared = 0
+    for _ in range(300):
+        cards = random_cards(rng, rng.randint(0, 25))
+        card_filter = random_filter(rng)
+        graph = build_graph(cards, card_filter)
+        expected = pairwise_graph(cards, card_filter)
+        assert graph.nodes == expected.nodes
+        assert graph.edges == expected.edges
+        shared += any(e.edge_type == "evidence-shared" for e in graph.edges)
+    assert shared > 100  # the sets do exercise evidence sharing
+
+
+def test_build_reads_each_cards_evidence_once(monkeypatch):
+    cards = random_cards(random.Random(3), 40)
+    calls = []
+    evidence_ids = Card.evidence_ids
+    monkeypatch.setattr(
+        Card, "evidence_ids", lambda card: calls.append(card.card_id) or evidence_ids(card)
+    )
+    build_graph(cards)
+    assert len(cards) > 20
+    assert len(calls) <= len(cards)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from notecards.cards import (
     CardManager,
     card_to_dict,
 )
-from notecards import cards, notes, organize, pipeline
+from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
@@ -25,6 +25,7 @@ from notecards.pipeline import (
     PipelineConfig,
     PipelineError,
     Stores,
+    check_store_files,
     drill_down,
     load_config,
     run_pipeline,
@@ -187,6 +188,30 @@ def test_rerun_releases_nothing_new(tmp_path):
     assert second.groups_released == 0
     assert second.notes_synthesized == 0
     assert second.cards_committed == first.cards_committed == 1
+
+
+def test_store_check_decodes_every_file_that_stores_decodes(tmp_path, monkeypatch):
+    config = jobs_config(tmp_path / "store")
+    run_pipeline(config)
+    decoded = []
+
+    def recording(reader):
+        def read(path, *args, **kwargs):
+            decoded.append(Path(path))
+            return reader(path, *args, **kwargs)
+
+        return read
+
+    for module in (ingest, organize, notes, refine, cards, pipeline):
+        for name in ("read_json", "read_jsonl"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
+    Stores(config)
+    by_stores = list(decoded)
+    decoded.clear()
+    check_store_files(config.store_root)
+    assert len(by_stores) == 7
+    assert decoded == by_stores
 
 
 # ---------------------------------------------------------------------------
