@@ -293,6 +293,8 @@ class CardMaker:
         self._closed: set[str] = set(state.get("closed", ()))
         self._generations: dict[str, int] = dict(state.get("generations", {}))
         self._announced: set[str] = set(state.get("announced", ()))
+        # Refined-log sequence of the last note accumulated; newer ones are unread.
+        self.refined_seq: int = state.get("refined_seq", -1)
 
     @staticmethod
     def slot_key(subject: str, concept_id: str) -> str:
@@ -304,6 +306,7 @@ class CardMaker:
             "closed": sorted(self._closed),
             "generations": self._generations,
             "announced": sorted(self._announced),
+            "refined_seq": self.refined_seq,
         }
         write_json(self._path, state)
 
@@ -336,10 +339,14 @@ class CardMaker:
         now: datetime,
         seq_of: Callable[[str], int] | None = None,
     ) -> list[Card]:
-        """Accumulate evidence; return cards newly reaching their threshold."""
+        """Accumulate evidence; return cards newly reaching their threshold.
+
+        Nothing is saved here: the manager saves the maker after admit.
+        """
         newly = []
         for refined in sorted(notes, key=lambda r: r.refined_id):
             seq = seq_of(refined.refined_id) if seq_of else -1
+            self.refined_seq = max(self.refined_seq, seq)
             for concept_id, criterion_index in map_note_to_criteria(refined, spec):
                 key = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
@@ -359,7 +366,6 @@ class CardMaker:
                     self._announced.add(card.card_id)
                     newly.append(card)
                 self._cards[key] = card
-        self.save()
         # Return the final state of each newly announced card.
         announced_ids = {c.card_id for c in newly}
         return [
@@ -377,17 +383,17 @@ class CardMaker:
 class CardLedger:
     """Snapshot log plus derived current-state index; manager-only writes."""
 
-    def __init__(self, root: Path, repaired: list[Path] | None = None):
+    def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.log_path = self.root / "log.jsonl"
         self.index_path = self.root / "index.json"
-        self._cards = self.replay(self.log_path, repaired)
+        self._cards = self.replay(self.log_path)
 
     @staticmethod
-    def replay(log_path: Path, repaired: list[Path] | None = None) -> dict[str, Card]:
+    def replay(log_path: Path) -> dict[str, Card]:
         cards: dict[str, Card] = {}
-        for record in read_jsonl(log_path, repaired):
+        for record in read_jsonl(log_path):
             if record["type"] == "snapshot":
                 card = card_from_dict(record["card"])
                 cards[card.card_id] = card

@@ -3,7 +3,7 @@
 Commands: ``ontology validate``, ``ingest``, ``run``, ``notes list``,
 ``cards list``, ``card show``, ``export``, ``routes``. Exit status is 0
 on success, 1 when validation findings exist, 2 on operational errors.
-Pass ``--now`` to pin the clock for reproducible runs.
+``run`` and ``ingest`` take ``--now`` to pin the clock for reproducible runs.
 """
 
 from __future__ import annotations
@@ -32,16 +32,26 @@ from .pipeline import (
     StoreLock,
     audit_card,
     check_store_files,
+    cut_torn_logs,
     drill_down,
     load_config,
     run_pipeline,
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _json_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _store_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="pipeline config file (JSON)")
     parser.add_argument("--store", type=Path, help="store root directory")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _writer_flags(parser: argparse.ArgumentParser) -> None:
+    _store_flags(parser)
+    _json_flag(parser)
+    parser.add_argument("--corpus", action="append", type=Path, default=[])
     parser.add_argument("--now", help="pin the clock to an RFC-3339 instant")
     parser.add_argument("--mask-key-file", type=Path, help="enable subject masking")
 
@@ -57,17 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     ontology_sub = p_ontology.add_subparsers(dest="subcommand", required=True)
     p_validate = ontology_sub.add_parser("validate", help="validate ontology files")
     p_validate.add_argument("paths", nargs="+", type=Path)
-    _common_flags(p_validate)
+    _json_flag(p_validate)
 
     p_ingest = sub.add_parser("ingest", help="ingest corpora into the text store")
-    p_ingest.add_argument("--ontology", action="append", type=Path, default=[])
-    p_ingest.add_argument("--corpus", action="append", type=Path, default=[])
-    _common_flags(p_ingest)
+    _writer_flags(p_ingest)
 
     p_run = sub.add_parser("run", help="run the full pipeline")
     p_run.add_argument("--ontology", action="append", type=Path, default=[])
-    p_run.add_argument("--corpus", action="append", type=Path, default=[])
-    _common_flags(p_run)
+    _writer_flags(p_run)
 
     p_notes = sub.add_parser("notes", help="note inspection")
     notes_sub = p_notes.add_subparsers(dest="subcommand", required=True)
@@ -75,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_notes_list.add_argument("--subject")
     p_notes_list.add_argument("--entity")
     p_notes_list.add_argument("--relationship")
-    _common_flags(p_notes_list)
+    _store_flags(p_notes_list)
+    _json_flag(p_notes_list)
 
     p_cards = sub.add_parser("cards", help="card inspection")
     cards_sub = p_cards.add_subparsers(dest="subcommand", required=True)
@@ -85,14 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cards_list.add_argument("--subject")
     p_cards_list.add_argument("--min-met", type=int)
     p_cards_list.add_argument("--max-met", type=int)
-    _common_flags(p_cards_list)
+    _store_flags(p_cards_list)
+    _json_flag(p_cards_list)
 
     p_card = sub.add_parser("card", help="single-card tools")
     card_sub = p_card.add_subparsers(dest="subcommand", required=True)
     p_card_show = card_sub.add_parser("show", help="drill down to source documents")
     p_card_show.add_argument("card_id")
     p_card_show.add_argument("--audit", action="store_true", help="verify the chain")
-    _common_flags(p_card_show)
+    _store_flags(p_card_show)
+    _json_flag(p_card_show)
 
     p_export = sub.add_parser("export", help="export the card graph")
     p_export.add_argument("--format", choices=("dot", "json"), default="dot")
@@ -101,13 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--concept", action="append", default=[])
     p_export.add_argument("--from", dest="valid_from", help="validity window start")
     p_export.add_argument("--to", dest="valid_to", help="validity window end")
-    _common_flags(p_export)
+    _store_flags(p_export)
 
     p_routes = sub.add_parser("routes", help="enumerate simple routes between nodes")
     p_routes.add_argument("start")
     p_routes.add_argument("end")
     p_routes.add_argument("--max", type=int, default=6, dest="max_length")
-    _common_flags(p_routes)
+    _store_flags(p_routes)
+    _json_flag(p_routes)
 
     return parser
 
@@ -120,9 +131,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         config.corpus_paths = list(args.corpus)
     if args.store:
         config.store_root = args.store
-    if args.now:
+    if getattr(args, "now", None):
         config.now_override = args.now
-    if args.mask_key_file:
+    if getattr(args, "mask_key_file", None):
         config.mask_key_file = args.mask_key_file
     return config
 
@@ -226,9 +237,9 @@ def cmd_ingest(args) -> int:
     if not config.corpus_paths:
         raise PipelineError("no corpus given (use --corpus or a config file)")
     clock = config.clock()
-    repaired: list[Path] = []
     with StoreLock(config.store_root):
-        stores = Stores(config, repaired)
+        repaired = cut_torn_logs(config.store_root)
+        stores = Stores(config)
         summary = ingest_corpus(
             config.corpus_paths,
             stores.text,

@@ -6,12 +6,12 @@ and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
   :func:`read_jsonl_at`, :func:`append_jsonl`). A last line without its
-  newline is an append cut short: a writer holding the lock cuts it off,
-  a reader refuses it.
+  newline is an append cut short: readers refuse it, and a writer cuts it
+  off once, under the lock, before it opens the stores
+  (:func:`cut_torn_tail`).
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
-  :func:`write_json`), written to a synced temp file (:func:`stage_json`)
-  and renamed over the old one, so a crash leaves the old or the new
-  version, never a torn one.
+  :func:`write_json`), written to a synced temp file and renamed over the
+  old one, so a crash leaves the old or the new version, never a torn one.
 """
 
 from __future__ import annotations
@@ -47,20 +47,6 @@ def name_uuid(*parts: str) -> str:
     return str(uuid.uuid5(ID_NAMESPACE, "\x1f".join(parts)))
 
 
-def stage_json(path: Path, value: Any) -> Path:
-    """Write *value* to a synced temp file beside *path*; ``os.replace`` commits it."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as handle:
-            handle.write(json.dumps(value, indent=0, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return tmp
-
-
 def read_json(path: Path, default: Any = None) -> Any:
     """The value of a whole-file JSON store file, or *default* if it is missing."""
     try:
@@ -74,8 +60,17 @@ def read_json(path: Path, default: Any = None) -> Any:
 
 
 def write_json(path: Path, value: Any) -> None:
-    """Replace a whole-file JSON store file with *value*."""
-    os.replace(stage_json(path, value), path)
+    """Replace a whole-file JSON store file with *value*, through a synced temp file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as handle:
+            handle.write(json.dumps(value, indent=0, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def _decode(path: Path, where: str, line: str | bytes) -> Any:
@@ -85,26 +80,40 @@ def _decode(path: Path, where: str, line: str | bytes) -> Any:
         raise StoreFormatError(f"{path}: {where} does not decode: {exc}") from None
 
 
-def read_jsonl(path: Path, repaired: list[Path] | None = None) -> Iterator[Any]:
-    """The records of a log, in order; a missing log has none.
-
-    A torn last line raises, unless the caller holds the store lock and
-    passes *repaired*: then it is cut off and *path* is added to *repaired*.
-    """
+def read_jsonl(path: Path) -> Iterator[Any]:
+    """The records of a log, in order; a missing log has none, a torn one raises."""
     if not path.exists():
         return
     with path.open("r", encoding="utf-8", newline="\n") as handle:
         for number, line in enumerate(handle, 1):
-            if line.endswith("\n"):
-                yield _decode(path, f"line {number}", line)
-                continue
-            if repaired is None:
+            if not line.endswith("\n"):
                 raise StoreFormatError(
                     f"{path}: line {number} is the torn end of an interrupted append; "
                     "the next run repairs it"
                 )
-            os.truncate(path, path.stat().st_size - len(line.encode("utf-8")))
-            repaired.append(path)
+            yield _decode(path, f"line {number}", line)
+
+
+def cut_torn_tail(path: Path) -> bool:
+    """Cut a log back to its last whole line; True if it had a torn tail.
+
+    Reads only the last byte of a log that is not torn. The caller must
+    hold the store lock.
+    """
+    try:
+        handle = path.open("r+b")
+    except FileNotFoundError:
+        return False
+    with handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return False
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return False
+        handle.seek(0)
+        handle.truncate(handle.read().rfind(b"\n") + 1)
+    return True
 
 
 def read_jsonl_at(path: Path, offsets: Iterable[int]) -> Iterator[Any]:

@@ -192,8 +192,13 @@ class TextStore:
         return len(self._index)
 
     def _next_run_file(self) -> Path:
-        existing = sorted(self.root.glob("run-*.jsonl"))
-        return self.root / f"run-{len(existing) + 1:04d}.jsonl"
+        """The run file after the last one the index names.
+
+        A file by that name is what a run left when it crashed before
+        replacing the index; nothing refers to it.
+        """
+        last = max((_ingestion_order(entry)[0] for entry in self._index.values()), default=0)
+        return self.root / f"run-{last + 1:04d}.jsonl"
 
     def add_all(self, documents: Iterable[Document]) -> tuple[int, int]:
         """Append new documents in one run file; returns (added, duplicates)."""
@@ -206,6 +211,7 @@ class TextStore:
                 new[doc.doc_id] = doc
         if new:
             run_path = self._next_run_file()
+            run_path.unlink(missing_ok=True)
             offsets = append_jsonl(run_path, map(_document_to_dict, new.values()))
             for doc_id, offset in zip(new, offsets):
                 self._index[doc_id] = {"file": run_path.name, "offset": offset}

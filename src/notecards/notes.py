@@ -263,12 +263,12 @@ def note_from_dict(raw: dict) -> Note:
 class NoteStore:
     """Append-only note table keyed by note_id; filters scan it in memory."""
 
-    def __init__(self, root: Path, repaired: list[Path] | None = None):
+    def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "notes.jsonl"
         self._notes: dict[str, Note] = {}
-        for raw in read_jsonl(self._path, repaired):
+        for raw in read_jsonl(self._path):
             note = note_from_dict(raw)
             self._notes[note.note_id] = note
 

@@ -13,15 +13,15 @@ downstream refinement reconciles those against the released notes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
-from .encoding import append_jsonl, canonical_json, read_json, read_jsonl, stage_json
+from .encoding import StoreFormatError, append_jsonl, canonical_json, read_jsonl
 
 WILDCARD_PLACE = "*"
 
@@ -57,7 +57,7 @@ class ChunkGroup:
     chunks: tuple[AnnotatedChunk, ...]
     late: bool = False
 
-    @property
+    @cached_property
     def key(self) -> str:
         start = format_instant(self.window[0]) if self.window else None
         return canonical_json([self.subject, start, self.place_key])
@@ -176,7 +176,12 @@ def chunk_from_dict(raw: dict) -> AnnotatedChunk:
 
 
 class OrganizerStore:
-    """Single-writer chunk store with released-group bookkeeping."""
+    """Single-writer chunk store with released-group bookkeeping.
+
+    ``released.jsonl`` holds one line per run that released anything,
+    mapping each released key to the chunk ids it released; replaying it
+    gives every key's released chunk ids.
+    """
 
     def __init__(
         self,
@@ -184,24 +189,32 @@ class OrganizerStore:
         window_length: timedelta = DEFAULT_WINDOW,
         epsilon: timedelta = DEFAULT_EPSILON,
         watermark: timedelta = DEFAULT_WATERMARK,
-        repaired: list[Path] | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.window_length = window_length
         self.epsilon = epsilon
         self.watermark = watermark
+        legacy = self.root / "released.json"
+        if legacy.exists():
+            raise StoreFormatError(
+                f"{legacy}: this store predates released.jsonl and cannot be opened; "
+                "rebuild it in a new store"
+            )
         self._chunks_path = self.root / "chunks.jsonl"
-        self._released_path = self.root / "released.json"
+        self._released_path = self.root / "released.jsonl"
         self._chunks: dict[str, AnnotatedChunk] = {}
         # Documents with at least one stored chunk; a rerun need not annotate them.
         self.doc_ids: set[str] = set()
-        for raw in read_jsonl(self._chunks_path, repaired):
+        for raw in read_jsonl(self._chunks_path):
             chunk = chunk_from_dict(raw)
             self._chunks[chunk.chunk_id] = chunk
             self.doc_ids.add(chunk.doc_id)
-        self._released: dict[str, list[str]] = read_json(self._released_path, {})
-        self._staged: Path | None = None  # synced by close_window, not yet committed
+        self._released: dict[str, list[str]] = {}
+        for record in read_jsonl(self._released_path):
+            for key, chunk_ids in record.items():
+                seen = self._released.get(key)
+                self._released[key] = sorted(seen + chunk_ids) if seen else chunk_ids
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -228,8 +241,8 @@ class OrganizerStore:
 
         Released groups are immutable: a key is released at most once for
         a given chunk set, and chunks that arrive for an already-released
-        key come back as a supplemental group flagged ``late``. The state
-        is staged here and committed by :meth:`save_released`.
+        key come back as a supplemental group flagged ``late``. Only the
+        state in memory changes; :meth:`log_released` makes it durable.
         """
         released_now: list[ChunkGroup] = []
         for group in assign_windows(self._chunks.values(), self.window_length):
@@ -247,9 +260,9 @@ class OrganizerStore:
             elif ready_for_release(group, now, self.watermark):
                 self._released[group.key] = sorted(c.chunk_id for c in group.chunks)
                 released_now.append(group)
-        if released_now:
-            self._staged = stage_json(self._released_path, self._released)
         return released_now
 
-    def save_released(self) -> None:
-        os.replace(self._staged, self._released_path)
+    def log_released(self, groups: Sequence[ChunkGroup]) -> None:
+        """Append one line holding the chunk ids each of *groups* released."""
+        record = {group.key: sorted(c.chunk_id for c in group.chunks) for group in groups}
+        append_jsonl(self._released_path, [record])

@@ -30,7 +30,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import read_json, read_jsonl, write_json
+from .encoding import cut_torn_tail, read_json, read_jsonl, write_json
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -180,19 +180,13 @@ class RunSummary:
         }
 
     def format_text(self) -> str:
-        return "\n".join(
-            [
-                f"documents   ingested={self.documents_ingested} rejected={self.documents_rejected}"
-                f" annotated={self.documents_annotated}",
-                f"chunks      emitted={self.chunks_emitted} skipped={self.chunks_skipped}",
-                f"groups      released={self.groups_released}",
-                f"notes       synthesized={self.notes_synthesized} refined={self.notes_refined} rejected={self.notes_rejected}",
-                f"cards       premature={self.cards_premature} committed={self.cards_committed} expired={self.cards_expired}",
-                f"conflicts   detected={self.conflicts_detected} resolved={self.conflicts_resolved}",
-                f"organize    window={self.window} epsilon={self.epsilon} watermark={self.watermark}",
-                f"wall time   {self.wall_time_seconds:.3f}s",
-            ]
-        )
+        groups = self.as_dict()
+        wall_time = groups.pop("wall_time_seconds")
+        lines = [
+            f"{name:<12}" + " ".join(f"{key}={value}" for key, value in fields.items())
+            for name, fields in groups.items()
+        ]
+        return "\n".join(lines + [f"{'wall time':<12}{wall_time:.3f}s"])
 
 
 class StoreLock:
@@ -228,9 +222,9 @@ class StoreLock:
 
 
 class Stores:
-    """All five stores under one root; *repaired* as in ``encoding.read_jsonl``."""
+    """All six stores under one root."""
 
-    def __init__(self, config: PipelineConfig, repaired: list[Path] | None = None):
+    def __init__(self, config: PipelineConfig):
         root = Path(config.store_root)
         self.root = root
         self.text = TextStore(root / "documents")
@@ -239,12 +233,11 @@ class Stores:
             window_length=config.window,
             epsilon=config.epsilon,
             watermark=config.watermark,
-            repaired=repaired,
         )
-        self.notes = NoteStore(root / "notes", repaired)
-        self.refined = RefinedNoteStore(root / "refined", repaired)
+        self.notes = NoteStore(root / "notes")
+        self.refined = RefinedNoteStore(root / "refined")
         self.maker = CardMaker(root / "cards")
-        self.ledger = CardLedger(root / "cards", repaired)
+        self.ledger = CardLedger(root / "cards")
         self.manager = CardManager(self.ledger, self.maker)
 
 
@@ -252,12 +245,22 @@ class Stores:
 STORE_FILES = (
     "documents/index.json",
     "chunks/chunks.jsonl",
-    "chunks/released.json",
+    "chunks/released.jsonl",
     "notes/notes.jsonl",
     "refined/refined.jsonl",
     "cards/maker.json",
     "cards/log.jsonl",
 )
+
+
+def cut_torn_logs(root: Path) -> list[Path]:
+    """Cut every torn log of the store back to its last whole line.
+
+    The one repair of the store: ``run`` and ``ingest`` call it under the
+    lock, before they open the stores. Returns the logs it cut.
+    """
+    logs = [Path(root) / name for name in STORE_FILES if name.endswith(".jsonl")]
+    return [path for path in logs if cut_torn_tail(path)]
 
 
 def check_store_files(root: Path) -> None:
@@ -330,7 +333,8 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
     )
     with StoreLock(config.store_root):
         check_manifest(config.store_root, manifest)
-        stores = Stores(config, summary.repaired)
+        summary.repaired = cut_torn_logs(config.store_root)
+        stores = Stores(config)
         now = clock.now()
 
         ingest_summary = ingest_corpus(
@@ -371,13 +375,17 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         refined = refine_notes(batch, spec, config.window)
         summary.notes_refined = stores.refined.add_all(refined)
 
+        # By log position, so notes refined by a run that crashed still reach a card.
         stores.maker.update_premature_cards(
-            refined, spec, now, seq_of=stores.refined.sequence_of
+            stores.refined.newer_than(stores.maker.refined_seq),
+            spec,
+            now,
+            seq_of=stores.refined.sequence_of,
         )
         report = stores.manager.admit(stores.maker.open_candidates(), spec, now)
-        # The commit point: until it is saved, a rerun releases the same groups again.
+        # The commit point: until this line is whole, a rerun releases the same groups again.
         if released:
-            stores.organizer.save_released()
+            stores.organizer.log_released(released)
         summary.conflicts_detected = len(report.conflicts)
         summary.conflicts_resolved = sum(
             1 for c in report.conflicts if c.resolution == "expire-older"

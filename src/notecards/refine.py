@@ -454,13 +454,13 @@ def refined_from_dict(raw: dict) -> RefinedNote:
 class RefinedNoteStore:
     """Append-only refined-note log; trails embedded per record."""
 
-    def __init__(self, root: Path, repaired: list[Path] | None = None):
+    def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "refined.jsonl"
         self._records: dict[str, RefinedNote] = {}  # in log order
         self._position: dict[str, int] = {}
-        for raw in read_jsonl(self._path, repaired):
+        for raw in read_jsonl(self._path):
             self._remember(refined_from_dict(raw))
 
     def _remember(self, record: RefinedNote) -> None:

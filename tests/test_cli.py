@@ -67,6 +67,59 @@ def test_run_commits_the_fixture_card(tmp_path, capsys):
     assert summary["wall_time_seconds"] == 0.0  # pinned clock
 
 
+GOLDEN_TEXT_SUMMARY = """\
+documents   ingested=20 rejected=0 annotated=20
+chunks      emitted=20 skipped=0
+groups      released=3
+notes       synthesized=20 refined=20 rejected=0
+cards       premature=0 committed=1 expired=0
+conflicts   detected=0 resolved=0
+organize    window=1w epsilon=1d watermark=2d
+wall time   0.000s
+"""
+
+
+def test_run_text_summary_of_the_golden_run(tmp_path, capsys):
+    code = run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", tmp_path / "store")
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN_TEXT_SUMMARY
+
+
+# Flags a command used to parse and ignore, each with a value where it takes one.
+IGNORED_FLAGS = [
+    (command, flag)
+    for command in (
+        ("notes", "list"),
+        ("cards", "list"),
+        ("card", "show", "301.4@steve#g1"),
+        ("export",),
+        ("routes", "301.4@steve#g1", "subject:steve"),
+    )
+    for flag in (("--now", "2011-11-13T00:00:00Z"), ("--mask-key-file", "key"))
+] + [
+    (("ontology", "validate", "spec.json"), flag)
+    for flag in (
+        ("--config", "config.json"),
+        ("--store", "store"),
+        ("--now", "2011-11-13T00:00:00Z"),
+        ("--mask-key-file", "key"),
+    )
+] + [
+    (("ingest",), ("--ontology", "spec.json")),
+    (("export",), ("--json",)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", IGNORED_FLAGS, ids=[f"{' '.join(c[:2])} {f[0]}" for c, f in IGNORED_FLAGS]
+)
+def test_command_refuses_a_flag_it_does_not_use(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*command, *flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cards_list_shows_committed_card(fixture_store, capsys):
     code = run_cli(
         "cards", "list", "--store", fixture_store, "--status", "committed", "--json"
@@ -270,7 +323,13 @@ def test_read_only_command_builds_only_the_stores_it_reads(
 # Store files that do not decode
 # ---------------------------------------------------------------------------
 
-LOGS = ["chunks/chunks.jsonl", "notes/notes.jsonl", "refined/refined.jsonl", "cards/log.jsonl"]
+LOGS = [
+    "chunks/chunks.jsonl",
+    "chunks/released.jsonl",
+    "notes/notes.jsonl",
+    "refined/refined.jsonl",
+    "cards/log.jsonl",
+]
 
 
 def tear(log: Path) -> bytes:
@@ -317,7 +376,7 @@ def test_undecodable_log_line_exits_two_naming_file_and_line(fixture_store, caps
         assert f"{path}: line {len(lines)} does not decode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["documents/index.json", "chunks/released.json", "cards/maker.json"])
+@pytest.mark.parametrize("name", ["documents/index.json", "cards/maker.json"])
 def test_undecodable_whole_file_exits_two_naming_it(fixture_store, capsys, name):
     path = fixture_store / name
     path.write_bytes(path.read_bytes()[:-10])
@@ -338,4 +397,15 @@ def test_command_refuses_damage_in_a_store_it_does_not_read(fixture_store, capsy
     capsys.readouterr()
     assert run_cli(*command, "--store", fixture_store) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+    assert store_bytes(fixture_store) == before
+
+
+def test_store_with_a_released_json_exits_two_naming_it(fixture_store, capsys):
+    legacy = fixture_store / "chunks" / "released.json"
+    legacy.write_text("{}\n", encoding="utf-8")
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    for command in (["card", "show", "301.4@steve#g1"], ["run", "--config", FIXTURES / "jobs_config.json"]):
+        assert run_cli(*command, "--store", fixture_store) == 2
+        assert f"error: {legacy}: this store predates released.jsonl" in capsys.readouterr().err
     assert store_bytes(fixture_store) == before

@@ -267,3 +267,29 @@ def test_undated_groups_release_at_any_close(tmp_path):
     released = store.close_window(now=utc(2020, 1, 1))
     assert len(released) == 1
     assert released[0].window is None
+
+
+def test_released_log_replays_every_release(tmp_path):
+    store = OrganizerStore(tmp_path, window_length=WEEK, epsilon=timedelta(hours=24))
+    index = window_index(utc(2020, 1, 2), WEEK)
+    start, end = window_bounds(index, WEEK)
+    store.add_chunks([chunk("d1#0", time=start + DAY), chunk("d2#0")])
+    store.log_released(store.close_window(now=end + timedelta(days=3)))
+    store.add_chunks(
+        [chunk("d9#0", time=start + 2 * DAY, signature=(("alcohol", "entity"),))]
+    )
+    late = store.close_window(now=end + timedelta(days=4))
+    assert [c.chunk_id for c in late[0].chunks] == ["d9#0"]
+    store.log_released(late)
+    assert len((tmp_path / "released.jsonl").read_bytes().splitlines()) == 2
+
+    reopened = OrganizerStore(tmp_path, window_length=WEEK, epsilon=timedelta(hours=24))
+    assert reopened.close_window(now=end + timedelta(days=4)) == []
+
+
+def test_released_state_is_in_memory_until_logged(tmp_path):
+    store = OrganizerStore(tmp_path)
+    store.add_chunks([chunk("d1#0")])
+    assert len(store.close_window(now=utc(2020, 1, 1))) == 1
+    assert not (tmp_path / "released.jsonl").exists()
+    assert len(OrganizerStore(tmp_path).close_window(now=utc(2020, 1, 1))) == 1

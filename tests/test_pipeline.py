@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 from datetime import timedelta
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
 from notecards.ingest import TextStore
 from notecards.organize import OrganizerStore
+from notecards.refine import RefinedNoteStore
 from notecards.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -347,6 +350,187 @@ def test_rerun_after_a_crash_matches_an_uninterrupted_run(tmp_path, monkeypatch,
             run_pipeline(crashed)
     summary = run_pipeline(crashed)
     assert summary.repaired == ([tmp_path / "crashed" / torn] if torn else [])
+    assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
+
+
+def test_crash_after_the_refined_append_still_commits_the_card(tmp_path, monkeypatch):
+    run_pipeline(jobs_config(tmp_path / "clean"))
+    crashed = jobs_config(tmp_path / "crashed")
+    add_all = RefinedNoteStore.add_all
+
+    def add_then_crash(self, records):
+        add_all(self, records)
+        raise RuntimeError("injected crash")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RefinedNoteStore, "add_all", add_then_crash)
+        with pytest.raises(RuntimeError):
+            run_pipeline(crashed)
+    assert run_pipeline(crashed).cards_committed == 1
+    assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
+
+
+def test_crash_at_the_document_index_write_leaves_one_run_file(tmp_path, monkeypatch):
+    run_pipeline(jobs_config(tmp_path / "clean"))
+    crashed = jobs_config(tmp_path / "crashed")
+
+    def crash(path, value):
+        raise RuntimeError("injected crash")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "write_json", crash)
+        with pytest.raises(RuntimeError):
+            run_pipeline(crashed)
+    assert (tmp_path / "crashed" / "documents" / "run-0001.jsonl").exists()
+    run_pipeline(crashed)
+    documents = tmp_path / "crashed" / "documents"
+    assert sorted(path.name for path in documents.glob("run-*")) == ["run-0001.jsonl"]
+    assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
+
+
+# ---------------------------------------------------------------------------
+# Crash sweep: a crash at any store write, then a rerun, ends as an uninterrupted run
+# ---------------------------------------------------------------------------
+
+
+class InjectedCrash(Exception):
+    pass
+
+
+def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) -> list[str]:
+    """Number every store write of a run and raise at write *crash_at*.
+
+    A store write is a log append, a whole-file write, or the rename that
+    ends a whole-file write. A torn crash at an append first writes half
+    of the bytes the append would write. Returns the kind of every write
+    reached, in order.
+    """
+    kinds: list[str] = []
+
+    def reached(kind: str) -> bool:
+        kinds.append(kind)
+        return len(kinds) - 1 == crash_at
+
+    def append_jsonl(path, records):
+        records = list(records)
+        if reached("append"):
+            if torn:
+                data = b"".join(canonical_json(r).encode("ascii") + b"\n" for r in records)
+                with path.open("ab") as handle:
+                    handle.write(data[: len(data) // 2])
+            raise InjectedCrash(f"append to {path}")
+        return encoding.append_jsonl(path, records)
+
+    def write_json(path, value):
+        if reached("write"):
+            raise InjectedCrash(f"write of {path}")
+        return encoding.write_json(path, value)
+
+    rename = os.replace
+
+    def replace(source, target):
+        if reached("rename"):
+            raise InjectedCrash(f"rename onto {target}")
+        return rename(source, target)
+
+    for module in (ingest, organize, notes, refine, cards, pipeline):
+        for name, fake in (("append_jsonl", append_jsonl), ("write_json", write_json)):
+            if hasattr(module, name):
+                patch.setattr(module, name, fake)
+    patch.setattr(os, "replace", replace)
+    return kinds
+
+
+def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path) -> list[str]:
+    """Run *earlier* corpora, then *crashed*, crashing at each of its store
+    writes (whole, and torn for appends) and rerunning it; every case whose
+    store differs from an uninterrupted run is returned."""
+    base = tmp_path / "base"
+    for corpus in earlier:
+        run_pipeline(jobs_config(base, corpus=corpus))
+    base.mkdir(exist_ok=True)
+    clean = tmp_path / "clean"
+    shutil.copytree(base, clean)
+    with monkeypatch.context() as patch:
+        kinds = number_store_writes(patch)
+        run_pipeline(jobs_config(clean, corpus=crashed))
+    expected = store_bytes(clean)
+    cases = [(k, False) for k in range(len(kinds))]
+    cases += [(k, True) for k, kind in enumerate(kinds) if kind == "append"]
+    differ = []
+    for k, torn in cases:
+        store = tmp_path / f"crash-{k}-{'torn' if torn else 'whole'}"
+        shutil.copytree(base, store)
+        with monkeypatch.context() as patch:
+            number_store_writes(patch, k, torn)
+            with pytest.raises(InjectedCrash):
+                run_pipeline(jobs_config(store, corpus=crashed))
+        run_pipeline(jobs_config(store, corpus=crashed))
+        got = store_bytes(store)
+        if got != expected:
+            names = sorted(n for n in got.keys() | expected.keys() if got.get(n) != expected.get(n))
+            differ.append(f"write {k} ({kinds[k]}, {'torn' if torn else 'whole'}): {names}")
+    assert len(cases) >= 15
+    return differ
+
+
+def golden_on_an_empty_store(tmp_path):
+    return [], FIXTURES / "jobs_corpus.jsonl"
+
+
+def tail_after_the_head(tmp_path):
+    head, tail = halves(tmp_path)
+    return [head], tail
+
+
+def three_subjects(tmp_path):
+    return [], many_subjects_corpus(tmp_path, 3)
+
+
+@pytest.mark.parametrize("inputs", [golden_on_an_empty_store, tail_after_the_head, three_subjects])
+def test_rerun_after_a_crash_at_any_store_write_matches_an_uninterrupted_run(
+    tmp_path, monkeypatch, inputs
+):
+    earlier, crashed = inputs(tmp_path)
+    assert crash_sweep(tmp_path, monkeypatch, earlier, crashed) == []
+
+
+def sentences_in_pairs(tmp_path: Path) -> Path:
+    """The jobs corpus with each two records joined into one two-sentence document."""
+    records = [
+        json.loads(line)
+        for line in (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+    corpus = tmp_path / "pairs.jsonl"
+    with corpus.open("w", encoding="utf-8") as handle:
+        for first, second in zip(records[::2], records[1::2]):
+            handle.write(json.dumps(dict(first, text=f"{first['text']} {second['text']}")) + "\n")
+    return corpus
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="OrganizerStore.doc_ids counts a document as annotated once any of its chunks "
+    "is stored, so a rerun never stores the chunks a crash cut off after the first",
+)
+def test_crash_between_two_chunks_of_one_document_matches_an_uninterrupted_run(
+    tmp_path, monkeypatch
+):
+    corpus = sentences_in_pairs(tmp_path)
+    run_pipeline(jobs_config(tmp_path / "clean", corpus=corpus))
+    assert len(OrganizerStore(tmp_path / "clean" / "chunks")) == 20
+    crashed = jobs_config(tmp_path / "crashed", corpus=corpus)
+
+    def first_chunk_then_crash(path, records):
+        encoding.append_jsonl(path, list(records)[:1])
+        raise InjectedCrash(f"append to {path}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(organize, "append_jsonl", first_chunk_then_crash)
+        with pytest.raises(InjectedCrash):
+            run_pipeline(crashed)
+    run_pipeline(crashed)
     assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
 
 
