@@ -210,11 +210,9 @@ def _validity_overlaps(
     a: tuple[datetime | None, datetime | None],
     b: tuple[datetime | None, datetime | None],
 ) -> bool:
-    a_start = a[0] or datetime.min.replace(tzinfo=a[1].tzinfo if a[1] else None)
-    b_start = b[0] or datetime.min.replace(tzinfo=b[1].tzinfo if b[1] else None)
     if a[0] is None or b[0] is None:
         return True  # open starts always overlap something
-    a_end, b_end = a[1], b[1]
+    (a_start, a_end), (b_start, b_end) = a, b
     return (a_end is None or b_start < a_end) and (b_end is None or a_start < b_end)
 
 
@@ -280,19 +278,21 @@ def older_of(a: Card, b: Card) -> Card:
 
 
 class CardMaker:
-    """Holds premature cards per (subject, concept) until threshold."""
+    """Holds premature cards per (subject, concept) until threshold.
+
+    ``maker.json`` holds only what the maker reads back: the held cards,
+    the closed slots and the refined-log position. Keys an older store
+    wrote there besides these are ignored.
+    """
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "maker.json"
         state = read_json(self._path, {})
         self._cards: dict[str, Card] = {
             k: card_from_dict(v) for k, v in state.get("cards", {}).items()
         }
         self._closed: set[str] = set(state.get("closed", ()))
-        self._generations: dict[str, int] = dict(state.get("generations", {}))
-        self._announced: set[str] = set(state.get("announced", ()))
         # Refined-log sequence of the last note accumulated; newer ones are unread.
         self.refined_seq: int = state.get("refined_seq", -1)
 
@@ -304,8 +304,6 @@ class CardMaker:
         state = {
             "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
-            "generations": self._generations,
-            "announced": sorted(self._announced),
             "refined_seq": self.refined_seq,
         }
         write_json(self._path, state)
@@ -321,16 +319,16 @@ class CardMaker:
             if card.criteria_met >= card.threshold
         ]
 
-    def close_slot(self, subject: str, concept_id: str) -> None:
-        key = self.slot_key(subject, concept_id)
+    def close_slot(self, card: Card) -> None:
+        key = self.slot_key(card.subject, card.concept_id)
         self._cards.pop(key, None)
         self._closed.add(key)
 
-    def reopen_slot(self, subject: str, concept_id: str, card: Card) -> None:
-        key = self.slot_key(subject, concept_id)
+    def reopen_slot(self, card: Card) -> None:
+        """Hold *card* in its slot: a blocked candidate, or a remake's successor."""
+        key = self.slot_key(card.subject, card.concept_id)
         self._closed.discard(key)
         self._cards[key] = card
-        self._generations[key] = card.generation
 
     def update_premature_cards(
         self,
@@ -341,9 +339,12 @@ class CardMaker:
     ) -> list[Card]:
         """Accumulate evidence; return cards newly reaching their threshold.
 
-        Nothing is saved here: the manager saves the maker after admit.
+        A slot's first card is generation 1; remakes bring later ones.
+        Evidence only grows and no slot restarts a card id, so a card is
+        announced (validity stamped) at most once. Nothing is saved here:
+        the manager saves the maker after admit.
         """
-        newly = []
+        announced = set()
         for refined in sorted(notes, key=lambda r: r.refined_id):
             seq = seq_of(refined.refined_id) if seq_of else -1
             self.refined_seq = max(self.refined_seq, seq)
@@ -351,28 +352,17 @@ class CardMaker:
                 key = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
                     continue  # committed concept; remake picks newer notes up
-                card = self._cards.get(key)
-                if card is None:
-                    generation = self._generations.get(key, 0) + 1
-                    self._generations[key] = generation
-                    card = new_card(spec.concept(concept_id), refined.subject, generation)
+                card = self._cards.get(key) or new_card(
+                    spec.concept(concept_id), refined.subject
+                )
                 before = card.criteria_met
                 card = add_evidence(card, criterion_index, refined.refined_id, seq)
-                if (
-                    before < card.threshold <= card.criteria_met
-                    and card.card_id not in self._announced
-                ):
+                if before < card.threshold <= card.criteria_met:
                     card = replace(card, validity=(now, None))
-                    self._announced.add(card.card_id)
-                    newly.append(card)
+                    announced.add(card.card_id)
                 self._cards[key] = card
-        # Return the final state of each newly announced card.
-        announced_ids = {c.card_id for c in newly}
-        return [
-            self._cards[self.slot_key(c.subject, c.concept_id)]
-            for c in self.premature_cards()
-            if c.card_id in announced_ids
-        ]
+        # The final state of each newly announced card.
+        return [card for card in self.premature_cards() if card.card_id in announced]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +375,6 @@ class CardLedger:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.log_path = self.root / "log.jsonl"
         self.index_path = self.root / "index.json"
         self._cards = self.replay(self.log_path)
@@ -443,7 +432,7 @@ class AdmissionReport:
 class CardManager:
     """Sole writer of the card ledger; serializes commits per subject."""
 
-    def __init__(self, ledger: CardLedger, maker: CardMaker | None = None):
+    def __init__(self, ledger: CardLedger, maker: CardMaker):
         self.ledger = ledger
         self.maker = maker
         self._pending: dict[str, Card] = {}
@@ -459,8 +448,7 @@ class CardManager:
     def _save(self) -> None:
         # Derived whole-file state, rewritten once after a batch's last log append.
         self.ledger.write_index()
-        if self.maker is not None:
-            self.maker.save()
+        self.maker.save()
 
     def _current(self, card_id: str) -> Card:
         if card_id in self._pending:
@@ -479,32 +467,26 @@ class CardManager:
 
     # -- commit path ---------------------------------------------------------
 
-    def commit_card(
-        self, card: Card, now: datetime, spec: OntologySpec | None = None
-    ) -> Card:
+    def commit_card(self, card: Card, now: datetime, spec: OntologySpec) -> Card:
         """The only write path into the committed set."""
         if card.criteria_met < card.threshold:
             raise CardError(
                 f"card {card.card_id} below threshold "
                 f"({card.criteria_met} < {card.threshold})"
             )
-        if spec is not None:
-            remaining = detect_conflicts([card], self.ledger.committed(), spec)
-            if remaining:
-                raise CardError(
-                    f"card {card.card_id} blocked by unresolved conflict "
-                    f"{remaining[0].rule_id} with {remaining[0].card_b}"
-                )
+        remaining = detect_conflicts([card], self.ledger.committed(), spec)
+        if remaining:
+            raise CardError(
+                f"card {card.card_id} blocked by unresolved conflict "
+                f"{remaining[0].rule_id} with {remaining[0].card_b}"
+            )
         card = replace(card, status=STATUS_COMMITTED, validity=(now, None))
         card = self._record(card, "committed", now)
         self.ledger.write_snapshot(card)
-        if self.maker is not None:
-            self.maker.close_slot(card.subject, card.concept_id)
+        self.maker.close_slot(card)
         return card
 
-    def resolve_conflict(
-        self, conflict: Conflict, resolution: str, now: datetime
-    ) -> list[ReasoningEvent]:
+    def resolve_conflict(self, conflict: Conflict, now: datetime) -> list[ReasoningEvent]:
         """Apply one resolution; all actions land on both cards' trails."""
         a = self._current(conflict.card_a)
         b = self._current(conflict.card_b)
@@ -512,7 +494,7 @@ class CardManager:
         a = self._record(a, "conflict-detected", now, rule=conflict.rule_id, counterpart=b.card_id)
         b = self._record(b, "conflict-detected", now, rule=conflict.rule_id, counterpart=a.card_id)
         events.extend([a.reasoning_trail[-1], b.reasoning_trail[-1]])
-        if resolution == "expire-older":
+        if conflict.resolution == "expire-older":
             if older_of(a, b) is a:
                 older, newer = a, b
             else:
@@ -550,8 +532,7 @@ class CardManager:
             logged = self.ledger.get(card.card_id)
             if logged is not None and logged.status in (STATUS_COMMITTED, STATUS_EXPIRED):
                 # Settled by a batch that stopped before its maker save.
-                if self.maker is not None:
-                    self.maker.close_slot(card.subject, card.concept_id)
+                self.maker.close_slot(card)
                 continue
             self._pending = {card.card_id: card}
             conflicts = detect_conflicts([card], self.ledger.committed(), spec)
@@ -563,19 +544,17 @@ class CardManager:
                     blocked = True
                     if _already_flagged(self._pending[card.card_id], conflict):
                         continue
-                self.resolve_conflict(conflict, conflict.resolution, now)
+                self.resolve_conflict(conflict, now)
                 if self._pending[card.card_id].status == STATUS_EXPIRED:
                     expired_self = True
                     break
             current = self._pending[card.card_id]
             if expired_self:
                 report.expired.append(current)
-                if self.maker is not None:
-                    self.maker.close_slot(current.subject, current.concept_id)
+                self.maker.close_slot(current)
             elif blocked:
                 report.blocked.append(current)
-                if self.maker is not None:
-                    self.maker.reopen_slot(current.subject, current.concept_id, current)
+                self.maker.reopen_slot(current)
             else:
                 report.committed.append(self.commit_card(current, now, spec))
             self._pending = {}
@@ -653,7 +632,6 @@ class CardManager:
             rebuilt, "remake-completed", now, ticket=ticket.ticket_id, predecessor=old.card_id
         )
         self.ledger.write_snapshot(rebuilt)
-        if self.maker is not None:
-            self.maker.reopen_slot(rebuilt.subject, rebuilt.concept_id, rebuilt)
+        self.maker.reopen_slot(rebuilt)
         self._save()
         return rebuilt

@@ -146,14 +146,15 @@ def _store_root(config: PipelineConfig) -> Path:
     return root
 
 
-def _checked_root(config: PipelineConfig) -> Path:
+def _checked_root(config: PipelineConfig, reads: tuple[str, ...]) -> Path:
     """The root of a read-only command that opens only the stores it reads.
 
-    Every store file is decoded first, so the command refuses a damaged
-    store just as one that opens all of them through ``Stores`` does.
+    The store files outside *reads*, which the command does not decode
+    itself, are decoded first, so the command refuses a damaged store
+    just as one that opens all of them through ``Stores`` does.
     """
     root = _store_root(config)
-    check_store_files(root)
+    check_store_files(root, skip=reads)
     return root
 
 
@@ -273,7 +274,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_notes_list(args) -> int:
-    root = _checked_root(_build_config(args))
+    root = _checked_root(_build_config(args), reads=("notes/notes.jsonl",))
     action = None
     if args.entity or args.relationship:
         if not (args.entity and args.relationship):
@@ -293,7 +294,7 @@ def cmd_notes_list(args) -> int:
 
 
 def cmd_cards_list(args) -> int:
-    root = _checked_root(_build_config(args))
+    root = _checked_root(_build_config(args), reads=("cards/maker.json", "cards/log.jsonl"))
     cards = query_cards(
         _all_cards(CardLedger(root / "cards"), CardMaker(root / "cards")),
         concept=args.concept,
@@ -319,13 +320,21 @@ def cmd_card_show(args) -> int:
     config = _build_config(args)
     _store_root(config)
     stores = Stores(config)
+    if args.audit:
+        # Audit first: drill-down refuses the dangling references the audit reports.
+        problems = audit_card(args.card_id, stores)
+        if problems:
+            if args.json:
+                findings = {"card_id": args.card_id, "audit": {"dangling": problems}}
+                print(json.dumps(findings, indent=2, sort_keys=True))
+            else:
+                print(f"card {args.card_id}  audit: {len(problems)} dangling")
+                for problem in problems:
+                    print(f"  {problem}")
+            return 1
     payload = drill_down(args.card_id, stores)
     if args.audit:
-        problems = audit_card(args.card_id, stores)
-        payload["audit"] = {"dangling": problems}
-        if problems:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 1
+        payload["audit"] = {"dangling": []}
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -353,7 +362,7 @@ def cmd_card_show(args) -> int:
 
 
 def _graph_for(args, config: PipelineConfig):
-    root = _checked_root(config)
+    root = _checked_root(config, reads=("cards/log.jsonl",))
     time_range = None
     valid_from = getattr(args, "valid_from", None)
     valid_to = getattr(args, "valid_to", None)

@@ -12,6 +12,9 @@ and written here, in one of two formats:
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
   :func:`write_json`), written to a synced temp file and renamed over the
   old one, so a crash leaves the old or the new version, never a torn one.
+
+The two writers create a file's directory when it is missing; nothing
+else does, so reading a store never creates anything in it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ def read_json(path: Path, default: Any = None) -> Any:
 
 def write_json(path: Path, value: Any) -> None:
     """Replace a whole-file JSON store file with *value*, through a synced temp file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as handle:
@@ -127,6 +131,7 @@ def read_jsonl_at(path: Path, offsets: Iterable[int]) -> Iterator[Any]:
 def append_jsonl(path: Path, records: Iterable[Any]) -> list[int]:
     """Append one canonical line per record; returns each line's byte offset."""
     offsets = []
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("ab") as handle:
         position = handle.tell()
         for record in records:

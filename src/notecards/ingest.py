@@ -181,7 +181,6 @@ class TextStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / "index.json"
         self._index: dict[str, dict] = read_json(self._index_path, {})
 

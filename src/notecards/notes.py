@@ -265,7 +265,6 @@ class NoteStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "notes.jsonl"
         self._notes: dict[str, Note] = {}
         for raw in read_jsonl(self._path):

@@ -191,7 +191,6 @@ class OrganizerStore:
         watermark: timedelta = DEFAULT_WATERMARK,
     ):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.window_length = window_length
         self.epsilon = epsilon
         self.watermark = watermark

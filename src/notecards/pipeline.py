@@ -18,10 +18,11 @@ import os
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Any
+from typing import Any, Container
 
 from .annotate import GazetteerMatcher, annotate_with_matcher
 from .cards import (
+    Card,
     CardLedger,
     CardMaker,
     CardManager,
@@ -263,14 +264,17 @@ def cut_torn_logs(root: Path) -> list[Path]:
     return [path for path in logs if cut_torn_tail(path)]
 
 
-def check_store_files(root: Path) -> None:
-    """Decode every file Stores decodes and keep nothing.
+def check_store_files(root: Path, skip: Container[str] = ()) -> None:
+    """Decode every file Stores decodes, but those named in *skip*, and keep nothing.
 
     A damaged file raises ``StoreFormatError`` naming it, as ``Stores``
     would, so a command that opens only some stores still refuses a
-    damaged store. Never repairs: it is for commands without the lock.
+    damaged store; it skips the files it then decodes through its own
+    stores. Never repairs: it is for commands without the lock.
     """
     for name in STORE_FILES:
+        if name in skip:
+            continue
         path = Path(root) / name
         if path.suffix == ".jsonl":
             for _record in read_jsonl(path):
@@ -403,13 +407,8 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
 # ---------------------------------------------------------------------------
 
 
-def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
-    """Full chain card -> refined notes -> notes -> chunks -> documents."""
-    from .cards import card_to_dict
-    from .notes import note_to_dict
-    from .organize import chunk_to_dict
-    from .refine import refined_to_dict
-
+def _card(card_id: str, stores: Stores) -> Card:
+    """The ledger's card, else the maker's held card; an unknown id raises."""
     card = stores.ledger.get(card_id)
     if card is None:
         card = next(
@@ -417,7 +416,17 @@ def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
         )
     if card is None:
         raise PipelineError(f"unknown card {card_id}")
+    return card
 
+
+def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
+    """Full chain card -> refined notes -> notes -> chunks -> documents."""
+    from .cards import card_to_dict
+    from .notes import note_to_dict
+    from .organize import chunk_to_dict
+    from .refine import refined_to_dict
+
+    card = _card(card_id, stores)
     refined_records = []
     for refined_id in card.evidence_ids():
         record = stores.refined.get(refined_id)
@@ -455,9 +464,7 @@ def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
 def audit_card(card_id: str, stores: Stores) -> list[str]:
     """Dangling references along the provenance chain; empty means sound."""
     problems = []
-    card = stores.ledger.get(card_id)
-    if card is None:
-        return [f"unknown card {card_id}"]
+    card = _card(card_id, stores)
     for refined_id in card.evidence_ids():
         record = stores.refined.get(refined_id)
         if record is None:

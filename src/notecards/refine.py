@@ -456,7 +456,6 @@ class RefinedNoteStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "refined.jsonl"
         self._records: dict[str, RefinedNote] = {}  # in log order
         self._position: dict[str, int] = {}

@@ -227,7 +227,7 @@ def test_acceptance_4_no_committed_exclusive_overlap(tmp_path):
         }
         spec = conflict_spec(concept_ids, pairs)
         ledger = CardLedger(tmp_path / f"t{trial}")
-        manager = CardManager(ledger)
+        manager = CardManager(ledger, CardMaker(ledger.root))
         generations: dict[tuple[str, str], int] = {}
         now = utc(2020, 1, 1)
         for _ in range(rng.randint(3, 10)):

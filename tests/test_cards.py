@@ -240,15 +240,15 @@ def test_commit_fixture_card(tmp_path, ocpd_spec, jobs_rows):
 
 
 def test_commit_below_threshold_rejected(tmp_path, ocpd_spec):
-    manager = CardManager(CardLedger(tmp_path / "cards"))
+    manager = CardManager(CardLedger(tmp_path / "cards"), CardMaker(tmp_path / "cards"))
     card = new_card(ocpd_spec.concept("301.4"), "steve")
     with pytest.raises(CardError):
-        manager.commit_card(card, NOW)
+        manager.commit_card(card, NOW, ocpd_spec)
 
 
 def test_commit_blocked_by_unresolved_flag_only_conflict(tmp_path):
     spec = exclusive_pair_spec("flag-only")
-    manager = CardManager(CardLedger(tmp_path / "cards"))
+    manager = CardManager(CardLedger(tmp_path / "cards"), CardMaker(tmp_path / "cards"))
     first = manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     assert first.status == STATUS_COMMITTED
     blocked = candidate(spec, "296.00", "pm", NOW + timedelta(days=1))
@@ -264,7 +264,7 @@ def test_commit_blocked_by_unresolved_flag_only_conflict(tmp_path):
 def test_single_conflict_detected(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
-    manager = CardManager(ledger)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
     committed = manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     incoming = candidate(spec, "296.00", "pm", NOW + timedelta(days=30))
     conflicts = detect_conflicts([incoming], ledger.committed(), spec)
@@ -339,7 +339,7 @@ def test_pairwise_exclusive_candidates_match_pair_enumeration_oracle():
 def test_expire_older_keeps_the_newer_card(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
-    manager = CardManager(ledger)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
     old = manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     later = NOW + timedelta(days=90)
     report = manager.admit(
@@ -359,7 +359,7 @@ def test_expire_older_keeps_the_newer_card(tmp_path):
 def test_flag_only_blocks_without_expiring(tmp_path):
     spec = exclusive_pair_spec("flag-only")
     ledger = CardLedger(tmp_path / "cards")
-    manager = CardManager(ledger)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
     old = manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     report = manager.admit(
         [candidate(spec, "296.00", "pm", NOW + timedelta(days=1))],
@@ -399,7 +399,7 @@ def test_readmitting_a_flagged_candidate_appends_nothing(tmp_path):
 def test_identical_start_tie_breaks_by_card_id(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
-    manager = CardManager(ledger)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
     a = candidate(spec, "296.00", "pm", NOW)  # card id 296.00@pm#g1
     b = candidate(spec, "300.02", "pm", NOW)  # card id 300.02@pm#g1
     manager.admit([a, b], spec, NOW)
@@ -474,7 +474,7 @@ def test_remake_before_waiting_period_rejected(tmp_path, ocpd_spec, jobs_rows):
 
 
 def test_remake_unknown_card_rejected(tmp_path, ocpd_spec):
-    manager = CardManager(CardLedger(tmp_path / "cards"))
+    manager = CardManager(CardLedger(tmp_path / "cards"), CardMaker(tmp_path / "cards"))
     with pytest.raises(CardError):
         manager.request_remake("missing@x#g1", timedelta(days=2), NOW)
 
@@ -487,7 +487,7 @@ def test_remake_unknown_card_rejected(tmp_path, ocpd_spec):
 def test_replaying_the_log_reconstructs_the_index(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
-    manager = CardManager(ledger)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
     manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     manager.admit(
         [candidate(spec, "296.00", "pm", NOW + timedelta(days=5))],
@@ -507,7 +507,7 @@ def test_replaying_the_log_reconstructs_the_index(tmp_path):
 def test_log_holds_one_snapshot_per_state_change(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
-    manager = CardManager(ledger)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
     manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     later = NOW + timedelta(days=5)
     manager.admit([candidate(spec, "296.00", "pm", later)], spec, later)
@@ -525,7 +525,8 @@ def test_log_holds_one_snapshot_per_state_change(tmp_path):
 def test_replay_skips_event_records_of_older_logs(tmp_path):
     spec = exclusive_pair_spec()
     ledger = CardLedger(tmp_path / "cards")
-    card = CardManager(ledger).commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
+    manager = CardManager(ledger, CardMaker(tmp_path / "cards"))
+    card = manager.commit_card(candidate(spec, "300.02", "pm", NOW), NOW, spec)
     lines = ledger.log_path.read_text("utf-8").splitlines()
     event = {"type": "event", "card_id": card.card_id, **card.reasoning_trail[-1].as_dict()}
     ledger.log_path.write_text("\n".join([json.dumps(event)] + lines) + "\n", "utf-8")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.cards import CardLedger, CardMaker
 from notecards.cli import main
 from notecards.ingest import TextStore
@@ -159,9 +160,11 @@ def test_cards_list_met_bound_excludes_fixture_card(fixture_store, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
-def test_premature_cards_are_inspectable(tmp_path, capsys):
-    # Three evidence rows only reach 2 of 4 criteria: the card is held
-    # premature and stays visible through cards list.
+CARD = "301.4@steve#g1"
+
+
+def held_store(tmp_path) -> Path:
+    """A store whose card is held: three evidence rows reach 2 of 4 criteria."""
     lines = (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()
     subset = tmp_path / "subset.jsonl"
     subset.write_text("\n".join(lines[-3:]) + "\n", encoding="utf-8")
@@ -174,6 +177,12 @@ def test_premature_cards_are_inspectable(tmp_path, capsys):
         "--now", "2011-11-13T00:00:00Z",
     )
     assert code == 0
+    return store
+
+
+def test_premature_cards_are_inspectable(tmp_path, capsys):
+    # The held card stays visible through cards list.
+    store = held_store(tmp_path)
     capsys.readouterr()
     code = run_cli(
         "cards", "list", "--store", store, "--status", "premature", "--json"
@@ -181,6 +190,35 @@ def test_premature_cards_are_inspectable(tmp_path, capsys):
     cards = json.loads(capsys.readouterr().out)
     assert len(cards) == 1
     assert cards[0]["status"] == "premature"
+
+
+def test_card_show_audit_covers_a_held_card(tmp_path, capsys):
+    store = held_store(tmp_path)
+    capsys.readouterr()
+    assert run_cli("card", "show", CARD, "--store", store, "--audit", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["card"]["status"] == "premature"
+    assert payload["audit"] == {"dangling": []}
+    assert len(payload["evidence"]) == 3
+
+
+def test_card_show_audit_reports_a_missing_refined_line(fixture_store, capsys):
+    path = fixture_store / "refined" / "refined.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    missing = json.loads(lines[0])["refined_id"]
+    path.write_bytes(b"".join(lines[1:]))
+    finding = f"card {CARD} -> missing refined note {missing}"
+    capsys.readouterr()
+    assert run_cli("card", "show", CARD, "--store", fixture_store, "--audit", "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "card_id": CARD,
+        "audit": {"dangling": [finding]},
+    }
+    assert run_cli("card", "show", CARD, "--store", fixture_store, "--audit") == 1
+    assert capsys.readouterr().out == f"card {CARD}  audit: 1 dangling\n  {finding}\n"
+    # Without --audit, drill-down refuses the dangling reference.
+    assert run_cli("card", "show", CARD, "--store", fixture_store) == 2
+    assert f"dangling refined note {missing}" in capsys.readouterr().err
 
 
 def test_notes_list_filters(fixture_store, capsys):
@@ -272,22 +310,31 @@ def test_lock_holds_the_pid_of_the_run(tmp_path):
     assert not lock.path.exists()
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ("notes", "list"),
-        ("cards", "list"),
-        ("card", "show", "301.4@steve#g1"),
-        ("export", "--format", "json"),
-        ("routes", "301.4@steve#g1", "subject:steve"),
-    ],
-)
+READ_ONLY_COMMANDS = [
+    ("notes", "list"),
+    ("cards", "list"),
+    ("card", "show", CARD),
+    ("export", "--format", "json"),
+    ("routes", CARD, "subject:steve"),
+    ("card", "show", CARD, "--audit"),
+]
+
+
+@pytest.mark.parametrize("command", READ_ONLY_COMMANDS)
 def test_read_only_command_on_missing_store_exits_two(tmp_path, capsys, command):
     store = tmp_path / "typo"
     code = run_cli(*command, "--store", store)
     assert code == 2
     assert "store not found" in capsys.readouterr().err
     assert not store.exists()
+
+
+@pytest.mark.parametrize("command", READ_ONLY_COMMANDS)
+def test_read_only_command_on_an_empty_store_creates_nothing(tmp_path, capsys, command):
+    store = tmp_path / "store"
+    store.mkdir()
+    run_cli(*command, "--store", store)
+    assert list(store.iterdir()) == []
 
 
 # Each command that does not drill down, and the only stores it reads.
@@ -317,6 +364,25 @@ def test_read_only_command_builds_only_the_stores_it_reads(
         monkeypatch.setattr(store, "__init__", refuse)
     assert run_cli(*command, "--store", fixture_store) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [command for command, _ in PARTIAL_READERS], ids=PARTIAL_IDS)
+def test_read_only_command_decodes_every_store_file_once(fixture_store, monkeypatch, command):
+    decoded = []
+
+    def recording(reader):
+        def read(path, *args, **kwargs):
+            decoded.append(str(Path(path).relative_to(fixture_store)))
+            return reader(path, *args, **kwargs)
+
+        return read
+
+    for module in (ingest, organize, notes, refine, cards, pipeline):
+        for name in ("read_json", "read_jsonl"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
+    assert run_cli(*command, "--store", fixture_store) == 0
+    assert sorted(decoded) == sorted(pipeline.STORE_FILES)
 
 
 # ---------------------------------------------------------------------------

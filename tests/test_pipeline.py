@@ -275,6 +275,29 @@ def test_whole_file_card_state_is_written_once_per_run(tmp_path, monkeypatch):
     assert index == {cid: card_to_dict(card) for cid, card in replayed.items()}
 
 
+def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
+    # Three rows hold the card below threshold; the full corpus commits it.
+    lines = (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    held = tmp_path / "held.jsonl"
+    held.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+    for name in ("current", "older"):
+        run_pipeline(jobs_config(tmp_path / name, corpus=held))
+    # The format maker.json had before it dropped the slot generations and
+    # the announced card ids, neither of which decides anything.
+    older = tmp_path / "older" / "cards" / "maker.json"
+    state = json.loads(older.read_text(encoding="utf-8"))
+    assert sorted(state) == ["cards", "closed", "refined_seq"]
+    [slot] = state["cards"]
+    encoding.write_json(older, dict(state, generations={slot: 1}, announced=[]))
+
+    for name in ("current", "older"):
+        assert run_pipeline(jobs_config(tmp_path / name)).cards_committed == 1
+    assert store_bytes(tmp_path / "older") == store_bytes(tmp_path / "current")
+    rewritten = json.loads(older.read_text(encoding="utf-8"))
+    assert sorted(rewritten) == ["cards", "closed", "refined_seq"]
+    assert rewritten["closed"] == [slot]
+
+
 def test_rerun_after_a_crash_in_admit_matches_an_uninterrupted_run(tmp_path, monkeypatch):
     corpus = many_subjects_corpus(tmp_path, 5)
     clean = jobs_config(tmp_path / "clean", corpus=corpus)
@@ -311,6 +334,7 @@ def crash_mid_append(patch, module, after: int) -> None:
             line = canonical_json(record).encode("ascii") + b"\n"
             if len(written) == after:
                 line = line[: len(line) // 2]
+            path.parent.mkdir(parents=True, exist_ok=True)  # as append_jsonl does
             with path.open("ab") as handle:
                 handle.write(line)
             if len(written) == after:
@@ -416,6 +440,7 @@ def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) 
         if reached("append"):
             if torn:
                 data = b"".join(canonical_json(r).encode("ascii") + b"\n" for r in records)
+                path.parent.mkdir(parents=True, exist_ok=True)  # as append_jsonl does
                 with path.open("ab") as handle:
                     handle.write(data[: len(data) // 2])
             raise InjectedCrash(f"append to {path}")
