@@ -18,11 +18,15 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
+from .clock import format_instant
 from .ingest import Document
 from .ontology import PERSON_CLASS_ID, OntologySpec
 
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
+# A maximal run of non-whitespace; ``\s`` is exactly ``str.isspace``.
+_RUN_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,11 @@ class AnnotatedChunk:
     quantities: tuple[tuple[int, float], ...] = ()  # (token index, value)
     provenance: tuple[str, ...] = ()
 
+    @cached_property
+    def stamp(self) -> str:
+        """The time as stored text, "" when undated; chunks sort by it."""
+        return format_instant(self.time) if self.time else ""
+
     def annotation_signature(self) -> tuple[tuple[str, str], ...]:
         """Sorted multiset of (canonical_id, kind) pairs, used by dedup."""
         return tuple(sorted((a.canonical_id, a.kind) for a in self.annotations))
@@ -74,33 +83,26 @@ def _is_punct(char: str) -> bool:
     return unicodedata.category(char).startswith("P")
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, offset: int = 0) -> list[Token]:
     """Whitespace tokens with leading/trailing punctuation split off.
 
-    Case is preserved in the token text; spans always index into the
-    original string, so collapsed whitespace never shifts offsets.
+    Case is preserved in the token text; spans index into the original
+    string shifted by *offset* (the text's own start in a larger string),
+    so collapsed whitespace never shifts them.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        lo, hi = i, j
+    for run in _RUN_RE.finditer(text):
+        lo, hi = run.span()
         while lo < hi and _is_punct(text[lo]):
-            tokens.append(Token(text[lo], lo, lo + 1))
+            tokens.append(Token(text[lo], lo + offset, lo + offset + 1))
             lo += 1
         trailing: list[Token] = []
         while hi > lo and _is_punct(text[hi - 1]):
-            trailing.append(Token(text[hi - 1], hi - 1, hi))
+            trailing.append(Token(text[hi - 1], hi - 1 + offset, hi + offset))
             hi -= 1
         if lo < hi:
-            tokens.append(Token(text[lo:hi], lo, hi))
+            tokens.append(Token(text[lo:hi], lo + offset, hi + offset))
         tokens.extend(reversed(trailing))
-        i = j
     return tokens
 
 
@@ -118,17 +120,22 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 
 class GazetteerMatcher:
-    """Token-sequence dictionary with longest-match scanning."""
+    """Token-sequence dictionary with longest-match scanning.
+
+    Besides the keys it holds every key prefix, so a scan walks forward
+    from each start position only while the tokens so far can still
+    become a key, and folds each token once.
+    """
 
     def __init__(self, spec: OntologySpec):
         self._entries: dict[tuple[str, ...], dict[str, str]] = {}
-        self.max_len = 0
+        self._prefixes: set[tuple[str, ...]] = set()
         for entry in spec.dictionary:
             key = tuple(t.folded for t in tokenize(entry.surface_form))
             if not key:
                 continue
             self._entries.setdefault(key, {})[entry.kind] = entry.canonical_id
-            self.max_len = max(self.max_len, len(key))
+            self._prefixes.update(key[:n] for n in range(1, len(key) + 1))
 
     def lookup(self, key: tuple[str, ...]) -> tuple[str, str] | None:
         """Resolve a folded token sequence to (canonical_id, kind)."""
@@ -140,20 +147,24 @@ class GazetteerMatcher:
         return kinds["relationship"], "relationship"
 
     def scan(self, text: str, tokens: list[Token]) -> list[Annotation]:
+        folded = [t.text.casefold() for t in tokens]
+        prefixes, entries = self._prefixes, self._entries
         annotations = []
-        i = 0
-        while i < len(tokens):
-            matched = None
-            for length in range(min(self.max_len, len(tokens) - i), 0, -1):
-                key = tuple(t.folded for t in tokens[i : i + length])
-                hit = self.lookup(key)
-                if hit is not None:
-                    matched = (length, hit)
+        i, n = 0, len(tokens)
+        while i < n:
+            key: tuple[str, ...] = ()
+            match = key
+            for j in range(i, n):
+                key += (folded[j],)
+                if key not in prefixes:
                     break
-            if matched is None:
+                if key in entries:
+                    match = key
+            if not match:
                 i += 1
                 continue
-            length, (canonical_id, kind) = matched
+            length = len(match)
+            canonical_id, kind = self.lookup(match)
             start, end = tokens[i].start, tokens[i + length - 1].end
             annotations.append(
                 Annotation(
@@ -188,10 +199,7 @@ def annotate_document(doc: Document, spec: OntologySpec) -> AnnotateOutcome:
 def annotate_with_matcher(doc: Document, matcher: GazetteerMatcher) -> AnnotateOutcome:
     outcome = AnnotateOutcome(chunks=[])
     for sentence_index, (start, end) in enumerate(split_sentences(doc.text)):
-        sentence = doc.text[start:end]
-        tokens = [
-            Token(t.text, t.start + start, t.end + start) for t in tokenize(sentence)
-        ]
+        tokens = tokenize(doc.text[start:end], start)
         annotations = matcher.scan(doc.text, tokens)
         subject = _resolve_subject(doc, annotations)
         if subject is None:

@@ -150,16 +150,27 @@ def card_from_dict(raw: dict) -> Card:
 def map_note_to_criteria(
     refined: RefinedNote, spec: OntologySpec
 ) -> list[tuple[str, int]]:
-    """Every (concept, criterion) whose patterns accept the note; may span concepts."""
+    """Every (concept, criterion) whose patterns accept the note, in spec order.
+
+    Only criteria with a pattern on the note's action, or on a wildcard
+    part of it, are tested; a note may hit several concepts.
+    """
     note = refined.note
+    entity, relationship = note.action
+    index = spec.criteria_by_action
+    candidates = {}
+    for action in ((entity, relationship), (entity, None), (None, relationship), (None, None)):
+        for position, concept_id, criterion in index.get(action, ()):
+            candidates[position] = (concept_id, criterion)
+    attributes = note.attribute_map()
     hits = []
-    for concept in spec.concepts:
-        for criterion in concept.criteria:
-            if any(
-                pattern.matches(note.action, note.intensity, note.attribute_map())
-                for pattern in criterion.match_patterns
-            ):
-                hits.append((concept.concept_id, criterion.index))
+    for position in sorted(candidates):
+        concept_id, criterion = candidates[position]
+        if any(
+            pattern.matches(note.action, note.intensity, attributes)
+            for pattern in criterion.match_patterns
+        ):
+            hits.append((concept_id, criterion.index))
     return hits
 
 
@@ -339,12 +350,17 @@ class CardMaker:
     ) -> list[Card]:
         """Accumulate evidence; return cards newly reaching their threshold.
 
-        A slot's first card is generation 1; remakes bring later ones.
-        Evidence only grows and no slot restarts a card id, so a card is
-        announced (validity stamped) at most once. Nothing is saved here:
-        the manager saves the maker after admit.
+        A slot's first card is generation 1; remakes bring later ones. The
+        batch's evidence is collected per slot first, and each touched card
+        is then rebuilt once. Evidence only grows and no slot restarts a
+        card id, so a card is announced (validity stamped) when the batch
+        carries it across its threshold, at most once. Nothing is saved
+        here: the manager saves the maker after admit.
         """
-        announced = set()
+        concepts = {concept.concept_id: concept for concept in spec.concepts}
+        before: dict[str, Card] = {}  # slot key -> its card before this batch
+        evidence: dict[str, dict[int, dict[str, None]]] = {}  # slot key -> criterion -> ids
+        seqs: dict[str, int] = {}  # slot key -> its new evidence_seq
         for refined in sorted(notes, key=lambda r: r.refined_id):
             seq = seq_of(refined.refined_id) if seq_of else -1
             self.refined_seq = max(self.refined_seq, seq)
@@ -352,17 +368,25 @@ class CardMaker:
                 key = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
                     continue  # committed concept; remake picks newer notes up
-                card = self._cards.get(key) or new_card(
-                    spec.concept(concept_id), refined.subject
-                )
-                before = card.criteria_met
-                card = add_evidence(card, criterion_index, refined.refined_id, seq)
-                if before < card.threshold <= card.criteria_met:
-                    card = replace(card, validity=(now, None))
-                    announced.add(card.card_id)
-                self._cards[key] = card
-        # The final state of each newly announced card.
-        return [card for card in self.premature_cards() if card.card_id in announced]
+                if key not in before:
+                    card = self._cards.get(key) or new_card(concepts[concept_id], refined.subject)
+                    before[key] = card
+                    evidence[key] = {index: dict.fromkeys(ids) for index, ids in card.dimensions}
+                    seqs[key] = card.evidence_seq
+                evidence[key].setdefault(criterion_index, {})[refined.refined_id] = None
+                seqs[key] = max(seqs[key], seq)
+        announced = []
+        for key, old in before.items():
+            card = replace(
+                old,
+                dimensions=tuple(sorted((i, tuple(ids)) for i, ids in evidence[key].items())),
+                evidence_seq=seqs[key],
+            )
+            if old.criteria_met < card.threshold <= card.criteria_met:
+                card = replace(card, validity=(now, None))
+                announced.append(key)
+            self._cards[key] = card
+        return [self._cards[key] for key in sorted(announced)]
 
 
 # ---------------------------------------------------------------------------

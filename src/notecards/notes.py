@@ -110,12 +110,6 @@ def new_note(
     return replace(note, note_id="n-" + content_hash(fields))
 
 
-def _chunk_matches(chunk: AnnotatedChunk, template: NoteTemplate) -> bool:
-    entities = {a.canonical_id for a in chunk.annotations if a.kind == "entity"}
-    relationships = {a.canonical_id for a in chunk.annotations if a.kind == "relationship"}
-    return template.trigger_entity in entities and template.trigger_relationship in relationships
-
-
 def _event_value(chunk: AnnotatedChunk, template: NoteTemplate) -> float | None:
     """Numeric token immediately preceding a trigger-class mention, max-collapsed."""
     trigger_ids = {template.trigger_entity, template.trigger_relationship}
@@ -145,8 +139,13 @@ def synthesize_notes(
     for group in groups:
         for chunk in group.chunks:
             bucket = _horizon_bucket(chunk, config)
+            entities = {a.canonical_id for a in chunk.annotations if a.kind == "entity"}
+            relationships = {a.canonical_id for a in chunk.annotations if a.kind == "relationship"}
             for template in spec.note_templates:
-                if _chunk_matches(chunk, template):
+                if (
+                    template.trigger_entity in entities
+                    and template.trigger_relationship in relationships
+                ):
                     key = (chunk.subject, template.template_id, bucket)
                     events.setdefault(key, {})[chunk.chunk_id] = chunk
 

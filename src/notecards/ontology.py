@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -247,6 +248,23 @@ class OntologySpec:
 
     def concept(self, concept_id: str) -> ConceptDef | None:
         return next((c for c in self.concepts if c.concept_id == concept_id), None)
+
+    @cached_property
+    def criteria_by_action(
+        self,
+    ) -> dict[tuple[str | None, str | None], list[tuple[int, str, CriterionDef]]]:
+        """Each criterion, as (spec-order position, concept id, criterion), under
+        the (entity, relationship) of each of its patterns; None is a wildcard."""
+        index: dict[tuple[str | None, str | None], list[tuple[int, str, CriterionDef]]] = {}
+        position = 0
+        for concept in self.concepts:
+            for criterion in concept.criteria:
+                for pattern in criterion.match_patterns:
+                    index.setdefault((pattern.action_entity, pattern.action_relationship), []).append(
+                        (position, concept.concept_id, criterion)
+                    )
+                position += 1
+        return index
 
 
 # ---------------------------------------------------------------------------

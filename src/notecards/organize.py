@@ -64,8 +64,8 @@ class ChunkGroup:
 
 
 def _chunk_sort_key(chunk: AnnotatedChunk):
-    stamp = format_instant(chunk.time) if chunk.time else ""
-    return (stamp, chunk.doc_id, chunk.sentence_index)
+    # The stored text, not the datetime: "...:05.5Z" sorts before "...:05Z".
+    return (chunk.stamp, chunk.doc_id, chunk.sentence_index)
 
 
 def assign_windows(
@@ -101,11 +101,12 @@ def dedupe_group(group: ChunkGroup, epsilon: timedelta) -> ChunkGroup:
     duplicates' provenance. Input order never changes the surviving set.
     """
     survivors: list[AnnotatedChunk] = []
+    # Signature -> positions in survivors; only chunks that share one can merge.
+    by_signature: dict[tuple[tuple[str, str], ...], list[int]] = {}
     for chunk in sorted(group.chunks, key=_chunk_sort_key):
-        absorbed = False
-        for i, survivor in enumerate(survivors):
-            if survivor.annotation_signature() != chunk.annotation_signature():
-                continue
+        positions = by_signature.setdefault(chunk.annotation_signature(), [])
+        for i in positions:
+            survivor = survivors[i]
             if survivor.time is None or chunk.time is None:
                 close_enough = survivor.time is None and chunk.time is None
             else:
@@ -114,9 +115,9 @@ def dedupe_group(group: ChunkGroup, epsilon: timedelta) -> ChunkGroup:
                 survivors[i] = replace(
                     survivor, provenance=survivor.provenance + chunk.provenance
                 )
-                absorbed = True
                 break
-        if not absorbed:
+        else:
+            positions.append(len(survivors))
             survivors.append(chunk)
     return replace(group, chunks=tuple(survivors))
 
@@ -153,7 +154,7 @@ def chunk_to_dict(chunk: AnnotatedChunk) -> dict:
         "sentence_index": chunk.sentence_index,
         "annotations": [_annotation_to_dict(a) for a in chunk.annotations],
         "subject": chunk.subject,
-        "time": format_instant(chunk.time) if chunk.time else None,
+        "time": chunk.stamp or None,
         "place": chunk.place,
         "quantities": [[i, v] for i, v in chunk.quantities],
         "provenance": list(chunk.provenance),
@@ -203,12 +204,15 @@ class OrganizerStore:
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.jsonl"
         self._chunks: dict[str, AnnotatedChunk] = {}
-        # Documents with at least one stored chunk; a rerun need not annotate them.
+        # Documents with at least one stored chunk; a rerun need not annotate them,
+        # but for the last, whose chunks a crash in the append may have cut short.
         self.doc_ids: set[str] = set()
+        self.last_doc_id: str | None = None
         for raw in read_jsonl(self._chunks_path):
             chunk = chunk_from_dict(raw)
             self._chunks[chunk.chunk_id] = chunk
             self.doc_ids.add(chunk.doc_id)
+            self.last_doc_id = chunk.doc_id
         self._released: dict[str, list[str]] = {}
         for record in read_jsonl(self._released_path):
             for key, chunk_ids in record.items():
@@ -233,6 +237,7 @@ class OrganizerStore:
         for chunk in new:
             self._chunks[chunk.chunk_id] = chunk
             self.doc_ids.add(chunk.doc_id)
+        self.last_doc_id = new[-1].doc_id
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:

@@ -351,11 +351,20 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         summary.documents_ingested = ingest_summary.accepted
         summary.documents_rejected = ingest_summary.rejected
 
-        # Pending: stored documents without a chunk, wherever they came from.
-        pending = stores.text.list(skip_ids=stores.organizer.doc_ids)
-        summary.documents_annotated = len(pending)
         matcher = GazetteerMatcher(spec)
         produced = []
+        # A crash in the chunk append can cut short only the last document it
+        # stored; that one is annotated again and counts if it stores a chunk.
+        last = stores.organizer.last_doc_id
+        if last is not None:
+            outcome = annotate_with_matcher(stores.text.get(last), matcher)
+            if not all(stores.organizer.has_chunk(c.chunk_id) for c in outcome.chunks):
+                produced.extend(outcome.chunks)
+                summary.documents_annotated += 1
+                summary.chunks_skipped += outcome.skipped
+        # Pending: stored documents without a chunk, wherever they came from.
+        pending = stores.text.list(skip_ids=stores.organizer.doc_ids)
+        summary.documents_annotated += len(pending)
         for doc in pending:
             outcome = annotate_with_matcher(doc, matcher)
             produced.extend(outcome.chunks)

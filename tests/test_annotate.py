@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 from notecards.annotate import (
     GazetteerMatcher,
@@ -311,3 +312,68 @@ def test_maximality_and_non_overlap():
             )
             if len(extended) == a.token_end + 1 - a.token_start:
                 assert matcher.lookup(extended) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracle equivalence: the per-character tokenizer
+# ---------------------------------------------------------------------------
+
+
+def char_loop_tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The tokenizer as first written: one character at a time."""
+    is_punct = lambda char: unicodedata.category(char).startswith("P")  # noqa: E731
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        lo, hi = i, j
+        while lo < hi and is_punct(text[lo]):
+            tokens.append((text[lo], lo, lo + 1))
+            lo += 1
+        trailing = []
+        while hi > lo and is_punct(text[hi - 1]):
+            trailing.append((text[hi - 1], hi - 1, hi))
+            hi -= 1
+        if lo < hi:
+            tokens.append((text[lo:hi], lo, hi))
+        tokens.extend(reversed(trailing))
+        i = j
+    return tokens
+
+
+def test_tokenize_equals_the_per_character_oracle():
+    rng = random.Random(9)
+    words = ["ale", "Bottom", "trade-offs", "12.5", "café", "ÉTÉ", "x"]
+    punctuation = list(".,!?;:()\"'-¿«»…")
+    # ASCII, no-break, em and ideographic spaces, the file separator and NEL.
+    spaces = [" ", "  ", "\t", "\n", " ", " ", "　", "\x1c", "\x85"]
+    for _ in range(500):
+        parts = []
+        for _ in range(rng.randint(0, 8)):
+            shape = rng.randrange(4)
+            if shape == 0:  # punctuation only
+                token = "".join(rng.choices(punctuation, k=rng.randint(1, 3)))
+            else:
+                token = rng.choice(words)
+                if shape in (1, 3):
+                    token = "".join(rng.choices(punctuation, k=rng.randint(1, 2))) + token
+                if shape in (2, 3):
+                    token += "".join(rng.choices(punctuation, k=rng.randint(1, 2)))
+            parts.append(token)
+            parts.append(rng.choice(spaces))
+        if parts and rng.random() < 0.5:
+            parts.pop()
+        if rng.random() < 0.3:
+            parts.insert(0, rng.choice(spaces))
+        text = "".join(parts)
+        expected = char_loop_tokenize(text)
+        assert [(t.text, t.start, t.end) for t in tokenize(text)] == expected, repr(text)
+        offset = rng.randint(1, 50)
+        assert [(t.text, t.start, t.end) for t in tokenize(text, offset)] == [
+            (token, start + offset, end + offset) for token, start, end in expected
+        ], repr(text)

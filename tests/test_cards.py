@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -17,11 +18,12 @@ from notecards.cards import (
     STATUS_PREMATURE,
     STATUS_SUPERSEDED,
     add_evidence,
+    card_to_dict,
     detect_conflicts,
     map_note_to_criteria,
     new_card,
 )
-from notecards.ontology import parse_ontology
+from notecards.ontology import Intensity, parse_ontology
 from notecards.refine import RefinedNoteStore
 
 from conftest import fixture_refined_rows, make_note, passthrough, utc
@@ -126,6 +128,159 @@ def test_monotone_evidence(tmp_path, ocpd_spec, jobs_rows):
         vector = card.score_vector()
         assert all(v >= p for v, p in zip(vector, previous))
         previous = vector
+
+
+# ---------------------------------------------------------------------------
+# Oracle equivalence: the full pattern scan and the per-note evidence fold
+# ---------------------------------------------------------------------------
+
+
+def full_scan_criteria(refined, spec) -> list[tuple[str, int]]:
+    """The mapping as first written: every pattern of every concept."""
+    note = refined.note
+    return [
+        (concept.concept_id, criterion.index)
+        for concept in spec.concepts
+        for criterion in concept.criteria
+        if any(
+            pattern.matches(note.action, note.intensity, note.attribute_map())
+            for pattern in criterion.match_patterns
+        )
+    ]
+
+
+class PerNoteMaker:
+    """The accumulation as first written: one add_evidence per (note, criterion)."""
+
+    def __init__(self):
+        self.cards: dict[str, Card] = {}
+        self.closed: set[str] = set()
+
+    def update(self, notes, spec, now, seq_of) -> list[Card]:
+        announced = set()
+        for refined in sorted(notes, key=lambda r: r.refined_id):
+            seq = seq_of(refined.refined_id)
+            for concept_id, criterion_index in full_scan_criteria(refined, spec):
+                key = CardMaker.slot_key(refined.subject, concept_id)
+                if key in self.closed:
+                    continue
+                card = self.cards.get(key) or new_card(spec.concept(concept_id), refined.subject)
+                before = card.criteria_met
+                card = add_evidence(card, criterion_index, refined.refined_id, seq)
+                if before < card.threshold <= card.criteria_met:
+                    card = replace(card, validity=(now, None))
+                    announced.add(card.card_id)
+                self.cards[key] = card
+        return [self.cards[k] for k in sorted(self.cards) if self.cards[k].card_id in announced]
+
+
+ACTIONS_E = ("e1", "e2", "e3")
+ACTIONS_R = ("r1", "r2", "r3")
+
+
+def random_pattern(rng) -> dict:
+    pattern = {}
+    if rng.random() < 0.6:
+        pattern["action_entity"] = rng.choice(ACTIONS_E)
+    if rng.random() < 0.6:
+        pattern["action_relationship"] = rng.choice(ACTIONS_R)
+    if rng.random() < 0.3 or not pattern:
+        pattern["min_intensity"] = rng.choice(list(Intensity)).value
+    if rng.random() < 0.2:
+        pattern["conditions"] = [{"attribute": "count", "op": "ge", "value": 2}]
+    return pattern
+
+
+def random_spec(rng):
+    concepts = []
+    for c in range(rng.randint(1, 3)):
+        criteria = [
+            {
+                "index": i,
+                "description": f"criterion {i}",
+                "match_patterns": [random_pattern(rng) for _ in range(rng.randint(1, 3))],
+            }
+            for i in range(1, rng.randint(2, 5) + 1)
+        ]
+        concepts.append(
+            {
+                "concept_id": f"c{c}",
+                "name": f"c{c}",
+                "criteria": criteria,
+                "threshold": rng.randint(1, len(criteria)),
+                "min_score_per_criterion": rng.randint(1, 2),
+            }
+        )
+    return parse_ontology(
+        {
+            "id": "random",
+            "version": "1",
+            "entity_classes": [
+                {"id": e, "description": e, "attribute_schema": {}} for e in ACTIONS_E
+            ],
+            "relationship_classes": [
+                {"id": r, "description": r, "attribute_schema": {}} for r in ACTIONS_R
+            ],
+            "dictionary": [],
+            "note_templates": [],
+            "concepts": concepts,
+            "refinement_policies": [],
+            "exclusion_rules": [],
+        }
+    )
+
+
+def random_refined(rng, k: int):
+    note = make_note(
+        subject=rng.choice(["ann", "bob", "cy"]),
+        action=(rng.choice(ACTIONS_E), rng.choice(ACTIONS_R)),
+        attributes={"count": float(rng.randint(0, 3))},
+        intensity=rng.choice(list(Intensity)),
+        note_id=f"n-{rng.randrange(10 ** 6):06d}-{k}",
+    )
+    return passthrough(note)
+
+
+def test_indexed_mapping_equals_the_full_scan_on_ocpd(ocpd_spec):
+    for entity in ocpd_spec.entity_classes:
+        for relationship in ocpd_spec.relationship_classes:
+            for intensity in Intensity:
+                refined = passthrough(
+                    make_note(action=(entity.id, relationship.id), intensity=intensity)
+                )
+                assert map_note_to_criteria(refined, ocpd_spec) == full_scan_criteria(
+                    refined, ocpd_spec
+                )
+
+
+def test_batched_accumulation_equals_the_per_note_fold(tmp_path):
+    rng = random.Random(23)
+    for trial in range(150):
+        spec = random_spec(rng)
+        notes = [random_refined(rng, k) for k in range(rng.randint(0, 40))]
+        seqs = {refined.refined_id: k for k, refined in enumerate(notes)}
+        for refined in notes:
+            assert map_note_to_criteria(refined, spec) == full_scan_criteria(refined, spec)
+        maker = CardMaker(tmp_path / str(trial))
+        oracle = PerNoteMaker()
+        cuts = sorted(rng.sample(range(len(notes) + 1), k=min(len(notes) + 1, rng.randint(0, 4))))
+        for number, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(notes)])):
+            # Close a few slots between batches, as a commit does.
+            for _ in range(rng.randint(0, 2)):
+                concept = rng.choice(spec.concepts)
+                card = new_card(concept, rng.choice(["ann", "bob", "cy"]))
+                maker.close_slot(card)
+                oracle.cards.pop(CardMaker.slot_key(card.subject, card.concept_id), None)
+                oracle.closed.add(CardMaker.slot_key(card.subject, card.concept_id))
+            now = NOW + timedelta(days=number)
+            newly = maker.update_premature_cards(notes[lo:hi], spec, now, seq_of=seqs.get)
+            expected = oracle.update(notes[lo:hi], spec, now, seqs.get)
+            assert list(map(card_to_dict, newly)) == list(map(card_to_dict, expected))
+            held = [oracle.cards[k] for k in sorted(oracle.cards)]
+            assert list(map(card_to_dict, maker.premature_cards())) == list(
+                map(card_to_dict, held)
+            )
+        assert maker.refined_seq == max(seqs.values(), default=-1)
 
 
 # ---------------------------------------------------------------------------

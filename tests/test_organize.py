@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import timedelta
 
 from notecards.annotate import AnnotatedChunk, Annotation
+from notecards.clock import format_instant
 from notecards.organize import (
     ChunkGroup,
     OrganizerStore,
@@ -205,6 +207,72 @@ def test_dedupe_idempotent_and_order_independent():
         )
         again = dedupe_group(regrouped, timedelta(hours=24))
         assert {c.chunk_id for c in again.chunks} == {c.chunk_id for c in once.chunks}
+
+
+def pairwise_dedupe(group: ChunkGroup, epsilon: timedelta) -> ChunkGroup:
+    """Deduplication as first written: every chunk against every survivor."""
+    order = lambda c: (format_instant(c.time) if c.time else "", c.doc_id, c.sentence_index)  # noqa: E731
+    survivors = []
+    for candidate in sorted(group.chunks, key=order):
+        for i, survivor in enumerate(survivors):
+            if survivor.annotation_signature() != candidate.annotation_signature():
+                continue
+            if survivor.time is None or candidate.time is None:
+                close_enough = survivor.time is None and candidate.time is None
+            else:
+                close_enough = abs(candidate.time - survivor.time) <= epsilon
+            if close_enough:
+                survivors[i] = replace(
+                    survivor, provenance=survivor.provenance + candidate.provenance
+                )
+                break
+        else:
+            survivors.append(candidate)
+    return replace(group, chunks=tuple(survivors))
+
+
+def test_bucketed_dedupe_equals_the_pairwise_oracle():
+    rng = random.Random(31)
+    epsilon = timedelta(hours=24)
+    base = utc(2020, 1, 2)
+    # Offsets from base: exactly epsilon apart, just past it, and sub-second
+    # stamps whose text sorts before the whole second they follow.
+    offsets = [
+        timedelta(0),
+        epsilon,
+        epsilon + timedelta(microseconds=1),
+        2 * epsilon,
+        2 * epsilon + timedelta(seconds=1),
+        timedelta(seconds=5),
+        timedelta(seconds=5, microseconds=500000),
+        timedelta(hours=rng.randrange(1, 72)),
+    ]
+    signatures = [
+        (("alcohol", "entity"), ("consume", "relationship")),
+        (("consume", "relationship"), ("alcohol", "entity")),  # same multiset, other order
+        (("alcohol", "entity"),),
+        (("alcohol", "entity"), ("alcohol", "entity")),
+        (),
+    ]
+    for trial in range(300):
+        undated = rng.random() < 0.2
+        chunks = []
+        for i in range(rng.randint(0, 14)):
+            if undated or rng.random() < 0.1:
+                when = None
+            else:
+                when = base + rng.choice(offsets) + rng.choice([timedelta(0), epsilon])
+            chunks.append(
+                chunk(
+                    f"d{rng.randrange(6)}-{i}#{rng.randrange(3)}",
+                    time=when,
+                    signature=rng.choice(signatures),
+                    sentence_index=rng.randrange(3),
+                )
+            )
+        rng.shuffle(chunks)
+        group = ChunkGroup(subject="steve", window=None, place_key="*", chunks=tuple(chunks))
+        assert dedupe_group(group, epsilon) == pairwise_dedupe(group, epsilon), trial
 
 
 # ---------------------------------------------------------------------------

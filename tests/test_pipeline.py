@@ -534,11 +534,6 @@ def sentences_in_pairs(tmp_path: Path) -> Path:
     return corpus
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="OrganizerStore.doc_ids counts a document as annotated once any of its chunks "
-    "is stored, so a rerun never stores the chunks a crash cut off after the first",
-)
 def test_crash_between_two_chunks_of_one_document_matches_an_uninterrupted_run(
     tmp_path, monkeypatch
 ):
