@@ -12,7 +12,8 @@ The ledger on disk is a JSON Lines log holding one card snapshot per
 state change; each snapshot carries the card's whole reasoning trail.
 The log is the durable record. The current-state index and the maker
 state are derived whole files, rewritten once at the end of each manager
-batch; replaying the log reconstructs the index bit-exactly.
+batch; replaying the log reconstructs the index bit-exactly. The maker
+state, written last, commits the length of every derived log.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .clock import format_instant, parse_instant
 from .encoding import append_jsonl, canonical_json, content_hash, read_json, read_jsonl, write_json
@@ -291,21 +292,20 @@ def older_of(a: Card, b: Card) -> Card:
 class CardMaker:
     """Holds premature cards per (subject, concept) until threshold.
 
-    ``maker.json`` holds only what the maker reads back: the held cards,
-    the closed slots and the refined-log position. Keys an older store
-    wrote there besides these are ignored.
+    ``maker.json`` holds the held cards, the closed slots and, under
+    ``logs``, the byte length at the save of each of *logs*, which commits
+    them. Keys an older store wrote there besides these are ignored.
     """
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, logs: Mapping[str, Path] | None = None):
         self.root = Path(root)
         self._path = self.root / "maker.json"
+        self._logs = logs
         state = read_json(self._path, {})
         self._cards: dict[str, Card] = {
             k: card_from_dict(v) for k, v in state.get("cards", {}).items()
         }
         self._closed: set[str] = set(state.get("closed", ()))
-        # Refined-log sequence of the last note accumulated; newer ones are unread.
-        self.refined_seq: int = state.get("refined_seq", -1)
 
     @staticmethod
     def slot_key(subject: str, concept_id: str) -> str:
@@ -315,8 +315,12 @@ class CardMaker:
         state = {
             "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
-            "refined_seq": self.refined_seq,
         }
+        if self._logs is not None:
+            state["logs"] = {
+                name: path.stat().st_size if path.exists() else 0
+                for name, path in self._logs.items()
+            }
         write_json(self._path, state)
 
     def premature_cards(self) -> list[Card]:
@@ -363,7 +367,6 @@ class CardMaker:
         seqs: dict[str, int] = {}  # slot key -> its new evidence_seq
         for refined in sorted(notes, key=lambda r: r.refined_id):
             seq = seq_of(refined.refined_id) if seq_of else -1
-            self.refined_seq = max(self.refined_seq, seq)
             for concept_id, criterion_index in map_note_to_criteria(refined, spec):
                 key = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
@@ -470,7 +473,7 @@ class CardManager:
         return replace(card, reasoning_trail=card.reasoning_trail + (event,))
 
     def _save(self) -> None:
-        # Derived whole-file state, rewritten once after a batch's last log append.
+        # Once after a batch's last log append; the maker last, as its save commits.
         self.ledger.write_index()
         self.maker.save()
 
@@ -553,11 +556,6 @@ class CardManager:
             ),
         )
         for card in ordered:
-            logged = self.ledger.get(card.card_id)
-            if logged is not None and logged.status in (STATUS_COMMITTED, STATUS_EXPIRED):
-                # Settled by a batch that stopped before its maker save.
-                self.maker.close_slot(card)
-                continue
             self._pending = {card.card_id: card}
             conflicts = detect_conflicts([card], self.ledger.committed(), spec)
             report.conflicts.extend(conflicts)

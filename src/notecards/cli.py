@@ -32,7 +32,7 @@ from .pipeline import (
     StoreLock,
     audit_card,
     check_store_files,
-    cut_torn_logs,
+    cut_to_commit,
     drill_down,
     load_config,
     run_pipeline,
@@ -167,7 +167,7 @@ def _all_cards(ledger: CardLedger, maker: CardMaker) -> list[Card]:
 
 def _report_repaired(paths: list[Path]) -> None:
     for path in paths:
-        print(f"repaired: cut the torn last line off {path}", file=sys.stderr)
+        print(f"repaired: cut {path} back to its committed length", file=sys.stderr)
 
 
 def cmd_ontology_validate(args) -> int:
@@ -239,7 +239,7 @@ def cmd_ingest(args) -> int:
         raise PipelineError("no corpus given (use --corpus or a config file)")
     clock = config.clock()
     with StoreLock(config.store_root):
-        repaired = cut_torn_logs(config.store_root)
+        repaired = cut_to_commit(config.store_root)
         stores = Stores(config)
         summary = ingest_corpus(
             config.corpus_paths,
@@ -383,7 +383,10 @@ def cmd_export(args) -> int:
     graph = _graph_for(args, config)
     text = export_graph(graph, format=args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PipelineError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0

@@ -6,9 +6,9 @@ and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
   :func:`read_jsonl_at`, :func:`append_jsonl`). A last line without its
-  newline is an append cut short: readers refuse it, and a writer cuts it
-  off once, under the lock, before it opens the stores
-  (:func:`cut_torn_tail`).
+  newline is an append cut short: readers refuse it. Under the lock, a
+  writer cuts each log back to its committed length, which ends before
+  any torn line, before it opens the stores (:func:`cut_to_length`).
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
   :func:`write_json`), written to a synced temp file and renamed over the
   old one, so a crash leaves the old or the new version, never a torn one.
@@ -98,25 +98,21 @@ def read_jsonl(path: Path) -> Iterator[Any]:
             yield _decode(path, f"line {number}", line)
 
 
-def cut_torn_tail(path: Path) -> bool:
-    """Cut a log back to its last whole line; True if it had a torn tail.
-
-    Reads only the last byte of a log that is not torn. The caller must
-    hold the store lock.
-    """
-    try:
-        handle = path.open("r+b")
-    except FileNotFoundError:
+def cut_to_length(path: Path, length: int) -> bool:
+    """Cut a log, missing meaning empty, back to its committed *length*;
+    True if it was longer. No crash leaves it shorter or *length* mid-line:
+    either raises, naming the log and leaving it untouched."""
+    size = path.stat().st_size if path.exists() else 0
+    if size < length:
+        raise StoreFormatError(f"{path}: {size} bytes, shorter than its committed {length}")
+    if length:
+        with path.open("rb") as handle:
+            handle.seek(length - 1)
+            if handle.read(1) != b"\n":
+                raise StoreFormatError(f"{path}: its committed length {length} does not end a line")
+    if size == length:
         return False
-    with handle:
-        end = handle.seek(0, os.SEEK_END)
-        if end == 0:
-            return False
-        handle.seek(end - 1)
-        if handle.read(1) == b"\n":
-            return False
-        handle.seek(0)
-        handle.truncate(handle.read().rfind(b"\n") + 1)
+    os.truncate(path, length)
     return True
 
 

@@ -204,15 +204,12 @@ class OrganizerStore:
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.jsonl"
         self._chunks: dict[str, AnnotatedChunk] = {}
-        # Documents with at least one stored chunk; a rerun need not annotate them,
-        # but for the last, whose chunks a crash in the append may have cut short.
+        # Documents with at least one stored chunk; a rerun need not annotate them.
         self.doc_ids: set[str] = set()
-        self.last_doc_id: str | None = None
         for raw in read_jsonl(self._chunks_path):
             chunk = chunk_from_dict(raw)
             self._chunks[chunk.chunk_id] = chunk
             self.doc_ids.add(chunk.doc_id)
-            self.last_doc_id = chunk.doc_id
         self._released: dict[str, list[str]] = {}
         for record in read_jsonl(self._released_path):
             for key, chunk_ids in record.items():
@@ -237,7 +234,6 @@ class OrganizerStore:
         for chunk in new:
             self._chunks[chunk.chunk_id] = chunk
             self.doc_ids.add(chunk.doc_id)
-        self.last_doc_id = new[-1].doc_id
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:

@@ -6,8 +6,13 @@ content-derived ids, so re-running over the same inputs is a no-op at
 every store and two fresh runs with a pinned clock produce byte-identical
 stores. A run annotates only the stored documents that have no chunk yet,
 which is safe because ``store.json`` pins the ontology and the grouping
-parameters a store was built with. One pipeline run per store root at a
+and note parameters of a store. One pipeline run per store root at a
 time, enforced by a lock file that names its owner's pid.
+
+One crash rule: a run's last write, the maker's save, records every
+derived log's length, and ``run`` and ``ingest`` open a store by cutting
+each log back to it (:func:`cut_to_commit`). Documents stay outside this
+commit; ingest is idempotent and pending documents are annotated again.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import cut_torn_tail, read_json, read_jsonl, write_json
+from .encoding import StoreFormatError, cut_to_length, read_json, read_jsonl, write_json
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -91,30 +96,43 @@ def load_config(path: Path) -> PipelineConfig:
     return config_from_dict(data, base=Path(path).parent)
 
 
-def config_from_dict(data: dict[str, Any], base: Path | None = None) -> PipelineConfig:
+def config_from_dict(data: Any, base: Path | None = None) -> PipelineConfig:
+    """The config a JSON document describes; a malformed one raises ``PipelineError``."""
     base = base or Path(".")
 
     def resolve(p: str) -> Path:
         path = Path(p)
         return path if path.is_absolute() else base / path
 
+    def section(value: Any, name: str) -> dict[str, Any]:
+        if not isinstance(value, dict):
+            raise PipelineError(f"config {name} must be a JSON object")
+        return value
+
+    def paths(name: str) -> list[Path]:
+        value = data.get(name, [])
+        names = [value] if isinstance(value, str) else value
+        if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
+            raise PipelineError(f"config {name} must be a string or a list of strings")
+        return [resolve(p) for p in names]
+
+    data = section(data, "document")
     config = PipelineConfig()
-    ontology = data.get("ontology", [])
-    config.ontology_paths = [resolve(p) for p in ([ontology] if isinstance(ontology, str) else ontology)]
-    corpus = data.get("corpus", [])
-    config.corpus_paths = [resolve(p) for p in ([corpus] if isinstance(corpus, str) else corpus)]
+    config.ontology_paths = paths("ontology")
+    config.corpus_paths = paths("corpus")
     if "store" in data:
         config.store_root = resolve(data["store"])
-    organize = data.get("organize", {})
-    if "window" in organize:
-        config.window = parse_duration(organize["window"])
-    if "epsilon" in organize:
-        config.epsilon = parse_duration(organize["epsilon"])
-    if "watermark" in organize:
-        config.watermark = parse_duration(organize["watermark"])
-    notes = data.get("notes", {})
+    organize = section(data.get("organize", {}), "organize")
+    for name in ("window", "epsilon", "watermark"):
+        if name in organize:
+            setattr(config, name, parse_duration(organize[name]))
+    if not config.window:
+        raise PipelineError("config organize.window must be longer than 0d")
+    notes = section(data.get("notes", {}), "notes")
     if "horizon_windows" in notes:
-        config.horizon_windows = int(notes["horizon_windows"])
+        config.horizon_windows = notes["horizon_windows"]
+        if type(config.horizon_windows) is not int or config.horizon_windows < 1:
+            raise PipelineError("config notes.horizon_windows must be an integer >= 1")
     if data.get("mask_key_file"):
         config.mask_key_file = resolve(data["mask_key_file"])
     config.mask_aliases = {
@@ -146,7 +164,7 @@ class RunSummary:
     window: str = "7d"
     epsilon: str = "1d"
     watermark: str = "2d"
-    # Logs whose torn last line this run cut off; reported on stderr only.
+    # Logs this run cut back to their committed length; reported on stderr only.
     repaired: list[Path] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
@@ -216,10 +234,7 @@ class StoreLock:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
 
 
 class Stores:
@@ -237,7 +252,7 @@ class Stores:
         )
         self.notes = NoteStore(root / "notes")
         self.refined = RefinedNoteStore(root / "refined")
-        self.maker = CardMaker(root / "cards")
+        self.maker = CardMaker(root / "cards", logs={name: root / name for name in LOGS})
         self.ledger = CardLedger(root / "cards")
         self.manager = CardManager(self.ledger, self.maker)
 
@@ -254,14 +269,18 @@ STORE_FILES = (
 )
 
 
-def cut_torn_logs(root: Path) -> list[Path]:
-    """Cut every torn log of the store back to its last whole line.
+LOGS = tuple(name for name in STORE_FILES if name.endswith(".jsonl"))
 
-    The one repair of the store: ``run`` and ``ingest`` call it under the
-    lock, before they open the stores. Returns the logs it cut.
-    """
-    logs = [Path(root) / name for name in STORE_FILES if name.endswith(".jsonl")]
-    return [path for path in logs if cut_torn_tail(path)]
+
+def cut_to_commit(root: Path) -> list[Path]:
+    """Cut every log back to the length the last maker save committed; no
+    ``maker.json`` commits nothing. ``run`` and ``ingest`` call it under the
+    lock, before they open the stores. Returns the logs it cut."""
+    maker = Path(root) / "cards" / "maker.json"
+    lengths = read_json(maker, {"logs": dict.fromkeys(LOGS, 0)}).get("logs")
+    if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
+        raise StoreFormatError(f"{maker}: names no committed log lengths; build a new store")
+    return [Path(root) / name for name in LOGS if cut_to_length(Path(root) / name, lengths[name])]
 
 
 def check_store_files(root: Path, skip: Container[str] = ()) -> None:
@@ -292,8 +311,8 @@ def load_specs(config: PipelineConfig) -> OntologySpec:
 MANIFEST = "store.json"
 
 
-def store_manifest(config: PipelineConfig) -> dict[str, str]:
-    """What a store's derived records depend on: ontology bytes and grouping."""
+def store_manifest(config: PipelineConfig) -> dict[str, Any]:
+    """What a store's derived records depend on: ontology bytes, grouping and horizon."""
     digest = hashlib.sha256()
     for path in config.ontology_paths:
         try:
@@ -305,10 +324,11 @@ def store_manifest(config: PipelineConfig) -> dict[str, str]:
         "window": format_duration(config.window),
         "epsilon": format_duration(config.epsilon),
         "watermark": format_duration(config.watermark),
+        "horizon_windows": config.horizon_windows,
     }
 
 
-def check_manifest(store_root: Path, manifest: dict[str, str]) -> None:
+def check_manifest(store_root: Path, manifest: dict[str, Any]) -> None:
     """Refuse a store built with other inputs; adopt a store that has no manifest."""
     path = Path(store_root) / MANIFEST
     stored = read_json(path)
@@ -337,7 +357,7 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
     )
     with StoreLock(config.store_root):
         check_manifest(config.store_root, manifest)
-        summary.repaired = cut_torn_logs(config.store_root)
+        summary.repaired = cut_to_commit(config.store_root)
         stores = Stores(config)
         now = clock.now()
 
@@ -353,18 +373,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
 
         matcher = GazetteerMatcher(spec)
         produced = []
-        # A crash in the chunk append can cut short only the last document it
-        # stored; that one is annotated again and counts if it stores a chunk.
-        last = stores.organizer.last_doc_id
-        if last is not None:
-            outcome = annotate_with_matcher(stores.text.get(last), matcher)
-            if not all(stores.organizer.has_chunk(c.chunk_id) for c in outcome.chunks):
-                produced.extend(outcome.chunks)
-                summary.documents_annotated += 1
-                summary.chunks_skipped += outcome.skipped
         # Pending: stored documents without a chunk, wherever they came from.
         pending = stores.text.list(skip_ids=stores.organizer.doc_ids)
-        summary.documents_annotated += len(pending)
+        summary.documents_annotated = len(pending)
         for doc in pending:
             outcome = annotate_with_matcher(doc, matcher)
             produced.extend(outcome.chunks)
@@ -373,6 +384,8 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
 
         released = stores.organizer.close_window(now)
         summary.groups_released = len(released)
+        if released:
+            stores.organizer.log_released(released)
 
         synthesized = synthesize_notes(released, spec, config.synthesis())
         summary.notes_synthesized = stores.notes.add_all(synthesized)
@@ -388,17 +401,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         refined = refine_notes(batch, spec, config.window)
         summary.notes_refined = stores.refined.add_all(refined)
 
-        # By log position, so notes refined by a run that crashed still reach a card.
-        stores.maker.update_premature_cards(
-            stores.refined.newer_than(stores.maker.refined_seq),
-            spec,
-            now,
-            seq_of=stores.refined.sequence_of,
-        )
+        stores.maker.update_premature_cards(refined, spec, now, seq_of=stores.refined.sequence_of)
+        # Admit saves the maker last, which commits every log this run appended to.
         report = stores.manager.admit(stores.maker.open_candidates(), spec, now)
-        # The commit point: until this line is whole, a rerun releases the same groups again.
-        if released:
-            stores.organizer.log_released(released)
         summary.conflicts_detected = len(report.conflicts)
         summary.conflicts_resolved = sum(
             1 for c in report.conflicts if c.resolution == "expire-older"

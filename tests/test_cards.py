@@ -280,7 +280,6 @@ def test_batched_accumulation_equals_the_per_note_fold(tmp_path):
             assert list(map(card_to_dict, maker.premature_cards())) == list(
                 map(card_to_dict, held)
             )
-        assert maker.refined_seq == max(seqs.values(), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,14 @@ def test_export_dot_and_json(fixture_store, capsys, tmp_path):
     assert len(payload["nodes"]) == 2
 
 
+def test_export_into_a_missing_directory_exits_two_naming_the_path(fixture_store, capsys, tmp_path):
+    out_file = tmp_path / "missing" / "graph.dot"
+    capsys.readouterr()
+    assert run_cli("export", "--store", fixture_store, "--out", out_file) == 2
+    assert f"error: cannot write {out_file}: " in capsys.readouterr().err
+    assert not out_file.parent.exists()
+
+
 def test_routes_between_card_and_subject(fixture_store, capsys):
     code = run_cli(
         "cards", "list", "--store", fixture_store, "--status", "committed", "--json"
@@ -282,6 +290,46 @@ def test_ingest_subcommand_counts(tmp_path, capsys):
 def test_missing_corpus_is_operational_error(tmp_path, capsys):
     code = run_cli("run", "--store", tmp_path / "s", "--ontology", FIXTURES / "ocpd.json")
     assert code == 2
+
+
+def with_key(section, key, value):
+    def change(config):
+        (config[section] if section else config)[key] = value
+        return config
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda config: [config], "config document must be a JSON object"),
+        (with_key(None, "organize", ["7d"]), "config organize must be a JSON object"),
+        (with_key(None, "notes", 4), "config notes must be a JSON object"),
+        (with_key(None, "ontology", {"path": "ocpd.json"}), "config ontology must be a string or a list"),
+        (with_key(None, "corpus", [str(FIXTURES / "jobs_corpus.jsonl"), 7]), "config corpus must be"),
+        (with_key("organize", "window", "0d"), "config organize.window must be longer than 0d"),
+        (with_key("notes", "horizon_windows", 0), "config notes.horizon_windows must be an integer"),
+        (with_key("notes", "horizon_windows", "4"), "config notes.horizon_windows must be an integer"),
+        (with_key("notes", "horizon_windows", True), "config notes.horizon_windows must be an integer"),
+    ],
+    ids=[
+        "list-document", "list-organize", "number-notes", "object-ontology", "number-in-corpus",
+        "zero-window", "zero-horizon", "string-horizon", "boolean-horizon",
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_malformed_config_exits_two_before_the_store_is_touched(tmp_path, capsys, change, message, command):
+    config = json.loads((FIXTURES / "jobs_config.json").read_text(encoding="utf-8"))
+    config["ontology"] = [str(FIXTURES / "ocpd.json")]
+    config["corpus"] = [str(FIXTURES / "jobs_corpus.jsonl")]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(change(config)), encoding="utf-8")
+    store = tmp_path / "store"
+    capsys.readouterr()
+    assert run_cli(command, "--config", path, "--store", store) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_store_lock_blocks_concurrent_runs(tmp_path, capsys):
@@ -425,21 +473,32 @@ def test_writer_cuts_a_torn_log_and_reports_it(fixture_store, capsys, log, comma
     capsys.readouterr()
     code = run_cli(command, "--config", FIXTURES / "jobs_config.json", "--store", fixture_store)
     assert code == 0
-    assert f"repaired: cut the torn last line off {fixture_store / log}\n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"repaired: cut {fixture_store / log} back to its committed length\n" in err
     assert (fixture_store / log).read_bytes() == intact
     assert run_cli("cards", "list", "--store", fixture_store) == 0
 
 
 @pytest.mark.parametrize("log", LOGS)
 def test_undecodable_log_line_exits_two_naming_file_and_line(fixture_store, capsys, log):
+    # A committed line damaged in place: the log keeps its committed length.
     path = fixture_store / log
     lines = path.read_bytes().splitlines(keepends=True)
-    lines[-1] = b"{not json\n"
+    lines[-1] = b"{not json".ljust(len(lines[-1]) - 1) + b"\n"
     path.write_bytes(b"".join(lines))
     capsys.readouterr()
     for command in (["cards", "list"], ["run", "--config", FIXTURES / "jobs_config.json"]):
         assert run_cli(*command, "--store", fixture_store) == 2
         assert f"{path}: line {len(lines)} does not decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log", LOGS)
+def test_writer_cuts_an_undecodable_line_past_the_commit(fixture_store, capsys, log):
+    path = fixture_store / log
+    intact = path.read_bytes()
+    path.write_bytes(intact + b"{not json\n")
+    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", fixture_store) == 0
+    assert path.read_bytes() == intact
 
 
 @pytest.mark.parametrize("name", ["documents/index.json", "cards/maker.json"])

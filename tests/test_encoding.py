@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from notecards.encoding import StoreFormatError, append_jsonl, cut_torn_tail, read_jsonl
+from notecards.cli import main as cli_main
+from notecards.encoding import StoreFormatError, append_jsonl, cut_to_length, read_jsonl
+from notecards.pipeline import LOGS, cut_to_commit
+
+from conftest import FIXTURES, store_bytes
 
 
 def test_whole_log_is_left_alone(tmp_path):
     log = tmp_path / "log.jsonl"
     append_jsonl(log, [{"a": 1}, {"b": 2}])
     before = log.read_bytes()
-    assert cut_torn_tail(log) is False
+    assert cut_to_length(log, len(before)) is False
     assert log.read_bytes() == before
 
 
 def test_missing_and_empty_logs_are_not_torn(tmp_path):
-    assert cut_torn_tail(tmp_path / "missing.jsonl") is False
+    assert cut_to_length(tmp_path / "missing.jsonl", 0) is False
     empty = tmp_path / "empty.jsonl"
     empty.write_bytes(b"")
-    assert cut_torn_tail(empty) is False
+    assert cut_to_length(empty, 0) is False
     assert not (tmp_path / "missing.jsonl").exists()
 
 
@@ -29,7 +35,7 @@ def test_torn_tail_is_cut_back_to_the_last_whole_line(tmp_path, tail):
     log.write_bytes(intact + tail)
     with pytest.raises(StoreFormatError, match="line 3 is the torn end"):
         list(read_jsonl(log))
-    assert cut_torn_tail(log) is True
+    assert cut_to_length(log, len(intact)) is True
     assert log.read_bytes() == intact
     assert list(read_jsonl(log)) == [{"a": 1}, {"b": 2}]
 
@@ -37,5 +43,101 @@ def test_torn_tail_is_cut_back_to_the_last_whole_line(tmp_path, tail):
 def test_log_without_any_whole_line_is_cut_to_nothing(tmp_path):
     log = tmp_path / "log.jsonl"
     log.write_bytes(b'{"a":')
-    assert cut_torn_tail(log) is True
+    assert cut_to_length(log, 0) is True
     assert log.read_bytes() == b""
+
+
+def test_whole_lines_past_the_committed_length_are_cut(tmp_path):
+    log = tmp_path / "log.jsonl"
+    append_jsonl(log, [{"a": 1}])
+    committed = log.read_bytes()
+    append_jsonl(log, [{"b": 2}, {"c": 3}])
+    assert cut_to_length(log, len(committed)) is True
+    assert log.read_bytes() == committed
+
+
+# ---------------------------------------------------------------------------
+# The commit rule: run and ingest cut every derived log back to its committed length
+# ---------------------------------------------------------------------------
+
+
+def run_cli(*argv) -> int:
+    return cli_main([str(a) for a in argv])
+
+
+WRITERS = [
+    ["run", "--config", FIXTURES / "jobs_config.json"],
+    ["ingest", "--config", FIXTURES / "jobs_config.json"],
+]
+
+
+@pytest.fixture
+def store(tmp_path):
+    store = tmp_path / "store"
+    assert run_cli(*WRITERS[0], "--store", store) == 0
+    return store
+
+
+def test_a_run_commits_the_length_of_every_log(store):
+    maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
+    assert maker["logs"] == {name: (store / name).stat().st_size for name in LOGS}
+    assert cut_to_commit(store) == []
+
+
+def test_without_maker_state_every_log_is_emptied_and_the_rerun_rebuilds_it(store, capsys):
+    expected = store_bytes(store)
+    (store / "cards" / "maker.json").unlink()
+    capsys.readouterr()
+    assert run_cli(*WRITERS[0], "--store", store) == 0
+    err = capsys.readouterr().err
+    for name in LOGS:
+        assert f"repaired: cut {store / name} back to its committed length\n" in err
+    assert store_bytes(store) == expected
+
+
+def test_without_maker_state_ingest_empties_every_log(store):
+    (store / "cards" / "maker.json").unlink()
+    assert run_cli(*WRITERS[1], "--store", store) == 0
+    assert all((store / name).read_bytes() == b"" for name in LOGS)
+
+
+def shorten(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def commit_mid_line(path):
+    maker = path.parents[1] / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    state["logs"][str(path.relative_to(path.parents[1]))] -= 2
+    maker.write_text(json.dumps(state), encoding="utf-8")
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [(shorten, "shorter than its committed"), (commit_mid_line, "does not end a line")],
+    ids=["shorter", "mid-line"],
+)
+@pytest.mark.parametrize("log", LOGS)
+def test_log_that_does_not_match_its_commit_exits_two_naming_it(store, capsys, writer, damage, message, log):
+    path = store / log
+    damage(path)
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*writer, "--store", store) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and message in err
+    assert store_bytes(store) == before
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+def test_maker_state_without_committed_lengths_exits_two_naming_it(store, capsys, writer):
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    del state["logs"]
+    maker.write_text(json.dumps(state), encoding="utf-8")
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*writer, "--store", store) == 2
+    assert f"error: {maker}: names no committed log lengths" in capsys.readouterr().err
+    assert store_bytes(store) == before

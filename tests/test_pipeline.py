@@ -29,6 +29,7 @@ from notecards.pipeline import (
     PipelineError,
     Stores,
     check_store_files,
+    cut_to_commit,
     drill_down,
     load_config,
     run_pipeline,
@@ -282,11 +283,11 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
     held.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
     for name in ("current", "older"):
         run_pipeline(jobs_config(tmp_path / name, corpus=held))
-    # The format maker.json had before it dropped the slot generations and
+    # The keys maker.json had before it dropped the slot generations and
     # the announced card ids, neither of which decides anything.
     older = tmp_path / "older" / "cards" / "maker.json"
     state = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(state) == ["cards", "closed", "refined_seq"]
+    assert sorted(state) == ["cards", "closed", "logs"]
     [slot] = state["cards"]
     encoding.write_json(older, dict(state, generations={slot: 1}, announced=[]))
 
@@ -294,7 +295,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
         assert run_pipeline(jobs_config(tmp_path / name)).cards_committed == 1
     assert store_bytes(tmp_path / "older") == store_bytes(tmp_path / "current")
     rewritten = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(rewritten) == ["cards", "closed", "refined_seq"]
+    assert sorted(rewritten) == ["cards", "closed", "logs"]
     assert rewritten["closed"] == [slot]
 
 
@@ -355,16 +356,19 @@ def crash_after_close_window(patch) -> None:
 
 
 @pytest.mark.parametrize(
-    "crash, torn",
+    "crash, appended",
     [
-        (crash_after_close_window, None),
-        (lambda patch: crash_mid_append(patch, notes, 7), "notes/notes.jsonl"),
-        (lambda patch: crash_mid_append(patch, organize, 25), "chunks/chunks.jsonl"),
-        (lambda patch: crash_mid_append(patch, cards, 1), "cards/log.jsonl"),
+        (crash_after_close_window, ["chunks/chunks.jsonl"]),
+        (
+            lambda patch: crash_mid_append(patch, notes, 7),
+            ["chunks/chunks.jsonl", "chunks/released.jsonl", "notes/notes.jsonl"],
+        ),
+        (lambda patch: crash_mid_append(patch, organize, 25), ["chunks/chunks.jsonl"]),
+        (lambda patch: crash_mid_append(patch, cards, 1), list(pipeline.LOGS)),
     ],
     ids=["after-close-window", "mid-notes-append", "mid-chunk-append", "mid-card-append"],
 )
-def test_rerun_after_a_crash_matches_an_uninterrupted_run(tmp_path, monkeypatch, crash, torn):
+def test_rerun_after_a_crash_matches_an_uninterrupted_run(tmp_path, monkeypatch, crash, appended):
     corpus = many_subjects_corpus(tmp_path, 3)
     run_pipeline(jobs_config(tmp_path / "clean", corpus=corpus))
     crashed = jobs_config(tmp_path / "crashed", corpus=corpus)
@@ -373,7 +377,8 @@ def test_rerun_after_a_crash_matches_an_uninterrupted_run(tmp_path, monkeypatch,
         with pytest.raises(RuntimeError):
             run_pipeline(crashed)
     summary = run_pipeline(crashed)
-    assert summary.repaired == ([tmp_path / "crashed" / torn] if torn else [])
+    # Every log the crashed run appended to, torn or whole, is past its commit.
+    assert summary.repaired == [tmp_path / "crashed" / name for name in appended]
     assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
 
 
@@ -469,7 +474,8 @@ def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) 
 def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path) -> list[str]:
     """Run *earlier* corpora, then *crashed*, crashing at each of its store
     writes (whole, and torn for appends) and rerunning it; every case whose
-    store differs from an uninterrupted run is returned."""
+    store differs from an uninterrupted run, or holds a log longer than its
+    committed length, is returned."""
     base = tmp_path / "base"
     for corpus in earlier:
         run_pipeline(jobs_config(base, corpus=corpus))
@@ -479,6 +485,8 @@ def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path)
     with monkeypatch.context() as patch:
         kinds = number_store_writes(patch)
         run_pipeline(jobs_config(clean, corpus=crashed))
+    # A finished run commits every log it appended to: the next open cuts nothing.
+    assert cut_to_commit(clean) == []
     expected = store_bytes(clean)
     cases = [(k, False) for k in range(len(kinds))]
     cases += [(k, True) for k, kind in enumerate(kinds) if kind == "append"]
@@ -492,8 +500,9 @@ def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path)
                 run_pipeline(jobs_config(store, corpus=crashed))
         run_pipeline(jobs_config(store, corpus=crashed))
         got = store_bytes(store)
-        if got != expected:
-            names = sorted(n for n in got.keys() | expected.keys() if got.get(n) != expected.get(n))
+        names = sorted(n for n in got.keys() | expected.keys() if got.get(n) != expected.get(n))
+        names += [f"{path.relative_to(store)} past its commit" for path in cut_to_commit(store)]
+        if names:
             differ.append(f"write {k} ({kinds[k]}, {'torn' if torn else 'whole'}): {names}")
     assert len(cases) >= 15
     return differ
@@ -672,6 +681,7 @@ def test_first_run_writes_the_manifest(tmp_path):
         "window": "1w",
         "epsilon": "1d",
         "watermark": "2d",
+        "horizon_windows": 4,
     }
 
 
@@ -712,13 +722,14 @@ def test_changed_ontology_exits_two_and_leaves_the_store(tmp_path, capsys):
     assert store_bytes(store) == before
 
 
-@pytest.mark.parametrize("name", ["window", "epsilon", "watermark"])
+@pytest.mark.parametrize("name", ["window", "epsilon", "watermark", "horizon_windows"])
 def test_changed_grouping_parameter_is_refused(tmp_path, name):
     store = tmp_path / "store"
     run_pipeline(jobs_config(store))
     before = store_bytes(store)
     config = jobs_config(store)
-    setattr(config, name, getattr(config, name) + timedelta(days=1))
+    step = 1 if name == "horizon_windows" else timedelta(days=1)
+    setattr(config, name, getattr(config, name) + step)
     with pytest.raises(PipelineError, match=name):
         run_pipeline(config)
     assert store_bytes(store) == before
