@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .clock import format_instant, parse_instant
-from .encoding import append_jsonl, canonical_json, content_hash, read_json, read_jsonl, write_json
+from .encoding import append_jsonl, canonical_json, content_hash, read_json, read_jsonl
+from .encoding import synced_length, write_json
 from .ontology import ConceptDef, OntologySpec
 from .refine import RefinedNote, RefinedNoteStore
 
@@ -289,18 +290,24 @@ def older_of(a: Card, b: Card) -> Card:
 # ---------------------------------------------------------------------------
 
 
+# Every derived log of a store, relative to its root: the maker's save
+# commits their lengths.
+LOGS = ("chunks/chunks.jsonl", "chunks/released.jsonl", "notes/notes.jsonl",
+        "refined/refined.jsonl", "cards/log.jsonl")
+
+
 class CardMaker:
     """Holds premature cards per (subject, concept) until threshold.
 
     ``maker.json`` holds the held cards, the closed slots and, under
-    ``logs``, the byte length at the save of each of *logs*, which commits
-    them. Keys an older store wrote there besides these are ignored.
+    ``logs``, the synced byte length at the save of each of :data:`LOGS`
+    in the store *root* is in, which commits them. Keys an older store
+    wrote there besides these are ignored.
     """
 
-    def __init__(self, root: Path, logs: Mapping[str, Path] | None = None):
+    def __init__(self, root: Path):
         self.root = Path(root)
         self._path = self.root / "maker.json"
-        self._logs = logs
         state = read_json(self._path, {})
         self._cards: dict[str, Card] = {
             k: card_from_dict(v) for k, v in state.get("cards", {}).items()
@@ -315,12 +322,8 @@ class CardMaker:
         state = {
             "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
+            "logs": {name: synced_length(self.root.parent / name) for name in LOGS},
         }
-        if self._logs is not None:
-            state["logs"] = {
-                name: path.stat().st_size if path.exists() else 0
-                for name, path in self._logs.items()
-            }
         write_json(self._path, state)
 
     def premature_cards(self) -> list[Card]:

@@ -170,6 +170,11 @@ def _report_repaired(paths: list[Path]) -> None:
         print(f"repaired: cut {path} back to its committed length", file=sys.stderr)
 
 
+def _error_report(path: str, code: str, exc: Exception) -> dict:
+    finding = {"severity": "error", "code": code, "subject": path, "message": str(exc)}
+    return {"path": path, "findings": [finding]}
+
+
 def cmd_ontology_validate(args) -> int:
     reports = []
     specs = []
@@ -180,19 +185,7 @@ def cmd_ontology_validate(args) -> int:
         try:
             spec = load_ontology(Path(path))
         except OntologyError as exc:
-            reports.append(
-                {
-                    "path": str(path),
-                    "findings": [
-                        {
-                            "severity": "error",
-                            "code": "load",
-                            "subject": str(path),
-                            "message": str(exc),
-                        }
-                    ],
-                }
-            )
+            reports.append(_error_report(str(path), "load", exc))
             exit_code = 1
             continue
         specs.append(spec)
@@ -206,19 +199,7 @@ def cmd_ontology_validate(args) -> int:
         try:
             merged_or_single(specs)
         except OntologyError as exc:
-            reports.append(
-                {
-                    "path": "<merged>",
-                    "findings": [
-                        {
-                            "severity": "error",
-                            "code": "merge",
-                            "subject": "<merged>",
-                            "message": str(exc),
-                        }
-                    ],
-                }
-            )
+            reports.append(_error_report("<merged>", "merge", exc))
             exit_code = 1
     if args.json:
         print(json.dumps({"reports": reports}, indent=2, sort_keys=True))
@@ -355,9 +336,7 @@ def cmd_card_show(args) -> int:
                 for chunk_entry in note_entry["chunks"]:
                     chunk = chunk_entry["chunk"]
                     doc = chunk_entry["document"]
-                    print(
-                        f"      chunk {chunk['chunk_id']} <- {doc['source_uri']}"
-                    )
+                    print(f"      chunk {chunk['chunk_id']} <- {doc['source_uri']}")
     return 0
 
 

@@ -6,9 +6,11 @@ and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
   :func:`read_jsonl_at`, :func:`append_jsonl`). A last line without its
-  newline is an append cut short: readers refuse it. Under the lock, a
-  writer cuts each log back to its committed length, which ends before
-  any torn line, before it opens the stores (:func:`cut_to_length`).
+  newline is an append cut short: readers refuse it. A commit record
+  names a log's length only once the log is on disk
+  (:func:`synced_length`). Under the lock, a writer cuts each log back
+  to its committed length, which ends before any torn line, before it
+  opens the stores (:func:`cut_to_length`).
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
   :func:`write_json`), written to a synced temp file and renamed over the
   old one, so a crash leaves the old or the new version, never a torn one.
@@ -114,6 +116,20 @@ def cut_to_length(path: Path, length: int) -> bool:
         return False
     os.truncate(path, length)
     return True
+
+
+def synced_length(path: Path) -> int:
+    """Force a log, missing meaning empty, and its directory entry to disk;
+    returns its length, which a commit record may then name."""
+    if not path.exists():
+        return 0
+    for name in (path, path.parent):
+        fd = os.open(name, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    return path.stat().st_size
 
 
 def read_jsonl_at(path: Path, offsets: Iterable[int]) -> Iterator[Any]:

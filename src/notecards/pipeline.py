@@ -9,10 +9,11 @@ which is safe because ``store.json`` pins the ontology and the grouping
 and note parameters of a store. One pipeline run per store root at a
 time, enforced by a lock file that names its owner's pid.
 
-One crash rule: a run's last write, the maker's save, records every
-derived log's length, and ``run`` and ``ingest`` open a store by cutting
-each log back to it (:func:`cut_to_commit`). Documents stay outside this
-commit; ingest is idempotent and pending documents are annotated again.
+One crash rule: a run's last write, the maker's save, syncs every
+derived log and records its length, and ``run`` and ``ingest`` open a
+store by cutting each log back to it (:func:`cut_to_commit`). Documents
+stay outside this commit; ingest is idempotent and pending documents are
+annotated again.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Any, Container
 
 from .annotate import GazetteerMatcher, annotate_with_matcher
 from .cards import (
+    LOGS,
     Card,
     CardLedger,
     CardMaker,
@@ -252,35 +254,36 @@ class Stores:
         )
         self.notes = NoteStore(root / "notes")
         self.refined = RefinedNoteStore(root / "refined")
-        self.maker = CardMaker(root / "cards", logs={name: root / name for name in LOGS})
+        self.maker = CardMaker(root / "cards")
         self.ledger = CardLedger(root / "cards")
         self.manager = CardManager(self.ledger, self.maker)
 
 
 # Every file Stores decodes, in the order it decodes them.
-STORE_FILES = (
-    "documents/index.json",
-    "chunks/chunks.jsonl",
-    "chunks/released.jsonl",
-    "notes/notes.jsonl",
-    "refined/refined.jsonl",
-    "cards/maker.json",
-    "cards/log.jsonl",
-)
-
-
-LOGS = tuple(name for name in STORE_FILES if name.endswith(".jsonl"))
+STORE_FILES = ("documents/index.json", "chunks/chunks.jsonl", "chunks/released.jsonl",
+               "notes/notes.jsonl", "refined/refined.jsonl", "cards/maker.json", "cards/log.jsonl")
 
 
 def cut_to_commit(root: Path) -> list[Path]:
-    """Cut every log back to the length the last maker save committed; no
-    ``maker.json`` commits nothing. ``run`` and ``ingest`` call it under the
-    lock, before they open the stores. Returns the logs it cut."""
-    maker = Path(root) / "cards" / "maker.json"
-    lengths = read_json(maker, {"logs": dict.fromkeys(LOGS, 0)}).get("logs")
+    """Cut every log back to the length the last maker save committed.
+
+    ``run`` and ``ingest`` call it under the lock, before they open the
+    stores. A new store, all of whose logs are empty, first gets the
+    empty maker's save, which commits them empty, so a crash in its
+    first run is cut back like any other. Returns the logs it cut.
+    """
+    root = Path(root)
+    maker = root / "cards" / "maker.json"
+    state = read_json(maker)
+    if state is None:
+        if any((root / name).exists() and (root / name).stat().st_size for name in LOGS):
+            raise StoreFormatError(f"{maker}: missing, so nothing commits the logs beside it")
+        CardMaker(maker.parent).save()
+        return []
+    lengths = state.get("logs") if isinstance(state, dict) else None
     if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
         raise StoreFormatError(f"{maker}: names no committed log lengths; build a new store")
-    return [Path(root) / name for name in LOGS if cut_to_length(Path(root) / name, lengths[name])]
+    return [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
 
 
 def check_store_files(root: Path, skip: Container[str] = ()) -> None:
@@ -356,8 +359,8 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         watermark=manifest["watermark"],
     )
     with StoreLock(config.store_root):
-        check_manifest(config.store_root, manifest)
         summary.repaired = cut_to_commit(config.store_root)
+        check_manifest(config.store_root, manifest)
         stores = Stores(config)
         now = clock.now()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -84,21 +85,43 @@ def test_a_run_commits_the_length_of_every_log(store):
     assert cut_to_commit(store) == []
 
 
-def test_without_maker_state_every_log_is_emptied_and_the_rerun_rebuilds_it(store, capsys):
-    expected = store_bytes(store)
-    (store / "cards" / "maker.json").unlink()
-    capsys.readouterr()
-    assert run_cli(*WRITERS[0], "--store", store) == 0
-    err = capsys.readouterr().err
-    for name in LOGS:
-        assert f"repaired: cut {store / name} back to its committed length\n" in err
-    assert store_bytes(store) == expected
-
-
-def test_without_maker_state_ingest_empties_every_log(store):
-    (store / "cards" / "maker.json").unlink()
+def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
+    store = tmp_path / "store"
     assert run_cli(*WRITERS[1], "--store", store) == 0
-    assert all((store / name).read_bytes() == b"" for name in LOGS)
+    maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
+    assert maker == {"cards": {}, "closed": [], "logs": dict.fromkeys(LOGS, 0)}
+    assert not any((store / name).exists() for name in LOGS)
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+def test_missing_maker_state_beside_written_logs_exits_two_naming_it(store, capsys, writer):
+    maker = store / "cards" / "maker.json"
+    maker.unlink()
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*writer, "--store", store) == 2
+    assert f"error: {maker}: missing, so nothing commits the logs beside it" in capsys.readouterr().err
+    assert store_bytes(store) == before
+
+
+def test_the_maker_save_syncs_every_log_and_its_directory_before_it_commits(tmp_path, monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def record(fd):
+        synced.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    store = tmp_path / "store"
+    assert run_cli(*WRITERS[0], "--store", store) == 0
+    # Renamed into place, the maker state keeps the inode its temp file was
+    # synced as; the last sync of that inode is the run's commit.
+    inode = (store / "cards" / "maker.json").stat().st_ino
+    commit = len(synced) - 1 - synced[::-1].index(inode)
+    for name in LOGS:
+        for path in (store / name, (store / name).parent):
+            assert path.stat().st_ino in synced[:commit], path
 
 
 def shorten(path):
@@ -132,10 +155,14 @@ def test_log_that_does_not_match_its_commit_exits_two_naming_it(store, capsys, w
 
 @pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
 def test_maker_state_without_committed_lengths_exits_two_naming_it(store, capsys, writer):
+    # As in a store built before the commit record, which pinned no horizon either.
     maker = store / "cards" / "maker.json"
     state = json.loads(maker.read_text(encoding="utf-8"))
     del state["logs"]
     maker.write_text(json.dumps(state), encoding="utf-8")
+    manifest = json.loads((store / "store.json").read_text(encoding="utf-8"))
+    del manifest["horizon_windows"]
+    (store / "store.json").write_text(json.dumps(manifest), encoding="utf-8")
     before = store_bytes(store)
     capsys.readouterr()
     assert run_cli(*writer, "--store", store) == 2
