@@ -290,19 +290,19 @@ def older_of(a: Card, b: Card) -> Card:
 # ---------------------------------------------------------------------------
 
 
-# Every derived log of a store, relative to its root: the maker's save
-# commits their lengths.
-LOGS = ("chunks/chunks.jsonl", "chunks/released.jsonl", "notes/notes.jsonl",
-        "refined/refined.jsonl", "cards/log.jsonl")
+# Every log of a store, relative to its root, in the order a store opens
+# them: the maker's save commits their lengths.
+LOGS = ("documents/documents.jsonl", "chunks/chunks.jsonl", "chunks/released.jsonl",
+        "notes/notes.jsonl", "refined/refined.jsonl", "cards/log.jsonl")
 
 
 class CardMaker:
     """Holds premature cards per (subject, concept) until threshold.
 
-    ``maker.json`` holds the held cards, the closed slots and, under
+    ``maker.json`` holds the held cards, the closed slots, ``annotated``
+    (how much of the documents log annotation has covered) and, under
     ``logs``, the synced byte length at the save of each of :data:`LOGS`
-    in the store *root* is in, which commits them. Keys an older store
-    wrote there besides these are ignored.
+    in the store *root* is in, which commits them. Other keys are ignored.
     """
 
     def __init__(self, root: Path):
@@ -313,6 +313,7 @@ class CardMaker:
             k: card_from_dict(v) for k, v in state.get("cards", {}).items()
         }
         self._closed: set[str] = set(state.get("closed", ()))
+        self.annotated: int = state.get("annotated", 0)
 
     @staticmethod
     def slot_key(subject: str, concept_id: str) -> str:
@@ -320,6 +321,7 @@ class CardMaker:
 
     def save(self) -> None:
         state = {
+            "annotated": self.annotated,
             "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
             "logs": {name: synced_length(self.root.parent / name) for name in LOGS},

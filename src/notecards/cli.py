@@ -17,7 +17,7 @@ from .cards import Card, CardError, CardLedger, CardMaker, card_to_dict
 from .clock import parse_instant
 from .durations import DurationError
 from .graph import GraphError, GraphFilter, build_graph, export_graph, find_routes, query_cards
-from .ingest import IngestError, ingest_corpus
+from .ingest import IngestError, TextStore, ingest_corpus
 from .notes import NoteStore, note_to_dict
 from .ontology import (
     OntologyError,
@@ -219,16 +219,18 @@ def cmd_ingest(args) -> int:
     if not config.corpus_paths:
         raise PipelineError("no corpus given (use --corpus or a config file)")
     clock = config.clock()
-    with StoreLock(config.store_root):
-        repaired = cut_to_commit(config.store_root)
-        stores = Stores(config)
+    root = Path(config.store_root)
+    with StoreLock(root):
+        repaired = cut_to_commit(root)
         summary = ingest_corpus(
             config.corpus_paths,
-            stores.text,
+            TextStore(root / "documents"),
             clock,
             mask_key=config.mask_key(),
             mask_aliases=config.mask_aliases or None,
         )
+        # Commits the documents; annotated stays for the next run to move.
+        CardMaker(root / "cards").save()
     _report_repaired(repaired)
     if args.json:
         print(

@@ -5,9 +5,9 @@ makes whole-store byte determinism achievable. Every store file is read
 and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
-  :func:`read_jsonl_at`, :func:`append_jsonl`). A last line without its
-  newline is an append cut short: readers refuse it. A commit record
-  names a log's length only once the log is on disk
+  :func:`read_jsonl_offsets`, :func:`read_jsonl_at`, :func:`append_jsonl`).
+  A last line without its newline is an append cut short: readers refuse
+  it. A commit record names a log's length only once the log is on disk
   (:func:`synced_length`). Under the lock, a writer cuts each log back
   to its committed length, which ends before any torn line, before it
   opens the stores (:func:`cut_to_length`).
@@ -79,25 +79,33 @@ def write_json(path: Path, value: Any) -> None:
     os.replace(tmp, path)
 
 
-def _decode(path: Path, where: str, line: str | bytes) -> Any:
+def _decode(path: Path, where: str, line: bytes) -> Any:
     try:
-        return json.loads(line)
+        return json.loads(line.decode("utf-8"))
     except ValueError as exc:
         raise StoreFormatError(f"{path}: {where} does not decode: {exc}") from None
 
 
 def read_jsonl(path: Path) -> Iterator[Any]:
     """The records of a log, in order; a missing log has none, a torn one raises."""
+    for _offset, record in read_jsonl_offsets(path):
+        yield record
+
+
+def read_jsonl_offsets(path: Path) -> Iterator[tuple[int, Any]]:
+    """Each record of a log with the byte offset its line starts at, as :func:`read_jsonl`."""
     if not path.exists():
         return
-    with path.open("r", encoding="utf-8", newline="\n") as handle:
+    with path.open("rb") as handle:
+        offset = 0
         for number, line in enumerate(handle, 1):
-            if not line.endswith("\n"):
+            if not line.endswith(b"\n"):
                 raise StoreFormatError(
                     f"{path}: line {number} is the torn end of an interrupted append; "
                     "the next run repairs it"
                 )
-            yield _decode(path, f"line {number}", line)
+            yield offset, _decode(path, f"line {number}", line)
+            offset += len(line)
 
 
 def cut_to_length(path: Path, length: int) -> bool:

@@ -6,9 +6,10 @@ Lines (one document per record:
 Document ids are name-based UUIDs over (text, source_uri, timestamp), so
 re-ingesting identical records is a no-op and needs no central counter.
 
-The text store is append-only: one JSON Lines file per ingest run plus an
-index mapping doc_id to (file, offset). Run files are numbered in the
-order they were written, so (run number, offset) is ingestion order.
+The text store is one append-only log, ``documents.jsonl``: one line per
+document in ingestion order, so a byte offset is a position in that
+order. The maker's save commits the log with every other log of the
+store, and records how far annotation has got as one such offset.
 Single writer per store root, unlimited concurrent readers.
 """
 
@@ -20,13 +21,11 @@ import json
 import unicodedata
 from dataclasses import dataclass, replace
 from datetime import datetime
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Container, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
-from .encoding import append_jsonl, canonical_json, name_uuid, read_json, read_jsonl_at, write_json
+from .encoding import append_jsonl, canonical_json, name_uuid, read_jsonl_at, read_jsonl_offsets
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -172,69 +171,54 @@ def _document_from_dict(raw: dict) -> Document:
     )
 
 
-def _ingestion_order(entry: dict) -> tuple[int, int]:
-    return int(entry["file"][len("run-") : -len(".jsonl")]), entry["offset"]
-
-
 class TextStore:
-    """Append-only document store: run files plus a doc_id index."""
+    """Append-only document log, indexed by doc_id at open."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._index_path = self.root / "index.json"
-        self._index: dict[str, dict] = read_json(self._index_path, {})
+        self._path = self.root / "documents.jsonl"
+        # doc_id -> the offset of its line; insertion order is ingestion order.
+        self._offsets: dict[str, int] = {
+            record["doc_id"]: offset for offset, record in read_jsonl_offsets(self._path)
+        }
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
+        return doc_id in self._offsets
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._offsets)
 
-    def _next_run_file(self) -> Path:
-        """The run file after the last one the index names.
-
-        A file by that name is what a run left when it crashed before
-        replacing the index; nothing refers to it.
-        """
-        last = max((_ingestion_order(entry)[0] for entry in self._index.values()), default=0)
-        return self.root / f"run-{last + 1:04d}.jsonl"
+    def end(self) -> int:
+        """The log's length in bytes: the offset the next document gets."""
+        return self._path.stat().st_size if self._path.exists() else 0
 
     def add_all(self, documents: Iterable[Document]) -> tuple[int, int]:
-        """Append new documents in one run file; returns (added, duplicates)."""
+        """Append the documents not stored yet; returns (added, duplicates)."""
         new: dict[str, Document] = {}
         duplicates = 0
         for doc in documents:
-            if doc.doc_id in self._index or doc.doc_id in new:
+            if doc.doc_id in self._offsets or doc.doc_id in new:
                 duplicates += 1
             else:
                 new[doc.doc_id] = doc
         if new:
-            run_path = self._next_run_file()
-            run_path.unlink(missing_ok=True)
-            offsets = append_jsonl(run_path, map(_document_to_dict, new.values()))
-            for doc_id, offset in zip(new, offsets):
-                self._index[doc_id] = {"file": run_path.name, "offset": offset}
-            write_json(self._index_path, self._index)
+            offsets = append_jsonl(self._path, map(_document_to_dict, new.values()))
+            self._offsets.update(zip(new, offsets))
         return len(new), duplicates
 
     def get(self, doc_id: str) -> Document:
-        entry = self._index.get(doc_id)
-        if entry is None:
+        offset = self._offsets.get(doc_id)
+        if offset is None:
             raise IngestError(f"unknown doc_id {doc_id!r}")
-        [record] = read_jsonl_at(self.root / entry["file"], [entry["offset"]])
+        [record] = read_jsonl_at(self._path, [offset])
         return _document_from_dict(record)
 
-    def list(self, skip_ids: Container[str] = frozenset()) -> list[Document]:
-        """Documents in ingestion order, minus ``skip_ids``; one open per run file."""
-        entries = sorted(
-            (entry for doc_id, entry in self._index.items() if doc_id not in skip_ids),
-            key=_ingestion_order,
-        )
-        documents = []
-        for name, run in groupby(entries, key=itemgetter("file")):
-            offsets = [entry["offset"] for entry in run]
-            documents.extend(map(_document_from_dict, read_jsonl_at(self.root / name, offsets)))
-        return documents
+    def list(self, start: int = 0) -> list[Document]:
+        """The documents from byte offset *start* of the log on, in ingestion order."""
+        offsets = [offset for offset in self._offsets.values() if offset >= start]
+        if not offsets:
+            return []
+        return [_document_from_dict(record) for record in read_jsonl_at(self._path, offsets)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
@@ -91,7 +91,9 @@ def assign_windows(
     return groups
 
 
-def dedupe_group(group: ChunkGroup, epsilon: timedelta) -> ChunkGroup:
+def dedupe_group(
+    group: ChunkGroup, epsilon: timedelta, released: Container[str] = frozenset()
+) -> ChunkGroup:
     """Collapse repeated reports of one event.
 
     Two chunks are duplicates iff they share the subject, an identical
@@ -99,11 +101,13 @@ def dedupe_group(group: ChunkGroup, epsilon: timedelta) -> ChunkGroup:
     epsilon (undated chunks in the catch-all group count as simultaneous).
     The earliest chunk (by time, then doc_id) survives and absorbs the
     duplicates' provenance. Input order never changes the surviving set.
+    Chunks whose ids are in *released* come first, so a chunk released
+    before absorbs a late duplicate rather than being outlived by it.
     """
     survivors: list[AnnotatedChunk] = []
     # Signature -> positions in survivors; only chunks that share one can merge.
     by_signature: dict[tuple[tuple[str, str], ...], list[int]] = {}
-    for chunk in sorted(group.chunks, key=_chunk_sort_key):
+    for chunk in sorted(group.chunks, key=lambda c: (c.chunk_id not in released, _chunk_sort_key(c))):
         positions = by_signature.setdefault(chunk.annotation_signature(), [])
         for i in positions:
             survivor = survivors[i]
@@ -204,12 +208,9 @@ class OrganizerStore:
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.jsonl"
         self._chunks: dict[str, AnnotatedChunk] = {}
-        # Documents with at least one stored chunk; a rerun need not annotate them.
-        self.doc_ids: set[str] = set()
         for raw in read_jsonl(self._chunks_path):
             chunk = chunk_from_dict(raw)
             self._chunks[chunk.chunk_id] = chunk
-            self.doc_ids.add(chunk.doc_id)
         self._released: dict[str, list[str]] = {}
         for record in read_jsonl(self._released_path):
             for key, chunk_ids in record.items():
@@ -233,7 +234,6 @@ class OrganizerStore:
         append_jsonl(self._chunks_path, map(chunk_to_dict, new))
         for chunk in new:
             self._chunks[chunk.chunk_id] = chunk
-            self.doc_ids.add(chunk.doc_id)
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:
@@ -246,8 +246,8 @@ class OrganizerStore:
         """
         released_now: list[ChunkGroup] = []
         for group in assign_windows(self._chunks.values(), self.window_length):
-            group = dedupe_group(group, self.epsilon)
             seen = set(self._released.get(group.key, ()))
+            group = dedupe_group(group, self.epsilon, seen)
             if seen:
                 fresh = tuple(c for c in group.chunks if c.chunk_id not in seen)
                 if not fresh:

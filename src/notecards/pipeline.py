@@ -4,16 +4,16 @@ A run is: ingest -> annotate -> organize -> synthesize -> validate ->
 refine -> accumulate cards -> admit. Every stage writes through
 content-derived ids, so re-running over the same inputs is a no-op at
 every store and two fresh runs with a pinned clock produce byte-identical
-stores. A run annotates only the stored documents that have no chunk yet,
-which is safe because ``store.json`` pins the ontology and the grouping
-and note parameters of a store. One pipeline run per store root at a
-time, enforced by a lock file that names its owner's pid.
+stores. A run annotates only the documents logged past ``annotated``,
+the position the last commit recorded, which is safe because
+``store.json`` pins the ontology and the grouping and note parameters of
+a store. One pipeline run per store root at a time, enforced by a lock.
 
-One crash rule: a run's last write, the maker's save, syncs every
-derived log and records its length, and ``run`` and ``ingest`` open a
-store by cutting each log back to it (:func:`cut_to_commit`). Documents
-stay outside this commit; ingest is idempotent and pending documents are
-annotated again.
+One crash rule: the last write of ``run`` and of ``ingest``, the maker's
+save, syncs every log, the documents log included, and records its
+length, and both commands open a store by cutting each log back to it
+(:func:`cut_to_commit`). A run's save also moves ``annotated`` to the end
+of the documents log; an ingest's save leaves it where it was.
 """
 
 from __future__ import annotations
@@ -254,14 +254,13 @@ class Stores:
         )
         self.notes = NoteStore(root / "notes")
         self.refined = RefinedNoteStore(root / "refined")
-        self.maker = CardMaker(root / "cards")
         self.ledger = CardLedger(root / "cards")
+        self.maker = CardMaker(root / "cards")
         self.manager = CardManager(self.ledger, self.maker)
 
 
 # Every file Stores decodes, in the order it decodes them.
-STORE_FILES = ("documents/index.json", "chunks/chunks.jsonl", "chunks/released.jsonl",
-               "notes/notes.jsonl", "refined/refined.jsonl", "cards/maker.json", "cards/log.jsonl")
+STORE_FILES = (*LOGS, "cards/maker.json")
 
 
 def cut_to_commit(root: Path) -> list[Path]:
@@ -270,7 +269,8 @@ def cut_to_commit(root: Path) -> list[Path]:
     ``run`` and ``ingest`` call it under the lock, before they open the
     stores. A new store, all of whose logs are empty, first gets the
     empty maker's save, which commits them empty, so a crash in its
-    first run is cut back like any other. Returns the logs it cut.
+    first run is cut back like any other. Returns the logs it cut; a
+    commit of other logs or past the documents log raises, naming it.
     """
     root = Path(root)
     maker = root / "cards" / "maker.json"
@@ -282,8 +282,11 @@ def cut_to_commit(root: Path) -> list[Path]:
         return []
     lengths = state.get("logs") if isinstance(state, dict) else None
     if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
-        raise StoreFormatError(f"{maker}: names no committed log lengths; build a new store")
-    return [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
+        raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
+    cut = [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
+    if state.get("annotated", 0) > lengths["documents/documents.jsonl"]:
+        raise StoreFormatError(f"{maker}: annotated is past the committed documents log")
+    return cut
 
 
 def check_store_files(root: Path, skip: Container[str] = ()) -> None:
@@ -376,8 +379,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
 
         matcher = GazetteerMatcher(spec)
         produced = []
-        # Pending: stored documents without a chunk, wherever they came from.
-        pending = stores.text.list(skip_ids=stores.organizer.doc_ids)
+        # Pending: the documents stored since the last run's commit, by any command.
+        pending = stores.text.list(start=stores.maker.annotated)
+        stores.maker.annotated = stores.text.end()
         summary.documents_annotated = len(pending)
         for doc in pending:
             outcome = annotate_with_matcher(doc, matcher)

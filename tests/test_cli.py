@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
-from notecards.cards import CardLedger, CardMaker
+from notecards.cards import LOGS, CardLedger, CardMaker
 from notecards.cli import main
 from notecards.ingest import TextStore
 from notecards.notes import NoteStore
@@ -437,14 +437,6 @@ def test_read_only_command_decodes_every_store_file_once(fixture_store, monkeypa
 # Store files that do not decode
 # ---------------------------------------------------------------------------
 
-LOGS = [
-    "chunks/chunks.jsonl",
-    "chunks/released.jsonl",
-    "notes/notes.jsonl",
-    "refined/refined.jsonl",
-    "cards/log.jsonl",
-]
-
 
 def tear(log: Path) -> bytes:
     """Leave *log* as an append cut short would: half a line after the last one."""
@@ -501,23 +493,19 @@ def test_writer_cuts_an_undecodable_line_past_the_commit(fixture_store, capsys, 
     assert path.read_bytes() == intact
 
 
-@pytest.mark.parametrize("name", ["documents/index.json", "cards/maker.json"])
-def test_undecodable_whole_file_exits_two_naming_it(fixture_store, capsys, name):
-    path = fixture_store / name
+def test_undecodable_maker_state_exits_two_naming_it(fixture_store, capsys):
+    path = fixture_store / "cards" / "maker.json"
     path.write_bytes(path.read_bytes()[:-10])
     capsys.readouterr()
     assert run_cli("cards", "list", "--store", fixture_store) == 2
     assert f"{path}: not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damaged", ["refined/refined.jsonl", "documents/index.json"])
+@pytest.mark.parametrize("damaged", ["refined/refined.jsonl", "documents/documents.jsonl"])
 @pytest.mark.parametrize("command", [command for command, _ in PARTIAL_READERS], ids=PARTIAL_IDS)
 def test_command_refuses_damage_in_a_store_it_does_not_read(fixture_store, capsys, command, damaged):
     path = fixture_store / damaged
-    if path.suffix == ".jsonl":
-        tear(path)
-    else:
-        path.write_bytes(path.read_bytes()[:-10])
+    tear(path)
     before = store_bytes(fixture_store)
     capsys.readouterr()
     assert run_cli(*command, "--store", fixture_store) == 2

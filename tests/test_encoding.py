@@ -87,10 +87,25 @@ def test_a_run_commits_the_length_of_every_log(store):
 
 def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
     store = tmp_path / "store"
+    assert cut_to_commit(store) == []
+    maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
+    assert maker == {"annotated": 0, "cards": {}, "closed": [], "logs": dict.fromkeys(LOGS, 0)}
+    assert not any((store / name).exists() for name in LOGS)
+
+
+def test_ingest_commits_the_documents_and_leaves_annotation_where_it_was(tmp_path):
+    store = tmp_path / "store"
     assert run_cli(*WRITERS[1], "--store", store) == 0
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
-    assert maker == {"cards": {}, "closed": [], "logs": dict.fromkeys(LOGS, 0)}
-    assert not any((store / name).exists() for name in LOGS)
+    documents = store / "documents" / "documents.jsonl"
+    logs = dict.fromkeys(LOGS, 0)
+    logs["documents/documents.jsonl"] = documents.stat().st_size
+    assert maker == {"annotated": 0, "cards": {}, "closed": [], "logs": logs}
+    assert sorted(path.name for path in documents.parent.iterdir()) == ["documents.jsonl"]
+    assert run_cli(*WRITERS[0], "--store", store) == 0
+    maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
+    assert maker["annotated"] == maker["logs"]["documents/documents.jsonl"] == logs["documents/documents.jsonl"]
+    assert sorted(path.name for path in documents.parent.iterdir()) == ["documents.jsonl"]
 
 
 @pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
@@ -153,18 +168,46 @@ def test_log_that_does_not_match_its_commit_exits_two_naming_it(store, capsys, w
     assert store_bytes(store) == before
 
 
-@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
-def test_maker_state_without_committed_lengths_exits_two_naming_it(store, capsys, writer):
-    # As in a store built before the commit record, which pinned no horizon either.
-    maker = store / "cards" / "maker.json"
-    state = json.loads(maker.read_text(encoding="utf-8"))
+def before_the_commit_record(store, state):
+    # Committed no log lengths, and pinned no horizon either.
     del state["logs"]
-    maker.write_text(json.dumps(state), encoding="utf-8")
     manifest = json.loads((store / "store.json").read_text(encoding="utf-8"))
     del manifest["horizon_windows"]
     (store / "store.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def with_documents_outside_the_commit(store, state):
+    # Committed the five derived logs; documents sat in run files and an index.
+    del state["annotated"], state["logs"]["documents/documents.jsonl"]
+    documents = store / "documents"
+    (documents / "documents.jsonl").rename(documents / "run-0001.jsonl")
+    (documents / "index.json").write_text("{}\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+@pytest.mark.parametrize("older", [before_the_commit_record, with_documents_outside_the_commit])
+def test_maker_state_without_committed_lengths_exits_two_naming_it(store, capsys, writer, older):
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    older(store, state)
+    maker.write_text(json.dumps(state), encoding="utf-8")
     before = store_bytes(store)
     capsys.readouterr()
     assert run_cli(*writer, "--store", store) == 2
-    assert f"error: {maker}: names no committed log lengths" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {maker}: the store predates this store format; build a new store" in err
+    assert store_bytes(store) == before
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+def test_annotation_past_the_committed_documents_exits_two_naming_the_maker_state(store, capsys, writer):
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    state["annotated"] = state["logs"]["documents/documents.jsonl"] + 1
+    maker.write_text(json.dumps(state), encoding="utf-8")
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*writer, "--store", store) == 2
+    err = capsys.readouterr().err
+    assert f"error: {maker}: annotated is past the committed documents log" in err
     assert store_bytes(store) == before

@@ -67,12 +67,14 @@ def test_reingest_is_a_noop(tmp_path):
     store = TextStore(tmp_path / "docs")
     ingest_corpus([corpus], store, CLOCK)
     size_before = len(store)
-    files_before = sorted(p.name for p in (tmp_path / "docs").glob("run-*.jsonl"))
+    log = tmp_path / "docs" / "documents.jsonl"
+    before = log.read_bytes()
     summary = ingest_corpus([corpus], store, CLOCK)
     assert len(store) == size_before
     assert summary.duplicates == 3
-    # No new run file appears for an all-duplicate pass.
-    assert sorted(p.name for p in (tmp_path / "docs").glob("run-*.jsonl")) == files_before
+    # An all-duplicate pass appends nothing.
+    assert log.read_bytes() == before
+    assert sorted(p.name for p in log.parent.iterdir()) == ["documents.jsonl"]
 
 
 def test_malformed_record_rejected_without_aborting(tmp_path):
@@ -212,24 +214,32 @@ def test_short_key_rejected():
         mask_subjects(sample_doc(), b"short")
 
 
-def test_list_skips_ids_and_keeps_ingestion_order_across_run_files(tmp_path):
+def test_list_from_an_offset_keeps_ingestion_order_across_ingests(tmp_path):
     records = corpus_records()
     store = TextStore(tmp_path / "docs")
     ingest_corpus([write_jsonl(tmp_path / "a.jsonl", records[:2])], store, CLOCK)
+    middle = store.end()
     ingest_corpus([write_jsonl(tmp_path / "b.jsonl", records[2:])], store, CLOCK)
-    assert sorted(p.name for p in store.root.glob("run-*.jsonl")) == [
-        "run-0001.jsonl",
-        "run-0002.jsonl",
-    ]
+    assert sorted(p.name for p in store.root.iterdir()) == ["documents.jsonl"]
     every = store.list()
     assert [doc.meta.source_uri for doc in every] == ["bio://ch01", "bio://ch02", "bio://ch03"]
     assert every == [store.get(doc.doc_id) for doc in every]
-    rest = store.list(skip_ids={every[1].doc_id})
-    assert rest == [every[0], every[2]]
-    assert store.list(skip_ids={doc.doc_id for doc in every}) == []
+    assert store.list(start=middle) == every[2:]
+    assert store.list(start=store.end()) == []
+    assert store.end() == (tmp_path / "docs" / "documents.jsonl").stat().st_size
 
 
-def test_list_opens_each_run_file_once(tmp_path, monkeypatch):
+def test_reopened_store_indexes_every_document_at_its_offset(tmp_path):
+    store = TextStore(tmp_path / "docs")
+    ingest_corpus([write_jsonl(tmp_path / "a.jsonl", corpus_records())], store, CLOCK)
+    reopened = TextStore(tmp_path / "docs")
+    assert len(reopened) == 3
+    assert reopened.list() == store.list()
+    assert all(doc.doc_id in reopened for doc in store.list())
+    assert reopened.end() == store.end()
+
+
+def test_list_opens_the_log_once(tmp_path, monkeypatch):
     store = TextStore(tmp_path / "docs")
     ingest_corpus([write_jsonl(tmp_path / "a.jsonl", corpus_records())], store, CLOCK)
     opened = []
@@ -241,22 +251,4 @@ def test_list_opens_each_run_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "open", counted_open)
     assert len(store.list()) == 3
-    assert opened == ["run-0001.jsonl"]
-
-
-def test_failed_index_rewrite_leaves_the_old_index(tmp_path, monkeypatch):
-    records = corpus_records()
-    store = TextStore(tmp_path / "docs")
-    ingest_corpus([write_jsonl(tmp_path / "a.jsonl", records[:2])], store, CLOCK)
-    index = tmp_path / "docs" / "index.json"
-    before = index.read_bytes()
-
-    def crash(fd):
-        raise OSError("injected crash mid-write")
-
-    monkeypatch.setattr("notecards.encoding.os.fsync", crash)
-    with pytest.raises(OSError):
-        ingest_corpus([write_jsonl(tmp_path / "b.jsonl", records[2:])], store, CLOCK)
-    assert index.read_bytes() == before
-    assert not (tmp_path / "docs" / "index.json.tmp").exists()
-    assert len(TextStore(tmp_path / "docs")) == 2
+    assert opened == ["documents.jsonl"]

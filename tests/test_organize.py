@@ -361,3 +361,81 @@ def test_released_state_is_in_memory_until_logged(tmp_path):
     assert len(store.close_window(now=utc(2020, 1, 1))) == 1
     assert not (tmp_path / "released.jsonl").exists()
     assert len(OrganizerStore(tmp_path).close_window(now=utc(2020, 1, 1))) == 1
+
+
+# ---------------------------------------------------------------------------
+# Split arrivals: a key's chunks released over several closes
+# ---------------------------------------------------------------------------
+
+SPLIT_SIGNATURES = [
+    (("alcohol", "entity"), ("consume", "relationship")),
+    (("alcohol", "entity"),),
+]
+
+
+def release_in_batches(root, batches, epsilon) -> dict[str, list[AnnotatedChunk]]:
+    """Add each batch and close after it, logging what each close releases;
+    returns every chunk released, by key."""
+    store = OrganizerStore(root, window_length=WEEK, epsilon=epsilon)
+    released: dict[str, list[AnnotatedChunk]] = {}
+    for batch in batches:
+        store.add_chunks(batch)
+        groups = store.close_window(now=utc(2020, 3, 1))
+        if groups:
+            store.log_released(groups)
+        for group in groups:
+            released.setdefault(group.key, []).extend(group.chunks)
+    return released
+
+
+def random_batches(rng, chunks):
+    shuffled = list(chunks)
+    rng.shuffle(shuffled)
+    cuts = sorted(rng.sample(range(1, len(shuffled)), k=min(rng.randint(1, 3), len(shuffled) - 1)))
+    return [shuffled[i:j] for i, j in zip([0] + cuts, cuts + [len(shuffled)])]
+
+
+def test_split_arrivals_never_release_two_duplicates_of_one_key(tmp_path):
+    rng = random.Random(11)
+    epsilon = timedelta(hours=24)
+    base = utc(2020, 1, 2)
+    for trial in range(150):
+        chunks = [
+            chunk(
+                f"d{i}#0",
+                time=None if rng.random() < 0.15 else base + timedelta(hours=rng.randrange(0, 120)),
+                signature=rng.choice(SPLIT_SIGNATURES),
+            )
+            for i in range(rng.randint(2, 10))
+        ]
+        released = release_in_batches(tmp_path / str(trial), random_batches(rng, chunks), epsilon)
+        for key, members in released.items():
+            assert len({c.chunk_id for c in members}) == len(members), (trial, key)
+            for i, a in enumerate(members):
+                for b in members[i + 1 :]:
+                    if a.annotation_signature() != b.annotation_signature():
+                        continue
+                    if a.time is None or b.time is None:
+                        assert (a.time is None) != (b.time is None), (trial, key)
+                    else:
+                        assert abs(a.time - b.time) > epsilon, (trial, key, a.chunk_id, b.chunk_id)
+
+
+def test_split_arrivals_of_tight_clusters_release_the_one_run_count(tmp_path):
+    # Each event is reported up to three times within 20 hours, and events of
+    # one signature lie three days apart, so no dedupe can chain two of them.
+    rng = random.Random(23)
+    epsilon = timedelta(hours=24)
+    base = utc(2020, 1, 2)
+    for trial in range(100):
+        chunks = []
+        for event in range(rng.randint(1, 4)):
+            signature = SPLIT_SIGNATURES[event % 2]
+            center = base + timedelta(days=3 * (event // 2))
+            for report in range(rng.randint(1, 3)):
+                when = center + timedelta(hours=rng.randrange(0, 20))
+                chunks.append(chunk(f"d{event}-{report}#0", time=when, signature=signature))
+        one_run = release_in_batches(tmp_path / f"{trial}-one", [chunks], epsilon)
+        split = release_in_batches(tmp_path / f"{trial}-split", random_batches(rng, chunks), epsilon)
+        counts = {key: len(members) for key, members in one_run.items()}
+        assert {key: len(members) for key, members in split.items()} == counts, trial

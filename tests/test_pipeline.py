@@ -22,6 +22,7 @@ from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
 from notecards.ingest import TextStore
+from notecards.notes import NoteStore
 from notecards.organize import OrganizerStore
 from notecards.refine import RefinedNoteStore
 from notecards.pipeline import (
@@ -194,6 +195,22 @@ def test_rerun_releases_nothing_new(tmp_path):
     assert second.cards_committed == first.cards_committed == 1
 
 
+def test_a_late_duplicate_that_sorts_first_adds_no_note(tmp_path):
+    # One event reported at 12:00 and at 08:00 the same day: a duplicate within epsilon.
+    record = json.loads((FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    corpora = []
+    for hour in ("12", "08"):
+        corpora.append(tmp_path / f"at-{hour}.jsonl")
+        stamped = dict(record, timestamp=f"2011-10-14T{hour}:00:00Z")
+        corpora[-1].write_text(json.dumps(stamped) + "\n", encoding="utf-8")
+    both = tmp_path / "both.jsonl"
+    both.write_text("".join(corpus.read_text(encoding="utf-8") for corpus in corpora), encoding="utf-8")
+    run_pipeline(jobs_config(tmp_path / "one-run", corpus=both))
+    for corpus in corpora:
+        run_pipeline(jobs_config(tmp_path / "split", corpus=corpus))
+    assert len(NoteStore(tmp_path / "split" / "notes")) == len(NoteStore(tmp_path / "one-run" / "notes")) == 1
+
+
 def test_store_check_decodes_every_file_that_stores_decodes(tmp_path, monkeypatch):
     config = jobs_config(tmp_path / "store")
     run_pipeline(config)
@@ -207,7 +224,7 @@ def test_store_check_decodes_every_file_that_stores_decodes(tmp_path, monkeypatc
         return read
 
     for module in (ingest, organize, notes, refine, cards, pipeline):
-        for name in ("read_json", "read_jsonl"):
+        for name in ("read_json", "read_jsonl", "read_jsonl_offsets"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
     Stores(config)
@@ -287,7 +304,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
     # the announced card ids, neither of which decides anything.
     older = tmp_path / "older" / "cards" / "maker.json"
     state = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(state) == ["cards", "closed", "logs"]
+    assert sorted(state) == ["annotated", "cards", "closed", "logs"]
     [slot] = state["cards"]
     encoding.write_json(older, dict(state, generations={slot: 1}, announced=[]))
 
@@ -295,7 +312,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
         assert run_pipeline(jobs_config(tmp_path / name)).cards_committed == 1
     assert store_bytes(tmp_path / "older") == store_bytes(tmp_path / "current")
     rewritten = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(rewritten) == ["cards", "closed", "logs"]
+    assert sorted(rewritten) == ["annotated", "cards", "closed", "logs"]
     assert rewritten["closed"] == [slot]
 
 
@@ -358,12 +375,16 @@ def crash_after_close_window(patch) -> None:
 @pytest.mark.parametrize(
     "crash, appended",
     [
-        (crash_after_close_window, ["chunks/chunks.jsonl"]),
+        (crash_after_close_window, ["documents/documents.jsonl", "chunks/chunks.jsonl"]),
         (
             lambda patch: crash_mid_append(patch, notes, 7),
-            ["chunks/chunks.jsonl", "chunks/released.jsonl", "notes/notes.jsonl"],
+            ["documents/documents.jsonl", "chunks/chunks.jsonl", "chunks/released.jsonl",
+             "notes/notes.jsonl"],
         ),
-        (lambda patch: crash_mid_append(patch, organize, 25), ["chunks/chunks.jsonl"]),
+        (
+            lambda patch: crash_mid_append(patch, organize, 25),
+            ["documents/documents.jsonl", "chunks/chunks.jsonl"],
+        ),
         (lambda patch: crash_mid_append(patch, cards, 1), list(pipeline.LOGS)),
     ],
     ids=["after-close-window", "mid-notes-append", "mid-chunk-append", "mid-card-append"],
@@ -399,24 +420,6 @@ def test_crash_after_the_refined_append_still_commits_the_card(tmp_path, monkeyp
     assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
 
 
-def test_crash_at_the_document_index_write_leaves_one_run_file(tmp_path, monkeypatch):
-    run_pipeline(jobs_config(tmp_path / "clean"))
-    crashed = jobs_config(tmp_path / "crashed")
-
-    def crash(path, value):
-        raise RuntimeError("injected crash")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ingest, "write_json", crash)
-        with pytest.raises(RuntimeError):
-            run_pipeline(crashed)
-    assert (tmp_path / "crashed" / "documents" / "run-0001.jsonl").exists()
-    run_pipeline(crashed)
-    documents = tmp_path / "crashed" / "documents"
-    assert sorted(path.name for path in documents.glob("run-*")) == ["run-0001.jsonl"]
-    assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
-
-
 # ---------------------------------------------------------------------------
 # Crash sweep: a crash at any store write, then a rerun, ends as an uninterrupted run
 # ---------------------------------------------------------------------------
@@ -426,23 +429,23 @@ class InjectedCrash(Exception):
     pass
 
 
-def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) -> list[str]:
-    """Number every store write of a run and raise at write *crash_at*.
+def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) -> list[tuple[str, Path]]:
+    """Number every store write and raise at write *crash_at*.
 
     A store write is a log append, a whole-file write, or the rename that
     ends a whole-file write. A torn crash at an append first writes half
-    of the bytes the append would write. Returns the kind of every write
-    reached, in order.
+    of the bytes the append would write. Returns the kind and the file of
+    every write reached, in order.
     """
-    kinds: list[str] = []
+    writes: list[tuple[str, Path]] = []
 
-    def reached(kind: str) -> bool:
-        kinds.append(kind)
-        return len(kinds) - 1 == crash_at
+    def reached(kind: str, path) -> bool:
+        writes.append((kind, Path(path)))
+        return len(writes) - 1 == crash_at
 
     def append_jsonl(path, records):
         records = list(records)
-        if reached("append"):
+        if reached("append", path):
             if torn:
                 data = b"".join(canonical_json(r).encode("ascii") + b"\n" for r in records)
                 path.parent.mkdir(parents=True, exist_ok=True)  # as append_jsonl does
@@ -452,14 +455,14 @@ def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) 
         return encoding.append_jsonl(path, records)
 
     def write_json(path, value):
-        if reached("write"):
+        if reached("write", path):
             raise InjectedCrash(f"write of {path}")
         return encoding.write_json(path, value)
 
     rename = os.replace
 
     def replace(source, target):
-        if reached("rename"):
+        if reached("rename", target):
             raise InjectedCrash(f"rename onto {target}")
         return rename(source, target)
 
@@ -468,14 +471,19 @@ def number_store_writes(patch, crash_at: int | None = None, torn: bool = False) 
             if hasattr(module, name):
                 patch.setattr(module, name, fake)
     patch.setattr(os, "replace", replace)
-    return kinds
+    return writes
 
 
-def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path) -> list[str]:
-    """Run *earlier* corpora, then *crashed*, crashing at each of its store
-    writes (whole, and torn for appends) and rerunning it; every case whose
-    store differs from an uninterrupted run, or holds a log longer than its
-    committed length, is returned."""
+def log_sizes(store: Path) -> dict[str, int]:
+    return {name: (store / name).stat().st_size if (store / name).exists() else 0 for name in pipeline.LOGS}
+
+
+def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], steps: list) -> list[str]:
+    """Run *earlier* corpora, then each of *steps* on the store, crashing the
+    first step at each of its store writes (whole, and torn for appends) and
+    then taking every step again; every case whose store differs from one
+    where nothing crashed, or holds a log longer than its committed length,
+    is returned."""
     base = tmp_path / "base"
     for corpus in earlier:
         run_pipeline(jobs_config(base, corpus=corpus))
@@ -483,13 +491,19 @@ def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path)
     clean = tmp_path / "clean"
     shutil.copytree(base, clean)
     with monkeypatch.context() as patch:
-        kinds = number_store_writes(patch)
-        run_pipeline(jobs_config(clean, corpus=crashed))
-    # A finished run commits every log it appended to: the next open cuts nothing.
+        writes = number_store_writes(patch)
+        steps[0](clean)
+    # The numbering reaches every log the step grew, and the commit is its last write.
+    grown = {name for name, size in log_sizes(clean).items() if size > log_sizes(base)[name]}
+    assert grown and {str(path.relative_to(clean)) for kind, path in writes if kind == "append"} == grown
+    assert writes[-1] == ("rename", clean / "cards" / "maker.json")
+    for step in steps[1:]:
+        step(clean)
+    # A finished step commits every log it appended to: the next open cuts nothing.
     assert cut_to_commit(clean) == []
     expected = store_bytes(clean)
-    cases = [(k, False) for k in range(len(kinds))]
-    cases += [(k, True) for k, kind in enumerate(kinds) if kind == "append"]
+    cases = [(k, False) for k in range(len(writes))]
+    cases += [(k, True) for k, (kind, _) in enumerate(writes) if kind == "append"]
     differ = []
     for k, torn in cases:
         store = tmp_path / f"crash-{k}-{'torn' if torn else 'whole'}"
@@ -497,36 +511,69 @@ def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], crashed: Path)
         with monkeypatch.context() as patch:
             number_store_writes(patch, k, torn)
             with pytest.raises(InjectedCrash):
-                run_pipeline(jobs_config(store, corpus=crashed))
-        run_pipeline(jobs_config(store, corpus=crashed))
+                steps[0](store)
+        for step in steps:
+            step(store)
         got = store_bytes(store)
         names = sorted(n for n in got.keys() | expected.keys() if got.get(n) != expected.get(n))
         names += [f"{path.relative_to(store)} past its commit" for path in cut_to_commit(store)]
         if names:
-            differ.append(f"write {k} ({kinds[k]}, {'torn' if torn else 'whole'}): {names}")
-    assert len(cases) >= 15
+            kind, path = writes[k]
+            differ.append(f"write {k} ({kind} {path.name}, {'torn' if torn else 'whole'}): {names}")
     return differ
 
 
+def run_step(corpus: Path):
+    return lambda store: run_pipeline(jobs_config(store, corpus=corpus))
+
+
+def ingest_step(corpus: Path):
+    def ingest_command(store):
+        argv = ["ingest", "--corpus", str(corpus), "--store", str(store), "--now", PINNED]
+        assert cli_main(argv) == 0
+
+    return ingest_command
+
+
 def golden_on_an_empty_store(tmp_path):
-    return [], FIXTURES / "jobs_corpus.jsonl"
+    corpus = FIXTURES / "jobs_corpus.jsonl"
+    return [], [run_step(corpus)]
 
 
 def tail_after_the_head(tmp_path):
     head, tail = halves(tmp_path)
-    return [head], tail
+    return [head], [run_step(tail)]
 
 
 def three_subjects(tmp_path):
-    return [], many_subjects_corpus(tmp_path, 3)
+    return [], [run_step(many_subjects_corpus(tmp_path, 3))]
 
 
-@pytest.mark.parametrize("inputs", [golden_on_an_empty_store, tail_after_the_head, three_subjects])
+def ingest_then_run_on_an_empty_store(tmp_path):
+    corpus = FIXTURES / "jobs_corpus.jsonl"
+    return [], [ingest_step(corpus), run_step(corpus)]
+
+
+def ingest_then_run_of_the_tail_after_the_head(tmp_path):
+    head, tail = halves(tmp_path)
+    return [head], [ingest_step(tail), run_step(tail)]
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        golden_on_an_empty_store,
+        tail_after_the_head,
+        three_subjects,
+        ingest_then_run_on_an_empty_store,
+        ingest_then_run_of_the_tail_after_the_head,
+    ],
+)
 def test_rerun_after_a_crash_at_any_store_write_matches_an_uninterrupted_run(
     tmp_path, monkeypatch, inputs
 ):
-    earlier, crashed = inputs(tmp_path)
-    assert crash_sweep(tmp_path, monkeypatch, earlier, crashed) == []
+    earlier, steps = inputs(tmp_path)
+    assert crash_sweep(tmp_path, monkeypatch, earlier, steps) == []
 
 
 def sentences_in_pairs(tmp_path: Path) -> Path:
@@ -569,12 +616,11 @@ def test_crash_between_two_chunks_of_one_document_matches_an_uninterrupted_run(
 
 
 def reference_run(config: PipelineConfig, monkeypatch) -> None:
-    """Full re-annotation: every stored document in (run file, offset) order,
-    each read back on its own."""
+    """Full re-annotation: every stored document in log order, each read back on its own."""
 
-    def every_document(self, **kw):
-        order = sorted(self._index, key=lambda d: (self._index[d]["file"], self._index[d]["offset"]))
-        return [self.get(doc_id) for doc_id in order]
+    def every_document(self, start=0):
+        lines = encoding.read_jsonl(self.root / "documents.jsonl")
+        return [self.get(record["doc_id"]) for record in lines]
 
     with monkeypatch.context() as patch:
         patch.setattr(TextStore, "list", every_document)
@@ -645,14 +691,14 @@ def test_rerun_annotates_only_documents_without_chunks(tmp_path):
     assert third.chunks_emitted == third.chunks_skipped == 0
 
 
-def test_documents_without_chunks_are_annotated_again(tmp_path):
+def test_documents_without_chunks_are_annotated_once(tmp_path):
     memo = tmp_path / "memo.txt"
     memo.write_text("He agonizes over beige.", encoding="utf-8")
     config = jobs_config(tmp_path / "store", corpus=memo)
-    assert run_pipeline(config).documents_annotated == 1
+    first = run_pipeline(config)
+    assert first.documents_annotated == first.chunks_skipped == 1
     rerun = run_pipeline(config)
-    assert rerun.documents_annotated == 1
-    assert rerun.chunks_skipped == 1
+    assert rerun.documents_annotated == rerun.chunks_skipped == 0
 
 
 def test_rerun_without_new_input_reports_zero_annotated(tmp_path, capsys):
