@@ -303,12 +303,13 @@ class CardMaker:
     (how much of the documents log annotation has covered) and, under
     ``logs``, the synced byte length at the save of each of :data:`LOGS`
     in the store *root* is in, which commits them. Other keys are ignored.
+    *state* is that file's value when the caller has read it already.
     """
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, state: dict | None = None):
         self.root = Path(root)
         self._path = self.root / "maker.json"
-        state = read_json(self._path, {})
+        state = read_json(self._path, {}) if state is None else state
         self._cards: dict[str, Card] = {
             k: card_from_dict(v) for k, v in state.get("cards", {}).items()
         }
@@ -403,18 +404,18 @@ class CardMaker:
 
 
 class CardLedger:
-    """Snapshot log plus derived current-state index; manager-only writes."""
+    """Snapshot log, replayed up to byte *end*, plus derived index; manager-only writes."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self.log_path = self.root / "log.jsonl"
         self.index_path = self.root / "index.json"
-        self._cards = self.replay(self.log_path)
+        self._cards = self.replay(self.log_path, end)
 
     @staticmethod
-    def replay(log_path: Path) -> dict[str, Card]:
+    def replay(log_path: Path, end: int | None = None) -> dict[str, Card]:
         cards: dict[str, Card] = {}
-        for record in read_jsonl(log_path):
+        for record in read_jsonl(log_path, end):
             if record["type"] == "snapshot":
                 card = card_from_dict(record["card"])
                 cards[card.card_id] = card

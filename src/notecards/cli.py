@@ -1,9 +1,10 @@
 """Operator command line.
 
 Commands: ``ontology validate``, ``ingest``, ``run``, ``notes list``,
-``cards list``, ``card show``, ``export``, ``routes``. Exit status is 0
-on success, 1 when validation findings exist, 2 on operational errors.
-``run`` and ``ingest`` take ``--now`` to pin the clock for reproducible runs.
+``cards list``, ``card show``, ``export``, ``routes``, ``store check``.
+Exit status is 0 on success, 1 when validation findings exist, 2 on
+operational errors. ``run`` and ``ingest`` take ``--now`` to pin the clock
+for reproducible runs; the other store commands read up to the last commit.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .pipeline import (
     Stores,
     StoreLock,
     audit_card,
-    check_store_files,
     cut_to_commit,
     drill_down,
     load_config,
+    read_commit,
     run_pipeline,
 )
 
@@ -120,6 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     _store_flags(p_routes)
     _json_flag(p_routes)
 
+    p_store = sub.add_parser("store", help="store tools")
+    store_sub = p_store.add_subparsers(dest="subcommand", required=True)
+    p_store_check = store_sub.add_parser("check", help="decode the store, audit every card")
+    _store_flags(p_store_check)
+    _json_flag(p_store_check)
+
     return parser
 
 
@@ -143,18 +150,6 @@ def _store_root(config: PipelineConfig) -> Path:
     root = Path(config.store_root)
     if not root.is_dir():
         raise PipelineError(f"store not found: {root}")
-    return root
-
-
-def _checked_root(config: PipelineConfig, reads: tuple[str, ...]) -> Path:
-    """The root of a read-only command that opens only the stores it reads.
-
-    The store files outside *reads*, which the command does not decode
-    itself, are decoded first, so the command refuses a damaged store
-    just as one that opens all of them through ``Stores`` does.
-    """
-    root = _store_root(config)
-    check_store_files(root, skip=reads)
     return root
 
 
@@ -257,13 +252,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_notes_list(args) -> int:
-    root = _checked_root(_build_config(args), reads=("notes/notes.jsonl",))
+    root = _store_root(_build_config(args))
+    store = NoteStore(root / "notes", read_commit(root)[1]["notes/notes.jsonl"])
     action = None
     if args.entity or args.relationship:
         if not (args.entity and args.relationship):
             raise PipelineError("--entity and --relationship go together")
         action = (args.entity, args.relationship)
-    notes = NoteStore(root / "notes").list(subject=args.subject, action=action)
+    notes = store.list(subject=args.subject, action=action)
     if args.json:
         print(json.dumps([note_to_dict(n) for n in notes], indent=2, sort_keys=True))
     else:
@@ -277,9 +273,11 @@ def cmd_notes_list(args) -> int:
 
 
 def cmd_cards_list(args) -> int:
-    root = _checked_root(_build_config(args), reads=("cards/maker.json", "cards/log.jsonl"))
+    root = _store_root(_build_config(args))
+    state, ends = read_commit(root)  # one read: the held cards match the ledger
+    ledger = CardLedger(root / "cards", ends["cards/log.jsonl"])
     cards = query_cards(
-        _all_cards(CardLedger(root / "cards"), CardMaker(root / "cards")),
+        _all_cards(ledger, CardMaker(root / "cards", state)),
         concept=args.concept,
         status=args.status,
         subject=args.subject,
@@ -343,7 +341,7 @@ def cmd_card_show(args) -> int:
 
 
 def _graph_for(args, config: PipelineConfig):
-    root = _checked_root(config, reads=("cards/log.jsonl",))
+    root = _store_root(config)
     time_range = None
     valid_from = getattr(args, "valid_from", None)
     valid_to = getattr(args, "valid_to", None)
@@ -356,7 +354,8 @@ def _graph_for(args, config: PipelineConfig):
         concepts=frozenset(getattr(args, "concept", []) or []),
         time_range=time_range,
     )
-    return build_graph(CardLedger(root / "cards").cards(), card_filter)
+    ledger = CardLedger(root / "cards", read_commit(root)[1]["cards/log.jsonl"])
+    return build_graph(ledger.cards(), card_filter)
 
 
 def cmd_export(args) -> int:
@@ -386,6 +385,19 @@ def cmd_routes(args) -> int:
     return 0
 
 
+def cmd_store_check(args) -> int:
+    config = _build_config(args)
+    _store_root(config)
+    stores = Stores(config)  # decodes every committed line and replays the ledger
+    cards = _all_cards(stores.ledger, stores.maker)
+    problems = [problem for card in cards for problem in audit_card(card.card_id, stores)]
+    if args.json:
+        print(json.dumps({"cards": len(cards), "dangling": problems}, indent=2, sort_keys=True))
+    else:
+        print("\n".join([*problems, f"({len(cards)} cards, {len(problems)} dangling)"]))
+    return 1 if problems else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -398,6 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         ("card", "show"): cmd_card_show,
         ("export", None): cmd_export,
         ("routes", None): cmd_routes,
+        ("store", "check"): cmd_store_check,
     }
     handler = handlers[(args.command, getattr(args, "subcommand", None))]
     try:

@@ -6,11 +6,11 @@ and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
   :func:`read_jsonl_offsets`, :func:`read_jsonl_at`, :func:`append_jsonl`).
-  A last line without its newline is an append cut short: readers refuse
-  it. A commit record names a log's length only once the log is on disk
-  (:func:`synced_length`). Under the lock, a writer cuts each log back
-  to its committed length, which ends before any torn line, before it
-  opens the stores (:func:`cut_to_length`).
+  A commit record names a log's length only once the log is on disk
+  (:func:`synced_length`). Every command reads a log only up to that
+  length, once it holds it (:func:`committed_size`), and a writer first
+  cuts it back to that length (:func:`cut_to_length`), so no reader meets
+  the torn end of an interrupted append: a line without its newline.
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
   :func:`write_json`), written to a synced temp file and renamed over the
   old one, so a crash leaves the old or the new version, never a torn one.
@@ -86,32 +86,32 @@ def _decode(path: Path, where: str, line: bytes) -> Any:
         raise StoreFormatError(f"{path}: {where} does not decode: {exc}") from None
 
 
-def read_jsonl(path: Path) -> Iterator[Any]:
-    """The records of a log, in order; a missing log has none, a torn one raises."""
-    for _offset, record in read_jsonl_offsets(path):
+def read_jsonl(path: Path, end: int | None = None) -> Iterator[Any]:
+    """A log's records in order, up to byte *end* (a line end) if given; a torn line raises."""
+    for _offset, record in read_jsonl_offsets(path, end):
         yield record
 
 
-def read_jsonl_offsets(path: Path) -> Iterator[tuple[int, Any]]:
+def read_jsonl_offsets(path: Path, end: int | None = None) -> Iterator[tuple[int, Any]]:
     """Each record of a log with the byte offset its line starts at, as :func:`read_jsonl`."""
     if not path.exists():
         return
     with path.open("rb") as handle:
         offset = 0
         for number, line in enumerate(handle, 1):
+            if end is not None and offset >= end:
+                return
             if not line.endswith(b"\n"):
                 raise StoreFormatError(
-                    f"{path}: line {number} is the torn end of an interrupted append; "
-                    "the next run repairs it"
+                    f"{path}: line {number} is the torn end of an interrupted append"
                 )
             yield offset, _decode(path, f"line {number}", line)
             offset += len(line)
 
 
-def cut_to_length(path: Path, length: int) -> bool:
-    """Cut a log, missing meaning empty, back to its committed *length*;
-    True if it was longer. No crash leaves it shorter or *length* mid-line:
-    either raises, naming the log and leaving it untouched."""
+def committed_size(path: Path, length: int) -> int:
+    """The size of a log, missing meaning empty, that holds its committed *length*;
+    no crash leaves it shorter or *length* mid-line, so either raises, naming it."""
     size = path.stat().st_size if path.exists() else 0
     if size < length:
         raise StoreFormatError(f"{path}: {size} bytes, shorter than its committed {length}")
@@ -120,7 +120,13 @@ def cut_to_length(path: Path, length: int) -> bool:
             handle.seek(length - 1)
             if handle.read(1) != b"\n":
                 raise StoreFormatError(f"{path}: its committed length {length} does not end a line")
-    if size == length:
+    return size
+
+
+def cut_to_length(path: Path, length: int) -> bool:
+    """Cut a log back to its committed *length*; True if it was longer.
+    One that does not hold it raises (:func:`committed_size`), untouched."""
+    if committed_size(path, length) == length:
         return False
     os.truncate(path, length)
     return True

@@ -10,7 +10,7 @@ The text store is one append-only log, ``documents.jsonl``: one line per
 document in ingestion order, so a byte offset is a position in that
 order. The maker's save commits the log with every other log of the
 store, and records how far annotation has got as one such offset.
-Single writer per store root, unlimited concurrent readers.
+One writer per store root; any number of readers, each up to the last commit.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ def _document_from_dict(raw: dict) -> Document:
 
 
 class TextStore:
-    """Append-only document log, indexed by doc_id at open."""
+    """Append-only document log, indexed by doc_id at open up to byte *end*."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "documents.jsonl"
         # doc_id -> the offset of its line; insertion order is ingestion order.
         self._offsets: dict[str, int] = {
-            record["doc_id"]: offset for offset, record in read_jsonl_offsets(self._path)
+            record["doc_id"]: offset for offset, record in read_jsonl_offsets(self._path, end)
         }
 
     def __contains__(self, doc_id: str) -> bool:

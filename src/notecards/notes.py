@@ -260,13 +260,13 @@ def note_from_dict(raw: dict) -> Note:
 
 
 class NoteStore:
-    """Append-only note table keyed by note_id; filters scan it in memory."""
+    """Append-only note table keyed by note_id, read up to byte *end*; filters scan it."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "notes.jsonl"
         self._notes: dict[str, Note] = {}
-        for raw in read_jsonl(self._path):
+        for raw in read_jsonl(self._path, end):
             note = note_from_dict(raw)
             self._notes[note.note_id] = note
 

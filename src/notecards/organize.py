@@ -21,7 +21,7 @@ from typing import Container, Iterable, Sequence
 
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
-from .encoding import StoreFormatError, append_jsonl, canonical_json, read_jsonl
+from .encoding import append_jsonl, canonical_json, read_jsonl
 
 WILDCARD_PLACE = "*"
 
@@ -194,25 +194,21 @@ class OrganizerStore:
         window_length: timedelta = DEFAULT_WINDOW,
         epsilon: timedelta = DEFAULT_EPSILON,
         watermark: timedelta = DEFAULT_WATERMARK,
+        chunks_end: int | None = None,
+        released_end: int | None = None,
     ):
         self.root = Path(root)
         self.window_length = window_length
         self.epsilon = epsilon
         self.watermark = watermark
-        legacy = self.root / "released.json"
-        if legacy.exists():
-            raise StoreFormatError(
-                f"{legacy}: this store predates released.jsonl and cannot be opened; "
-                "rebuild it in a new store"
-            )
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.jsonl"
         self._chunks: dict[str, AnnotatedChunk] = {}
-        for raw in read_jsonl(self._chunks_path):
+        for raw in read_jsonl(self._chunks_path, chunks_end):
             chunk = chunk_from_dict(raw)
             self._chunks[chunk.chunk_id] = chunk
         self._released: dict[str, list[str]] = {}
-        for record in read_jsonl(self._released_path):
+        for record in read_jsonl(self._released_path, released_end):
             for key, chunk_ids in record.items():
                 seen = self._released.get(key)
                 self._released[key] = sorted(seen + chunk_ids) if seen else chunk_ids

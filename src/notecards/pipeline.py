@@ -9,11 +9,11 @@ the position the last commit recorded, which is safe because
 ``store.json`` pins the ontology and the grouping and note parameters of
 a store. One pipeline run per store root at a time, enforced by a lock.
 
-One crash rule: the last write of ``run`` and of ``ingest``, the maker's
-save, syncs every log, the documents log included, and records its
-length, and both commands open a store by cutting each log back to it
-(:func:`cut_to_commit`). A run's save also moves ``annotated`` to the end
-of the documents log; an ingest's save leaves it where it was.
+One commit rule: the last write of ``run`` and of ``ingest``, the maker's
+save, syncs every log and records its length. Every command reads each
+log only up to it (:func:`read_commit`); ``run`` and ``ingest`` first
+cut each log back to it (:func:`cut_to_commit`). A run's save also moves
+``annotated`` to the end of the documents log; an ingest's leaves it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Any, Container
+from typing import Any
 
 from .annotate import GazetteerMatcher, annotate_with_matcher
 from .cards import (
@@ -38,7 +38,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import StoreFormatError, cut_to_length, read_json, read_jsonl, write_json
+from .encoding import StoreFormatError, committed_size, cut_to_length, read_json, write_json
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -240,72 +240,67 @@ class StoreLock:
 
 
 class Stores:
-    """All six stores under one root."""
+    """All six stores under one root, each reading its logs up to the last commit."""
 
     def __init__(self, config: PipelineConfig):
         root = Path(config.store_root)
         self.root = root
-        self.text = TextStore(root / "documents")
+        state, ends = read_commit(root)
+        self.text = TextStore(root / "documents", ends["documents/documents.jsonl"])
         self.organizer = OrganizerStore(
             root / "chunks",
             window_length=config.window,
             epsilon=config.epsilon,
             watermark=config.watermark,
+            chunks_end=ends["chunks/chunks.jsonl"],
+            released_end=ends["chunks/released.jsonl"],
         )
-        self.notes = NoteStore(root / "notes")
-        self.refined = RefinedNoteStore(root / "refined")
-        self.ledger = CardLedger(root / "cards")
-        self.maker = CardMaker(root / "cards")
+        self.notes = NoteStore(root / "notes", ends["notes/notes.jsonl"])
+        self.refined = RefinedNoteStore(root / "refined", ends["refined/refined.jsonl"])
+        self.ledger = CardLedger(root / "cards", ends["cards/log.jsonl"])
+        self.maker = CardMaker(root / "cards", state)
         self.manager = CardManager(self.ledger, self.maker)
 
 
-# Every file Stores decodes, in the order it decodes them.
-STORE_FILES = (*LOGS, "cards/maker.json")
+def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
+    """The maker state the last commit saved (``{}`` in a new store) and each
+    log's committed length; a commit that does not hold raises, naming the file.
 
-
-def cut_to_commit(root: Path) -> list[Path]:
-    """Cut every log back to the length the last maker save committed.
-
-    ``run`` and ``ingest`` call it under the lock, before they open the
-    stores. A new store, all of whose logs are empty, first gets the
-    empty maker's save, which commits them empty, so a crash in its
-    first run is cut back like any other. Returns the logs it cut; a
-    commit of other logs or past the documents log raises, naming it.
+    Never writes. Committed prefixes never change, so a reader without the
+    lock sees the last commit whole, and nothing a run appends after it.
     """
     root = Path(root)
     maker = root / "cards" / "maker.json"
     state = read_json(maker)
     if state is None:
-        if any((root / name).exists() and (root / name).stat().st_size for name in LOGS):
+        if any(committed_size(root / name, 0) for name in LOGS):
             raise StoreFormatError(f"{maker}: missing, so nothing commits the logs beside it")
-        CardMaker(maker.parent).save()
-        return []
+        return {}, dict.fromkeys(LOGS, 0)
     lengths = state.get("logs") if isinstance(state, dict) else None
     if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
         raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
-    cut = [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
+    for name in LOGS:
+        committed_size(root / name, lengths[name])
     if state.get("annotated", 0) > lengths["documents/documents.jsonl"]:
         raise StoreFormatError(f"{maker}: annotated is past the committed documents log")
-    return cut
+    return state, lengths
 
 
-def check_store_files(root: Path, skip: Container[str] = ()) -> None:
-    """Decode every file Stores decodes, but those named in *skip*, and keep nothing.
+def cut_to_commit(root: Path) -> list[Path]:
+    """Cut every log back to the length the last commit recorded.
 
-    A damaged file raises ``StoreFormatError`` naming it, as ``Stores``
-    would, so a command that opens only some stores still refuses a
-    damaged store; it skips the files it then decodes through its own
-    stores. Never repairs: it is for commands without the lock.
+    ``run`` and ``ingest`` call it under the lock, before they open the
+    stores; a store whose commit does not hold is left untouched. A new
+    store first gets the empty maker's save, which commits its logs
+    empty, so a crash in its first run is cut back like any other.
+    Returns the logs it cut.
     """
-    for name in STORE_FILES:
-        if name in skip:
-            continue
-        path = Path(root) / name
-        if path.suffix == ".jsonl":
-            for _record in read_jsonl(path):
-                pass
-        else:
-            read_json(path)
+    root = Path(root)
+    state, lengths = read_commit(root)
+    if not state:
+        CardMaker(root / "cards", state).save()
+        return []
+    return [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
 
 
 def load_specs(config: PipelineConfig) -> OntologySpec:

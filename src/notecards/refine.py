@@ -452,14 +452,14 @@ def refined_from_dict(raw: dict) -> RefinedNote:
 
 
 class RefinedNoteStore:
-    """Append-only refined-note log; trails embedded per record."""
+    """Append-only refined-note log, read up to byte *end*; trails embedded per record."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
         self._records: dict[str, RefinedNote] = {}  # in log order
         self._position: dict[str, int] = {}
-        for raw in read_jsonl(self._path):
+        for raw in read_jsonl(self._path, end):
             self._remember(refined_from_dict(raw))
 
     def _remember(self, record: RefinedNote) -> None:

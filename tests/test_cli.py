@@ -106,6 +106,9 @@ IGNORED_FLAGS = [
         ("--mask-key-file", "key"),
     )
 ] + [
+    (("store", "check"), flag)
+    for flag in (("--now", "2011-11-13T00:00:00Z"), ("--corpus", "corpus.jsonl"))
+] + [
     (("ingest",), ("--ontology", "spec.json")),
     (("export",), ("--json",)),
 ]
@@ -203,10 +206,15 @@ def test_card_show_audit_covers_a_held_card(tmp_path, capsys):
 
 
 def test_card_show_audit_reports_a_missing_refined_line(fixture_store, capsys):
+    # A committed refined id rewritten in place: the log keeps its committed length.
     path = fixture_store / "refined" / "refined.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     missing = json.loads(lines[0])["refined_id"]
-    path.write_bytes(b"".join(lines[1:]))
+    renamed = missing[:-1] + ("1" if missing.endswith("0") else "0")
+    field = '"refined_id":"{}"'.format
+    lines[0] = lines[0].replace(field(missing).encode(), field(renamed).encode())
+    assert json.loads(lines[0])["refined_id"] == renamed
+    path.write_bytes(b"".join(lines))
     finding = f"card {CARD} -> missing refined note {missing}"
     capsys.readouterr()
     assert run_cli("card", "show", CARD, "--store", fixture_store, "--audit", "--json") == 1
@@ -219,6 +227,21 @@ def test_card_show_audit_reports_a_missing_refined_line(fixture_store, capsys):
     # Without --audit, drill-down refuses the dangling reference.
     assert run_cli("card", "show", CARD, "--store", fixture_store) == 2
     assert f"dangling refined note {missing}" in capsys.readouterr().err
+    assert run_cli("store", "check", "--store", fixture_store, "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": [finding]}
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    assert capsys.readouterr().out == f"{finding}\n(1 cards, 1 dangling)\n"
+
+
+def test_store_check_of_a_sound_store_exits_zero(fixture_store, tmp_path, capsys):
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store) == 0
+    assert capsys.readouterr().out == "(1 cards, 0 dangling)\n"
+    # Held cards are audited too.
+    store = held_store(tmp_path)
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", store, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": []}
 
 
 def test_notes_list_filters(fixture_store, capsys):
@@ -365,6 +388,7 @@ READ_ONLY_COMMANDS = [
     ("export", "--format", "json"),
     ("routes", CARD, "subject:steve"),
     ("card", "show", CARD, "--audit"),
+    ("store", "check"),
 ]
 
 
@@ -414,23 +438,45 @@ def test_read_only_command_builds_only_the_stores_it_reads(
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("command", [command for command, _ in PARTIAL_READERS], ids=PARTIAL_IDS)
-def test_read_only_command_decodes_every_store_file_once(fixture_store, monkeypatch, command):
+# Each read-only command and the logs it decodes.
+DECODED_LOGS = [
+    (("cards", "list"), ["cards/log.jsonl"]),
+    (("export", "--format", "dot"), ["cards/log.jsonl"]),
+    (("export", "--format", "json"), ["cards/log.jsonl"]),
+    (("routes", "301.4@steve#g1", "subject:steve"), ["cards/log.jsonl"]),
+    (("notes", "list"), ["notes/notes.jsonl"]),
+    (("card", "show", CARD), list(LOGS)),
+    (("store", "check"), list(LOGS)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, logs", DECODED_LOGS, ids=PARTIAL_IDS + ["card-show", "store-check"]
+)
+def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
+    fixture_store, monkeypatch, command, logs
+):
+    maker = fixture_store / "cards" / "maker.json"
+    committed = json.loads(maker.read_text(encoding="utf-8"))["logs"]
+    for name in LOGS:  # a line past the commit, which no reader may decode
+        with (fixture_store / name).open("ab") as handle:
+            handle.write(b"{not json\n")
     decoded = []
 
     def recording(reader):
-        def read(path, *args, **kwargs):
-            decoded.append(str(Path(path).relative_to(fixture_store)))
-            return reader(path, *args, **kwargs)
+        def read(path, *args):
+            decoded.append((str(Path(path).relative_to(fixture_store)), *args))
+            return reader(path, *args)
 
         return read
 
     for module in (ingest, organize, notes, refine, cards, pipeline):
-        for name in ("read_json", "read_jsonl"):
+        for name in ("read_json", "read_jsonl", "read_jsonl_offsets"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
     assert run_cli(*command, "--store", fixture_store) == 0
-    assert sorted(decoded) == sorted(pipeline.STORE_FILES)
+    expected = [("cards/maker.json",)] + [(name, committed[name]) for name in logs]
+    assert sorted(decoded) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +492,18 @@ def tear(log: Path) -> bytes:
     return intact
 
 
+@pytest.mark.parametrize("command", READ_ONLY_COMMANDS)
 @pytest.mark.parametrize("log", LOGS)
-def test_read_only_command_on_a_torn_log_exits_two_and_writes_nothing(fixture_store, capsys, log):
+def test_read_only_command_on_a_torn_log_reads_the_commit_and_writes_nothing(
+    fixture_store, capsys, log, command
+):
+    capsys.readouterr()
+    assert run_cli(*command, "--store", fixture_store) == 0
+    expected = capsys.readouterr()
     tear(fixture_store / log)
     before = store_bytes(fixture_store)
-    capsys.readouterr()
-    assert run_cli("cards", "list", "--store", fixture_store) == 2
-    err = capsys.readouterr().err
-    assert str(fixture_store / log) in err
-    assert "the next run repairs it" in err
+    assert run_cli(*command, "--store", fixture_store) == 0
+    assert capsys.readouterr() == expected
     assert store_bytes(fixture_store) == before
 
 
@@ -471,17 +520,23 @@ def test_writer_cuts_a_torn_log_and_reports_it(fixture_store, capsys, log, comma
     assert run_cli("cards", "list", "--store", fixture_store) == 0
 
 
-@pytest.mark.parametrize("log", LOGS)
-def test_undecodable_log_line_exits_two_naming_file_and_line(fixture_store, capsys, log):
-    # A committed line damaged in place: the log keeps its committed length.
-    path = fixture_store / log
+def damage_in_place(path: Path) -> int:
+    """Make the last committed line of *path* undecodable, keeping its
+    length; returns that line's number."""
     lines = path.read_bytes().splitlines(keepends=True)
     lines[-1] = b"{not json".ljust(len(lines[-1]) - 1) + b"\n"
     path.write_bytes(b"".join(lines))
+    return len(lines)
+
+
+@pytest.mark.parametrize("log", LOGS)
+def test_undecodable_log_line_exits_two_naming_file_and_line(fixture_store, capsys, log):
+    path = fixture_store / log
+    number = damage_in_place(path)
     capsys.readouterr()
-    for command in (["cards", "list"], ["run", "--config", FIXTURES / "jobs_config.json"]):
+    for command in (["store", "check"], ["run", "--config", FIXTURES / "jobs_config.json"]):
         assert run_cli(*command, "--store", fixture_store) == 2
-        assert f"{path}: line {len(lines)} does not decode" in capsys.readouterr().err
+        assert f"{path}: line {number} does not decode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("log", LOGS)
@@ -503,22 +558,37 @@ def test_undecodable_maker_state_exits_two_naming_it(fixture_store, capsys):
 
 @pytest.mark.parametrize("damaged", ["refined/refined.jsonl", "documents/documents.jsonl"])
 @pytest.mark.parametrize("command", [command for command, _ in PARTIAL_READERS], ids=PARTIAL_IDS)
-def test_command_refuses_damage_in_a_store_it_does_not_read(fixture_store, capsys, command, damaged):
-    path = fixture_store / damaged
-    tear(path)
-    before = store_bytes(fixture_store)
+def test_damage_in_a_store_a_command_does_not_read_is_left_to_store_check(
+    fixture_store, capsys, command, damaged
+):
     capsys.readouterr()
-    assert run_cli(*command, "--store", fixture_store) == 2
-    assert f"error: {path}: " in capsys.readouterr().err
+    assert run_cli(*command, "--store", fixture_store) == 0
+    expected = capsys.readouterr().out
+    path = fixture_store / damaged
+    number = damage_in_place(path)
+    before = store_bytes(fixture_store)
+    assert run_cli(*command, "--store", fixture_store) == 0
+    assert capsys.readouterr().out == expected
+    assert run_cli("store", "check", "--store", fixture_store) == 2
+    assert f"error: {path}: line {number} does not decode" in capsys.readouterr().err
     assert store_bytes(fixture_store) == before
 
 
 def test_store_with_a_released_json_exits_two_naming_it(fixture_store, capsys):
-    legacy = fixture_store / "chunks" / "released.json"
-    legacy.write_text("{}\n", encoding="utf-8")
+    # A store that old has a released.json and commits no log lengths.
+    (fixture_store / "chunks" / "released.json").write_text("{}\n", encoding="utf-8")
+    maker = fixture_store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    del state["logs"], state["annotated"]
+    maker.write_text(json.dumps(state), encoding="utf-8")
     before = store_bytes(fixture_store)
     capsys.readouterr()
-    for command in (["card", "show", "301.4@steve#g1"], ["run", "--config", FIXTURES / "jobs_config.json"]):
+    for command in (
+        ["cards", "list"],
+        ["card", "show", "301.4@steve#g1"],
+        ["store", "check"],
+        ["run", "--config", FIXTURES / "jobs_config.json"],
+    ):
         assert run_cli(*command, "--store", fixture_store) == 2
-        assert f"error: {legacy}: this store predates released.jsonl" in capsys.readouterr().err
+        assert f"error: {maker}: the store predates this store format" in capsys.readouterr().err
     assert store_bytes(fixture_store) == before

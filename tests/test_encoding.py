@@ -58,7 +58,8 @@ def test_whole_lines_past_the_committed_length_are_cut(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The commit rule: run and ingest cut every derived log back to its committed length
+# The commit rule: every command checks the commit, and run and ingest cut
+# every log back to its committed length
 # ---------------------------------------------------------------------------
 
 
@@ -70,6 +71,9 @@ WRITERS = [
     ["run", "--config", FIXTURES / "jobs_config.json"],
     ["ingest", "--config", FIXTURES / "jobs_config.json"],
 ]
+# Writers and readers, which refuse a commit the same way.
+COMMANDS = WRITERS + [["cards", "list"], ["store", "check"]]
+COMMAND_IDS = ["run", "ingest", "cards-list", "store-check"]
 
 
 @pytest.fixture
@@ -108,13 +112,13 @@ def test_ingest_commits_the_documents_and_leaves_annotation_where_it_was(tmp_pat
     assert sorted(path.name for path in documents.parent.iterdir()) == ["documents.jsonl"]
 
 
-@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
-def test_missing_maker_state_beside_written_logs_exits_two_naming_it(store, capsys, writer):
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_missing_maker_state_beside_written_logs_exits_two_naming_it(store, capsys, command):
     maker = store / "cards" / "maker.json"
     maker.unlink()
     before = store_bytes(store)
     capsys.readouterr()
-    assert run_cli(*writer, "--store", store) == 2
+    assert run_cli(*command, "--store", store) == 2
     assert f"error: {maker}: missing, so nothing commits the logs beside it" in capsys.readouterr().err
     assert store_bytes(store) == before
 
@@ -139,6 +143,14 @@ def test_the_maker_save_syncs_every_log_and_its_directory_before_it_commits(tmp_
             assert path.stat().st_ino in synced[:commit], path
 
 
+def past_the_commit(store, *skip):
+    """A whole line past the commit in every log but *skip*, as a crashed run leaves."""
+    for name in LOGS:
+        if name not in skip:
+            with (store / name).open("ab") as handle:
+                handle.write(b'{"past":"the commit"}\n')
+
+
 def shorten(path):
     path.write_bytes(path.read_bytes()[:-1])
 
@@ -150,19 +162,20 @@ def commit_mid_line(path):
     maker.write_text(json.dumps(state), encoding="utf-8")
 
 
-@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 @pytest.mark.parametrize(
     "damage, message",
     [(shorten, "shorter than its committed"), (commit_mid_line, "does not end a line")],
     ids=["shorter", "mid-line"],
 )
 @pytest.mark.parametrize("log", LOGS)
-def test_log_that_does_not_match_its_commit_exits_two_naming_it(store, capsys, writer, damage, message, log):
+def test_log_that_does_not_match_its_commit_exits_two_naming_it(store, capsys, command, damage, message, log):
     path = store / log
     damage(path)
+    past_the_commit(store, log)
     before = store_bytes(store)
     capsys.readouterr()
-    assert run_cli(*writer, "--store", store) == 2
+    assert run_cli(*command, "--store", store) == 2
     err = capsys.readouterr().err
     assert f"error: {path}: " in err and message in err
     assert store_bytes(store) == before
@@ -184,30 +197,31 @@ def with_documents_outside_the_commit(store, state):
     (documents / "index.json").write_text("{}\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 @pytest.mark.parametrize("older", [before_the_commit_record, with_documents_outside_the_commit])
-def test_maker_state_without_committed_lengths_exits_two_naming_it(store, capsys, writer, older):
+def test_maker_state_without_committed_lengths_exits_two_naming_it(store, capsys, command, older):
     maker = store / "cards" / "maker.json"
     state = json.loads(maker.read_text(encoding="utf-8"))
     older(store, state)
     maker.write_text(json.dumps(state), encoding="utf-8")
     before = store_bytes(store)
     capsys.readouterr()
-    assert run_cli(*writer, "--store", store) == 2
+    assert run_cli(*command, "--store", store) == 2
     err = capsys.readouterr().err
     assert f"error: {maker}: the store predates this store format; build a new store" in err
     assert store_bytes(store) == before
 
 
-@pytest.mark.parametrize("writer", WRITERS, ids=["run", "ingest"])
-def test_annotation_past_the_committed_documents_exits_two_naming_the_maker_state(store, capsys, writer):
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_annotation_past_the_committed_documents_exits_two_naming_the_maker_state(store, capsys, command):
     maker = store / "cards" / "maker.json"
     state = json.loads(maker.read_text(encoding="utf-8"))
     state["annotated"] = state["logs"]["documents/documents.jsonl"] + 1
     maker.write_text(json.dumps(state), encoding="utf-8")
+    past_the_commit(store)
     before = store_bytes(store)
     capsys.readouterr()
-    assert run_cli(*writer, "--store", store) == 2
+    assert run_cli(*command, "--store", store) == 2
     err = capsys.readouterr().err
     assert f"error: {maker}: annotated is past the committed documents log" in err
     assert store_bytes(store) == before

@@ -29,7 +29,6 @@ from notecards.pipeline import (
     PipelineConfig,
     PipelineError,
     Stores,
-    check_store_files,
     cut_to_commit,
     drill_down,
     load_config,
@@ -209,30 +208,6 @@ def test_a_late_duplicate_that_sorts_first_adds_no_note(tmp_path):
     for corpus in corpora:
         run_pipeline(jobs_config(tmp_path / "split", corpus=corpus))
     assert len(NoteStore(tmp_path / "split" / "notes")) == len(NoteStore(tmp_path / "one-run" / "notes")) == 1
-
-
-def test_store_check_decodes_every_file_that_stores_decodes(tmp_path, monkeypatch):
-    config = jobs_config(tmp_path / "store")
-    run_pipeline(config)
-    decoded = []
-
-    def recording(reader):
-        def read(path, *args, **kwargs):
-            decoded.append(Path(path))
-            return reader(path, *args, **kwargs)
-
-        return read
-
-    for module in (ingest, organize, notes, refine, cards, pipeline):
-        for name in ("read_json", "read_jsonl", "read_jsonl_offsets"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
-    Stores(config)
-    by_stores = list(decoded)
-    decoded.clear()
-    check_store_files(config.store_root)
-    assert len(by_stores) == 7
-    assert decoded == by_stores
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +453,39 @@ def log_sizes(store: Path) -> dict[str, int]:
     return {name: (store / name).stat().st_size if (store / name).exists() else 0 for name in pipeline.LOGS}
 
 
-def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], steps: list) -> list[str]:
+# Read-only commands, whose output on a crashed store is that on the store before the crash.
+READERS = [
+    ["cards", "list", "--json"],
+    ["notes", "list", "--json"],
+    ["export", "--format", "json"],
+    ["store", "check"],
+]
+
+
+def read_store(store: Path, capsys) -> list[tuple[int, str]]:
+    """The exit status and output of each of :data:`READERS` on *store*."""
+    capsys.readouterr()
+    outputs = []
+    for argv in READERS:
+        status = cli_main([*argv, "--store", str(store)])
+        outputs.append((status, capsys.readouterr().out))
+    return outputs
+
+
+def crash_sweep(tmp_path: Path, monkeypatch, capsys, earlier: list[Path], steps: list) -> list[str]:
     """Run *earlier* corpora, then each of *steps* on the store, crashing the
     first step at each of its store writes (whole, and torn for appends) and
-    then taking every step again; every case whose store differs from one
-    where nothing crashed, or holds a log longer than its committed length,
-    is returned."""
+    then taking every step again. Returned: every case whose readers, between
+    the crash and the rerun, see other than the store before the crash, and
+    every case whose store, after the rerun, differs from one where nothing
+    crashed, holds a log longer than its committed length, or fails
+    ``store check``."""
     base = tmp_path / "base"
     for corpus in earlier:
         run_pipeline(jobs_config(base, corpus=corpus))
     base.mkdir(exist_ok=True)
+    seen = read_store(base, capsys)
+    assert all(status == 0 for status, _ in seen)
     clean = tmp_path / "clean"
     shutil.copytree(base, clean)
     with monkeypatch.context() as patch:
@@ -512,11 +510,14 @@ def crash_sweep(tmp_path: Path, monkeypatch, earlier: list[Path], steps: list) -
             number_store_writes(patch, k, torn)
             with pytest.raises(InjectedCrash):
                 steps[0](store)
+        names = [] if read_store(store, capsys) == seen else ["readers see past the commit"]
         for step in steps:
             step(store)
         got = store_bytes(store)
-        names = sorted(n for n in got.keys() | expected.keys() if got.get(n) != expected.get(n))
+        names += sorted(n for n in got.keys() | expected.keys() if got.get(n) != expected.get(n))
         names += [f"{path.relative_to(store)} past its commit" for path in cut_to_commit(store)]
+        if cli_main(["store", "check", "--store", str(store)]) != 0:
+            names.append("store check fails")
         if names:
             kind, path = writes[k]
             differ.append(f"write {k} ({kind} {path.name}, {'torn' if torn else 'whole'}): {names}")
@@ -570,10 +571,10 @@ def ingest_then_run_of_the_tail_after_the_head(tmp_path):
     ],
 )
 def test_rerun_after_a_crash_at_any_store_write_matches_an_uninterrupted_run(
-    tmp_path, monkeypatch, inputs
+    tmp_path, monkeypatch, capsys, inputs
 ):
     earlier, steps = inputs(tmp_path)
-    assert crash_sweep(tmp_path, monkeypatch, earlier, steps) == []
+    assert crash_sweep(tmp_path, monkeypatch, capsys, earlier, steps) == []
 
 
 def sentences_in_pairs(tmp_path: Path) -> Path:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from notecards import cli
 from notecards.annotate import GazetteerMatcher, tokenize
 from notecards.clock import parse_instant
 from notecards.ontology import parse_ontology, validate_ontology
@@ -409,6 +410,8 @@ def verify_end_to_end(tmp: Path) -> None:
     card = committed[0]
     assert card.score_vector() == GOLDEN_SCORES, card.score_vector()
     assert card.criteria_met == GOLDEN_MET
+    status = cli.main(["store", "check", "--store", str(config.store_root)])
+    assert status == 0, f"store check exited {status}"
     print(f"golden run ok: scores={card.score_vector()} met={card.criteria_met}")
 
 
