@@ -6,7 +6,9 @@ the concept threshold. The manager is the single serialization point: it
 alone writes the official card ledger, resolves exclusion conflicts
 (expire-older or flag-only), and runs the remake protocol. Every action
 lands as a reasoning event on the affected cards' trails, so a committed
-card explains itself end to end.
+card explains itself end to end. A remake's state is its card's trail
+alone: completing reads the last remake event there, so a request made
+in one process completes in a later one, once.
 
 The ledger on disk is a JSON Lines log holding one card snapshot per
 state change; each snapshot carries the card's whole reasoning trail.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .clock import format_instant, parse_instant
 from .encoding import append_jsonl, canonical_json, content_hash, read_json, read_jsonl
@@ -77,7 +79,6 @@ class Card:
     validity: tuple[datetime | None, datetime | None] = (None, None)
     reasoning_trail: tuple[ReasoningEvent, ...] = ()
     generation: int = 1
-    evidence_seq: int = -1  # refined-store high-water mark, for remakes
 
     def dimension_map(self) -> dict[int, tuple[str, ...]]:
         return dict(self.dimensions)
@@ -117,7 +118,6 @@ def card_to_dict(card: Card) -> dict:
         ],
         "reasoning_trail": [e.as_dict() for e in card.reasoning_trail],
         "generation": card.generation,
-        "evidence_seq": card.evidence_seq,
     }
 
 
@@ -140,7 +140,6 @@ def card_from_dict(raw: dict) -> Card:
         ),
         reasoning_trail=tuple(event_from_dict(e) for e in raw.get("reasoning_trail", ())),
         generation=raw.get("generation", 1),
-        evidence_seq=raw.get("evidence_seq", -1),
     )
 
 
@@ -193,17 +192,13 @@ def new_card(concept: ConceptDef, subject: str, generation: int = 1) -> Card:
     )
 
 
-def add_evidence(card: Card, criterion_index: int, refined_id: str, seq: int = -1) -> Card:
+def add_evidence(card: Card, criterion_index: int, refined_id: str) -> Card:
     """Monotone: adding evidence never lowers any dimension score."""
     dims = {index: list(ids) for index, ids in card.dimensions}
     bucket = dims.setdefault(criterion_index, [])
     if refined_id not in bucket:
         bucket.append(refined_id)
-    return replace(
-        card,
-        dimensions=tuple(sorted((i, tuple(ids)) for i, ids in dims.items())),
-        evidence_seq=max(card.evidence_seq, seq),
-    )
+    return replace(card, dimensions=tuple(sorted((i, tuple(ids)) for i, ids in dims.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +347,7 @@ class CardMaker:
         self._cards[key] = card
 
     def update_premature_cards(
-        self,
-        notes: Sequence[RefinedNote],
-        spec: OntologySpec,
-        now: datetime,
-        seq_of: Callable[[str], int] | None = None,
+        self, notes: Sequence[RefinedNote], spec: OntologySpec, now: datetime
     ) -> list[Card]:
         """Accumulate evidence; return cards newly reaching their threshold.
 
@@ -370,27 +361,20 @@ class CardMaker:
         concepts = {concept.concept_id: concept for concept in spec.concepts}
         before: dict[str, Card] = {}  # slot key -> its card before this batch
         evidence: dict[str, dict[int, dict[str, None]]] = {}  # slot key -> criterion -> ids
-        seqs: dict[str, int] = {}  # slot key -> its new evidence_seq
         for refined in sorted(notes, key=lambda r: r.refined_id):
-            seq = seq_of(refined.refined_id) if seq_of else -1
             for concept_id, criterion_index in map_note_to_criteria(refined, spec):
                 key = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
-                    continue  # committed concept; remake picks newer notes up
+                    continue  # committed or expired; only a remake reopens it
                 if key not in before:
                     card = self._cards.get(key) or new_card(concepts[concept_id], refined.subject)
                     before[key] = card
                     evidence[key] = {index: dict.fromkeys(ids) for index, ids in card.dimensions}
-                    seqs[key] = card.evidence_seq
                 evidence[key].setdefault(criterion_index, {})[refined.refined_id] = None
-                seqs[key] = max(seqs[key], seq)
         announced = []
         for key, old in before.items():
-            card = replace(
-                old,
-                dimensions=tuple(sorted((i, tuple(ids)) for i, ids in evidence[key].items())),
-                evidence_seq=seqs[key],
-            )
+            dimensions = tuple(sorted((i, tuple(ids)) for i, ids in evidence[key].items()))
+            card = replace(old, dimensions=dimensions)
             if old.criteria_met < card.threshold <= card.criteria_met:
                 card = replace(card, validity=(now, None))
                 announced.append(key)
@@ -444,14 +428,6 @@ class CardLedger:
 # ---------------------------------------------------------------------------
 # Manager
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RemakeTicket:
-    ticket_id: str
-    card_id: str
-    requested_at: datetime
-    ready_at: datetime
 
 
 @dataclass
@@ -591,73 +567,58 @@ class CardManager:
 
     # -- remakes -------------------------------------------------------------
 
-    def request_remake(
-        self, card_id: str, waiting_period: timedelta, now: datetime
-    ) -> RemakeTicket:
+    def request_remake(self, card_id: str, waiting_period: timedelta, now: datetime) -> Card:
+        """Append a remake request, ready after *waiting_period*, to the card's trail."""
         card = self.ledger.get(card_id)
         if card is None:
             raise CardError(f"unknown card {card_id}")
-        ready_at = now + waiting_period
-        ticket = RemakeTicket(
-            ticket_id="rmk-" + content_hash([card_id, format_instant(now)]),
-            card_id=card_id,
-            requested_at=now,
-            ready_at=ready_at,
-        )
+        if card.status == STATUS_SUPERSEDED:
+            raise CardError(f"card {card_id} is superseded already")
         card = self._record(
-            card, "remake-requested", now, ticket=ticket.ticket_id,
-            ready_at=format_instant(ready_at),
+            card, "remake-requested", now,
+            ticket="rmk-" + content_hash([card_id, format_instant(now)]),
+            ready_at=format_instant(now + waiting_period),
         )
         self.ledger.write_snapshot(card)
         self._save()
-        return ticket
+        return card
 
     def complete_remake(
-        self,
-        ticket: RemakeTicket,
-        now: datetime,
-        refined_store: RefinedNoteStore,
-        spec: OntologySpec,
+        self, card_id: str, now: datetime, refined_store: RefinedNoteStore, spec: OntologySpec
     ) -> Card:
-        """Rebuild the card from its old evidence plus newer refined notes."""
-        if now < ticket.ready_at:
-            raise CardError(
-                f"waiting period runs until {format_instant(ticket.ready_at)}"
-            )
-        old = self.ledger.get(ticket.card_id)
+        """Rebuild a card whose last remake event is a ready request, from every
+        refined note of its subject that maps to its concept, in log order: its
+        evidence plus the notes logged after it, as an open slot takes them all."""
+        old = self.ledger.get(card_id)
         if old is None:
-            raise CardError(f"unknown card {ticket.card_id}")
+            raise CardError(f"unknown card {card_id}")
+        remakes = [e for e in old.reasoning_trail if e.kind.startswith("remake-")]
+        if not remakes or remakes[-1].kind != "remake-requested":
+            raise CardError(f"card {card_id} has no remake request to complete")
+        ticket = remakes[-1].detail_map()
+        if now < parse_instant(ticket["ready_at"]):
+            raise CardError(f"waiting period runs until {ticket['ready_at']}")
         concept = spec.concept(old.concept_id)
         if concept is None:
             raise CardError(f"concept {old.concept_id} missing from ontology")
 
         rebuilt = new_card(concept, old.subject, old.generation + 1)
-        evidence: list[tuple[int, RefinedNote]] = []
-        for refined_id in old.evidence_ids():
-            record = refined_store.get(refined_id)
-            if record is not None:
-                evidence.append((refined_store.sequence_of(refined_id), record))
-        for seq_record in refined_store.newer_than(old.evidence_seq):
-            if seq_record.subject == old.subject:
-                evidence.append((refined_store.sequence_of(seq_record.refined_id), seq_record))
-        seen = set()
-        for seq, record in sorted(evidence, key=lambda pair: pair[0]):
-            if record.refined_id in seen:
+        for record in refined_store.list():
+            if record.subject != old.subject:
                 continue
-            seen.add(record.refined_id)
             for concept_id, criterion_index in map_note_to_criteria(record, spec):
                 if concept_id == old.concept_id:
-                    rebuilt = add_evidence(rebuilt, criterion_index, record.refined_id, seq)
+                    rebuilt = add_evidence(rebuilt, criterion_index, record.refined_id)
 
         old = replace(old, status=STATUS_SUPERSEDED, validity=(old.validity[0], now))
         old = self._record(
-            old, "remake-completed", now, ticket=ticket.ticket_id, successor=rebuilt.card_id
+            old, "remake-completed", now, ticket=ticket["ticket"], successor=rebuilt.card_id
         )
         self.ledger.write_snapshot(old)
         if rebuilt.criteria_met >= rebuilt.threshold:
             rebuilt = replace(rebuilt, validity=(now, None))
         rebuilt = self._record(
-            rebuilt, "remake-completed", now, ticket=ticket.ticket_id, predecessor=old.card_id
+            rebuilt, "remake-completed", now, ticket=ticket["ticket"], predecessor=old.card_id
         )
         self.ledger.write_snapshot(rebuilt)
         self.maker.reopen_slot(rebuilt)

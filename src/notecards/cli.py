@@ -391,6 +391,11 @@ def cmd_store_check(args) -> int:
     stores = Stores(config)  # decodes every committed line and replays the ledger
     cards = _all_cards(stores.ledger, stores.maker)
     problems = [problem for card in cards for problem in audit_card(card.card_id, stores)]
+    problems += [
+        f"chunk {chunk.chunk_id} -> missing document {chunk.doc_id}"
+        for chunk in stores.organizer.chunks() if chunk.doc_id not in stores.text
+    ]
+    problems = list(dict.fromkeys(problems))  # a chunk's card reaches it too
     if args.json:
         print(json.dumps({"cards": len(cards), "dangling": problems}, indent=2, sort_keys=True))
     else:

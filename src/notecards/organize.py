@@ -222,6 +222,9 @@ class OrganizerStore:
     def get_chunk(self, chunk_id: str) -> AnnotatedChunk | None:
         return self._chunks.get(chunk_id)
 
+    def chunks(self) -> list[AnnotatedChunk]:
+        return list(self._chunks.values())
+
     def add_chunks(self, chunks: Sequence[AnnotatedChunk]) -> int:
         """Append chunks not seen before; returns how many were new."""
         new = [c for c in chunks if c.chunk_id not in self._chunks]

@@ -279,6 +279,11 @@ def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
     lengths = state.get("logs") if isinstance(state, dict) else None
     if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
         raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
+    for value in (*lengths.values(), state.get("annotated", 0)):
+        if type(value) is not int or value < 0:  # a bool is an int, but not a length
+            raise StoreFormatError(
+                f"{maker}: committed length {value!r} is not a non-negative integer"
+            )
     for name in LOGS:
         committed_size(root / name, lengths[name])
     if state.get("annotated", 0) > lengths["documents/documents.jsonl"]:
@@ -403,7 +408,7 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         refined = refine_notes(batch, spec, config.window)
         summary.notes_refined = stores.refined.add_all(refined)
 
-        stores.maker.update_premature_cards(refined, spec, now, seq_of=stores.refined.sequence_of)
+        stores.maker.update_premature_cards(refined, spec, now)
         # Admit saves the maker last, which commits every log this run appended to.
         report = stores.manager.admit(stores.maker.open_candidates(), spec, now)
         summary.conflicts_detected = len(report.conflicts)

@@ -15,8 +15,10 @@ resolve by mode, then combine folds runs of notes into periods anchored
 at each run's earliest note and sums. A conflicting field with no policy
 is a configuration error and fails fast.
 
-Partitions are formed per batch; evidence that arrives in a later run
-(late windows) reaches existing cards through the remake protocol.
+Partitions are formed per batch. Evidence that arrives in a later run
+(late windows) is refined and stored, but reaches a committed card only
+through a remake (``CardManager.complete_remake``), which no command
+runs yet.
 """
 
 from __future__ import annotations
@@ -458,13 +460,9 @@ class RefinedNoteStore:
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
         self._records: dict[str, RefinedNote] = {}  # in log order
-        self._position: dict[str, int] = {}
         for raw in read_jsonl(self._path, end):
-            self._remember(refined_from_dict(raw))
-
-    def _remember(self, record: RefinedNote) -> None:
-        self._position.setdefault(record.refined_id, len(self._position))
-        self._records[record.refined_id] = record
+            record = refined_from_dict(raw)
+            self._records[record.refined_id] = record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -487,12 +485,9 @@ class RefinedNoteStore:
         if not new:
             return 0
         append_jsonl(self._path, map(refined_to_dict, new))
-        for record in new:
-            self._remember(record)
+        self._records.update((record.refined_id, record) for record in new)
         return len(new)
 
-    def sequence_of(self, refined_id: str) -> int:
-        return self._position[refined_id]
-
-    def newer_than(self, sequence: int) -> list[RefinedNote]:
-        return list(self._records.values())[sequence + 1 :]
+    def list(self) -> list[RefinedNote]:
+        """Every stored refined note, in log order."""
+        return list(self._records.values())

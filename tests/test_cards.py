@@ -18,12 +18,13 @@ from notecards.cards import (
     STATUS_PREMATURE,
     STATUS_SUPERSEDED,
     add_evidence,
+    card_from_dict,
     card_to_dict,
     detect_conflicts,
     map_note_to_criteria,
     new_card,
 )
-from notecards.ontology import Intensity, parse_ontology
+from notecards.ontology import ExclusionRule, Intensity, parse_ontology
 from notecards.refine import RefinedNoteStore
 
 from conftest import fixture_refined_rows, make_note, passthrough, utc
@@ -156,17 +157,16 @@ class PerNoteMaker:
         self.cards: dict[str, Card] = {}
         self.closed: set[str] = set()
 
-    def update(self, notes, spec, now, seq_of) -> list[Card]:
+    def update(self, notes, spec, now) -> list[Card]:
         announced = set()
         for refined in sorted(notes, key=lambda r: r.refined_id):
-            seq = seq_of(refined.refined_id)
             for concept_id, criterion_index in full_scan_criteria(refined, spec):
                 key = CardMaker.slot_key(refined.subject, concept_id)
                 if key in self.closed:
                     continue
                 card = self.cards.get(key) or new_card(spec.concept(concept_id), refined.subject)
                 before = card.criteria_met
-                card = add_evidence(card, criterion_index, refined.refined_id, seq)
+                card = add_evidence(card, criterion_index, refined.refined_id)
                 if before < card.threshold <= card.criteria_met:
                     card = replace(card, validity=(now, None))
                     announced.add(card.card_id)
@@ -258,7 +258,6 @@ def test_batched_accumulation_equals_the_per_note_fold(tmp_path):
     for trial in range(150):
         spec = random_spec(rng)
         notes = [random_refined(rng, k) for k in range(rng.randint(0, 40))]
-        seqs = {refined.refined_id: k for k, refined in enumerate(notes)}
         for refined in notes:
             assert map_note_to_criteria(refined, spec) == full_scan_criteria(refined, spec)
         maker = CardMaker(tmp_path / str(trial))
@@ -273,8 +272,8 @@ def test_batched_accumulation_equals_the_per_note_fold(tmp_path):
                 oracle.cards.pop(CardMaker.slot_key(card.subject, card.concept_id), None)
                 oracle.closed.add(CardMaker.slot_key(card.subject, card.concept_id))
             now = NOW + timedelta(days=number)
-            newly = maker.update_premature_cards(notes[lo:hi], spec, now, seq_of=seqs.get)
-            expected = oracle.update(notes[lo:hi], spec, now, seqs.get)
+            newly = maker.update_premature_cards(notes[lo:hi], spec, now)
+            expected = oracle.update(notes[lo:hi], spec, now)
             assert list(map(card_to_dict, newly)) == list(map(card_to_dict, expected))
             held = [oracle.cards[k] for k in sorted(oracle.cards)]
             assert list(map(card_to_dict, maker.premature_cards())) == list(
@@ -576,7 +575,7 @@ def remake_setup(tmp_path, ocpd_spec, jobs_rows, initial_codes):
     manager = CardManager(CardLedger(tmp_path / "cards"), maker)
     initial = [refined_for(jobs_rows, code) for code in initial_codes]
     store.add_all(initial)
-    maker.update_premature_cards(initial, ocpd_spec, NOW, seq_of=store.sequence_of)
+    maker.update_premature_cards(initial, ocpd_spec, NOW)
     report = manager.admit(maker.open_candidates(), ocpd_spec, NOW)
     assert len(report.committed) == 1
     return store, maker, manager, report.committed[0]
@@ -589,11 +588,11 @@ def test_remake_with_new_note_lands_in_matched_criteria(tmp_path, ocpd_spec, job
     store, maker, manager, card = remake_setup(
         tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
     )
-    ticket = manager.request_remake(card.card_id, timedelta(days=2), NOW)
+    manager.request_remake(card.card_id, timedelta(days=2), NOW)
     late = refined_for(jobs_rows, "O6-5")  # criteria 2 and 4
     store.add_all([late])
     rebuilt = manager.complete_remake(
-        ticket, NOW + timedelta(days=2), store, ocpd_spec
+        card.card_id, NOW + timedelta(days=2), store, ocpd_spec
     )
     assert rebuilt.generation == card.generation + 1
     # Oracle: re-run the mapping for the late note and check those criteria.
@@ -611,9 +610,9 @@ def test_remake_without_new_notes_is_a_fixpoint(tmp_path, ocpd_spec, jobs_rows):
     store, maker, manager, card = remake_setup(
         tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
     )
-    ticket = manager.request_remake(card.card_id, timedelta(days=2), NOW)
+    manager.request_remake(card.card_id, timedelta(days=2), NOW)
     rebuilt = manager.complete_remake(
-        ticket, NOW + timedelta(days=2), store, ocpd_spec
+        card.card_id, NOW + timedelta(days=2), store, ocpd_spec
     )
     assert rebuilt.dimension_map() == card.dimension_map()
 
@@ -622,15 +621,83 @@ def test_remake_before_waiting_period_rejected(tmp_path, ocpd_spec, jobs_rows):
     store, maker, manager, card = remake_setup(
         tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
     )
-    ticket = manager.request_remake(card.card_id, timedelta(days=2), NOW)
+    manager.request_remake(card.card_id, timedelta(days=2), NOW)
     with pytest.raises(CardError):
-        manager.complete_remake(ticket, NOW + timedelta(days=1), store, ocpd_spec)
+        manager.complete_remake(card.card_id, NOW + timedelta(days=1), store, ocpd_spec)
 
 
 def test_remake_unknown_card_rejected(tmp_path, ocpd_spec):
     manager = CardManager(CardLedger(tmp_path / "cards"), CardMaker(tmp_path / "cards"))
     with pytest.raises(CardError):
         manager.request_remake("missing@x#g1", timedelta(days=2), NOW)
+
+
+def test_a_completed_remake_does_not_complete_or_start_again(tmp_path, ocpd_spec, jobs_rows):
+    store, maker, manager, card = remake_setup(
+        tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
+    )
+    with pytest.raises(CardError, match="no remake request"):
+        manager.complete_remake(card.card_id, NOW, store, ocpd_spec)
+    manager.request_remake(card.card_id, timedelta(days=2), NOW)
+    manager.complete_remake(card.card_id, NOW + timedelta(days=2), store, ocpd_spec)
+    log = manager.ledger.log_path.read_bytes()
+    with pytest.raises(CardError, match="no remake request"):
+        manager.complete_remake(card.card_id, NOW + timedelta(days=3), store, ocpd_spec)
+    with pytest.raises(CardError, match="superseded"):
+        manager.request_remake(card.card_id, timedelta(days=2), NOW + timedelta(days=3))
+    assert manager.ledger.log_path.read_bytes() == log
+
+
+def test_a_card_record_with_the_retired_evidence_seq_key_still_loads(tmp_path, ocpd_spec, jobs_rows):
+    _, _, _, card = remake_setup(tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES)
+    record = card_to_dict(card)
+    assert card_from_dict({**record, "evidence_seq": 3}) == card
+    assert "evidence_seq" not in record
+
+
+def reference_remake(card: Card, store: RefinedNoteStore, spec) -> Card:
+    """The rule remakes kept while each card recorded the log position of its
+    last evidence: its evidence, plus the notes of its subject logged after
+    that position, added in log order."""
+    log = store.list()
+    position = {record.refined_id: seq for seq, record in enumerate(log)}
+    mark = max((position[refined_id] for refined_id in card.evidence_ids()), default=-1)
+    taken = set(card.evidence_ids())
+    taken.update(record.refined_id for record in log[mark + 1 :] if record.subject == card.subject)
+    rebuilt = new_card(spec.concept(card.concept_id), card.subject, card.generation + 1)
+    for record in log:
+        if record.refined_id in taken:
+            for concept_id, index in full_scan_criteria(record, spec):
+                if concept_id == card.concept_id:
+                    rebuilt = add_evidence(rebuilt, index, record.refined_id)
+    return rebuilt
+
+
+def test_remake_takes_the_old_evidence_plus_the_notes_logged_after_it(tmp_path):
+    rng = random.Random(41)
+    for trial in range(50):
+        spec = random_spec(rng)
+        if len(spec.concepts) > 1 and rng.random() < 0.5:
+            resolution = rng.choice(["expire-older", "flag-only"])
+            spec = replace(spec, exclusion_rules=(ExclusionRule("c0", "c1", resolution=resolution),))
+        notes = [random_refined(rng, k) for k in range(rng.randint(0, 40))]
+        root = tmp_path / str(trial)
+        store = RefinedNoteStore(root / "refined")
+        maker = CardMaker(root / "cards")
+        manager = CardManager(CardLedger(root / "cards"), maker)
+        cuts = sorted(rng.sample(range(len(notes) + 1), k=min(len(notes) + 1, rng.randint(0, 4))))
+        for number, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(notes)])):
+            now = NOW + timedelta(days=number)
+            store.add_all(notes[lo:hi])
+            maker.update_premature_cards(notes[lo:hi], spec, now)
+            manager.admit(maker.open_candidates(), spec, now)
+        later = NOW + timedelta(days=10)
+        for card in manager.ledger.cards():
+            expected = reference_remake(card, store, spec)
+            manager.request_remake(card.card_id, timedelta(days=2), later)
+            rebuilt = manager.complete_remake(card.card_id, later + timedelta(days=2), store, spec)
+            assert rebuilt.card_id == expected.card_id
+            assert rebuilt.dimensions == expected.dimensions
 
 
 # ---------------------------------------------------------------------------

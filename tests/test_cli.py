@@ -244,6 +244,42 @@ def test_store_check_of_a_sound_store_exits_zero(fixture_store, tmp_path, capsys
     assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": []}
 
 
+def rename_document(store: Path, line: int) -> str:
+    """Rewrite one document's doc_id in place, so the log keeps its committed length."""
+    path = store / "documents" / "documents.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    doc_id = json.loads(lines[line])["doc_id"]
+    field = '"doc_id":"{}"'.format
+    renamed = doc_id[:-1] + ("1" if doc_id.endswith("0") else "0")
+    lines[line] = lines[line].replace(field(doc_id).encode(), field(renamed).encode())
+    path.write_bytes(b"".join(lines))
+    return doc_id
+
+
+def test_store_check_reports_each_chunk_whose_document_is_missing_once(fixture_store, tmp_path, capsys):
+    # Reported the day before the pinned clock: its chunk is stored, but its
+    # window is still open, so no note and no card reaches it.
+    record = json.loads((FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    record.update(source_uri="bio://jobs/open", timestamp="2011-11-12T09:00:00Z")
+    corpus = tmp_path / "open.jsonl"
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", corpus,
+                   "--store", fixture_store) == 0
+    chunks = [json.loads(line) for line in (fixture_store / "chunks" / "chunks.jsonl").open()]
+    reached = rename_document(fixture_store, 0)  # the card reaches its chunk
+    unreached = rename_document(fixture_store, -1)
+    findings = [
+        f"chunk {chunk['chunk_id']} -> missing document {chunk['doc_id']}"
+        for doc_id in (reached, unreached) for chunk in chunks if chunk["doc_id"] == doc_id
+    ]
+    assert len(findings) == 2
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store, "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": findings}
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    assert capsys.readouterr().out == "\n".join([*findings, "(1 cards, 2 dangling)\n"])
+
+
 def test_notes_list_filters(fixture_store, capsys):
     code = run_cli("notes", "list", "--store", fixture_store, "--subject", "steve", "--json")
     assert code == 0

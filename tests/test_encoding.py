@@ -225,3 +225,40 @@ def test_annotation_past_the_committed_documents_exits_two_naming_the_maker_stat
     err = capsys.readouterr().err
     assert f"error: {maker}: annotated is past the committed documents log" in err
     assert store_bytes(store) == before
+
+
+def length_as_text(state):
+    state["logs"]["notes/notes.jsonl"] = str(state["logs"]["notes/notes.jsonl"])
+    return state["logs"]["notes/notes.jsonl"]
+
+
+def annotated_as_text(state):
+    state["annotated"] = str(state["annotated"])
+    return state["annotated"]
+
+
+def negative_length(state):
+    state["logs"]["notes/notes.jsonl"] = -1
+    return -1
+
+
+def boolean_length(state):
+    state["logs"]["notes/notes.jsonl"] = True
+    return True
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+@pytest.mark.parametrize("malform", [length_as_text, annotated_as_text, negative_length, boolean_length])
+def test_committed_length_that_is_not_a_non_negative_integer_exits_two_naming_the_maker_state(
+    store, capsys, command, malform
+):
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    value = malform(state)
+    maker.write_text(json.dumps(state), encoding="utf-8")
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*command, "--store", store) == 2
+    err = capsys.readouterr().err
+    assert f"error: {maker}: committed length {value!r} is not a non-negative integer" in err
+    assert store_bytes(store) == before

@@ -11,7 +11,9 @@ import pytest
 
 from notecards.cards import (
     STATUS_COMMITTED,
+    STATUS_PREMATURE,
     STATUS_SUPERSEDED,
+    CardError,
     CardLedger,
     CardMaker,
     CardManager,
@@ -21,6 +23,7 @@ from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
+from notecards.ontology import load_ontology
 from notecards.ingest import TextStore
 from notecards.notes import NoteStore
 from notecards.organize import OrganizerStore
@@ -84,18 +87,43 @@ def test_late_document_flows_to_refined_store_and_remake(tmp_path):
     assert stores.ledger.committed()[0].dimension_map() == card.dimension_map()
 
     now = parse_instant(PINNED)
-    ticket = stores.manager.request_remake(card.card_id, timedelta(days=2), now)
+    stores.manager.request_remake(card.card_id, timedelta(days=2), now)
     spec = __import__("notecards.ontology", fromlist=["load_ontology"]).load_ontology(
         FIXTURES / "ocpd.json"
     )
     rebuilt = stores.manager.complete_remake(
-        ticket, now + timedelta(days=2), stores.refined, spec
+        card.card_id, now + timedelta(days=2), stores.refined, spec
     )
     assert sum(rebuilt.score_vector()) == sum(card.score_vector()) + 2  # O7-4 hits 4 and 8
     assert stores.ledger.get(card.card_id).status == STATUS_SUPERSEDED
     report = stores.manager.admit([rebuilt], spec, now + timedelta(days=2))
     assert len(report.committed) == 1
     assert report.committed[0].criteria_met == 6
+
+
+def test_a_remake_requested_in_one_process_completes_once_in_another(tmp_path):
+    config = jobs_config(tmp_path / "store")
+    run_pipeline(config)
+    spec = load_ontology(FIXTURES / "ocpd.json")
+    now = parse_instant(PINNED)
+    g1 = Stores(config).manager.request_remake("301.4@steve#g1", timedelta(days=2), now)
+    assert g1.reasoning_trail[-1].kind == "remake-requested"
+
+    stores = Stores(config)
+    with pytest.raises(CardError, match="waiting period"):
+        stores.manager.complete_remake(g1.card_id, now + timedelta(days=1), stores.refined, spec)
+    stores.manager.complete_remake(g1.card_id, now + timedelta(days=2), stores.refined, spec)
+
+    stores = Stores(config)
+    assert stores.ledger.get(g1.card_id).status == STATUS_SUPERSEDED
+    [g2] = stores.maker.premature_cards()
+    assert (g2.card_id, g2.status) == ("301.4@steve#g2", STATUS_PREMATURE)
+    assert g2.score_vector() == (4, 5, 2, 11, 0, 5, 0, 10)
+    assert g2 == stores.ledger.get(g2.card_id)
+    log = (config.store_root / "cards" / "log.jsonl").read_bytes()
+    with pytest.raises(CardError, match="no remake request"):
+        stores.manager.complete_remake(g1.card_id, now + timedelta(days=3), stores.refined, spec)
+    assert (config.store_root / "cards" / "log.jsonl").read_bytes() == log
 
 
 def test_masking_pseudonymizes_subjects_end_to_end(tmp_path):

@@ -360,5 +360,4 @@ def test_refined_store_tracks_processed_ids(tmp_path):
     assert store.processed_note_ids() == {"n-amt-3", "n-amt-5"}
     reloaded = RefinedNoteStore(tmp_path)
     assert reloaded.get(refined[0].refined_id) == refined[0]
-    assert reloaded.newer_than(-1) == [refined[0]]
-    assert reloaded.newer_than(0) == []
+    assert reloaded.list() == [refined[0]]

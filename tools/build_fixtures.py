@@ -415,44 +415,39 @@ def verify_end_to_end(tmp: Path) -> None:
     print(f"golden run ok: scores={card.score_vector()} met={card.criteria_met}")
 
 
-def main() -> None:
-    ocpd = build_ocpd()
-    alcohol = build_alcohol()
-    jobs_records = build_jobs_corpus()
-    alcohol_records = build_alcohol_corpus()
-    verify(ocpd, jobs_records, alcohol, alcohol_records)
-
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    (FIXTURES / "ocpd.json").write_text(json.dumps(ocpd, indent=2) + "\n", encoding="utf-8")
-    (FIXTURES / "alcohol.json").write_text(json.dumps(alcohol, indent=2) + "\n", encoding="utf-8")
+def fixture_texts() -> dict[str, str]:
+    """The text of every fixture file, by name under the fixtures directory."""
     rows_payload = [
         {"o_code": row[0], "entity": row[1], "relationship": row[4], "criteria": row[7]}
         for row in ROWS
         if row[8] is not None
     ]
-    (FIXTURES / "jobs_rows.json").write_text(
-        json.dumps(rows_payload, indent=2) + "\n", encoding="utf-8"
-    )
-    with (FIXTURES / "jobs_corpus.jsonl").open("w", encoding="utf-8") as handle:
-        for record in jobs_records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    with (FIXTURES / "alcohol_corpus.jsonl").open("w", encoding="utf-8") as handle:
-        for record in alcohol_records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    (FIXTURES / "jobs_config.json").write_text(
-        json.dumps(
-            {
-                "ontology": ["ocpd.json"],
-                "corpus": ["jobs_corpus.jsonl"],
-                "organize": {"window": "7d", "epsilon": "1d", "watermark": "2d"},
-                "notes": {"horizon_windows": 4},
-                "now": PINNED_NOW,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    config = {
+        "ontology": ["ocpd.json"],
+        "corpus": ["jobs_corpus.jsonl"],
+        "organize": {"window": "7d", "epsilon": "1d", "watermark": "2d"},
+        "notes": {"horizon_windows": 4},
+        "now": PINNED_NOW,
+    }
+    return {
+        "ocpd.json": json.dumps(build_ocpd(), indent=2) + "\n",
+        "alcohol.json": json.dumps(build_alcohol(), indent=2) + "\n",
+        "jobs_rows.json": json.dumps(rows_payload, indent=2) + "\n",
+        "jobs_corpus.jsonl": "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in build_jobs_corpus()
+        ),
+        "alcohol_corpus.jsonl": "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in build_alcohol_corpus()
+        ),
+        "jobs_config.json": json.dumps(config, indent=2) + "\n",
+    }
+
+
+def main() -> None:
+    verify(build_ocpd(), build_jobs_corpus(), build_alcohol(), build_alcohol_corpus())
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for name, text in fixture_texts().items():
+        (FIXTURES / name).write_text(text, encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         verify_end_to_end(Path(tmp))
     print("fixtures written to", FIXTURES)
