@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .clock import format_instant, parse_instant
-from .encoding import append_jsonl, canonical_json, content_hash, read_json, read_jsonl
-from .encoding import synced_length, write_json
+from .encoding import StoreFormatError, append_jsonl, build_record, canonical_json, content_hash
+from .encoding import read_json, read_jsonl, synced_length, write_json
 from .ontology import ConceptDef, OntologySpec
 from .refine import RefinedNote, RefinedNoteStore
 
@@ -295,21 +295,27 @@ class CardMaker:
     """Holds premature cards per (subject, concept) until threshold.
 
     ``maker.json`` holds the held cards, the closed slots, ``annotated``
-    (how much of the documents log annotation has covered) and, under
-    ``logs``, the synced byte length at the save of each of :data:`LOGS`
-    in the store *root* is in, which commits them. Other keys are ignored.
-    *state* is that file's value when the caller has read it already.
+    (how much of the documents log annotation has covered), ``corpora``
+    (what ingestion consumed of each corpus path, which only writers read;
+    see :mod:`notecards.ingest`) and, under ``logs``, the synced byte
+    length at the save of each of :data:`LOGS` in the store *root* is in,
+    which commits them. Other keys are ignored. *state* is that file's
+    value when the caller has read it already.
     """
 
     def __init__(self, root: Path, state: dict | None = None):
         self.root = Path(root)
         self._path = self.root / "maker.json"
         state = read_json(self._path, {}) if state is None else state
-        self._cards: dict[str, Card] = {
-            k: card_from_dict(v) for k, v in state.get("cards", {}).items()
-        }
+        self._cards: dict[str, Card] = build_record(
+            self._path, "the value of cards",
+            lambda cards: {k: card_from_dict(v) for k, v in cards.items()}, state.get("cards", {}),
+        )
         self._closed: set[str] = set(state.get("closed", ()))
         self.annotated: int = state.get("annotated", 0)
+        self.corpora: dict[str, dict] = state.get("corpora", {})
+        if not isinstance(self.corpora, dict):
+            raise StoreFormatError(f"{self._path}: corpora is not a JSON object")
 
     @staticmethod
     def slot_key(subject: str, concept_id: str) -> str:
@@ -320,6 +326,7 @@ class CardMaker:
             "annotated": self.annotated,
             "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
+            "corpora": self.corpora,
             "logs": {name: synced_length(self.root.parent / name) for name in LOGS},
         }
         write_json(self._path, state)
@@ -387,6 +394,10 @@ class CardMaker:
 # ---------------------------------------------------------------------------
 
 
+def _snapshot(record: dict) -> Card | None:
+    return card_from_dict(record["card"]) if record["type"] == "snapshot" else None
+
+
 class CardLedger:
     """Snapshot log, replayed up to byte *end*, plus derived index; manager-only writes."""
 
@@ -399,9 +410,8 @@ class CardLedger:
     @staticmethod
     def replay(log_path: Path, end: int | None = None) -> dict[str, Card]:
         cards: dict[str, Card] = {}
-        for record in read_jsonl(log_path, end):
-            if record["type"] == "snapshot":
-                card = card_from_dict(record["card"])
+        for card in read_jsonl(log_path, end, build=_snapshot):
+            if card is not None:
                 cards[card.card_id] = card
         return cards
 

@@ -217,15 +217,18 @@ def cmd_ingest(args) -> int:
     root = Path(config.store_root)
     with StoreLock(root):
         repaired = cut_to_commit(root)
+        maker = CardMaker(root / "cards")
         summary = ingest_corpus(
             config.corpus_paths,
             TextStore(root / "documents"),
             clock,
             mask_key=config.mask_key(),
             mask_aliases=config.mask_aliases or None,
+            consumed=maker.corpora,
         )
+        maker.corpora.update(summary.consumed)
         # Commits the documents; annotated stays for the next run to move.
-        CardMaker(root / "cards").save()
+        maker.save()
     _report_repaired(repaired)
     if args.json:
         print(
@@ -388,12 +391,17 @@ def cmd_routes(args) -> int:
 def cmd_store_check(args) -> int:
     config = _build_config(args)
     _store_root(config)
-    stores = Stores(config)  # decodes every committed line and replays the ledger
+    stores = Stores(config)  # indexes every committed line and replays the ledger
+    # Build every record of every committed line; one that is not a record exits 2.
+    stores.text.list()
+    stores.notes.list()
+    stores.refined.list()
+    chunks = stores.organizer.chunks()
     cards = _all_cards(stores.ledger, stores.maker)
     problems = [problem for card in cards for problem in audit_card(card.card_id, stores)]
     problems += [
         f"chunk {chunk.chunk_id} -> missing document {chunk.doc_id}"
-        for chunk in stores.organizer.chunks() if chunk.doc_id not in stores.text
+        for chunk in chunks if chunk.doc_id not in stores.text
     ]
     problems = list(dict.fromkeys(problems))  # a chunk's card reaches it too
     if args.json:

@@ -26,7 +26,7 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 # Namespace for all name-based UUIDs minted by this package.
 ID_NAMESPACE = uuid.NAMESPACE_DNS
@@ -79,20 +79,46 @@ def write_json(path: Path, value: Any) -> None:
     os.replace(tmp, path)
 
 
-def _decode(path: Path, where: str, line: bytes) -> Any:
+def build_record(path: Path, where: str, build: Callable[[Any], Any], value: Any) -> Any:
+    """``build(value)``; a value it cannot build, valid JSON that is not a
+    record of *path* (say, one missing a field), raises :class:`StoreFormatError`."""
     try:
-        return json.loads(line.decode("utf-8"))
+        return build(value)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise StoreFormatError(f"{path}: {where} is not a {path.name} record: {exc!r}") from None
+
+
+def record_id(raw: Any, name: str) -> str:
+    """The id field *name* of a raw record, which must be a string."""
+    value = raw[name]
+    if not isinstance(value, str):
+        raise TypeError(f"{name} {value!r} is not a string")
+    return value
+
+
+def _decode(path: Path, where: str, line: bytes, build: Callable[[Any], Any] | None) -> Any:
+    try:
+        record = json.loads(line.decode("utf-8"))
     except ValueError as exc:
         raise StoreFormatError(f"{path}: {where} does not decode: {exc}") from None
+    return record if build is None else build_record(path, where, build, record)
 
 
-def read_jsonl(path: Path, end: int | None = None) -> Iterator[Any]:
-    """A log's records in order, up to byte *end* (a line end) if given; a torn line raises."""
-    for _offset, record in read_jsonl_offsets(path, end):
+def read_jsonl(
+    path: Path, end: int | None = None, build: Callable[[Any], Any] | None = None
+) -> Iterator[Any]:
+    """A log's records in order, up to byte *end* (a line end) if given; a torn line raises.
+
+    With *build*, each record is ``build(record)``; a record it cannot
+    build raises :class:`StoreFormatError`, naming the file and the line.
+    """
+    for _offset, record in read_jsonl_offsets(path, end, build=build):
         yield record
 
 
-def read_jsonl_offsets(path: Path, end: int | None = None) -> Iterator[tuple[int, Any]]:
+def read_jsonl_offsets(
+    path: Path, end: int | None = None, build: Callable[[Any], Any] | None = None
+) -> Iterator[tuple[int, Any]]:
     """Each record of a log with the byte offset its line starts at, as :func:`read_jsonl`."""
     if not path.exists():
         return
@@ -105,7 +131,7 @@ def read_jsonl_offsets(path: Path, end: int | None = None) -> Iterator[tuple[int
                 raise StoreFormatError(
                     f"{path}: line {number} is the torn end of an interrupted append"
                 )
-            yield offset, _decode(path, f"line {number}", line)
+            yield offset, _decode(path, f"line {number}", line, build)
             offset += len(line)
 
 
@@ -146,12 +172,18 @@ def synced_length(path: Path) -> int:
     return path.stat().st_size
 
 
-def read_jsonl_at(path: Path, offsets: Iterable[int]) -> Iterator[Any]:
-    """The records of the log lines that start at *offsets*, in that order."""
+def read_jsonl_at(
+    path: Path, offsets: Iterable[int], build: Callable[[Any], Any] | None = None
+) -> Iterator[Any]:
+    """The records of the log lines that start at *offsets*, in that order, as
+    :func:`read_jsonl`; no offsets open nothing."""
+    offsets = list(offsets)
+    if not offsets:
+        return
     with path.open("rb") as handle:
         for offset in offsets:
             handle.seek(offset)
-            yield _decode(path, f"the line at byte {offset}", handle.readline())
+            yield _decode(path, f"the line at byte {offset}", handle.readline(), build)
 
 
 def append_jsonl(path: Path, records: Iterable[Any]) -> list[int]:

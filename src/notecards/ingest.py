@@ -6,6 +6,16 @@ Lines (one document per record:
 Document ids are name-based UUIDs over (text, source_uri, timestamp), so
 re-ingesting identical records is a no-op and needs no central counter.
 
+A rerun parses only what a JSON Lines corpus gained. The maker's save
+keeps, per corpus path, what was consumed of it: the length up to its
+last whole line, a sha256 of those bytes, the accepted and rejected
+records among them, and a keyed fingerprint of the masking settings.
+When the prefix digest and the fingerprint still match, the prefix is
+counted from that record and only the tail is parsed; otherwise the whole
+file is, and content ids keep that idempotent. Either way the summary
+counts what a whole parse counts. Plain-text corpora, one document each,
+are always read whole.
+
 The text store is one append-only log, ``documents.jsonl``: one line per
 document in ingestion order, so a byte offset is a position in that
 order. The maker's save commits the log with every other log of the
@@ -18,14 +28,16 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import os
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
-from .encoding import append_jsonl, canonical_json, name_uuid, read_jsonl_at, read_jsonl_offsets
+from .encoding import append_jsonl, canonical_json, name_uuid
+from .encoding import read_jsonl_at, read_jsonl_offsets, record_id
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -58,6 +70,9 @@ class IngestSummary:
     accepted: int = 0
     rejected: int = 0
     duplicates: int = 0
+    # Corpus path -> what was consumed of it (see the module docstring);
+    # the caller commits it with the maker's save.
+    consumed: dict[str, dict] = field(default_factory=dict)
 
 
 def normalize_text(text: str) -> str:
@@ -95,6 +110,15 @@ def mask_token(key: bytes, subject: str) -> str:
     """Deterministic keyed-hash pseudonym for one subject id."""
     digest = hmac.new(key, subject.encode("utf-8"), hashlib.sha256).hexdigest()
     return digest[:_MASK_TOKEN_HEX]
+
+
+def mask_fingerprint(key: bytes | None, aliases: dict[str, tuple[str, ...]] | None) -> str | None:
+    """The masking settings as a corpus record keeps them: a keyed hash that
+    reveals nothing of the key, or None when nothing is masked."""
+    if key is None:
+        return None
+    settings = {subject: list(names) for subject, names in (aliases or {}).items()}
+    return mask_token(key, canonical_json(["mask settings", settings]))
 
 
 def mask_subjects(
@@ -178,9 +202,8 @@ class TextStore:
         self.root = Path(root)
         self._path = self.root / "documents.jsonl"
         # doc_id -> the offset of its line; insertion order is ingestion order.
-        self._offsets: dict[str, int] = {
-            record["doc_id"]: offset for offset, record in read_jsonl_offsets(self._path, end)
-        }
+        index = read_jsonl_offsets(self._path, end, build=lambda raw: record_id(raw, "doc_id"))
+        self._offsets: dict[str, int] = {doc_id: offset for offset, doc_id in index}
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._offsets
@@ -210,15 +233,13 @@ class TextStore:
         offset = self._offsets.get(doc_id)
         if offset is None:
             raise IngestError(f"unknown doc_id {doc_id!r}")
-        [record] = read_jsonl_at(self._path, [offset])
-        return _document_from_dict(record)
+        [document] = read_jsonl_at(self._path, [offset], build=_document_from_dict)
+        return document
 
     def list(self, start: int = 0) -> list[Document]:
         """The documents from byte offset *start* of the log on, in ingestion order."""
         offsets = [offset for offset in self._offsets.values() if offset >= start]
-        if not offsets:
-            return []
-        return [_document_from_dict(record) for record in read_jsonl_at(self._path, offsets)]
+        return list(read_jsonl_at(self._path, offsets, build=_document_from_dict))
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +273,97 @@ def _parse_record(raw: dict, clock: Clock) -> Document:
     return make_document(text, meta, ingested_at=clock.now())
 
 
-def read_corpus(path: Path, clock: Clock, summary: IngestSummary) -> Iterator[Document]:
-    """Yield documents from one corpus file, counting rejects as we go."""
-    if not path.exists():
-        raise IngestError(f"corpus not readable: {path}")
-    if path.suffix == ".jsonl":
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+def _parse_line(line: str, clock: Clock) -> Document:
+    raw = json.loads(line)
+    if not isinstance(raw, dict):
+        raise ValueError("record is not an object")
+    return _parse_record(raw, clock)
+
+
+def _consumed_prefix(handle, known, mask: str | None):
+    """A sha256 of the prefix *known* records, and whether that record still
+    holds: same masking fingerprint, same bytes. The handle is left past the
+    prefix when it holds, at the start when not. Any other record is stale."""
+    digest = hashlib.sha256()
+    if not isinstance(known, dict) or known.get("mask") != mask:
+        return digest, False
+    counts = [known.get(name) for name in ("length", "accepted", "rejected")]
+    if not all(type(count) is int and count >= 0 for count in counts):
+        return digest, False
+    remaining = counts[0]
+    while remaining:
+        block = handle.read(min(remaining, 1 << 20))
+        if not block:
+            break
+        digest.update(block)
+        remaining -= len(block)
+    if remaining or digest.hexdigest() != known.get("sha256"):
+        handle.seek(0)
+        return hashlib.sha256(), False
+    return digest, True
+
+
+def _read_jsonl_corpus(
+    path: Path, clock: Clock, summary: IngestSummary, known, mask: str | None
+) -> Iterator[Document]:
+    """Yield the documents of a JSON Lines corpus past the prefix *known*
+    records, counting that prefix from the record; the record of what is
+    consumed now goes to ``summary.consumed``.
+
+    Lines split as text mode splits them (``\\n``, ``\\r\\n`` or ``\\r``), so
+    counts match a whole parse; a record ends at a ``\\n`` byte, so the bytes
+    past the last one (a line still being written) are parsed on every run.
+    """
+    with path.open("rb") as handle:
+        digest, skipped = _consumed_prefix(handle, known, mask)
+        record = {"length": 0, "accepted": 0, "rejected": 0, "mask": mask}
+        if skipped:
+            record.update((name, known[name]) for name in ("length", "accepted", "rejected"))
+            summary.duplicates += known["accepted"]  # stored by the commit that consumed them
+            summary.rejected += known["rejected"]
+        accepted = rejected = 0  # past record["length"]
+        for raw in handle:
+            text = raw.decode("utf-8")
+            lines = [text]  # json.loads and strip() ignore the line's own end
+            if "\r" in text:
+                lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            for line in lines:
                 if not line.strip():
                     continue
                 try:
-                    raw = json.loads(line)
-                    if not isinstance(raw, dict):
-                        raise ValueError("record is not an object")
-                    yield _parse_record(raw, clock)
+                    doc = _parse_line(line, clock)
                 except (ValueError, KeyError):
-                    summary.rejected += 1
+                    rejected += 1
+                    continue
+                accepted += 1
+                yield doc
+            if raw.endswith(b"\n"):
+                digest.update(raw)
+                record["length"] += len(raw)
+                record["accepted"] += accepted
+                record["rejected"] += rejected
+                summary.rejected += rejected
+                accepted = rejected = 0
+        summary.rejected += rejected
+    record["sha256"] = digest.hexdigest()
+    summary.consumed[os.path.abspath(path)] = record
+
+
+def read_corpus(
+    path: Path,
+    clock: Clock,
+    summary: IngestSummary,
+    known: dict | None = None,
+    mask: str | None = None,
+) -> Iterator[Document]:
+    """Yield documents from one corpus file, counting rejects as we go.
+
+    A JSON Lines corpus skips the prefix *known* records while it holds.
+    """
+    if not path.exists():
+        raise IngestError(f"corpus not readable: {path}")
+    if path.suffix == ".jsonl":
+        yield from _read_jsonl_corpus(path, clock, summary, known, mask)
         return
     text = path.read_text(encoding="utf-8")
     if not text.strip():
@@ -283,9 +379,17 @@ def ingest_corpus(
     clock: Clock,
     mask_key: bytes | None = None,
     mask_aliases: dict[str, tuple[str, ...]] | None = None,
+    consumed: dict[str, dict] | None = None,
 ) -> IngestSummary:
-    """Ingest corpus files into the store; malformed records never abort."""
+    """Ingest corpus files into the store; malformed records never abort.
+
+    *consumed* is what the last commit consumed of each corpus path
+    (``IngestSummary.consumed`` of the call it saved); its documents are
+    in the store already, so a prefix it still describes is not parsed.
+    """
     summary = IngestSummary()
+    consumed = consumed or {}
+    mask = mask_fingerprint(mask_key, mask_aliases)
     paths = [Path(source) for source in sources]
     # Check readability up front so a bad path never leaves a partial run.
     for path in paths:
@@ -294,7 +398,8 @@ def ingest_corpus(
 
     def documents() -> Iterator[Document]:
         for source in paths:
-            for doc in read_corpus(source, clock, summary):
+            known = consumed.get(os.path.abspath(source))
+            for doc in read_corpus(source, clock, summary, known, mask):
                 if mask_key is not None:
                     doc = mask_subjects(doc, mask_key, mask_aliases)
                 yield doc
@@ -302,6 +407,6 @@ def ingest_corpus(
     added, duplicates = store.add_all(documents())
     # A well-formed record is accepted even when it is already stored;
     # idempotence shows up as duplicates, not rejections.
-    summary.accepted = added + duplicates
-    summary.duplicates = duplicates
+    summary.duplicates += duplicates
+    summary.accepted = added + summary.duplicates
     return summary

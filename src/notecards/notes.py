@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .annotate import AnnotatedChunk
 from .clock import format_instant, parse_instant
-from .encoding import append_jsonl, content_hash, read_jsonl
+from .encoding import append_jsonl, content_hash, read_jsonl_at, read_jsonl_offsets, record_id
 from .ontology import Confidence, Intensity, NoteTemplate, OntologySpec
 from .organize import DEFAULT_WINDOW, ChunkGroup
 
@@ -260,39 +260,41 @@ def note_from_dict(raw: dict) -> Note:
 
 
 class NoteStore:
-    """Append-only note table keyed by note_id, read up to byte *end*; filters scan it."""
+    """Append-only note table, indexed by note_id at open up to byte *end*;
+    notes are decoded from their lines on demand, and filters scan them."""
 
     def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "notes.jsonl"
-        self._notes: dict[str, Note] = {}
-        for raw in read_jsonl(self._path, end):
-            note = note_from_dict(raw)
-            self._notes[note.note_id] = note
+        index = read_jsonl_offsets(self._path, end, build=lambda raw: record_id(raw, "note_id"))
+        # note_id -> the offset of its line, in log order.
+        self._offsets: dict[str, int] = {note_id: offset for offset, note_id in index}
 
     def __len__(self) -> int:
-        return len(self._notes)
+        return len(self._offsets)
 
     def __contains__(self, note_id: str) -> bool:
-        return note_id in self._notes
+        return note_id in self._offsets
 
     def get(self, note_id: str) -> Note | None:
-        return self._notes.get(note_id)
+        if note_id not in self._offsets:
+            return None
+        [note] = read_jsonl_at(self._path, [self._offsets[note_id]], build=note_from_dict)
+        return note
 
     def add_all(self, notes: Iterable[Note]) -> int:
-        new = [n for n in notes if n.note_id not in self._notes]
+        new = [n for n in notes if n.note_id not in self._offsets]
         if not new:
             return 0
-        append_jsonl(self._path, map(note_to_dict, new))
-        for note in new:
-            self._notes[note.note_id] = note
+        offsets = append_jsonl(self._path, map(note_to_dict, new))
+        self._offsets.update((note.note_id, offset) for note, offset in zip(new, offsets))
         return len(new)
 
     def list(
         self, subject: str | None = None, action: tuple[str, str] | None = None
     ) -> list[Note]:
         out = []
-        for note in self._notes.values():
+        for note in read_jsonl_at(self._path, self._offsets.values(), build=note_from_dict):
             if subject is not None and note.subject != subject:
                 continue
             if action is not None and note.action != action:

@@ -9,6 +9,14 @@ string equality only.
 A group releases once ``window.end + watermark <= now``. Chunks that show
 up for an already-released key form a supplemental group flagged ``late``;
 downstream refinement reconciles those against the released notes.
+
+The store keeps in memory only the chunks no released line names: this
+run's new chunks, chunks still waiting on their watermark, and duplicates
+absorbed into a released chunk. :meth:`OrganizerStore.close_window`
+regroups only the keys those chunks fall in, each with the chunks already
+released under it read back by offset. A key whose chunks were all
+released has nothing fresh to release, so this releases exactly what
+regrouping every stored chunk would.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Container, Iterable, Sequence
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
 from .encoding import append_jsonl, canonical_json, read_jsonl
+from .encoding import read_jsonl_at, read_jsonl_offsets, record_id
 
 WILDCARD_PLACE = "*"
 
@@ -180,12 +189,21 @@ def chunk_from_dict(raw: dict) -> AnnotatedChunk:
     )
 
 
+def _released_from_dict(raw: dict) -> dict[str, list[str]]:
+    if not isinstance(raw, dict) or not all(
+        isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in raw.values()
+    ):
+        raise TypeError("not a map from group keys to released chunk ids")
+    return raw
+
+
 class OrganizerStore:
     """Single-writer chunk store with released-group bookkeeping.
 
     ``released.jsonl`` holds one line per run that released anything,
     mapping each released key to the chunk ids it released; replaying it
-    gives every key's released chunk ids.
+    gives every key's released chunk ids. Chunks are indexed by offset,
+    and only the unreleased ones are kept decoded (see the module docstring).
     """
 
     def __init__(
@@ -203,36 +221,54 @@ class OrganizerStore:
         self.watermark = watermark
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.jsonl"
-        self._chunks: dict[str, AnnotatedChunk] = {}
-        for raw in read_jsonl(self._chunks_path, chunks_end):
-            chunk = chunk_from_dict(raw)
-            self._chunks[chunk.chunk_id] = chunk
         self._released: dict[str, list[str]] = {}
-        for record in read_jsonl(self._released_path, released_end):
+        for record in read_jsonl(self._released_path, released_end, build=_released_from_dict):
             for key, chunk_ids in record.items():
                 seen = self._released.get(key)
                 self._released[key] = sorted(seen + chunk_ids) if seen else chunk_ids
+        named = {chunk_id for chunk_ids in self._released.values() for chunk_id in chunk_ids}
+
+        def index(raw: dict) -> tuple[str, AnnotatedChunk | None]:
+            chunk_id = record_id(raw, "chunk_id")
+            return chunk_id, None if chunk_id in named else chunk_from_dict(raw)
+
+        self._offsets: dict[str, int] = {}  # chunk_id -> its line; in log order
+        self._unreleased: dict[str, AnnotatedChunk] = {}  # in log order
+        lines = read_jsonl_offsets(self._chunks_path, chunks_end, build=index)
+        for offset, (chunk_id, chunk) in lines:
+            self._offsets[chunk_id] = offset
+            if chunk is not None:
+                self._unreleased[chunk_id] = chunk
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return len(self._offsets)
 
     def has_chunk(self, chunk_id: str) -> bool:
-        return chunk_id in self._chunks
+        return chunk_id in self._offsets
+
+    def _read(self, chunk_ids) -> list[AnnotatedChunk]:
+        offsets = [self._offsets[chunk_id] for chunk_id in chunk_ids]
+        return list(read_jsonl_at(self._chunks_path, offsets, build=chunk_from_dict))
 
     def get_chunk(self, chunk_id: str) -> AnnotatedChunk | None:
-        return self._chunks.get(chunk_id)
+        chunk = self._unreleased.get(chunk_id)
+        if chunk is None and chunk_id in self._offsets:
+            [chunk] = self._read([chunk_id])
+        return chunk
 
     def chunks(self) -> list[AnnotatedChunk]:
-        return list(self._chunks.values())
+        """Every stored chunk, in log order, each decoded from its line."""
+        return self._read(self._offsets)
 
     def add_chunks(self, chunks: Sequence[AnnotatedChunk]) -> int:
         """Append chunks not seen before; returns how many were new."""
-        new = [c for c in chunks if c.chunk_id not in self._chunks]
+        new = [c for c in chunks if c.chunk_id not in self._offsets]
         if not new:
             return 0
-        append_jsonl(self._chunks_path, map(chunk_to_dict, new))
-        for chunk in new:
-            self._chunks[chunk.chunk_id] = chunk
+        offsets = append_jsonl(self._chunks_path, map(chunk_to_dict, new))
+        for chunk, offset in zip(new, offsets):
+            self._offsets[chunk.chunk_id] = offset
+            self._unreleased[chunk.chunk_id] = chunk
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:
@@ -240,25 +276,40 @@ class OrganizerStore:
 
         Released groups are immutable: a key is released at most once for
         a given chunk set, and chunks that arrive for an already-released
-        key come back as a supplemental group flagged ``late``. Only the
-        state in memory changes; :meth:`log_released` makes it durable.
+        key come back as a supplemental group flagged ``late``. Only keys
+        that hold an unreleased chunk are regrouped, each with all of its
+        chunks. Only the state in memory changes; :meth:`log_released`
+        makes it durable.
         """
+        groups = assign_windows(self._unreleased.values(), self.window_length)
+        released_ids = [
+            chunk_id
+            for group in groups
+            for chunk_id in self._released.get(group.key, ())
+            if chunk_id in self._offsets
+        ]
+        if released_ids:
+            # Each touched key with the chunks released under it, in log order as stored.
+            chunks = [*self._unreleased.values(), *self._read(released_ids)]
+            chunks.sort(key=lambda chunk: self._offsets[chunk.chunk_id])
+            groups = assign_windows(chunks, self.window_length)
         released_now: list[ChunkGroup] = []
-        for group in assign_windows(self._chunks.values(), self.window_length):
+        for group in groups:
             seen = set(self._released.get(group.key, ()))
             group = dedupe_group(group, self.epsilon, seen)
             if seen:
                 fresh = tuple(c for c in group.chunks if c.chunk_id not in seen)
                 if not fresh:
                     continue
-                late_group = replace(group, chunks=fresh, late=True)
-                self._released[group.key] = sorted(
-                    seen | {c.chunk_id for c in fresh}
-                )
-                released_now.append(late_group)
+                group = replace(group, chunks=fresh, late=True)
+                self._released[group.key] = sorted(seen | {c.chunk_id for c in fresh})
             elif ready_for_release(group, now, self.watermark):
                 self._released[group.key] = sorted(c.chunk_id for c in group.chunks)
-                released_now.append(group)
+            else:
+                continue
+            released_now.append(group)
+            for chunk in group.chunks:
+                del self._unreleased[chunk.chunk_id]
         return released_now
 
     def log_released(self, groups: Sequence[ChunkGroup]) -> None:

@@ -13,7 +13,15 @@ One commit rule: the last write of ``run`` and of ``ingest``, the maker's
 save, syncs every log and records its length. Every command reads each
 log only up to it (:func:`read_commit`); ``run`` and ``ingest`` first
 cut each log back to it (:func:`cut_to_commit`). A run's save also moves
-``annotated`` to the end of the documents log; an ingest's leaves it.
+``annotated`` to the end of the documents log; an ingest's leaves it, and
+both record what they consumed of each corpus, so the next skips it.
+
+A rerun costs what its new input costs. Opening the stores decodes each
+committed line once and keeps what a writer needs: ids with the offsets of
+their lines, the processed note ids, the released chunk ids and the chunks
+not yet released. Everything else, drill-down included, decodes a record
+from its line when asked, and organizing regroups only the keys that hold
+an unreleased chunk.
 """
 
 from __future__ import annotations
@@ -240,7 +248,7 @@ class StoreLock:
 
 
 class Stores:
-    """All six stores under one root, each reading its logs up to the last commit."""
+    """All six stores under one root, each indexing its logs up to the last commit."""
 
     def __init__(self, config: PipelineConfig):
         root = Path(config.store_root)
@@ -373,7 +381,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
             clock,
             mask_key=config.mask_key(),
             mask_aliases=config.mask_aliases or None,
+            consumed=stores.maker.corpora,
         )
+        stores.maker.corpora.update(ingest_summary.consumed)
         summary.documents_ingested = ingest_summary.accepted
         summary.documents_rejected = ingest_summary.rejected
 

@@ -31,7 +31,7 @@ from typing import Any, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
-from .encoding import append_jsonl, content_hash, read_jsonl
+from .encoding import append_jsonl, content_hash, read_jsonl_at, read_jsonl_offsets, record_id
 from .notes import Note, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
@@ -92,14 +92,18 @@ class RefinedNote:
 
     def input_note_ids(self) -> tuple[str, ...]:
         """Every source note this refined note accounts for."""
-        if self.passthrough:
-            return (self.note.note_id,)
-        seen: list[str] = []
-        for application in self.applied_rules:
-            for note_id in application.input_note_ids:
-                if note_id not in seen:
-                    seen.append(note_id)
-        return tuple(seen)
+        return _input_note_ids(
+            self.passthrough, self.note.note_id, (a.input_note_ids for a in self.applied_rules)
+        )
+
+
+def _input_note_ids(
+    passthrough: bool, note_id: str, rule_inputs: Iterable[Iterable[str]]
+) -> tuple[str, ...]:
+    """A passthrough note accounts for itself, any other for its rules' inputs, once each."""
+    if passthrough:
+        return (note_id,)
+    return tuple(dict.fromkeys(i for inputs in rule_inputs for i in inputs))
 
 
 @dataclass(frozen=True)
@@ -453,41 +457,56 @@ def refined_from_dict(raw: dict) -> RefinedNote:
     )
 
 
+def _index_refined(raw: dict) -> tuple[str, tuple[str, ...]]:
+    """A refined line's id and the note ids it accounts for, without building it."""
+    inputs = _input_note_ids(
+        raw.get("passthrough", False),
+        raw["note"]["note_id"],
+        (a["input_note_ids"] for a in raw.get("applied_rules", ())),
+    )
+    return record_id(raw, "refined_id"), inputs
+
+
 class RefinedNoteStore:
-    """Append-only refined-note log, read up to byte *end*; trails embedded per record."""
+    """Append-only refined-note log, indexed at open up to byte *end*; trails
+    embedded per record, which are decoded from their lines on demand."""
 
     def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
-        self._records: dict[str, RefinedNote] = {}  # in log order
-        for raw in read_jsonl(self._path, end):
-            record = refined_from_dict(raw)
-            self._records[record.refined_id] = record
+        self._offsets: dict[str, int] = {}  # refined_id -> its line; in log order
+        self._processed: set[str] = set()
+        lines = read_jsonl_offsets(self._path, end, build=_index_refined)
+        for offset, (refined_id, inputs) in lines:
+            self._offsets[refined_id] = offset
+            self._processed.update(inputs)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._offsets)
 
     def __contains__(self, refined_id: str) -> bool:
-        return refined_id in self._records
+        return refined_id in self._offsets
 
     def get(self, refined_id: str) -> RefinedNote | None:
-        return self._records.get(refined_id)
+        if refined_id not in self._offsets:
+            return None
+        [record] = read_jsonl_at(self._path, [self._offsets[refined_id]], build=refined_from_dict)
+        return record
 
     def processed_note_ids(self) -> set[str]:
         """Source note ids already accounted for by stored refinements."""
-        processed: set[str] = set()
-        for record in self._records.values():
-            processed.update(record.input_note_ids())
-        return processed
+        return set(self._processed)
 
     def add_all(self, records: Iterable[RefinedNote]) -> int:
-        new = [r for r in records if r.refined_id not in self._records]
+        new = [r for r in records if r.refined_id not in self._offsets]
         if not new:
             return 0
-        append_jsonl(self._path, map(refined_to_dict, new))
-        self._records.update((record.refined_id, record) for record in new)
+        offsets = append_jsonl(self._path, map(refined_to_dict, new))
+        for record, offset in zip(new, offsets):
+            self._offsets[record.refined_id] = offset
+            self._processed.update(record.input_note_ids())
         return len(new)
 
     def list(self) -> list[RefinedNote]:
         """Every stored refined note, in log order."""
-        return list(self._records.values())
+        return list(read_jsonl_at(self._path, self._offsets.values(), build=refined_from_dict))

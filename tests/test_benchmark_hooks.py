@@ -1,20 +1,55 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from notecards.pipeline import load_config, run_pipeline
+
+from conftest import FIXTURES, store_bytes
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_is_defined_on_its_owner():
     # The tracer looks each name up in its owner's own __dict__, so a method
     # moved into a helper or base class would break only a traced benchmark run.
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = load("layers")
     missing = [
         layers.target_name(owner, attribute)
         for owner, attribute, *_ in layers.RUN_TARGETS + layers.CLI_TARGETS
         if not callable(owner.__dict__.get(attribute))
     ]
     assert missing == []
+
+
+def test_every_run_wrapper_fires_on_a_cold_run_and_a_rerun_with_new_input(tmp_path, monkeypatch):
+    # The benchmark's traced workloads fail when a wrapper stays silent; a run
+    # that stops calling a traced name fails here first.
+    layers = load("layers")
+    inputs = load("gen").generate(tmp_path / "inputs", FIXTURES, 7, 3, 2, 1)
+
+    def run(store: Path, config_file: Path) -> None:
+        config = load_config(config_file)
+        config.store_root = store
+        run_pipeline(config)
+
+    for config_file in (inputs.config, inputs.config_plus):
+        run(tmp_path / "untraced", config_file)
+    for owner, attribute, *_ in layers.RUN_TARGETS:
+        monkeypatch.setattr(owner, attribute, owner.__dict__[attribute])  # restored after the test
+    tracer = layers.install(layers.RUN_TARGETS, lambda: 0)
+    for config_file in (inputs.config, inputs.config_plus):
+        tracer.fired.clear()
+        run(tmp_path / "traced", config_file)
+        assert layers.unfired(layers.RUN_TARGETS, tracer.fired) == [], config_file.name
+    assert tracer.counts["ingest.docs_new"] == inputs.docs + inputs.new_docs
+    assert store_bytes(tmp_path / "traced") == store_bytes(tmp_path / "untraced")

@@ -500,9 +500,9 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
     decoded = []
 
     def recording(reader):
-        def read(path, *args):
+        def read(path, *args, **kwargs):
             decoded.append((str(Path(path).relative_to(fixture_store)), *args))
-            return reader(path, *args)
+            return reader(path, *args, **kwargs)
 
         return read
 
@@ -582,6 +582,79 @@ def test_writer_cuts_an_undecodable_line_past_the_commit(fixture_store, capsys, 
     path.write_bytes(intact + b"{not json\n")
     assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", fixture_store) == 0
     assert path.read_bytes() == intact
+
+
+def drop_field(path: Path, field: str | None) -> None:
+    """Delete *field* from the first line of *path* (with None, make it a list),
+    keeping the line's length: valid JSON that is not a record of the log."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    if field is None:
+        record = []
+    else:
+        del record[field]
+    lines[0] = encoding.canonical_json(record).encode("ascii").ljust(len(lines[0]) - 1) + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+NOT_RECORDS = [
+    ("documents/documents.jsonl", "text"),
+    ("chunks/chunks.jsonl", "subject"),
+    ("chunks/released.jsonl", None),
+    ("notes/notes.jsonl", "intensity"),
+    ("refined/refined.jsonl", "note"),
+    ("cards/log.jsonl", "card"),
+]
+
+
+@pytest.mark.parametrize("log, field", NOT_RECORDS, ids=[log for log, _ in NOT_RECORDS])
+def test_a_line_that_is_not_a_record_exits_two_naming_file_and_line(
+    fixture_store, capsys, log, field
+):
+    capsys.readouterr()
+    outputs = {}
+    for command in READ_ONLY_COMMANDS:
+        assert run_cli(*command, "--store", fixture_store) == 0
+        outputs[command] = capsys.readouterr().out
+    path = fixture_store / log
+    drop_field(path, field)
+    before = store_bytes(fixture_store)
+    for command in READ_ONLY_COMMANDS:
+        # A command that decodes the line exits 2; one that does not is unchanged.
+        code = run_cli(*command, "--store", fixture_store)
+        out, err = capsys.readouterr()
+        if command == ("store", "check") or code != 0:
+            assert code == 2
+            assert f"error: {path}: " in err and f"is not a {path.name} record" in err
+            assert "line 1 " in err or "the line at byte 0 " in err
+        else:
+            assert out == outputs[command]
+    assert store_bytes(fixture_store) == before
+    code = run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", fixture_store)
+    assert code in (0, 2)
+
+
+def test_a_chunk_without_its_subject_fails_drill_down_and_store_check(fixture_store, capsys):
+    path = fixture_store / "chunks" / "chunks.jsonl"
+    drop_field(path, "subject")
+    capsys.readouterr()
+    for command in (("store", "check"), ("card", "show", CARD), ("card", "show", CARD, "--audit")):
+        assert run_cli(*command, "--store", fixture_store) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "is not a chunks.jsonl record: KeyError('subject')" in err
+
+
+@pytest.mark.parametrize("name, value", [("corpora", []), ("cards", {"slot": {"card_id": "x"}})])
+def test_maker_state_whose_cards_or_corpora_are_not_records_exits_two_naming_it(
+    fixture_store, capsys, name, value
+):
+    path = fixture_store / "cards" / "maker.json"
+    state = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(state, **{name: value})), encoding="utf-8")
+    capsys.readouterr()
+    for command in (("cards", "list"), ("run", "--config", FIXTURES / "jobs_config.json")):
+        assert run_cli(*command, "--store", fixture_store) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_undecodable_maker_state_exits_two_naming_it(fixture_store, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -93,7 +94,9 @@ def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
     store = tmp_path / "store"
     assert cut_to_commit(store) == []
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
-    assert maker == {"annotated": 0, "cards": {}, "closed": [], "logs": dict.fromkeys(LOGS, 0)}
+    assert maker == {
+        "annotated": 0, "cards": {}, "closed": [], "corpora": {}, "logs": dict.fromkeys(LOGS, 0)
+    }
     assert not any((store / name).exists() for name in LOGS)
 
 
@@ -104,7 +107,11 @@ def test_ingest_commits_the_documents_and_leaves_annotation_where_it_was(tmp_pat
     documents = store / "documents" / "documents.jsonl"
     logs = dict.fromkeys(LOGS, 0)
     logs["documents/documents.jsonl"] = documents.stat().st_size
-    assert maker == {"annotated": 0, "cards": {}, "closed": [], "logs": logs}
+    corpus = FIXTURES / "jobs_corpus.jsonl"
+    consumed = {"length": corpus.stat().st_size, "accepted": 20, "rejected": 0, "mask": None,
+                "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+    corpora = {os.path.abspath(corpus): consumed}
+    assert maker == {"annotated": 0, "cards": {}, "closed": [], "corpora": corpora, "logs": logs}
     assert sorted(path.name for path in documents.parent.iterdir()) == ["documents.jsonl"]
     assert run_cli(*WRITERS[0], "--store", store) == 0
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))

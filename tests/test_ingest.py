@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from notecards import ingest
 from notecards.clock import Clock, parse_instant
 from notecards.ingest import (
     IngestError,
@@ -14,6 +15,7 @@ from notecards.ingest import (
     derive_doc_id,
     ingest_corpus,
     make_document,
+    mask_fingerprint,
     mask_subjects,
     mask_token,
 )
@@ -252,3 +254,108 @@ def test_list_opens_the_log_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "open", counted_open)
     assert len(store.list()) == 3
     assert opened == ["documents.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# Reruns parse only what a corpus gained since the last commit
+# ---------------------------------------------------------------------------
+
+
+def count_parsed(monkeypatch) -> list[str]:
+    parsed = []
+    parse_line = ingest._parse_line
+
+    def counted(line, clock):
+        parsed.append(line)
+        return parse_line(line, clock)
+
+    monkeypatch.setattr(ingest, "_parse_line", counted)
+    return parsed
+
+
+def append(path: Path, text: str) -> None:
+    with path.open("a", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def test_a_rerun_parses_only_what_the_corpus_gained(tmp_path, monkeypatch):
+    records = corpus_records()
+    corpus = write_jsonl(tmp_path / "c.jsonl", records[:2])
+    stores = [TextStore(tmp_path / "lean"), TextStore(tmp_path / "whole")]
+    first = [ingest_corpus([corpus], store, CLOCK) for store in stores]
+    append(corpus, json.dumps(records[2]) + "\n{not json\n")
+    parsed = count_parsed(monkeypatch)
+    lean = ingest_corpus([corpus], stores[0], CLOCK, consumed=first[0].consumed)
+    assert len(parsed) == 2
+    whole = ingest_corpus([corpus], stores[1], CLOCK)
+    assert len(parsed) == 2 + 4
+    # The skipped prefix counts as a whole parse counts it.
+    assert (lean.accepted, lean.duplicates, lean.rejected) == (3, 2, 1)
+    assert (whole.accepted, whole.duplicates, whole.rejected) == (3, 2, 1)
+    assert lean.consumed == whole.consumed
+    [record] = lean.consumed.values()
+    assert record["length"] == corpus.stat().st_size
+    assert (record["accepted"], record["rejected"], record["mask"]) == (3, 1, None)
+    assert stores[0].list() == stores[1].list()
+
+
+def test_a_changed_prefix_or_masking_parses_the_whole_corpus(tmp_path, monkeypatch):
+    corpus = write_jsonl(tmp_path / "c.jsonl", corpus_records())
+    store = TextStore(tmp_path / "docs")
+    key = b"0123456789abcdef"
+    consumed = ingest_corpus([corpus], store, CLOCK, mask_key=key).consumed
+    parsed = count_parsed(monkeypatch)
+    ingest_corpus([corpus], store, CLOCK, mask_key=key, consumed=consumed)
+    assert parsed == []
+    for options in ({}, {"mask_key": b"fedcba9876543210"},
+                    {"mask_key": key, "mask_aliases": {"steve": ("Steve",)}}):
+        ingest_corpus([corpus], store, CLOCK, consumed=consumed, **options)
+        assert len(parsed) == 3
+        parsed.clear()
+    data = corpus.read_bytes()
+    corpus.write_bytes(data.replace(b"ch01", b"ch09"))  # same length, other bytes
+    summary = ingest_corpus([corpus], store, CLOCK, mask_key=key, consumed=consumed)
+    assert len(parsed) == 3
+    assert summary.accepted - summary.duplicates == 1
+    corpus.write_bytes(data[:10])  # shorter than what was consumed
+    summary = ingest_corpus([corpus], store, CLOCK, mask_key=key, consumed=consumed)
+    assert (summary.accepted, summary.rejected) == (0, 1)
+
+
+def test_a_line_still_being_written_is_parsed_until_it_ends(tmp_path, monkeypatch):
+    records = corpus_records()
+    corpus = write_jsonl(tmp_path / "c.jsonl", records[:2])
+    whole = json.dumps(records[2]) + "\n"
+    append(corpus, whole[:20])
+    store = TextStore(tmp_path / "docs")
+    first = ingest_corpus([corpus], store, CLOCK)
+    assert (first.accepted, first.rejected) == (2, 1)
+    [record] = first.consumed.values()
+    assert record["length"] == corpus.stat().st_size - 20
+    append(corpus, whole[20:])
+    parsed = count_parsed(monkeypatch)
+    second = ingest_corpus([corpus], store, CLOCK, consumed=first.consumed)
+    assert len(parsed) == 1
+    assert (second.accepted, second.duplicates, second.rejected) == (3, 2, 0)
+
+
+def test_lines_split_as_text_mode_splits_them(tmp_path):
+    records = [json.dumps(record) for record in corpus_records()]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(f"{records[0]}\r\n{records[1]}\r{records[2]}\n\r\n \n".encode("utf-8"))
+    with corpus.open("r", encoding="utf-8") as handle:
+        assert len([line for line in handle if line.strip()]) == 3
+    summary = ingest_corpus([corpus], TextStore(tmp_path / "docs"), CLOCK)
+    assert (summary.accepted, summary.rejected) == (3, 0)
+    [record] = summary.consumed.values()
+    assert (record["length"], record["accepted"]) == (corpus.stat().st_size, 3)
+
+
+def test_the_mask_fingerprint_keys_the_settings_without_revealing_the_key():
+    key = b"0123456789abcdef"
+    fingerprint = mask_fingerprint(key, None)
+    assert mask_fingerprint(None, None) is None
+    assert len(fingerprint) == 32 and key.hex() not in fingerprint
+    assert fingerprint == mask_fingerprint(key, {})
+    assert fingerprint != mask_fingerprint(b"fedcba9876543210", None)
+    assert fingerprint != mask_fingerprint(key, {"steve": ("Steve",)})

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from datetime import timedelta
 
+from notecards import organize
 from notecards.annotate import AnnotatedChunk, Annotation
 from notecards.clock import format_instant
 from notecards.organize import (
@@ -439,3 +440,87 @@ def test_split_arrivals_of_tight_clusters_release_the_one_run_count(tmp_path):
         split = release_in_batches(tmp_path / f"{trial}-split", random_batches(rng, chunks), epsilon)
         counts = {key: len(members) for key, members in one_run.items()}
         assert {key: len(members) for key, members in split.items()} == counts, trial
+
+
+# ---------------------------------------------------------------------------
+# Close regroups only the keys that hold an unreleased chunk
+# ---------------------------------------------------------------------------
+
+
+def full_regroup(store: OrganizerStore, now) -> list[ChunkGroup]:
+    """Every stored chunk regrouped, every key released as far as its watermark allows."""
+    released_now = []
+    for group in assign_windows(store.chunks(), store.window_length):
+        seen = set(store._released.get(group.key, ()))
+        group = dedupe_group(group, store.epsilon, seen)
+        if seen:
+            fresh = tuple(c for c in group.chunks if c.chunk_id not in seen)
+            if fresh:
+                store._released[group.key] = sorted(seen | {c.chunk_id for c in fresh})
+                released_now.append(replace(group, chunks=fresh, late=True))
+        elif ready_for_release(group, now, store.watermark):
+            store._released[group.key] = sorted(c.chunk_id for c in group.chunks)
+            released_now.append(group)
+    return released_now
+
+
+def test_close_releases_what_regrouping_every_chunk_releases(tmp_path):
+    rng = random.Random(31)
+    base = utc(2020, 1, 2)
+    for trial in range(60):
+        chunks = [
+            chunk(
+                f"d{i}#0",
+                subject=rng.choice(["steve", "woz"]),
+                time=None if rng.random() < 0.1 else base + timedelta(hours=rng.randrange(0, 600)),
+                place=rng.choice([None, "the plant"]),
+                signature=rng.choice(SPLIT_SIGNATURES),
+            )
+            for i in range(rng.randint(2, 16))
+        ]
+        roots = {"lean": tmp_path / f"{trial}-lean", "full": tmp_path / f"{trial}-full"}
+        stores = {name: OrganizerStore(root, window_length=WEEK) for name, root in roots.items()}
+        now = base
+        for batch in random_batches(rng, chunks):
+            now += timedelta(days=rng.randrange(0, 12))
+            released = {}
+            for name, store in stores.items():
+                store.add_chunks(batch)
+                groups = store.close_window(now) if name == "lean" else full_regroup(store, now)
+                if groups:
+                    store.log_released(groups)
+                released[name] = groups
+            assert released["lean"] == released["full"], trial
+            if rng.random() < 0.5:  # reopen from the logs, as the next run does
+                stores = {name: OrganizerStore(root, window_length=WEEK) for name, root in roots.items()}
+        logs = [root / "released.jsonl" for root in roots.values()]
+        assert [log.read_bytes() if log.exists() else None for log in logs].count(None) in (0, 2)
+        assert len({log.read_bytes() for log in logs if log.exists()}) <= 1
+
+
+def test_a_late_chunk_decodes_only_its_own_key(tmp_path, monkeypatch):
+    index = window_index(utc(2020, 1, 2), WEEK)
+    start, end = window_bounds(index, WEEK)
+    store = OrganizerStore(tmp_path, window_length=WEEK)
+    weeks = [chunk(f"d{week}-{i}#0", time=start + week * WEEK + i * 2 * DAY)
+             for week in range(4) for i in range(3)]
+    duplicate = chunk("dup#0", time=start + timedelta(hours=1))  # absorbed by d0-0
+    store.add_chunks(weeks + [duplicate])
+    store.log_released(store.close_window(end + 4 * WEEK))
+    built = []
+    chunk_from_dict = organize.chunk_from_dict
+
+    def counted(raw):
+        built.append(raw["chunk_id"])
+        return chunk_from_dict(raw)
+
+    monkeypatch.setattr(organize, "chunk_from_dict", counted)
+    reopened = OrganizerStore(tmp_path, window_length=WEEK)
+    assert built == ["dup#0"]  # the only chunk no released line names
+    late = chunk("late#0", time=start + WEEK + DAY, signature=(("alcohol", "entity"),))
+    reopened.add_chunks([late])
+    built.clear()
+    [group] = reopened.close_window(end + 4 * WEEK)
+    assert (group.late, [c.chunk_id for c in group.chunks]) == (True, ["late#0"])
+    # The late chunk's week, and the week the absorbed duplicate falls in.
+    assert sorted(built) == ["d0-0#0", "d0-1#0", "d0-2#0", "d1-0#0", "d1-1#0", "d1-2#0"]

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import random
 import shutil
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from notecards.cards import (
     CardManager,
     card_to_dict,
 )
-from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
+from notecards import cards, cli, encoding, ingest, notes, organize, pipeline, refine
 from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
@@ -307,7 +310,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
     # the announced card ids, neither of which decides anything.
     older = tmp_path / "older" / "cards" / "maker.json"
     state = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(state) == ["annotated", "cards", "closed", "logs"]
+    assert sorted(state) == ["annotated", "cards", "closed", "corpora", "logs"]
     [slot] = state["cards"]
     encoding.write_json(older, dict(state, generations={slot: 1}, announced=[]))
 
@@ -315,7 +318,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
         assert run_pipeline(jobs_config(tmp_path / name)).cards_committed == 1
     assert store_bytes(tmp_path / "older") == store_bytes(tmp_path / "current")
     rewritten = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(rewritten) == ["annotated", "cards", "closed", "logs"]
+    assert sorted(rewritten) == ["annotated", "cards", "closed", "corpora", "logs"]
     assert rewritten["closed"] == [slot]
 
 
@@ -500,8 +503,8 @@ def read_store(store: Path, capsys) -> list[tuple[int, str]]:
     return outputs
 
 
-def crash_sweep(tmp_path: Path, monkeypatch, capsys, earlier: list[Path], steps: list) -> list[str]:
-    """Run *earlier* corpora, then each of *steps* on the store, crashing the
+def crash_sweep(tmp_path: Path, monkeypatch, capsys, earlier: list, steps: list) -> list[str]:
+    """Take *earlier* steps, then each of *steps* on the store, crashing the
     first step at each of its store writes (whole, and torn for appends) and
     then taking every step again. Returned: every case whose readers, between
     the crash and the rerun, see other than the store before the crash, and
@@ -509,8 +512,8 @@ def crash_sweep(tmp_path: Path, monkeypatch, capsys, earlier: list[Path], steps:
     crashed, holds a log longer than its committed length, or fails
     ``store check``."""
     base = tmp_path / "base"
-    for corpus in earlier:
-        run_pipeline(jobs_config(base, corpus=corpus))
+    for step in earlier:
+        step(base)
     base.mkdir(exist_ok=True)
     seen = read_store(base, capsys)
     assert all(status == 0 for status, _ in seen)
@@ -571,7 +574,7 @@ def golden_on_an_empty_store(tmp_path):
 
 def tail_after_the_head(tmp_path):
     head, tail = halves(tmp_path)
-    return [head], [run_step(tail)]
+    return [run_step(head)], [run_step(tail)]
 
 
 def three_subjects(tmp_path):
@@ -585,7 +588,29 @@ def ingest_then_run_on_an_empty_store(tmp_path):
 
 def ingest_then_run_of_the_tail_after_the_head(tmp_path):
     head, tail = halves(tmp_path)
-    return [head], [ingest_step(tail), run_step(tail)]
+    return [run_step(head)], [ingest_step(tail), run_step(tail)]
+
+
+def growing_corpus(tmp_path):
+    """A corpus run when it holds the head, then grown by the tail."""
+    head, tail = halves(tmp_path)
+    corpus = tmp_path / "growing.jsonl"
+    corpus.write_bytes(head.read_bytes())
+
+    def grow(store):
+        corpus.write_bytes(head.read_bytes() + tail.read_bytes())
+
+    return corpus, [run_step(corpus), grow]
+
+
+def a_corpus_that_grows_between_runs(tmp_path):
+    corpus, earlier = growing_corpus(tmp_path)
+    return earlier, [run_step(corpus)]
+
+
+def ingest_then_run_of_a_corpus_that_grew(tmp_path):
+    corpus, earlier = growing_corpus(tmp_path)
+    return earlier, [ingest_step(corpus), run_step(corpus)]
 
 
 @pytest.mark.parametrize(
@@ -596,6 +621,8 @@ def ingest_then_run_of_the_tail_after_the_head(tmp_path):
         three_subjects,
         ingest_then_run_on_an_empty_store,
         ingest_then_run_of_the_tail_after_the_head,
+        a_corpus_that_grows_between_runs,
+        ingest_then_run_of_a_corpus_that_grew,
     ],
 )
 def test_rerun_after_a_crash_at_any_store_write_matches_an_uninterrupted_run(
@@ -644,15 +671,93 @@ def test_crash_between_two_chunks_of_one_document_matches_an_uninterrupted_run(
 # ---------------------------------------------------------------------------
 
 
-def reference_run(config: PipelineConfig, monkeypatch) -> None:
-    """Full re-annotation: every stored document in log order, each read back on its own."""
+def reference_lines(lines, clock, summary):
+    """Every document of a JSON Lines corpus read in text mode, as a whole parse reads it."""
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+            if not isinstance(raw, dict):
+                raise ValueError("record is not an object")
+            yield ingest._parse_record(raw, clock)
+        except (ValueError, KeyError):
+            summary.rejected += 1
+
+
+def reference_consumed(path: Path, clock, mask) -> dict:
+    """What a whole parse consumes of a JSON Lines corpus: every byte up to its last newline."""
+    data = path.read_bytes()
+    prefix = data[: data.rfind(b"\n") + 1]
+    counts = ingest.IngestSummary()
+    lines = io.TextIOWrapper(io.BytesIO(prefix), encoding="utf-8")
+    accepted = sum(1 for _ in reference_lines(lines, clock, counts))
+    return {"length": len(prefix), "accepted": accepted, "rejected": counts.rejected,
+            "mask": mask, "sha256": hashlib.sha256(prefix).hexdigest()}
+
+
+def reference_ingest(sources, store, clock, mask_key=None, mask_aliases=None, consumed=None):
+    """Every corpus parsed in full, whatever the last commit consumed of it."""
+    summary = ingest.IngestSummary()
+    paths = [Path(source) for source in sources]
+    for path in paths:
+        if not path.exists():
+            raise ingest.IngestError(f"corpus not readable: {path}")
+    mask = ingest.mask_fingerprint(mask_key, mask_aliases)
+
+    def documents():
+        for path in paths:
+            if path.suffix == ".jsonl":
+                summary.consumed[os.path.abspath(path)] = reference_consumed(path, clock, mask)
+                with path.open("r", encoding="utf-8") as handle:
+                    found = list(reference_lines(handle, clock, summary))
+            else:
+                found = list(ingest.read_corpus(path, clock, summary))
+            for doc in found:
+                yield ingest.mask_subjects(doc, mask_key, mask_aliases) if mask_key else doc
+
+    added, duplicates = store.add_all(documents())
+    summary.accepted = added + duplicates
+    summary.duplicates = duplicates
+    return summary
+
+
+def reference_close_window(self, now):
+    """Every stored chunk regrouped, every key released as far as its watermark allows."""
+    released_now = []
+    for group in organize.assign_windows(self.chunks(), self.window_length):
+        seen = set(self._released.get(group.key, ()))
+        group = organize.dedupe_group(group, self.epsilon, seen)
+        if seen:
+            fresh = tuple(c for c in group.chunks if c.chunk_id not in seen)
+            if not fresh:
+                continue
+            self._released[group.key] = sorted(seen | {c.chunk_id for c in fresh})
+            released_now.append(replace(group, chunks=fresh, late=True))
+        elif organize.ready_for_release(group, now, self.watermark):
+            self._released[group.key] = sorted(c.chunk_id for c in group.chunks)
+            released_now.append(group)
+    return released_now
+
+
+def full_recompute(patch) -> None:
+    """Make every writer recompute in full: every stored document annotated
+    again, read back one by one, every corpus parsed whole and every stored
+    chunk regrouped."""
 
     def every_document(self, start=0):
         lines = encoding.read_jsonl(self.root / "documents.jsonl")
         return [self.get(record["doc_id"]) for record in lines]
 
+    patch.setattr(TextStore, "list", every_document)
+    patch.setattr(pipeline, "ingest_corpus", reference_ingest)
+    patch.setattr(cli, "ingest_corpus", reference_ingest)
+    patch.setattr(OrganizerStore, "close_window", reference_close_window)
+
+
+def reference_run(config: PipelineConfig, monkeypatch) -> None:
     with monkeypatch.context() as patch:
-        patch.setattr(TextStore, "list", every_document)
+        full_recompute(patch)
         run_pipeline(config)
 
 
@@ -683,14 +788,12 @@ def ingest_command_then_run(tmp_path, store, run, monkeypatch):
 
 
 def crash_after_ingest_then_rerun(tmp_path, store, run, monkeypatch):
-    ingest = pipeline.ingest_corpus
-
-    def ingest_then_crash(*args, **kwargs):
-        ingest(*args, **kwargs)
+    def crash(*args, **kwargs):
         raise RuntimeError("injected crash")
 
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "ingest_corpus", ingest_then_crash)
+        # The matcher is built right after ingest, which the reference replaces.
+        patch.setattr(pipeline, "GazetteerMatcher", crash)
         with pytest.raises(RuntimeError):
             run(jobs_config(store))
     run(jobs_config(store))
@@ -706,6 +809,127 @@ def test_pending_annotation_matches_full_reannotation(tmp_path, monkeypatch, seq
     pending = store_bytes(tmp_path / "pending")
     assert pending == store_bytes(tmp_path / "reference")
     assert "cards/log.jsonl" in pending and "store.json" in pending
+
+
+def record_pool() -> list[str]:
+    """Corpus lines: the jobs records for two subjects, each with a duplicate
+    report four hours earlier (within epsilon), and two lines that are not records."""
+    lines = []
+    for subject in ("steve", "woz"):
+        for line in (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record = dict(record, subjects=[subject], source_uri=f"{record['source_uri']}/{subject}")
+            early = parse_instant(record["timestamp"]) - timedelta(hours=4)
+            early = dict(record, source_uri=record["source_uri"] + "/early",
+                         timestamp=early.strftime("%Y-%m-%dT%H:%M:%SZ"))
+            lines += [json.dumps(record), json.dumps(early)]
+    return lines + ["{not json", json.dumps({"text": "", "source_uri": "x"})]
+
+
+# Clock readings of the random sequences: windows of the jobs corpus close
+# one by one, so arrivals land before, inside and past their watermark.
+NOWS = ["2011-10-20T00:00:00Z", "2011-10-27T00:00:00Z", "2011-11-03T00:00:00Z",
+        "2011-11-10T00:00:00Z", "2011-11-20T00:00:00Z"]
+
+
+class Corpora:
+    """Corpus files that a random sequence grows, rewrites, tears and moves."""
+
+    def __init__(self, root: Path, rng: random.Random):
+        self.root = root
+        self.rng = rng
+        self.pool = record_pool()
+        self.paths = [root / "a.jsonl", root / "b.jsonl"]
+        self.torn: dict[Path, str] = {}  # path -> the rest of its torn last line
+        root.mkdir(parents=True)
+
+    def lines(self, low: int, high: int) -> str:
+        return "".join(line + "\n" for line in self.rng.sample(self.pool, self.rng.randint(low, high)))
+
+    def change(self) -> str:
+        rng = self.rng
+        path = rng.choice(self.paths)
+        kind = rng.choice(["append", "append", "rewrite", "tear", "move", "none"])
+        if kind == "tear" and path in self.torn:
+            kind = "complete"
+        if not path.exists() or kind == "append":
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write(self.lines(1, 8))
+        elif kind == "rewrite":  # different bytes, shorter than what was consumed
+            path.write_text(self.lines(0, 3), encoding="utf-8")
+            self.torn.pop(path, None)
+        elif kind == "tear":
+            line = rng.choice(self.pool) + "\n"
+            cut = rng.randrange(1, len(line))
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write(line[:cut])
+            self.torn[path] = line[cut:]
+        elif kind == "complete":
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write(self.torn.pop(path))
+        elif kind == "move":
+            moved = self.root / f"moved-{rng.getrandbits(32):08x}.jsonl"
+            path.rename(moved)
+            self.paths[self.paths.index(path)] = moved
+            if path in self.torn:
+                self.torn[moved] = self.torn.pop(path)
+        return kind
+
+    def arguments(self) -> list[str]:
+        existing = [path for path in self.paths if path.exists()]
+        chosen = self.rng.sample(existing, self.rng.randint(1, len(existing)))
+        if self.rng.random() < 0.2:
+            chosen.append(chosen[0])  # one corpus path listed twice
+        return [arg for path in chosen for arg in ("--corpus", str(path))]
+
+
+def test_incremental_runs_match_a_full_recompute(tmp_path, monkeypatch, capsys):
+    """Random run sequences give the stores and summaries of a full recompute."""
+    skips = []
+    consumed_prefix = ingest._consumed_prefix
+
+    def noting(*args):
+        digest, skipped = consumed_prefix(*args)
+        skips.append(skipped)
+        return digest, skipped
+
+    monkeypatch.setattr(ingest, "_consumed_prefix", noting)
+    keys = []
+    for name in ("a", "b"):
+        keys.append(tmp_path / f"{name}.key")
+        keys[-1].write_bytes(name.encode("ascii") * 32)
+    kinds = set()
+    for seed in range(16):
+        rng = random.Random(seed)
+        root = tmp_path / f"sequence-{seed}"
+        corpora = Corpora(root / "corpora", rng)
+        key = rng.choice([None, *keys])
+        annotated = 0
+        for step, now in enumerate(sorted(rng.choices(NOWS, k=5))):
+            kinds.add(corpora.change())
+            if rng.random() < 0.2:
+                key = rng.choice([None, *keys])  # a masked corpus whose key changes
+            command = rng.choice(["run", "run", "ingest"])
+            argv = [command, *corpora.arguments(), "--now", now, "--json"]
+            argv += ["--ontology", str(FIXTURES / "ocpd.json")] if command == "run" else []
+            argv += ["--mask-key-file", str(key)] if key else []
+            outputs = []
+            for name in ("lean", "recomputed"):
+                with monkeypatch.context() as patch:
+                    if name == "recomputed":
+                        full_recompute(patch)
+                    assert cli_main([*argv, "--store", str(root / name)]) == 0
+                outputs.append(json.loads(capsys.readouterr().out))
+            if command == "run":
+                # The recompute annotates every document; a run, those stored since the last.
+                stored = len(TextStore(root / "lean" / "documents"))
+                assert outputs[0]["documents"].pop("annotated") == stored - annotated
+                outputs[1]["documents"].pop("annotated")
+                annotated = stored
+            assert outputs[0] == outputs[1], (seed, step, argv)
+            assert store_bytes(root / "lean") == store_bytes(root / "recomputed"), (seed, step)
+    assert kinds == {"append", "rewrite", "tear", "complete", "move", "none"}
+    assert True in skips and False in skips
 
 
 def test_rerun_annotates_only_documents_without_chunks(tmp_path):
