@@ -297,10 +297,11 @@ class CardMaker:
     ``maker.json`` holds the held cards, the closed slots, ``annotated``
     (how much of the documents log annotation has covered), ``corpora``
     (what ingestion consumed of each corpus path, which only writers read;
-    see :mod:`notecards.ingest`) and, under ``logs``, the synced byte
-    length at the save of each of :data:`LOGS` in the store *root* is in,
-    which commits them. Other keys are ignored. *state* is that file's
-    value when the caller has read it already.
+    see :mod:`notecards.ingest`), ``manifest`` (the inputs a run pinned the
+    store to, or null) and, under ``logs``, the synced byte length at the
+    save of each of :data:`LOGS` in the store *root* is in, which commits
+    them. Other keys are ignored. *state* is that file's value when the
+    caller has read it already.
     """
 
     def __init__(self, root: Path, state: dict | None = None):
@@ -314,6 +315,7 @@ class CardMaker:
         self._closed: set[str] = set(state.get("closed", ()))
         self.annotated: int = state.get("annotated", 0)
         self.corpora: dict[str, dict] = state.get("corpora", {})
+        self.manifest: dict | None = state.get("manifest")
         if not isinstance(self.corpora, dict):
             raise StoreFormatError(f"{self._path}: corpora is not a JSON object")
 
@@ -328,6 +330,7 @@ class CardMaker:
             "closed": sorted(self._closed),
             "corpora": self.corpora,
             "logs": {name: synced_length(self.root.parent / name) for name in LOGS},
+            "manifest": self.manifest,
         }
         write_json(self._path, state)
 

@@ -200,7 +200,7 @@ def _released_from_dict(raw: dict) -> dict[str, list[str]]:
 class OrganizerStore:
     """Single-writer chunk store with released-group bookkeeping.
 
-    ``released.jsonl`` holds one line per run that released anything,
+    ``released.jsonl`` holds one line per close that released anything,
     mapping each released key to the chunk ids it released; replaying it
     gives every key's released chunk ids. Chunks are indexed by offset,
     and only the unreleased ones are kept decoded (see the module docstring).
@@ -278,8 +278,8 @@ class OrganizerStore:
         a given chunk set, and chunks that arrive for an already-released
         key come back as a supplemental group flagged ``late``. Only keys
         that hold an unreleased chunk are regrouped, each with all of its
-        chunks. Only the state in memory changes; :meth:`log_released`
-        makes it durable.
+        chunks. A close that releases anything appends one line holding
+        the chunk ids each released group released.
         """
         groups = assign_windows(self._unreleased.values(), self.window_length)
         released_ids = [
@@ -310,9 +310,7 @@ class OrganizerStore:
             released_now.append(group)
             for chunk in group.chunks:
                 del self._unreleased[chunk.chunk_id]
+        if released_now:
+            record = {g.key: sorted(c.chunk_id for c in g.chunks) for g in released_now}
+            append_jsonl(self._released_path, [record])
         return released_now
-
-    def log_released(self, groups: Sequence[ChunkGroup]) -> None:
-        """Append one line holding the chunk ids each of *groups* released."""
-        record = {group.key: sorted(c.chunk_id for c in group.chunks) for group in groups}
-        append_jsonl(self._released_path, [record])

@@ -5,9 +5,10 @@ refine -> accumulate cards -> admit. Every stage writes through
 content-derived ids, so re-running over the same inputs is a no-op at
 every store and two fresh runs with a pinned clock produce byte-identical
 stores. A run annotates only the documents logged past ``annotated``,
-the position the last commit recorded, which is safe because
-``store.json`` pins the ontology and the grouping and note parameters of
-a store. One pipeline run per store root at a time, enforced by a lock.
+the position the last commit recorded, which is safe because the commit
+pins the ontology and the grouping and note parameters of a store (the
+maker's ``manifest``). One pipeline run per store root at a time,
+enforced by a lock.
 
 One commit rule: the last write of ``run`` and of ``ingest``, the maker's
 save, syncs every log and records its length. Every command reads each
@@ -46,7 +47,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import StoreFormatError, committed_size, cut_to_length, read_json, write_json
+from .encoding import StoreFormatError, committed_size, cut_to_length, read_json
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -126,16 +127,21 @@ def config_from_dict(data: Any, base: Path | None = None) -> PipelineConfig:
             raise PipelineError(f"config {name} must be a string or a list of strings")
         return [resolve(p) for p in names]
 
+    def string(value: Any, name: str) -> str:
+        if not isinstance(value, str):
+            raise PipelineError(f"config {name} must be a string")
+        return value
+
     data = section(data, "document")
     config = PipelineConfig()
     config.ontology_paths = paths("ontology")
     config.corpus_paths = paths("corpus")
     if "store" in data:
-        config.store_root = resolve(data["store"])
+        config.store_root = resolve(string(data["store"], "store"))
     organize = section(data.get("organize", {}), "organize")
     for name in ("window", "epsilon", "watermark"):
         if name in organize:
-            setattr(config, name, parse_duration(organize[name]))
+            setattr(config, name, parse_duration(string(organize[name], f"organize.{name}")))
     if not config.window:
         raise PipelineError("config organize.window must be longer than 0d")
     notes = section(data.get("notes", {}), "notes")
@@ -144,12 +150,14 @@ def config_from_dict(data: Any, base: Path | None = None) -> PipelineConfig:
         if type(config.horizon_windows) is not int or config.horizon_windows < 1:
             raise PipelineError("config notes.horizon_windows must be an integer >= 1")
     if data.get("mask_key_file"):
-        config.mask_key_file = resolve(data["mask_key_file"])
-    config.mask_aliases = {
-        subject: tuple(names) for subject, names in (data.get("mask_aliases") or {}).items()
-    }
+        config.mask_key_file = resolve(string(data["mask_key_file"], "mask_key_file"))
+    aliases = section(data.get("mask_aliases") or {}, "mask_aliases")
+    for names in aliases.values():
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise PipelineError("config mask_aliases must map each subject to a list of strings")
+    config.mask_aliases = {subject: tuple(names) for subject, names in aliases.items()}
     if data.get("now"):
-        config.now_override = data["now"]
+        config.now_override = string(data["now"], "now")
     return config
 
 
@@ -287,6 +295,8 @@ def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
     lengths = state.get("logs") if isinstance(state, dict) else None
     if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
         raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
+    if not isinstance(state.get("manifest"), dict | None):
+        raise StoreFormatError(f"{maker}: manifest is not a JSON object")
     for value in (*lengths.values(), state.get("annotated", 0)):
         if type(value) is not int or value < 0:  # a bool is an int, but not a length
             raise StoreFormatError(
@@ -299,17 +309,28 @@ def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
     return state, lengths
 
 
-def cut_to_commit(root: Path) -> list[Path]:
+def cut_to_commit(root: Path, manifest: dict[str, Any] | None = None) -> list[Path]:
     """Cut every log back to the length the last commit recorded.
 
     ``run`` and ``ingest`` call it under the lock, before they open the
-    stores; a store whose commit does not hold is left untouched. A new
-    store first gets the empty maker's save, which commits its logs
-    empty, so a crash in its first run is cut back like any other.
+    stores. A store whose commit does not hold, or whose pinned manifest
+    differs from a run's *manifest*, is left untouched. A new store first
+    gets the empty maker's save, which commits its logs empty and pins
+    nothing, so a crash in its first run is cut back like any other.
     Returns the logs it cut.
     """
     root = Path(root)
     state, lengths = read_commit(root)
+    pinned = state.get("manifest")
+    if not pinned and (root / "store.json").exists():
+        raise StoreFormatError(f"{root / 'store.json'}: predates this store format; build a new store")
+    if manifest and pinned:
+        for name, value in manifest.items():
+            if pinned.get(name) != value:
+                raise PipelineError(
+                    f"store {root} was built with {name}={pinned.get(name)!r}, "
+                    f"this run has {name}={value!r}; use a new store"
+                )
     if not state:
         CardMaker(root / "cards", state).save()
         return []
@@ -320,9 +341,6 @@ def load_specs(config: PipelineConfig) -> OntologySpec:
     if not config.ontology_paths:
         raise PipelineError("at least one ontology is required")
     return merged_or_single([load_ontology(Path(p)) for p in config.ontology_paths])
-
-
-MANIFEST = "store.json"
 
 
 def store_manifest(config: PipelineConfig) -> dict[str, Any]:
@@ -342,21 +360,6 @@ def store_manifest(config: PipelineConfig) -> dict[str, Any]:
     }
 
 
-def check_manifest(store_root: Path, manifest: dict[str, Any]) -> None:
-    """Refuse a store built with other inputs; adopt a store that has no manifest."""
-    path = Path(store_root) / MANIFEST
-    stored = read_json(path)
-    if stored is None:
-        write_json(path, manifest)
-        return
-    for name, value in manifest.items():
-        if stored.get(name) != value:
-            raise PipelineError(
-                f"store {store_root} was built with {name}={stored.get(name)!r}, "
-                f"this run has {name}={value!r}; use a new store"
-            )
-
-
 def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSummary:
     """One full deterministic pass over the configured corpora."""
     clock = clock or config.clock()
@@ -370,9 +373,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         watermark=manifest["watermark"],
     )
     with StoreLock(config.store_root):
-        summary.repaired = cut_to_commit(config.store_root)
-        check_manifest(config.store_root, manifest)
+        summary.repaired = cut_to_commit(config.store_root, manifest)
         stores = Stores(config)
+        stores.maker.manifest = manifest  # the one pinned, or adopted by this run's commit
         now = clock.now()
 
         ingest_summary = ingest_corpus(
@@ -401,8 +404,6 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
 
         released = stores.organizer.close_window(now)
         summary.groups_released = len(released)
-        if released:
-            stores.organizer.log_released(released)
 
         synthesized = synthesize_notes(released, spec, config.synthesis())
         summary.notes_synthesized = stores.notes.add_all(synthesized)

@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.pipeline import load_config, run_pipeline
 
 from conftest import FIXTURES, store_bytes
@@ -33,7 +34,8 @@ def test_every_traced_name_is_defined_on_its_owner():
 
 def test_every_run_wrapper_fires_on_a_cold_run_and_a_rerun_with_new_input(tmp_path, monkeypatch):
     # The benchmark's traced workloads fail when a wrapper stays silent; a run
-    # that stops calling a traced name fails here first.
+    # that stops calling a traced name fails here first. A store write outside
+    # every span is time and bytes no layer accounts for.
     layers = load("layers")
     inputs = load("gen").generate(tmp_path / "inputs", FIXTURES, 7, 3, 2, 1)
 
@@ -47,9 +49,24 @@ def test_every_run_wrapper_fires_on_a_cold_run_and_a_rerun_with_new_input(tmp_pa
     for owner, attribute, *_ in layers.RUN_TARGETS:
         monkeypatch.setattr(owner, attribute, owner.__dict__[attribute])  # restored after the test
     tracer = layers.install(layers.RUN_TARGETS, lambda: 0)
+    unspanned = []
+
+    def spanned(write):
+        def store_write(path, *args):
+            if not tracer.stack:
+                unspanned.append(Path(path).relative_to(tmp_path / "traced"))
+            return write(path, *args)
+
+        return store_write
+
+    for module in (ingest, organize, notes, refine, cards, pipeline):
+        for name in ("append_jsonl", "write_json"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spanned(getattr(encoding, name)))
     for config_file in (inputs.config, inputs.config_plus):
         tracer.fired.clear()
         run(tmp_path / "traced", config_file)
         assert layers.unfired(layers.RUN_TARGETS, tracer.fired) == [], config_file.name
+        assert unspanned == [], config_file.name
     assert tracer.counts["ingest.docs_new"] == inputs.docs + inputs.new_docs
     assert store_bytes(tmp_path / "traced") == store_bytes(tmp_path / "untraced")

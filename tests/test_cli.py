@@ -371,10 +371,20 @@ def with_key(section, key, value):
         (with_key("notes", "horizon_windows", 0), "config notes.horizon_windows must be an integer"),
         (with_key("notes", "horizon_windows", "4"), "config notes.horizon_windows must be an integer"),
         (with_key("notes", "horizon_windows", True), "config notes.horizon_windows must be an integer"),
+        (with_key(None, "store", 7), "config store must be a string"),
+        (with_key(None, "mask_key_file", ["a.key"]), "config mask_key_file must be a string"),
+        (with_key(None, "now", 20111113), "config now must be a string"),
+        (with_key("organize", "window", 7), "config organize.window must be a string"),
+        (with_key("organize", "epsilon", ["1d"]), "config organize.epsilon must be a string"),
+        (with_key("organize", "watermark", {"days": 2}), "config organize.watermark must be a string"),
+        (with_key(None, "mask_aliases", {"steve": "Steve"}), "config mask_aliases must map each subject"),
+        (with_key(None, "mask_aliases", ["Steve"]), "config mask_aliases must be a JSON object"),
     ],
     ids=[
         "list-document", "list-organize", "number-notes", "object-ontology", "number-in-corpus",
-        "zero-window", "zero-horizon", "string-horizon", "boolean-horizon",
+        "zero-window", "zero-horizon", "string-horizon", "boolean-horizon", "number-store",
+        "list-mask-key-file", "number-now", "number-window", "list-epsilon", "object-watermark",
+        "string-aliases", "list-aliases",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "ingest"])
@@ -644,7 +654,11 @@ def test_a_chunk_without_its_subject_fails_drill_down_and_store_check(fixture_st
         assert f"error: {path}: " in err and "is not a chunks.jsonl record: KeyError('subject')" in err
 
 
-@pytest.mark.parametrize("name, value", [("corpora", []), ("cards", {"slot": {"card_id": "x"}})])
+@pytest.mark.parametrize(
+    "name, value",
+    [("corpora", []), ("cards", {"slot": {"card_id": "x"}}), ("manifest", [])],
+    ids=["corpora", "cards", "manifest"],
+)
 def test_maker_state_whose_cards_or_corpora_are_not_records_exits_two_naming_it(
     fixture_store, capsys, name, value
 ):

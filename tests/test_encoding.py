@@ -95,7 +95,8 @@ def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
     assert cut_to_commit(store) == []
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
     assert maker == {
-        "annotated": 0, "cards": {}, "closed": [], "corpora": {}, "logs": dict.fromkeys(LOGS, 0)
+        "annotated": 0, "cards": {}, "closed": [], "corpora": {}, "logs": dict.fromkeys(LOGS, 0),
+        "manifest": None,
     }
     assert not any((store / name).exists() for name in LOGS)
 
@@ -111,7 +112,9 @@ def test_ingest_commits_the_documents_and_leaves_annotation_where_it_was(tmp_pat
     consumed = {"length": corpus.stat().st_size, "accepted": 20, "rejected": 0, "mask": None,
                 "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
     corpora = {os.path.abspath(corpus): consumed}
-    assert maker == {"annotated": 0, "cards": {}, "closed": [], "corpora": corpora, "logs": logs}
+    assert maker == {
+        "annotated": 0, "cards": {}, "closed": [], "corpora": corpora, "logs": logs, "manifest": None
+    }
     assert sorted(path.name for path in documents.parent.iterdir()) == ["documents.jsonl"]
     assert run_cli(*WRITERS[0], "--store", store) == 0
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
@@ -189,10 +192,9 @@ def test_log_that_does_not_match_its_commit_exits_two_naming_it(store, capsys, c
 
 
 def before_the_commit_record(store, state):
-    # Committed no log lengths, and pinned no horizon either.
-    del state["logs"]
-    manifest = json.loads((store / "store.json").read_text(encoding="utf-8"))
-    del manifest["horizon_windows"]
+    # Committed no log lengths, and pinned its inputs, but no horizon, in store.json.
+    manifest = state.pop("manifest")
+    del state["logs"], manifest["horizon_windows"]
     (store / "store.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 

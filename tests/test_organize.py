@@ -7,6 +7,7 @@ from datetime import timedelta
 from notecards import organize
 from notecards.annotate import AnnotatedChunk, Annotation
 from notecards.clock import format_instant
+from notecards.encoding import append_jsonl
 from notecards.organize import (
     ChunkGroup,
     OrganizerStore,
@@ -343,25 +344,16 @@ def test_released_log_replays_every_release(tmp_path):
     index = window_index(utc(2020, 1, 2), WEEK)
     start, end = window_bounds(index, WEEK)
     store.add_chunks([chunk("d1#0", time=start + DAY), chunk("d2#0")])
-    store.log_released(store.close_window(now=end + timedelta(days=3)))
+    store.close_window(now=end + timedelta(days=3))
     store.add_chunks(
         [chunk("d9#0", time=start + 2 * DAY, signature=(("alcohol", "entity"),))]
     )
     late = store.close_window(now=end + timedelta(days=4))
     assert [c.chunk_id for c in late[0].chunks] == ["d9#0"]
-    store.log_released(late)
     assert len((tmp_path / "released.jsonl").read_bytes().splitlines()) == 2
 
     reopened = OrganizerStore(tmp_path, window_length=WEEK, epsilon=timedelta(hours=24))
     assert reopened.close_window(now=end + timedelta(days=4)) == []
-
-
-def test_released_state_is_in_memory_until_logged(tmp_path):
-    store = OrganizerStore(tmp_path)
-    store.add_chunks([chunk("d1#0")])
-    assert len(store.close_window(now=utc(2020, 1, 1))) == 1
-    assert not (tmp_path / "released.jsonl").exists()
-    assert len(OrganizerStore(tmp_path).close_window(now=utc(2020, 1, 1))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +367,12 @@ SPLIT_SIGNATURES = [
 
 
 def release_in_batches(root, batches, epsilon) -> dict[str, list[AnnotatedChunk]]:
-    """Add each batch and close after it, logging what each close releases;
-    returns every chunk released, by key."""
+    """Add each batch and close after it; returns every chunk released, by key."""
     store = OrganizerStore(root, window_length=WEEK, epsilon=epsilon)
     released: dict[str, list[AnnotatedChunk]] = {}
     for batch in batches:
         store.add_chunks(batch)
         groups = store.close_window(now=utc(2020, 3, 1))
-        if groups:
-            store.log_released(groups)
         for group in groups:
             released.setdefault(group.key, []).extend(group.chunks)
     return released
@@ -448,7 +437,8 @@ def test_split_arrivals_of_tight_clusters_release_the_one_run_count(tmp_path):
 
 
 def full_regroup(store: OrganizerStore, now) -> list[ChunkGroup]:
-    """Every stored chunk regrouped, every key released as far as its watermark allows."""
+    """Every stored chunk regrouped, every key released as far as its watermark
+    allows; one line logs what it released."""
     released_now = []
     for group in assign_windows(store.chunks(), store.window_length):
         seen = set(store._released.get(group.key, ()))
@@ -461,6 +451,9 @@ def full_regroup(store: OrganizerStore, now) -> list[ChunkGroup]:
         elif ready_for_release(group, now, store.watermark):
             store._released[group.key] = sorted(c.chunk_id for c in group.chunks)
             released_now.append(group)
+    if released_now:
+        record = {g.key: sorted(c.chunk_id for c in g.chunks) for g in released_now}
+        append_jsonl(store._released_path, [record])
     return released_now
 
 
@@ -487,8 +480,6 @@ def test_close_releases_what_regrouping_every_chunk_releases(tmp_path):
             for name, store in stores.items():
                 store.add_chunks(batch)
                 groups = store.close_window(now) if name == "lean" else full_regroup(store, now)
-                if groups:
-                    store.log_released(groups)
                 released[name] = groups
             assert released["lean"] == released["full"], trial
             if rng.random() < 0.5:  # reopen from the logs, as the next run does
@@ -506,7 +497,7 @@ def test_a_late_chunk_decodes_only_its_own_key(tmp_path, monkeypatch):
              for week in range(4) for i in range(3)]
     duplicate = chunk("dup#0", time=start + timedelta(hours=1))  # absorbed by d0-0
     store.add_chunks(weeks + [duplicate])
-    store.log_released(store.close_window(end + 4 * WEEK))
+    store.close_window(end + 4 * WEEK)
     built = []
     chunk_from_dict = organize.chunk_from_dict
 

@@ -310,7 +310,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
     # the announced card ids, neither of which decides anything.
     older = tmp_path / "older" / "cards" / "maker.json"
     state = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(state) == ["annotated", "cards", "closed", "corpora", "logs"]
+    assert sorted(state) == ["annotated", "cards", "closed", "corpora", "logs", "manifest"]
     [slot] = state["cards"]
     encoding.write_json(older, dict(state, generations={slot: 1}, announced=[]))
 
@@ -318,7 +318,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
         assert run_pipeline(jobs_config(tmp_path / name)).cards_committed == 1
     assert store_bytes(tmp_path / "older") == store_bytes(tmp_path / "current")
     rewritten = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(rewritten) == ["annotated", "cards", "closed", "corpora", "logs"]
+    assert sorted(rewritten) == ["annotated", "cards", "closed", "corpora", "logs", "manifest"]
     assert rewritten["closed"] == [slot]
 
 
@@ -381,7 +381,10 @@ def crash_after_close_window(patch) -> None:
 @pytest.mark.parametrize(
     "crash, appended",
     [
-        (crash_after_close_window, ["documents/documents.jsonl", "chunks/chunks.jsonl"]),
+        (
+            crash_after_close_window,
+            ["documents/documents.jsonl", "chunks/chunks.jsonl", "chunks/released.jsonl"],
+        ),
         (
             lambda patch: crash_mid_append(patch, notes, 7),
             ["documents/documents.jsonl", "chunks/chunks.jsonl", "chunks/released.jsonl",
@@ -723,7 +726,8 @@ def reference_ingest(sources, store, clock, mask_key=None, mask_aliases=None, co
 
 
 def reference_close_window(self, now):
-    """Every stored chunk regrouped, every key released as far as its watermark allows."""
+    """Every stored chunk regrouped, every key released as far as its watermark
+    allows; one line logs what it released."""
     released_now = []
     for group in organize.assign_windows(self.chunks(), self.window_length):
         seen = set(self._released.get(group.key, ()))
@@ -737,6 +741,9 @@ def reference_close_window(self, now):
         elif organize.ready_for_release(group, now, self.watermark):
             self._released[group.key] = sorted(c.chunk_id for c in group.chunks)
             released_now.append(group)
+    if released_now:
+        record = {g.key: sorted(c.chunk_id for c in g.chunks) for g in released_now}
+        encoding.append_jsonl(self._released_path, [record])
     return released_now
 
 
@@ -808,7 +815,7 @@ def test_pending_annotation_matches_full_reannotation(tmp_path, monkeypatch, seq
     sequence(tmp_path, tmp_path / "reference", lambda c: reference_run(c, monkeypatch), monkeypatch)
     pending = store_bytes(tmp_path / "pending")
     assert pending == store_bytes(tmp_path / "reference")
-    assert "cards/log.jsonl" in pending and "store.json" in pending
+    assert "cards/log.jsonl" in pending and json.loads(pending["cards/maker.json"])["manifest"]
 
 
 def record_pool() -> list[str]:
@@ -969,11 +976,20 @@ def test_rerun_without_new_input_reports_zero_annotated(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def tear_a_log(store: Path) -> None:
+    """A crashed run's torn line past the commit, which only an accepted run cuts."""
+    with (store / "notes" / "notes.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write('{"torn":')
+
+
+def maker_state(store: Path) -> dict:
+    return json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
+
+
 def test_first_run_writes_the_manifest(tmp_path):
     store = tmp_path / "store"
     run_pipeline(jobs_config(store))
-    manifest = json.loads((store / "store.json").read_text(encoding="utf-8"))
-    assert manifest == {
+    assert maker_state(store)["manifest"] == {
         "ontology_sha256": hashlib.sha256(
             hashlib.sha256((FIXTURES / "ocpd.json").read_bytes()).digest()
         ).hexdigest(),
@@ -982,16 +998,39 @@ def test_first_run_writes_the_manifest(tmp_path):
         "watermark": "2d",
         "horizon_windows": 4,
     }
+    assert not (store / "store.json").exists()
 
 
-def test_store_without_a_manifest_adopts_one(tmp_path):
+def test_store_without_a_manifest_adopts_one(tmp_path, monkeypatch):
+    # A crashed first run committed only the empty logs, so it pinned nothing.
     store = tmp_path / "store"
-    run_pipeline(jobs_config(store))
-    written = (store / "store.json").read_bytes()
-    (store / "store.json").unlink()
-    summary = run_pipeline(jobs_config(store))
-    assert summary.cards_committed == 1
-    assert (store / "store.json").read_bytes() == written
+    with monkeypatch.context() as patch:
+        crash_after_close_window(patch)
+        with pytest.raises(RuntimeError):
+            run_pipeline(jobs_config(store))
+    assert maker_state(store)["manifest"] is None
+    config = jobs_config(store)
+    config.window = timedelta(days=14)
+    run_pipeline(config)
+    assert maker_state(store)["manifest"]["window"] == "2w"
+
+
+def test_store_with_a_store_json_and_no_manifest_exits_two_naming_it(tmp_path, capsys):
+    store = tmp_path / "store"
+    argv = ["--config", str(FIXTURES / "jobs_config.json"), "--store", str(store)]
+    assert cli_main(["run", *argv]) == 0
+    # Such a store predates the manifest in the commit: store.json pinned its inputs.
+    state = maker_state(store)
+    encoding.write_json(store / "store.json", state.pop("manifest"))
+    encoding.write_json(store / "cards" / "maker.json", state)
+    tear_a_log(store)
+    before = store_bytes(store)
+    capsys.readouterr()
+    for command in ("run", "ingest"):
+        assert cli_main([command, *argv]) == 2
+        assert f"error: {store / 'store.json'}: predates this store format" in capsys.readouterr().err
+    assert store_bytes(store) == before
+    assert cli_main(["cards", "list", "--store", str(store)]) == 0
 
 
 def test_manifest_ignores_where_the_ontology_lives(tmp_path):
@@ -1005,11 +1044,14 @@ def test_manifest_ignores_where_the_ontology_lives(tmp_path):
     assert run_pipeline(config).cards_committed == 1
 
 
-def test_changed_ontology_exits_two_and_leaves_the_store(tmp_path, capsys):
+@pytest.mark.parametrize("torn", [False, True], ids=["committed", "torn-tail"])
+def test_changed_ontology_exits_two_and_leaves_the_store(tmp_path, capsys, torn):
     store = tmp_path / "store"
     corpus = FIXTURES / "jobs_corpus.jsonl"
     argv = ["run", "--corpus", str(corpus), "--store", str(store), "--now", PINNED]
     assert cli_main(argv + ["--ontology", str(FIXTURES / "ocpd.json")]) == 0
+    if torn:
+        tear_a_log(store)
     before = store_bytes(store)
     changed = tmp_path / "ocpd.json"
     spec = json.loads((FIXTURES / "ocpd.json").read_text(encoding="utf-8"))
@@ -1021,10 +1063,13 @@ def test_changed_ontology_exits_two_and_leaves_the_store(tmp_path, capsys):
     assert store_bytes(store) == before
 
 
+@pytest.mark.parametrize("torn", [False, True], ids=["committed", "torn-tail"])
 @pytest.mark.parametrize("name", ["window", "epsilon", "watermark", "horizon_windows"])
-def test_changed_grouping_parameter_is_refused(tmp_path, name):
+def test_changed_grouping_parameter_is_refused(tmp_path, name, torn):
     store = tmp_path / "store"
     run_pipeline(jobs_config(store))
+    if torn:
+        tear_a_log(store)
     before = store_bytes(store)
     config = jobs_config(store)
     step = 1 if name == "horizon_windows" else timedelta(days=1)
