@@ -391,8 +391,9 @@ def cmd_routes(args) -> int:
 def cmd_store_check(args) -> int:
     config = _build_config(args)
     _store_root(config)
-    stores = Stores(config)  # indexes every committed line and replays the ledger
-    # Build every record of every committed line; one that is not a record exits 2.
+    stores = Stores(config)  # reads the id of every committed line and replays the ledger
+    # Build the record of every committed line; one that is not a record, or
+    # holds another id than its line was read under, exits 2.
     stores.text.list()
     stores.notes.list()
     stores.refined.list()

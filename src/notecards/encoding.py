@@ -5,12 +5,15 @@ makes whole-store byte determinism achievable. Every store file is read
 and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
-  :func:`read_jsonl_offsets`, :func:`read_jsonl_at`, :func:`append_jsonl`).
+  :func:`read_jsonl_index`, :func:`read_jsonl_at`, :func:`append_jsonl`).
   A commit record names a log's length only once the log is on disk
   (:func:`synced_length`). Every command reads a log only up to that
   length, once it holds it (:func:`committed_size`), and a writer first
   cuts it back to that length (:func:`cut_to_length`), so no reader meets
   the torn end of an interrupted append: a line without its newline.
+  A store indexes a log by reading each line's id out of its canonical
+  bytes (:func:`id_string`), and decodes a line only when that fails or
+  when it needs the record.
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
   :func:`write_json`), written to a synced temp file and renamed over the
   old one, so a crash leaves the old or the new version, never a torn one.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import uuid
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -112,14 +116,26 @@ def read_jsonl(
     With *build*, each record is ``build(record)``; a record it cannot
     build raises :class:`StoreFormatError`, naming the file and the line.
     """
-    for _offset, record in read_jsonl_offsets(path, end, build=build):
+    for _offset, record in read_jsonl_index(path, end, scan=_unread, build=build):
         yield record
 
 
-def read_jsonl_offsets(
-    path: Path, end: int | None = None, build: Callable[[Any], Any] | None = None
+def _unread(line: bytes) -> None:
+    return None
+
+
+def read_jsonl_index(
+    path: Path,
+    end: int | None,
+    scan: Callable[[bytes], Any],
+    build: Callable[[Any], Any] | None,
 ) -> Iterator[tuple[int, Any]]:
-    """Each record of a log with the byte offset its line starts at, as :func:`read_jsonl`."""
+    """Each line of a log with the byte offset it starts at and ``scan(line)``,
+    or where that is None, the decoded line's ``build(record)``, as :func:`read_jsonl`.
+
+    A line whose scan reads is not decoded, so damage elsewhere in it goes
+    unnoticed until a reader decodes it (``store check`` decodes them all).
+    """
     if not path.exists():
         return
     with path.open("rb") as handle:
@@ -131,8 +147,30 @@ def read_jsonl_offsets(
                 raise StoreFormatError(
                     f"{path}: line {number} is the torn end of an interrupted append"
                 )
-            yield offset, _decode(path, f"line {number}", line, build)
+            value = scan(line)
+            if value is None:
+                value = _decode(path, f"line {number}", line, build)
+            yield offset, value
             offset += len(line)
+
+
+def id_string(line: bytes, key: bytes, end: int | None = None) -> str | None:
+    """The string value of the last *key*, a ``b'"name":"'``, before byte *end*
+    of a canonical log line; None if there is none, or it holds an escape or
+    a byte that is not ASCII.
+
+    In canonical JSON (sorted keys, ASCII, no whitespace) a quote followed by
+    a colon only ends an object key, so *key* matches only the end of one,
+    and the last match is the top-level key when no key sorted after it
+    holds an object.
+    """
+    at = line.rfind(key, 0, end)
+    value = None if at < 0 else _PLAIN_STRING.match(line, at + len(key))
+    return None if value is None else value[0].decode("ascii")
+
+
+# The bytes of a JSON string up to its closing quote, when none is escaped or non-ASCII.
+_PLAIN_STRING = re.compile(rb'[^"\\\x80-\xff]*(?=")')
 
 
 def committed_size(path: Path, length: int) -> int:
@@ -173,17 +211,29 @@ def synced_length(path: Path) -> int:
 
 
 def read_jsonl_at(
-    path: Path, offsets: Iterable[int], build: Callable[[Any], Any] | None = None
+    path: Path, lines: Iterable[tuple[str, int]], key: str, build: Callable[[Any], Any]
 ) -> Iterator[Any]:
-    """The records of the log lines that start at *offsets*, in that order, as
-    :func:`read_jsonl`; no offsets open nothing."""
-    offsets = list(offsets)
-    if not offsets:
+    """The records of the log lines that *lines* names as (id, offset) pairs,
+    each ``build(record)``, in that order; no pairs open nothing.
+
+    A record whose *key* attribute is not the id its line is indexed under
+    raises :class:`StoreFormatError`, naming the file and the line, as does
+    one that does not decode or build.
+    """
+    lines = list(lines)
+    if not lines:
         return
     with path.open("rb") as handle:
-        for offset in offsets:
+        for indexed, offset in lines:
             handle.seek(offset)
-            yield _decode(path, f"the line at byte {offset}", handle.readline(), build)
+            where = f"the line at byte {offset}"
+            record = _decode(path, where, handle.readline(), build)
+            if getattr(record, key) != indexed:
+                raise StoreFormatError(
+                    f"{path}: {where} holds {key} {getattr(record, key)!r}, "
+                    f"but is indexed under {indexed!r}"
+                )
+            yield record
 
 
 def append_jsonl(path: Path, records: Iterable[Any]) -> list[int]:

@@ -32,12 +32,13 @@ import os
 import unicodedata
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
 from .encoding import append_jsonl, canonical_json, name_uuid
-from .encoding import read_jsonl_at, read_jsonl_offsets, record_id
+from .encoding import id_string, read_jsonl_at, read_jsonl_index, record_id
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -185,6 +186,12 @@ def _document_to_dict(doc: Document) -> dict:
     }
 
 
+# A document line's id, read only where it starts the line: doc_id is the
+# first key, and meta, sorted after it, holds an object.
+_DOC_ID = b'{"doc_id":"'
+_scan_doc_id = partial(id_string, key=_DOC_ID, end=len(_DOC_ID))
+
+
 def _document_from_dict(raw: dict) -> Document:
     return Document(
         doc_id=raw["doc_id"],
@@ -202,7 +209,9 @@ class TextStore:
         self.root = Path(root)
         self._path = self.root / "documents.jsonl"
         # doc_id -> the offset of its line; insertion order is ingestion order.
-        index = read_jsonl_offsets(self._path, end, build=lambda raw: record_id(raw, "doc_id"))
+        index = read_jsonl_index(
+            self._path, end, scan=_scan_doc_id, build=lambda raw: record_id(raw, "doc_id")
+        )
         self._offsets: dict[str, int] = {doc_id: offset for offset, doc_id in index}
 
     def __contains__(self, doc_id: str) -> bool:
@@ -233,13 +242,13 @@ class TextStore:
         offset = self._offsets.get(doc_id)
         if offset is None:
             raise IngestError(f"unknown doc_id {doc_id!r}")
-        [document] = read_jsonl_at(self._path, [offset], build=_document_from_dict)
+        [document] = read_jsonl_at(self._path, [(doc_id, offset)], "doc_id", _document_from_dict)
         return document
 
     def list(self, start: int = 0) -> list[Document]:
         """The documents from byte offset *start* of the log on, in ingestion order."""
-        offsets = [offset for offset in self._offsets.values() if offset >= start]
-        return list(read_jsonl_at(self._path, offsets, build=_document_from_dict))
+        lines = [(doc_id, offset) for doc_id, offset in self._offsets.items() if offset >= start]
+        return list(read_jsonl_at(self._path, lines, "doc_id", _document_from_dict))
 
 
 # ---------------------------------------------------------------------------

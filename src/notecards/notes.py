@@ -21,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .annotate import AnnotatedChunk
 from .clock import format_instant, parse_instant
-from .encoding import append_jsonl, content_hash, read_jsonl_at, read_jsonl_offsets, record_id
+from .encoding import append_jsonl, content_hash, id_string, read_jsonl_at, read_jsonl_index
+from .encoding import record_id
 from .ontology import Confidence, Intensity, NoteTemplate, OntologySpec
 from .organize import DEFAULT_WINDOW, ChunkGroup
 
@@ -240,6 +242,10 @@ def note_to_dict(note: Note) -> dict:
     }
 
 
+# The id of a note line: no key sorted after note_id holds an object.
+scan_note_id = partial(id_string, key=b'"note_id":"')
+
+
 def note_from_dict(raw: dict) -> Note:
     start, end = raw.get("time_range", (None, None))
     return Note(
@@ -266,7 +272,9 @@ class NoteStore:
     def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "notes.jsonl"
-        index = read_jsonl_offsets(self._path, end, build=lambda raw: record_id(raw, "note_id"))
+        index = read_jsonl_index(
+            self._path, end, scan=scan_note_id, build=lambda raw: record_id(raw, "note_id")
+        )
         # note_id -> the offset of its line, in log order.
         self._offsets: dict[str, int] = {note_id: offset for offset, note_id in index}
 
@@ -279,7 +287,9 @@ class NoteStore:
     def get(self, note_id: str) -> Note | None:
         if note_id not in self._offsets:
             return None
-        [note] = read_jsonl_at(self._path, [self._offsets[note_id]], build=note_from_dict)
+        [note] = read_jsonl_at(
+            self._path, [(note_id, self._offsets[note_id])], "note_id", note_from_dict
+        )
         return note
 
     def add_all(self, notes: Iterable[Note]) -> int:
@@ -294,7 +304,7 @@ class NoteStore:
         self, subject: str | None = None, action: tuple[str, str] | None = None
     ) -> list[Note]:
         out = []
-        for note in read_jsonl_at(self._path, self._offsets.values(), build=note_from_dict):
+        for note in read_jsonl_at(self._path, self._offsets.items(), "note_id", note_from_dict):
             if subject is not None and note.subject != subject:
                 continue
             if action is not None and note.action != action:

@@ -22,7 +22,7 @@ regrouping every stored chunk would.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Container, Iterable, Sequence
@@ -30,7 +30,7 @@ from typing import Container, Iterable, Sequence
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
 from .encoding import append_jsonl, canonical_json, read_jsonl
-from .encoding import read_jsonl_at, read_jsonl_offsets, record_id
+from .encoding import id_string, read_jsonl_at, read_jsonl_index, record_id
 
 WILDCARD_PLACE = "*"
 
@@ -189,6 +189,10 @@ def chunk_from_dict(raw: dict) -> AnnotatedChunk:
     )
 
 
+# A chunk line's id: no key sorted after chunk_id holds an object.
+_scan_chunk_id = partial(id_string, key=b'"chunk_id":"')
+
+
 def _released_from_dict(raw: dict) -> dict[str, list[str]]:
     if not isinstance(raw, dict) or not all(
         isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in raw.values()
@@ -227,18 +231,19 @@ class OrganizerStore:
                 seen = self._released.get(key)
                 self._released[key] = sorted(seen + chunk_ids) if seen else chunk_ids
         named = {chunk_id for chunk_ids in self._released.values() for chunk_id in chunk_ids}
-
-        def index(raw: dict) -> tuple[str, AnnotatedChunk | None]:
-            chunk_id = record_id(raw, "chunk_id")
-            return chunk_id, None if chunk_id in named else chunk_from_dict(raw)
-
-        self._offsets: dict[str, int] = {}  # chunk_id -> its line; in log order
-        self._unreleased: dict[str, AnnotatedChunk] = {}  # in log order
-        lines = read_jsonl_offsets(self._chunks_path, chunks_end, build=index)
-        for offset, (chunk_id, chunk) in lines:
-            self._offsets[chunk_id] = offset
-            if chunk is not None:
-                self._unreleased[chunk_id] = chunk
+        index = read_jsonl_index(
+            self._chunks_path,
+            chunks_end,
+            scan=_scan_chunk_id,
+            build=lambda raw: record_id(raw, "chunk_id"),
+        )
+        # chunk_id -> its line; in log order.
+        self._offsets: dict[str, int] = {chunk_id: offset for offset, chunk_id in index}
+        unreleased = [(c, offset) for c, offset in self._offsets.items() if c not in named]
+        self._unreleased: dict[str, AnnotatedChunk] = {  # in log order
+            chunk.chunk_id: chunk
+            for chunk in read_jsonl_at(self._chunks_path, unreleased, "chunk_id", chunk_from_dict)
+        }
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -247,8 +252,8 @@ class OrganizerStore:
         return chunk_id in self._offsets
 
     def _read(self, chunk_ids) -> list[AnnotatedChunk]:
-        offsets = [self._offsets[chunk_id] for chunk_id in chunk_ids]
-        return list(read_jsonl_at(self._chunks_path, offsets, build=chunk_from_dict))
+        lines = [(chunk_id, self._offsets[chunk_id]) for chunk_id in chunk_ids]
+        return list(read_jsonl_at(self._chunks_path, lines, "chunk_id", chunk_from_dict))
 
     def get_chunk(self, chunk_id: str) -> AnnotatedChunk | None:
         chunk = self._unreleased.get(chunk_id)

@@ -17,12 +17,16 @@ cut each log back to it (:func:`cut_to_commit`). A run's save also moves
 ``annotated`` to the end of the documents log; an ingest's leaves it, and
 both record what they consumed of each corpus, so the next skips it.
 
-A rerun costs what its new input costs. Opening the stores decodes each
-committed line once and keeps what a writer needs: ids with the offsets of
-their lines, the processed note ids, the released chunk ids and the chunks
-not yet released. Everything else, drill-down included, decodes a record
-from its line when asked, and organizing regroups only the keys that hold
-an unreleased chunk.
+A rerun costs what its new input costs. Opening the stores keeps what a
+writer needs: ids with the offsets of their lines, the processed note ids,
+the released chunk ids and the chunks not yet released. It reads each id
+out of its canonical line without decoding the line, and decodes only the
+released lines, the ledger, the chunks not yet released and the lines
+whose id does not read. Everything else, drill-down included, decodes a
+record from its line when asked, and organizing regroups only the keys
+that hold an unreleased chunk. So ``run`` and the readers notice damage
+inside a committed line whose id still reads only when they decode that
+line; ``store check`` decodes every line.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ class PipelineConfig:
         )
 
     def clock(self) -> Clock:
-        if self.now_override:
+        if self.now_override is not None:
             return Clock(fixed=parse_instant(self.now_override))
         return Clock()
 
@@ -149,14 +153,16 @@ def config_from_dict(data: Any, base: Path | None = None) -> PipelineConfig:
         config.horizon_windows = notes["horizon_windows"]
         if type(config.horizon_windows) is not int or config.horizon_windows < 1:
             raise PipelineError("config notes.horizon_windows must be an integer >= 1")
-    if data.get("mask_key_file"):
+    # Only null or an absent key leaves a setting unset; any other value must be valid.
+    if data.get("mask_key_file") is not None:
         config.mask_key_file = resolve(string(data["mask_key_file"], "mask_key_file"))
-    aliases = section(data.get("mask_aliases") or {}, "mask_aliases")
+    aliases = data.get("mask_aliases")
+    aliases = section({} if aliases is None else aliases, "mask_aliases")
     for names in aliases.values():
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise PipelineError("config mask_aliases must map each subject to a list of strings")
     config.mask_aliases = {subject: tuple(names) for subject, names in aliases.items()}
-    if data.get("now"):
+    if data.get("now") is not None:
         config.now_override = string(data["now"], "now")
     return config
 

@@ -31,8 +31,9 @@ from typing import Any, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
-from .encoding import append_jsonl, content_hash, read_jsonl_at, read_jsonl_offsets, record_id
-from .notes import Note, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
+from .encoding import append_jsonl, content_hash, id_string, read_jsonl_at, read_jsonl_index
+from .encoding import record_id
+from .notes import Note, new_note, note_from_dict, note_to_dict, scan_note_id, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
 
@@ -467,6 +468,19 @@ def _index_refined(raw: dict) -> tuple[str, tuple[str, ...]]:
     return record_id(raw, "refined_id"), inputs
 
 
+_PASSTHROUGH = b'},"passthrough":true,"refined_id":"'
+
+
+def _scan_refined(line: bytes) -> tuple[str, tuple[str, ...]] | None:
+    """:func:`_index_refined` of a passthrough line, read without decoding it;
+    None for any other line. No key sorted after ``note_id`` in the note, or
+    after ``note`` in the record, holds an object, so the last note id of the
+    line is the note's own."""
+    refined_id = id_string(line, _PASSTHROUGH)
+    note_id = None if refined_id is None else scan_note_id(line)
+    return None if note_id is None else (refined_id, (note_id,))
+
+
 class RefinedNoteStore:
     """Append-only refined-note log, indexed at open up to byte *end*; trails
     embedded per record, which are decoded from their lines on demand."""
@@ -476,7 +490,7 @@ class RefinedNoteStore:
         self._path = self.root / "refined.jsonl"
         self._offsets: dict[str, int] = {}  # refined_id -> its line; in log order
         self._processed: set[str] = set()
-        lines = read_jsonl_offsets(self._path, end, build=_index_refined)
+        lines = read_jsonl_index(self._path, end, scan=_scan_refined, build=_index_refined)
         for offset, (refined_id, inputs) in lines:
             self._offsets[refined_id] = offset
             self._processed.update(inputs)
@@ -490,7 +504,9 @@ class RefinedNoteStore:
     def get(self, refined_id: str) -> RefinedNote | None:
         if refined_id not in self._offsets:
             return None
-        [record] = read_jsonl_at(self._path, [self._offsets[refined_id]], build=refined_from_dict)
+        [record] = read_jsonl_at(
+            self._path, [(refined_id, self._offsets[refined_id])], "refined_id", refined_from_dict
+        )
         return record
 
     def processed_note_ids(self) -> set[str]:
@@ -509,4 +525,6 @@ class RefinedNoteStore:
 
     def list(self) -> list[RefinedNote]:
         """Every stored refined note, in log order."""
-        return list(read_jsonl_at(self._path, self._offsets.values(), build=refined_from_dict))
+        return list(
+            read_jsonl_at(self._path, self._offsets.items(), "refined_id", refined_from_dict)
+        )

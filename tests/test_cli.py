@@ -379,12 +379,20 @@ def with_key(section, key, value):
         (with_key("organize", "watermark", {"days": 2}), "config organize.watermark must be a string"),
         (with_key(None, "mask_aliases", {"steve": "Steve"}), "config mask_aliases must map each subject"),
         (with_key(None, "mask_aliases", ["Steve"]), "config mask_aliases must be a JSON object"),
+        (with_key(None, "mask_key_file", False), "config mask_key_file must be a string"),
+        (with_key(None, "mask_key_file", 0), "config mask_key_file must be a string"),
+        (with_key(None, "now", 0), "config now must be a string"),
+        (with_key(None, "now", False), "config now must be a string"),
+        (with_key(None, "now", ""), "Invalid isoformat string: ''"),
+        (with_key(None, "mask_aliases", []), "config mask_aliases must be a JSON object"),
+        (with_key(None, "mask_aliases", False), "config mask_aliases must be a JSON object"),
     ],
     ids=[
         "list-document", "list-organize", "number-notes", "object-ontology", "number-in-corpus",
         "zero-window", "zero-horizon", "string-horizon", "boolean-horizon", "number-store",
         "list-mask-key-file", "number-now", "number-window", "list-epsilon", "object-watermark",
-        "string-aliases", "list-aliases",
+        "string-aliases", "list-aliases", "false-mask-key-file", "zero-mask-key-file",
+        "zero-now", "false-now", "empty-now", "empty-list-aliases", "false-aliases",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "ingest"])
@@ -517,7 +525,7 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
         return read
 
     for module in (ingest, organize, notes, refine, cards, pipeline):
-        for name in ("read_json", "read_jsonl", "read_jsonl_offsets"):
+        for name in ("read_json", "read_jsonl", "read_jsonl_index"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
     assert run_cli(*command, "--store", fixture_store) == 0
@@ -694,6 +702,29 @@ def test_damage_in_a_store_a_command_does_not_read_is_left_to_store_check(
     assert capsys.readouterr().out == expected
     assert run_cli("store", "check", "--store", fixture_store) == 2
     assert f"error: {path}: line {number} does not decode" in capsys.readouterr().err
+    assert store_bytes(fixture_store) == before
+
+
+def test_store_check_exits_two_on_a_line_that_holds_another_id_than_it_reads(
+    fixture_store, capsys
+):
+    # The scan reads the first doc_id of the line, json.loads keeps the last,
+    # so only a command that decodes the line can tell.
+    path = fixture_store / "documents" / "documents.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    doc_id, second = record["doc_id"], ',"doc_id":"d-other"}'
+    record["text"] = record["text"][: -len(second) + 1]  # the commit still ends a line
+    line = (encoding.canonical_json(record)[:-1] + second + "\n").encode("ascii")
+    assert line.startswith(b'{"doc_id":"' + doc_id.encode("ascii")) and len(line) == len(lines[0])
+    path.write_bytes(b"".join([line, *lines[1:]]))
+    before = store_bytes(fixture_store)
+    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", fixture_store) == 0
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: the line at byte 0 holds doc_id 'd-other', " in err
+    assert f"but is indexed under {doc_id!r}" in err
     assert store_bytes(fixture_store) == before
 
 

@@ -1,0 +1,297 @@
+"""Opening a store reads each line's id from its canonical bytes.
+
+The scan must give exactly the index that decoding every line gives, and
+it must read ids only where the store format lets it: the tests below
+pin both, so a schema change that breaks the scan fails here instead of
+indexing the wrong id.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from notecards import encoding, ingest, notes, organize, refine
+from notecards.cli import main as cli_main
+from notecards.encoding import canonical_json, id_string
+from notecards.notes import NoteStore
+from notecards.pipeline import PipelineConfig, Stores, run_pipeline
+from notecards.refine import RefinedNoteStore, refine_notes
+
+from conftest import FIXTURES, make_note, passthrough, utc
+from test_pipeline import NOWS, PINNED, Corpora, many_subjects_corpus, record_pool
+
+INDEXED = (ingest, notes, organize, refine)
+
+
+def test_id_string_reads_the_last_plain_string_of_a_key():
+    key = b'"note_id":"'
+    assert id_string(b'{"a":{"note_id":"x"},"note_id":"n-1","z":[1]}\n', key) == "n-1"
+    assert id_string(b'{"a":{"note_id":"x"},"note_id":"n-1"}\n', key, end=20) == "x"
+    assert id_string(b'{"note_id":"n-1"}\n', b'{"doc_id":"') is None
+    assert id_string(b'{"note_id":7}\n', key) is None  # not a string
+    assert id_string(b'{"note_id":"n\\u00e9"}\n', key) is None  # an escape
+    assert id_string('{"note_id":"né"}\n'.encode("utf-8"), key) is None  # not canonical
+    assert id_string(b'{"note_id":"n-1\n', key) is None  # no closing quote
+
+
+def test_a_line_whose_scan_fails_is_decoded_and_named(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(b'{"id":"a"}\n{"id":7}\n')
+    scan = lambda line: id_string(line, b'"id":"')  # noqa: E731
+    index = encoding.read_jsonl_index(log, None, scan=scan, build=lambda raw: raw["id"])
+    assert list(index) == [(0, "a"), (11, 7)]
+    with pytest.raises(encoding.StoreFormatError, match="line 2 does not decode"):
+        log.write_bytes(b'{"id":"a"}\n{"id":\n')
+        list(encoding.read_jsonl_index(log, None, scan=scan, build=None))
+
+
+def decoding_every_line(patch) -> None:
+    """Make every store index its logs by decoding each line, as before the scan."""
+
+    def decoded(path, end, scan, build):
+        return encoding.read_jsonl_index(path, end, scan=lambda line: None, build=build)
+
+    for module in INDEXED:
+        patch.setattr(module, "read_jsonl_index", decoded)
+
+
+def index_of(stores: Stores) -> dict:
+    """What a writer keeps of each log at open, in log order."""
+    return {
+        "documents": list(stores.text._offsets.items()),
+        "chunks": list(stores.organizer._offsets.items()),
+        "unreleased": list(stores.organizer._unreleased.items()),
+        "notes": list(stores.notes._offsets.items()),
+        "refined": list(stores.refined._offsets.items()),
+        "processed": stores.refined.processed_note_ids(),
+    }
+
+
+def counting_scan_misses(patch, misses: Counter) -> None:
+    def counted(path, end, scan, build):
+        def scanning(line):
+            value = scan(line)
+            misses[Path(path).name] += value is None
+            return value
+
+        return encoding.read_jsonl_index(path, end, scan=scanning, build=build)
+
+    for module in INDEXED:
+        patch.setattr(module, "read_jsonl_index", counted)
+
+
+def alcohol_with_a_total(root: Path) -> tuple[Path, list[str]]:
+    """The alcohol ontology plus a second template on the same trigger that sums
+    amounts, and a record pool whose every report names an amount: two notes of
+    one horizon then conflict on ``amount``, and the max rule merges them."""
+    spec = json.loads((FIXTURES / "alcohol.json").read_text(encoding="utf-8"))
+    spec["note_templates"].append({
+        "template_id": "t_drinking_total",
+        "trigger": {"entity": "alcohol", "relationship": "consume"},
+        "attribute_aggregations": {"amount": "sum"},
+        "min_events": 2,
+    })
+    root.mkdir(parents=True)
+    ontology = root / "alcohol-total.json"
+    ontology.write_text(json.dumps(spec), encoding="utf-8")
+    records = []
+    lines = (FIXTURES / "alcohol_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        for drink in ("whiskey", "beers", "wine"):
+            record["text"] = record["text"].replace(drink, f"{i + 2} {drink}")
+        records.append(record)
+    return ontology, record_pool(records)
+
+
+@pytest.mark.parametrize("domain", ["jobs", "alcohol"])
+def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
+    tmp_path, monkeypatch, capsys, domain
+):
+    """The random sequences of test_incremental_runs_match_a_full_recompute,
+    with the index compared after every command."""
+    if domain == "jobs":
+        ontology, pool = FIXTURES / "ocpd.json", None
+    else:
+        ontology, pool = alcohol_with_a_total(tmp_path / "alcohol")
+    keys = []
+    for name in ("a", "b"):
+        keys.append(tmp_path / f"{name}.key")
+        keys[-1].write_bytes(name.encode("ascii") * 32)
+    misses: Counter = Counter()
+    for seed in range(16):
+        rng = random.Random(seed)
+        root = tmp_path / f"sequence-{seed}"
+        corpora = Corpora(root / "corpora", rng, pool)
+        key = rng.choice([None, *keys])
+        config = PipelineConfig(store_root=root / "store")
+        for now in sorted(rng.choices(NOWS, k=5)):
+            corpora.change()
+            if rng.random() < 0.2:
+                key = rng.choice([None, *keys])
+            command = rng.choice(["run", "run", "ingest"])
+            argv = [command, *corpora.arguments(), "--now", now, "--store", str(config.store_root)]
+            argv += ["--ontology", str(ontology)] if command == "run" else []
+            argv += ["--mask-key-file", str(key)] if key else []
+            assert cli_main(argv) == 0
+            with monkeypatch.context() as patch:
+                counting_scan_misses(patch, misses)
+                scanned = index_of(Stores(config))
+            with monkeypatch.context() as patch:
+                decoding_every_line(patch)
+                decoded = index_of(Stores(config))
+            assert scanned == decoded, (seed, now)
+    capsys.readouterr()
+    # Every document, chunk and note line scans; a refined line with rules does not.
+    assert set(+misses) <= {"refined.jsonl"}
+    assert (misses["refined.jsonl"] > 0) == (domain == "alcohol")
+
+
+def test_an_attribute_named_like_an_id_key_is_not_read_as_the_id(tmp_path):
+    decoy = make_note(attributes={"note_id": "n-decoy", "refined_id": "rn-decoy", "zz": 1.0})
+    notes_root, refined_root = tmp_path / "notes", tmp_path / "refined"
+    NoteStore(notes_root).add_all([decoy])
+    RefinedNoteStore(refined_root).add_all([passthrough(decoy)])
+    line = (refined_root / "refined.jsonl").read_bytes()
+    assert b'"note_id":"n-decoy"' in line and b'"refined_id":"rn-decoy"' in line
+    assert NoteStore(notes_root)._offsets == {decoy.note_id: 0}
+    reopened = RefinedNoteStore(refined_root)
+    assert reopened._offsets == {passthrough(decoy).refined_id: 0}
+    assert reopened.processed_note_ids() == {decoy.note_id}
+
+
+def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec):
+    notes_in = [
+        make_note(subject="a", attributes={"amount": amount}, start=utc(2011, 10, 14),
+                  end=utc(2011, 10, 14), provenance=(f"c{amount}",))
+        for amount in (2.0, 5.0)
+    ]
+    [merged] = refine_notes(notes_in, alcohol_spec)
+    assert not merged.passthrough
+    RefinedNoteStore(tmp_path).add_all([merged])
+    assert refine._scan_refined((tmp_path / "refined.jsonl").read_bytes()) is None
+    reopened = RefinedNoteStore(tmp_path)
+    assert reopened._offsets == {merged.refined_id: 0}
+    assert reopened.processed_note_ids() == {note.note_id for note in notes_in}
+
+
+def holds_object(value) -> bool:
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(holds_object(item) for item in value)
+    )
+
+
+def objects_after(record: dict, key: str) -> list[str]:
+    """The keys sorted after *key*, one of *record*, whose values hold an object."""
+    assert key in record
+    return [name for name in record if name > key and holds_object(record[name])]
+
+
+def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
+    """What each store's scan rests on, over the records of real stores:
+    jobs and alcohol in one run, and alcohol with merged refined notes."""
+    ontology, pool = alcohol_with_a_total(tmp_path / "alcohol")
+    corpus = tmp_path / "alcohol.jsonl"
+    corpus.write_text("\n".join(pool[:-2]) + "\n", encoding="utf-8")
+    stores = [tmp_path / "both", tmp_path / "merged"]
+    run_pipeline(PipelineConfig(
+        ontology_paths=[FIXTURES / "ocpd.json", FIXTURES / "alcohol.json"],
+        corpus_paths=[FIXTURES / "jobs_corpus.jsonl", FIXTURES / "alcohol_corpus.jsonl"],
+        store_root=stores[0], now_override=PINNED,
+    ))
+    run_pipeline(PipelineConfig(
+        ontology_paths=[ontology], corpus_paths=[corpus], store_root=stores[1],
+        now_override="2011-11-20T00:00:00Z",
+    ))
+    seen = Counter()
+    for root in stores:
+        for name in ("documents/documents.jsonl", "chunks/chunks.jsonl",
+                     "notes/notes.jsonl", "refined/refined.jsonl"):
+            for line in (root / name).read_bytes().splitlines():
+                record = json.loads(line)
+                assert canonical_json(record).encode("ascii") == line
+                if name.startswith("documents"):
+                    assert min(record) == "doc_id"  # the scan reads it only at the start
+                elif name.startswith("chunks"):
+                    assert objects_after(record, "chunk_id") == []
+                elif name.startswith("notes"):
+                    assert objects_after(record, "note_id") == []
+                else:
+                    assert objects_after(record, "note") == []
+                    assert objects_after(record["note"], "note_id") == []
+                    seen["merged" if record["applied_rules"] else "passthrough"] += 1
+                seen[name] += 1
+    assert seen["merged"] and seen["passthrough"] and len(seen) == 6
+
+
+def decodes(patch) -> Counter:
+    """Count the log lines each log has decoded, by path relative to the store."""
+    counts: Counter = Counter()
+    decode = encoding._decode
+
+    def counting(path, *args):
+        counts[f"{Path(path).parent.name}/{Path(path).name}"] += 1
+        return decode(path, *args)
+
+    patch.setattr(encoding, "_decode", counting)
+    return counts
+
+
+def store_after_a_rerun(tmp_path: Path, subjects: int) -> PipelineConfig:
+    """A store of *subjects* copies of the jobs fixture, rerun with one more
+    subject at a time that leaves the chunks of the last weeks unreleased."""
+    config = PipelineConfig(
+        ontology_paths=[FIXTURES / "ocpd.json"],
+        store_root=tmp_path / f"store-{subjects}",
+        now_override="2011-11-03T00:00:00Z",
+    )
+    for count in (subjects, subjects + 1):
+        (tmp_path / f"corpus-{count}").mkdir()
+        config.corpus_paths = [many_subjects_corpus(tmp_path / f"corpus-{count}", count)]
+        run_pipeline(config)
+    return config
+
+
+def open_budget(root: Path) -> Counter:
+    """The lines an open may decode: each released line, each ledger line, and
+    each chunk that no released line names."""
+    def lines(name: str) -> list[bytes]:
+        return (root / name).read_bytes().splitlines()
+
+    released = [json.loads(line) for line in lines("chunks/released.jsonl")]
+    named = {chunk_id for record in released for ids in record.values() for chunk_id in ids}
+    chunks = [json.loads(line)["chunk_id"] for line in lines("chunks/chunks.jsonl")]
+    ledger = lines("cards/log.jsonl")
+    budget = Counter({"chunks/released.jsonl": len(released), "cards/log.jsonl": len(ledger),
+                      "chunks/chunks.jsonl": sum(chunk_id not in named for chunk_id in chunks)})
+    return +budget
+
+
+def test_store_open_after_a_rerun_decodes_only_what_it_keeps_decoded(tmp_path, monkeypatch):
+    """The open decodes the released lines, the ledger and the unreleased chunks,
+    and not one document, note or refined line more, at N and at 2N documents."""
+    beyond = []
+    for subjects in (2, 4):
+        config = store_after_a_rerun(tmp_path, subjects)
+        with monkeypatch.context() as patch:
+            counts = decodes(patch)
+            Stores(config)
+        assert counts == open_budget(config.store_root), subjects
+        beyond.append(counts["documents/documents.jsonl"] + counts["notes/notes.jsonl"]
+                      + counts["refined/refined.jsonl"])
+    assert beyond == [0, 0]
+
+
+def test_notes_list_decodes_each_note_line_once(tmp_path, monkeypatch, capsys):
+    config = store_after_a_rerun(tmp_path, 2)
+    lines = len((config.store_root / "notes/notes.jsonl").read_bytes().splitlines())
+    with monkeypatch.context() as patch:
+        counts = decodes(patch)
+        assert cli_main(["notes", "list", "--store", str(config.store_root)]) == 0
+    assert f"({lines} notes)" in capsys.readouterr().out
+    assert counts == Counter({"notes/notes.jsonl": lines})

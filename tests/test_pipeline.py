@@ -818,13 +818,16 @@ def test_pending_annotation_matches_full_reannotation(tmp_path, monkeypatch, seq
     assert "cards/log.jsonl" in pending and json.loads(pending["cards/maker.json"])["manifest"]
 
 
-def record_pool() -> list[str]:
-    """Corpus lines: the jobs records for two subjects, each with a duplicate
-    report four hours earlier (within epsilon), and two lines that are not records."""
+def record_pool(records: list[dict] | None = None) -> list[str]:
+    """Corpus lines: the records (by default the jobs records) for two subjects,
+    each with a duplicate report four hours earlier (within epsilon), and two
+    lines that are not records."""
+    if records is None:
+        text = (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8")
+        records = [json.loads(line) for line in text.splitlines()]
     lines = []
     for subject in ("steve", "woz"):
-        for line in (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines():
-            record = json.loads(line)
+        for record in records:
             record = dict(record, subjects=[subject], source_uri=f"{record['source_uri']}/{subject}")
             early = parse_instant(record["timestamp"]) - timedelta(hours=4)
             early = dict(record, source_uri=record["source_uri"] + "/early",
@@ -842,10 +845,10 @@ NOWS = ["2011-10-20T00:00:00Z", "2011-10-27T00:00:00Z", "2011-11-03T00:00:00Z",
 class Corpora:
     """Corpus files that a random sequence grows, rewrites, tears and moves."""
 
-    def __init__(self, root: Path, rng: random.Random):
+    def __init__(self, root: Path, rng: random.Random, pool: list[str] | None = None):
         self.root = root
         self.rng = rng
-        self.pool = record_pool()
+        self.pool = pool or record_pool()
         self.paths = [root / "a.jsonl", root / "b.jsonl"]
         self.torn: dict[Path, str] = {}  # path -> the rest of its torn last line
         root.mkdir(parents=True)
