@@ -15,7 +15,10 @@ state change; each snapshot carries the card's whole reasoning trail.
 The log is the durable record. The current-state index and the maker
 state are derived whole files, rewritten once at the end of each manager
 batch; replaying the log reconstructs the index bit-exactly. The maker
-state, written last, commits the length of every derived log.
+state, written last, commits the length of every derived log; every
+command reads a store up to it (:func:`read_commit`). Drill-down and the
+audit walk a card's chain here too. No stage module loads with this one,
+so ``cards list``, ``export`` and ``routes`` run without the pipeline.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .clock import format_instant, parse_instant
-from .encoding import StoreFormatError, append_jsonl, build_record, canonical_json, content_hash
-from .encoding import read_json, read_jsonl, synced_length, write_json
-from .ontology import ConceptDef, OntologySpec
-from .refine import RefinedNote, RefinedNoteStore
+from .encoding import StoreFormatError, append_jsonl, build_record, canonical_json, committed_size
+from .encoding import content_hash, read_json, read_jsonl, synced_length, write_json
+
+if TYPE_CHECKING:
+    from .ontology import ConceptDef, OntologySpec
+    from .pipeline import Stores
+    from .refine import RefinedNote, RefinedNoteStore
 
 STATUS_PREMATURE = "premature"
 STATUS_COMMITTED = "committed"
@@ -289,6 +295,37 @@ def older_of(a: Card, b: Card) -> Card:
 # them: the maker's save commits their lengths.
 LOGS = ("documents/documents.jsonl", "chunks/chunks.jsonl", "chunks/released.jsonl",
         "notes/notes.jsonl", "refined/refined.jsonl", "cards/log.jsonl")
+
+
+def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
+    """The maker state the last commit saved (``{}`` in a new store) and each
+    log's committed length; a commit that does not hold raises, naming the file.
+
+    Never writes. Committed prefixes never change, so a reader without the
+    lock sees the last commit whole, and nothing a run appends after it.
+    """
+    root = Path(root)
+    maker = root / "cards" / "maker.json"
+    state = read_json(maker)
+    if state is None:
+        if any(committed_size(root / name, 0) for name in LOGS):
+            raise StoreFormatError(f"{maker}: missing, so nothing commits the logs beside it")
+        return {}, dict.fromkeys(LOGS, 0)
+    lengths = state.get("logs") if isinstance(state, dict) else None
+    if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
+        raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
+    if not isinstance(state.get("manifest"), dict | None):
+        raise StoreFormatError(f"{maker}: manifest is not a JSON object")
+    for value in (*lengths.values(), state.get("annotated", 0)):
+        if type(value) is not int or value < 0:  # a bool is an int, but not a length
+            raise StoreFormatError(
+                f"{maker}: committed length {value!r} is not a non-negative integer"
+            )
+    for name in LOGS:
+        committed_size(root / name, lengths[name])
+    if state.get("annotated", 0) > lengths["documents/documents.jsonl"]:
+        raise StoreFormatError(f"{maker}: annotated is past the committed documents log")
+    return state, lengths
 
 
 class CardMaker:
@@ -637,3 +674,72 @@ class CardManager:
         self.maker.reopen_slot(rebuilt)
         self._save()
         return rebuilt
+
+
+# ---------------------------------------------------------------------------
+# Drill-down and traceability
+# ---------------------------------------------------------------------------
+
+
+def _card(card_id: str, stores: Stores) -> Card:
+    """The ledger's card, else the maker's held card; an unknown id raises :class:`CardError`."""
+    card = stores.ledger.get(card_id)
+    if card is None:
+        card = next((c for c in stores.maker.premature_cards() if c.card_id == card_id), None)
+    if card is None:
+        raise CardError(f"unknown card {card_id}")
+    return card
+
+
+def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
+    """Full chain card -> refined notes -> notes -> chunks -> documents."""
+    from .notes import note_to_dict
+    from .organize import chunk_to_dict
+    from .refine import refined_to_dict
+
+    card = _card(card_id, stores)
+    refined_records = []
+    for refined_id in card.evidence_ids():
+        record = stores.refined.get(refined_id)
+        if record is None:
+            raise CardError(f"dangling refined note {refined_id}")
+        note_records = []
+        for note_id in record.input_note_ids():
+            note = stores.notes.get(note_id)
+            if note is None and note_id == record.note.note_id:
+                note = record.note  # passthrough notes need not be re-fetched
+            if note is None:
+                raise CardError(f"dangling note {note_id}")
+            chunk_records = []
+            for chunk_id in note.provenance:
+                chunk = stores.organizer.get_chunk(chunk_id)
+                if chunk is None:
+                    raise CardError(f"dangling chunk {chunk_id}")
+                document = stores.text.get(chunk.doc_id)
+                source = {"doc_id": document.doc_id, "source_uri": document.meta.source_uri}
+                chunk_records.append({"chunk": chunk_to_dict(chunk), "document": source})
+            note_records.append({"note": note_to_dict(note), "chunks": chunk_records})
+        refined_records.append({"refined": refined_to_dict(record), "notes": note_records})
+    return {"card": card_to_dict(card), "evidence": refined_records}
+
+
+def audit_card(card_id: str, stores: Stores) -> list[str]:
+    """Dangling references along the provenance chain; empty means sound."""
+    problems = []
+    card = _card(card_id, stores)
+    for refined_id in card.evidence_ids():
+        record = stores.refined.get(refined_id)
+        if record is None:
+            problems.append(f"card {card_id} -> missing refined note {refined_id}")
+            continue
+        for note_id in record.input_note_ids():
+            if stores.notes.get(note_id) is None:
+                problems.append(f"refined {refined_id} -> missing note {note_id}")
+        for chunk_id in record.note.provenance:
+            chunk = stores.organizer.get_chunk(chunk_id)
+            if chunk is None:
+                problems.append(f"refined {refined_id} -> missing chunk {chunk_id}")
+                continue
+            if chunk.doc_id not in stores.text:
+                problems.append(f"chunk {chunk_id} -> missing document {chunk.doc_id}")
+    return problems

@@ -5,6 +5,10 @@ Commands: ``ontology validate``, ``ingest``, ``run``, ``notes list``,
 Exit status is 0 on success, 1 when validation findings exist, 2 on
 operational errors. ``run`` and ``ingest`` take ``--now`` to pin the clock
 for reproducible runs; the other store commands read up to the last commit.
+
+Handlers import what they use: ``cards list``, ``export`` and ``routes``
+load no stage module. ``run``, ``ingest``, ``card show``, ``store check``
+and a reader given ``--config`` load the pipeline, and with it every stage.
 """
 
 from __future__ import annotations
@@ -12,32 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cards import Card, CardError, CardLedger, CardMaker, card_to_dict
+from .cards import Card, CardError, CardLedger, CardMaker, audit_card, card_to_dict, drill_down
+from .cards import read_commit
 from .clock import parse_instant
-from .durations import DurationError
+from .encoding import PipelineError, read_jsonl, record_id
 from .graph import GraphError, GraphFilter, build_graph, export_graph, find_routes, query_cards
-from .ingest import IngestError, TextStore, ingest_corpus
-from .notes import NoteStore, note_to_dict
-from .ontology import (
-    OntologyError,
-    load_ontology,
-    merged_or_single,
-    validate_ontology,
-)
-from .pipeline import (
-    PipelineConfig,
-    PipelineError,
-    Stores,
-    StoreLock,
-    audit_card,
-    cut_to_commit,
-    drill_down,
-    load_config,
-    read_commit,
-    run_pipeline,
-)
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig, Stores
 
 
 def _json_flag(parser: argparse.ArgumentParser) -> None:
@@ -131,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
+    from .pipeline import PipelineConfig, load_config
+
     config = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "ontology", None):
         config.ontology_paths = list(args.ontology)
@@ -145,12 +138,24 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _store_root(config: PipelineConfig) -> Path:
-    """The root of a read-only command, which must not create a missing one."""
-    root = Path(config.store_root)
+def _store_root(args: argparse.Namespace, config: PipelineConfig | None = None) -> Path:
+    """The root of a read-only command, which must not create a missing one.
+    ``--store`` without ``--config`` names it without building the pipeline's config."""
+    if config is None and (args.config or not args.store):
+        config = _build_config(args)
+    root = Path(config.store_root if config else args.store)
     if not root.is_dir():
         raise PipelineError(f"store not found: {root}")
     return root
+
+
+def _stores(args: argparse.Namespace) -> Stores:
+    """Every store under a reader's root, opened with the pipeline's config."""
+    from .pipeline import Stores
+
+    config = _build_config(args)
+    _store_root(args, config)
+    return Stores(config)
 
 
 def _all_cards(ledger: CardLedger, maker: CardMaker) -> list[Card]:
@@ -171,6 +176,8 @@ def _error_report(path: str, code: str, exc: Exception) -> dict:
 
 
 def cmd_ontology_validate(args) -> int:
+    from .ontology import OntologyError, load_ontology, merged_or_single, validate_ontology
+
     reports = []
     specs = []
     exit_code = 0
@@ -185,9 +192,7 @@ def cmd_ontology_validate(args) -> int:
             continue
         specs.append(spec)
         report = validate_ontology(spec)
-        reports.append(
-            {"path": str(path), "findings": [f.as_dict() for f in report.findings]}
-        )
+        reports.append({"path": str(path), "findings": [f.as_dict() for f in report.findings]})
         if not report.ok():
             exit_code = 1
     if len(specs) == len(args.paths) and len(specs) > 1:
@@ -210,6 +215,9 @@ def cmd_ontology_validate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import TextStore, ingest_corpus
+    from .pipeline import StoreLock, cut_to_commit
+
     config = _build_config(args)
     if not config.corpus_paths:
         raise PipelineError("no corpus given (use --corpus or a config file)")
@@ -230,20 +238,17 @@ def cmd_ingest(args) -> int:
         # Commits the documents; annotated stays for the next run to move.
         maker.save()
     _report_repaired(repaired)
+    counts = {"accepted": summary.accepted, "rejected": summary.rejected}
     if args.json:
-        print(
-            json.dumps(
-                {"accepted": summary.accepted, "rejected": summary.rejected},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(counts, indent=2, sort_keys=True))
     else:
         print(f"accepted={summary.accepted} rejected={summary.rejected}")
     return 0
 
 
 def cmd_run(args) -> int:
+    from .pipeline import run_pipeline
+
     config = _build_config(args)
     summary = run_pipeline(config)
     _report_repaired(summary.repaired)
@@ -255,7 +260,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_notes_list(args) -> int:
-    root = _store_root(_build_config(args))
+    from .notes import NoteStore, note_to_dict
+
+    root = _store_root(args)
     store = NoteStore(root / "notes", read_commit(root)[1]["notes/notes.jsonl"])
     action = None
     if args.entity or args.relationship:
@@ -276,15 +283,12 @@ def cmd_notes_list(args) -> int:
 
 
 def cmd_cards_list(args) -> int:
-    root = _store_root(_build_config(args))
+    root = _store_root(args)
     state, ends = read_commit(root)  # one read: the held cards match the ledger
     ledger = CardLedger(root / "cards", ends["cards/log.jsonl"])
     cards = query_cards(
-        _all_cards(ledger, CardMaker(root / "cards", state)),
-        concept=args.concept,
-        status=args.status,
-        subject=args.subject,
-        min_criteria_met=args.min_met,
+        _all_cards(ledger, CardMaker(root / "cards", state)), concept=args.concept,
+        status=args.status, subject=args.subject, min_criteria_met=args.min_met,
         max_criteria_met=args.max_met,
     )
     if args.json:
@@ -301,9 +305,7 @@ def cmd_cards_list(args) -> int:
 
 
 def cmd_card_show(args) -> int:
-    config = _build_config(args)
-    _store_root(config)
-    stores = Stores(config)
+    stores = _stores(args)
     if args.audit:
         # Audit first: drill-down refuses the dangling references the audit reports.
         problems = audit_card(args.card_id, stores)
@@ -332,10 +334,8 @@ def cmd_card_show(args) -> int:
             print(f"  refined {refined['refined_id']} passthrough={refined['passthrough']}")
             for note_entry in evidence["notes"]:
                 note = note_entry["note"]
-                print(
-                    f"    note {note['note_id']} {note['action'][0]}/{note['action'][1]} "
-                    f"{note['intensity']}"
-                )
+                action = "/".join(note["action"])
+                print(f"    note {note['note_id']} {action} {note['intensity']}")
                 for chunk_entry in note_entry["chunks"]:
                     chunk = chunk_entry["chunk"]
                     doc = chunk_entry["document"]
@@ -343,8 +343,8 @@ def cmd_card_show(args) -> int:
     return 0
 
 
-def _graph_for(args, config: PipelineConfig):
-    root = _store_root(config)
+def _graph_for(args):
+    root = _store_root(args)
     time_range = None
     valid_from = getattr(args, "valid_from", None)
     valid_to = getattr(args, "valid_to", None)
@@ -362,8 +362,7 @@ def _graph_for(args, config: PipelineConfig):
 
 
 def cmd_export(args) -> int:
-    config = _build_config(args)
-    graph = _graph_for(args, config)
+    graph = _graph_for(args)
     text = export_graph(graph, format=args.format)
     if args.out:
         try:
@@ -376,8 +375,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_routes(args) -> int:
-    config = _build_config(args)
-    graph = _graph_for(args, config)
+    graph = _graph_for(args)
     routes = find_routes(graph, args.start, args.end, args.max_length)
     if args.json:
         print(json.dumps({"routes": routes}, indent=2, sort_keys=True))
@@ -388,11 +386,24 @@ def cmd_routes(args) -> int:
     return 0
 
 
+# The logs that hold one line per id, with the key of that id.
+_KEYED_LOGS = {"documents/documents.jsonl": "doc_id", "chunks/chunks.jsonl": "chunk_id",
+               "notes/notes.jsonl": "note_id", "refined/refined.jsonl": "refined_id"}
+
+
 def cmd_store_check(args) -> int:
-    config = _build_config(args)
-    _store_root(config)
-    stores = Stores(config)  # reads the id of every committed line and replays the ledger
-    # Build the record of every committed line; one that is not a record, or
+    stores = _stores(args)  # reads the id of every committed line and replays the ledger
+    # Decode every committed line of a keyed log again, whole: each index keeps
+    # only the later of two lines that hold one id.
+    repeated = [
+        f"{name}: {key} {ident} is held by {count} committed lines"
+        for name, key in _KEYED_LOGS.items()
+        for ident, count in Counter(
+            read_jsonl(stores.root / name, stores.ends[name], build=partial(record_id, name=key))
+        ).items()
+        if count > 1
+    ]
+    # Build the record of every indexed line; one that is not a record, or
     # holds another id than its line was read under, exits 2.
     stores.text.list()
     stores.notes.list()
@@ -405,11 +416,16 @@ def cmd_store_check(args) -> int:
         for chunk in chunks if chunk.doc_id not in stores.text
     ]
     problems = list(dict.fromkeys(problems))  # a chunk's card reaches it too
+    report = {"cards": len(cards), "dangling": problems}
+    counts = f"{len(cards)} cards, {len(problems)} dangling"
+    if repeated:  # shown only when there are some
+        report["repeated"] = repeated
+        counts += f", {len(repeated)} repeated"
     if args.json:
-        print(json.dumps({"cards": len(cards), "dangling": problems}, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("\n".join([*problems, f"({len(cards)} cards, {len(problems)} dangling)"]))
-    return 1 if problems else 0
+        print("\n".join([*repeated, *problems, f"({counts})"]))
+    return 1 if problems or repeated else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -429,15 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     handler = handlers[(args.command, getattr(args, "subcommand", None))]
     try:
         return handler(args)
-    except (
-        PipelineError,
-        OntologyError,
-        GraphError,
-        CardError,
-        IngestError,
-        DurationError,
-        ValueError,
-    ) as exc:
+    # The ontology and ingest errors are PipelineErrors; ValueError covers
+    # DurationError and StoreFormatError.
+    except (PipelineError, GraphError, CardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

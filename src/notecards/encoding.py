@@ -1,4 +1,4 @@
-"""Canonical JSON, content-derived ids, and the two store file formats.
+"""Canonical JSON, content hashes, the two store file formats and the operational error.
 
 :func:`canonical_json` gives equal values equal bytes, which is what
 makes whole-store byte determinism achievable. Every store file is read
@@ -28,12 +28,13 @@ import hashlib
 import json
 import os
 import re
-import uuid
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-# Namespace for all name-based UUIDs minted by this package.
-ID_NAMESPACE = uuid.NAMESPACE_DNS
+
+class PipelineError(Exception):
+    """Operational failures: bad config, busy store, missing files; the
+    ontology and ingest errors are kinds of it."""
 
 
 class StoreFormatError(ValueError):
@@ -49,11 +50,6 @@ def content_hash(value: Any, length: int = 16) -> str:
     """Short hex digest of the canonical JSON form of *value*."""
     digest = hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
     return digest[:length]
-
-
-def name_uuid(*parts: str) -> str:
-    """Deterministic name-based UUID over the given parts."""
-    return str(uuid.uuid5(ID_NAMESPACE, "\x1f".join(parts)))
 
 
 def read_json(path: Path, default: Any = None) -> Any:

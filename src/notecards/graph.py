@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 
 from .cards import Card
 
-EDGE_TYPES = ("same-subject", "conflict", "supersedes", "evidence-shared")
-
 DEFAULT_MAX_ROUTE_LENGTH = 6  # enumeration budget for scenario walks
 
 

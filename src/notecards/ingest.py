@@ -30,6 +30,7 @@ import hmac
 import json
 import os
 import unicodedata
+import uuid
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from functools import partial
@@ -37,15 +38,21 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
-from .encoding import append_jsonl, canonical_json, name_uuid
+from .encoding import PipelineError, append_jsonl, canonical_json
 from .encoding import id_string, read_jsonl_at, read_jsonl_index, record_id
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
+ID_NAMESPACE = uuid.NAMESPACE_DNS  # of every name-based UUID this package mints
 
 
-class IngestError(Exception):
+class IngestError(PipelineError):
     """Unreadable source, bad key, or unknown document id."""
+
+
+def name_uuid(*parts: str) -> str:
+    """Deterministic name-based UUID over the given parts."""
+    return str(uuid.uuid5(ID_NAMESPACE, "\x1f".join(parts)))
 
 
 @dataclass(frozen=True)

@@ -293,11 +293,13 @@ class NoteStore:
         return note
 
     def add_all(self, notes: Iterable[Note]) -> int:
-        new = [n for n in notes if n.note_id not in self._offsets]
+        """Append the notes not stored yet, each id once (an id hashes every
+        other field, so notes of one id are equal); returns how many."""
+        new = {note.note_id: note for note in notes if note.note_id not in self._offsets}
         if not new:
             return 0
-        offsets = append_jsonl(self._path, map(note_to_dict, new))
-        self._offsets.update((note.note_id, offset) for note, offset in zip(new, offsets))
+        offsets = append_jsonl(self._path, map(note_to_dict, new.values()))
+        self._offsets.update(zip(new, offsets))
         return len(new)
 
     def list(

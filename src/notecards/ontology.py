@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .durations import DurationError, parse_duration
+from .encoding import PipelineError
 
 VALUE_KINDS = ("count", "quantity-with-unit", "category", "text")
 AGGREGATORS = ("sum", "max", "mean", "count")
@@ -71,7 +72,7 @@ class Confidence(str, Enum):
 _CONFIDENCE_RANK = {Confidence.LOW: 0, Confidence.MEDIUM: 1, Confidence.HIGH: 2}
 
 
-class OntologyError(Exception):
+class OntologyError(PipelineError):
     """Base for all ontology loading/merging failures."""
 
 

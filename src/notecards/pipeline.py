@@ -1,4 +1,4 @@
-"""End-to-end pipeline wiring: config, stores, the run loop, drill-down.
+"""End-to-end pipeline wiring: config, stores, the run loop.
 
 A run is: ingest -> annotate -> organize -> synthesize -> validate ->
 refine -> accumulate cards -> admit. Every stage writes through
@@ -27,6 +27,10 @@ record from its line when asked, and organizing regroups only the keys
 that hold an unreleased chunk. So ``run`` and the readers notice damage
 inside a committed line whose id still reads only when they decode that
 line; ``store check`` decodes every line.
+
+This module imports every stage. ``run``, ``ingest``, ``card show``,
+``store check`` and readers given ``--config`` load it; ``cards list``,
+``export``, ``routes`` and ``notes list`` do not (:mod:`notecards.cli`).
 """
 
 from __future__ import annotations
@@ -42,16 +46,17 @@ from typing import Any
 from .annotate import GazetteerMatcher, annotate_with_matcher
 from .cards import (
     LOGS,
-    Card,
     CardLedger,
     CardMaker,
     CardManager,
     STATUS_COMMITTED,
     STATUS_EXPIRED,
+    audit_card,  # re-exported: callers outside the package import it from here
+    read_commit,
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import StoreFormatError, committed_size, cut_to_length, read_json
+from .encoding import PipelineError, StoreFormatError, cut_to_length
 from .ingest import TextStore, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
@@ -62,10 +67,6 @@ from .organize import (
     OrganizerStore,
 )
 from .refine import RefinedNoteStore, refine_notes, validate_note
-
-
-class PipelineError(Exception):
-    """Operational failures: bad config, busy store, missing files."""
 
 
 @dataclass
@@ -82,9 +83,7 @@ class PipelineConfig:
     now_override: str | None = None
 
     def synthesis(self) -> SynthesisConfig:
-        return SynthesisConfig(
-            window_length=self.window, horizon_windows=self.horizon_windows
-        )
+        return SynthesisConfig(window_length=self.window, horizon_windows=self.horizon_windows)
 
     def clock(self) -> Clock:
         if self.now_override is not None:
@@ -210,15 +209,9 @@ class RunSummary:
                 "committed": self.cards_committed,
                 "expired": self.cards_expired,
             },
-            "conflicts": {
-                "detected": self.conflicts_detected,
-                "resolved": self.conflicts_resolved,
-            },
-            "organize": {
-                "window": self.window,
-                "epsilon": self.epsilon,
-                "watermark": self.watermark,
-            },
+            "conflicts": {"detected": self.conflicts_detected, "resolved": self.conflicts_resolved},
+            "organize": {"window": self.window, "epsilon": self.epsilon,
+                         "watermark": self.watermark},
             "wall_time_seconds": self.wall_time_seconds,
         }
 
@@ -262,57 +255,26 @@ class StoreLock:
 
 
 class Stores:
-    """All six stores under one root, each indexing its logs up to the last commit."""
+    """All six stores under one root, each indexing its logs up to the last commit
+    (``ends``, each log's committed length)."""
 
     def __init__(self, config: PipelineConfig):
-        root = Path(config.store_root)
-        self.root = root
-        state, ends = read_commit(root)
-        self.text = TextStore(root / "documents", ends["documents/documents.jsonl"])
+        self.root = root = Path(config.store_root)
+        state, self.ends = read_commit(root)
+        self.text = TextStore(root / "documents", self.ends["documents/documents.jsonl"])
         self.organizer = OrganizerStore(
             root / "chunks",
             window_length=config.window,
             epsilon=config.epsilon,
             watermark=config.watermark,
-            chunks_end=ends["chunks/chunks.jsonl"],
-            released_end=ends["chunks/released.jsonl"],
+            chunks_end=self.ends["chunks/chunks.jsonl"],
+            released_end=self.ends["chunks/released.jsonl"],
         )
-        self.notes = NoteStore(root / "notes", ends["notes/notes.jsonl"])
-        self.refined = RefinedNoteStore(root / "refined", ends["refined/refined.jsonl"])
-        self.ledger = CardLedger(root / "cards", ends["cards/log.jsonl"])
+        self.notes = NoteStore(root / "notes", self.ends["notes/notes.jsonl"])
+        self.refined = RefinedNoteStore(root / "refined", self.ends["refined/refined.jsonl"])
+        self.ledger = CardLedger(root / "cards", self.ends["cards/log.jsonl"])
         self.maker = CardMaker(root / "cards", state)
         self.manager = CardManager(self.ledger, self.maker)
-
-
-def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
-    """The maker state the last commit saved (``{}`` in a new store) and each
-    log's committed length; a commit that does not hold raises, naming the file.
-
-    Never writes. Committed prefixes never change, so a reader without the
-    lock sees the last commit whole, and nothing a run appends after it.
-    """
-    root = Path(root)
-    maker = root / "cards" / "maker.json"
-    state = read_json(maker)
-    if state is None:
-        if any(committed_size(root / name, 0) for name in LOGS):
-            raise StoreFormatError(f"{maker}: missing, so nothing commits the logs beside it")
-        return {}, dict.fromkeys(LOGS, 0)
-    lengths = state.get("logs") if isinstance(state, dict) else None
-    if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
-        raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
-    if not isinstance(state.get("manifest"), dict | None):
-        raise StoreFormatError(f"{maker}: manifest is not a JSON object")
-    for value in (*lengths.values(), state.get("annotated", 0)):
-        if type(value) is not int or value < 0:  # a bool is an int, but not a length
-            raise StoreFormatError(
-                f"{maker}: committed length {value!r} is not a non-negative integer"
-            )
-    for name in LOGS:
-        committed_size(root / name, lengths[name])
-    if state.get("annotated", 0) > lengths["documents/documents.jsonl"]:
-        raise StoreFormatError(f"{maker}: annotated is past the committed documents log")
-    return state, lengths
 
 
 def cut_to_commit(root: Path, manifest: dict[str, Any] | None = None) -> list[Path]:
@@ -429,93 +391,10 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         # Admit saves the maker last, which commits every log this run appended to.
         report = stores.manager.admit(stores.maker.open_candidates(), spec, now)
         summary.conflicts_detected = len(report.conflicts)
-        summary.conflicts_resolved = sum(
-            1 for c in report.conflicts if c.resolution == "expire-older"
-        )
+        summary.conflicts_resolved = sum(c.resolution == "expire-older" for c in report.conflicts)
 
         summary.cards_premature = len(stores.maker.premature_cards())
         summary.cards_committed = len(stores.ledger.cards(STATUS_COMMITTED))
         summary.cards_expired = len(stores.ledger.cards(STATUS_EXPIRED))
     summary.wall_time_seconds = round(clock.elapsed(), 3)
     return summary
-
-
-# ---------------------------------------------------------------------------
-# Drill-down and traceability
-# ---------------------------------------------------------------------------
-
-
-def _card(card_id: str, stores: Stores) -> Card:
-    """The ledger's card, else the maker's held card; an unknown id raises."""
-    card = stores.ledger.get(card_id)
-    if card is None:
-        card = next(
-            (c for c in stores.maker.premature_cards() if c.card_id == card_id), None
-        )
-    if card is None:
-        raise PipelineError(f"unknown card {card_id}")
-    return card
-
-
-def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
-    """Full chain card -> refined notes -> notes -> chunks -> documents."""
-    from .cards import card_to_dict
-    from .notes import note_to_dict
-    from .organize import chunk_to_dict
-    from .refine import refined_to_dict
-
-    card = _card(card_id, stores)
-    refined_records = []
-    for refined_id in card.evidence_ids():
-        record = stores.refined.get(refined_id)
-        if record is None:
-            raise PipelineError(f"dangling refined note {refined_id}")
-        note_records = []
-        for note_id in record.input_note_ids():
-            note = stores.notes.get(note_id)
-            if note is None and note_id == record.note.note_id:
-                note = record.note  # passthrough notes need not be re-fetched
-            if note is None:
-                raise PipelineError(f"dangling note {note_id}")
-            chunk_records = []
-            for chunk_id in note.provenance:
-                chunk = stores.organizer.get_chunk(chunk_id)
-                if chunk is None:
-                    raise PipelineError(f"dangling chunk {chunk_id}")
-                document = stores.text.get(chunk.doc_id)
-                chunk_records.append(
-                    {
-                        "chunk": chunk_to_dict(chunk),
-                        "document": {
-                            "doc_id": document.doc_id,
-                            "source_uri": document.meta.source_uri,
-                        },
-                    }
-                )
-            note_records.append({"note": note_to_dict(note), "chunks": chunk_records})
-        refined_records.append(
-            {"refined": refined_to_dict(record), "notes": note_records}
-        )
-    return {"card": card_to_dict(card), "evidence": refined_records}
-
-
-def audit_card(card_id: str, stores: Stores) -> list[str]:
-    """Dangling references along the provenance chain; empty means sound."""
-    problems = []
-    card = _card(card_id, stores)
-    for refined_id in card.evidence_ids():
-        record = stores.refined.get(refined_id)
-        if record is None:
-            problems.append(f"card {card_id} -> missing refined note {refined_id}")
-            continue
-        for note_id in record.input_note_ids():
-            if stores.notes.get(note_id) is None:
-                problems.append(f"refined {refined_id} -> missing note {note_id}")
-        for chunk_id in record.note.provenance:
-            chunk = stores.organizer.get_chunk(chunk_id)
-            if chunk is None:
-                problems.append(f"refined {refined_id} -> missing chunk {chunk_id}")
-                continue
-            if chunk.doc_id not in stores.text:
-                problems.append(f"chunk {chunk_id} -> missing document {chunk.doc_id}")
-    return problems

@@ -514,11 +514,12 @@ class RefinedNoteStore:
         return set(self._processed)
 
     def add_all(self, records: Iterable[RefinedNote]) -> int:
-        new = [r for r in records if r.refined_id not in self._offsets]
+        """Append the records not stored yet, each id once (as :meth:`NoteStore.add_all`)."""
+        new = {r.refined_id: r for r in records if r.refined_id not in self._offsets}
         if not new:
             return 0
-        offsets = append_jsonl(self._path, map(refined_to_dict, new))
-        for record, offset in zip(new, offsets):
+        offsets = append_jsonl(self._path, map(refined_to_dict, new.values()))
+        for record, offset in zip(new.values(), offsets):
             self._offsets[record.refined_id] = offset
             self._processed.update(record.input_note_ids())
         return len(new)

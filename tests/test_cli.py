@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
+from notecards import cards, cli, encoding, ingest, notes, organize, pipeline, refine
 from notecards.cards import LOGS, CardLedger, CardMaker
 from notecards.cli import main
 from notecards.ingest import TextStore
@@ -256,6 +256,47 @@ def rename_document(store: Path, line: int) -> str:
     return doc_id
 
 
+def repeat_first_line(store: Path, log: str) -> bytes:
+    """Append a copy of a log's first line and commit it, as a run's save would."""
+    path = store / log
+    first = path.read_bytes().splitlines(keepends=True)[0]
+    with path.open("ab") as handle:
+        handle.write(first)
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    state["logs"][log] = path.stat().st_size
+    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    return first
+
+
+@pytest.mark.parametrize(
+    "log, key",
+    [
+        ("documents/documents.jsonl", "doc_id"),
+        ("chunks/chunks.jsonl", "chunk_id"),
+        ("notes/notes.jsonl", "note_id"),
+        ("refined/refined.jsonl", "refined_id"),
+    ],
+)
+def test_store_check_reports_an_id_that_two_committed_lines_hold(fixture_store, capsys, log, key):
+    # Each index keeps the later line, so only store check sees the earlier one.
+    held = json.loads(repeat_first_line(fixture_store, log))[key]
+    finding = f"{log}: {key} {held} is held by 2 committed lines"
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    assert capsys.readouterr().out == f"{finding}\n(1 cards, 0 dangling, 1 repeated)\n"
+    assert run_cli("store", "check", "--store", fixture_store, "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": [], "repeated": [finding]}
+
+
+def test_store_check_takes_a_card_snapshot_twice_in_the_ledger(fixture_store, capsys):
+    # The ledger holds one snapshot per state change, many per card by design.
+    repeat_first_line(fixture_store, "cards/log.jsonl")
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store) == 0
+    assert capsys.readouterr().out == "(1 cards, 0 dangling)\n"
+
+
 def test_store_check_reports_each_chunk_whose_document_is_missing_once(fixture_store, tmp_path, capsys):
     # Reported the day before the pinned clock: its chunk is stored, but its
     # window is still open, so no note and no card reaches it.
@@ -500,7 +541,9 @@ DECODED_LOGS = [
     (("routes", "301.4@steve#g1", "subject:steve"), ["cards/log.jsonl"]),
     (("notes", "list"), ["notes/notes.jsonl"]),
     (("card", "show", CARD), list(LOGS)),
-    (("store", "check"), list(LOGS)),
+    # store check decodes each log that holds one line per id a second time, whole.
+    (("store", "check"), list(LOGS) + ["documents/documents.jsonl", "chunks/chunks.jsonl",
+                                       "notes/notes.jsonl", "refined/refined.jsonl"]),
 ]
 
 
@@ -524,7 +567,7 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
 
         return read
 
-    for module in (ingest, organize, notes, refine, cards, pipeline):
+    for module in (ingest, organize, notes, refine, cards, pipeline, cli):
         for name in ("read_json", "read_jsonl", "read_jsonl_index"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))

@@ -21,8 +21,9 @@ from notecards.cards import (
     CardMaker,
     CardManager,
     card_to_dict,
+    drill_down,
 )
-from notecards import cards, cli, encoding, ingest, notes, organize, pipeline, refine
+from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
@@ -36,7 +37,6 @@ from notecards.pipeline import (
     PipelineError,
     Stores,
     cut_to_commit,
-    drill_down,
     load_config,
     run_pipeline,
 )
@@ -206,10 +206,35 @@ def test_undated_records_with_subjects_synthesize_notes(tmp_path):
     assert note.time_range == (None, None)
 
 
+def test_an_id_repeated_within_one_batch_is_stored_once(tmp_path):
+    """A second template on the alcohol trigger that sums what the first
+    maxes synthesizes equal notes, so one batch holds an id twice."""
+    spec = json.loads((FIXTURES / "alcohol.json").read_text(encoding="utf-8"))
+    spec["note_templates"].append({
+        "template_id": "t_drinking_total",
+        "trigger": {"entity": "alcohol", "relationship": "consume"},
+        "attribute_aggregations": {"amount": "sum"},
+        "min_events": 1,
+    })
+    ontology = tmp_path / "alcohol-total.json"
+    ontology.write_text(json.dumps(spec), encoding="utf-8")
+    store = tmp_path / "store"
+    summary = run_pipeline(PipelineConfig(
+        ontology_paths=[ontology], corpus_paths=[FIXTURES / "alcohol_corpus.jsonl"],
+        store_root=store, now_override=PINNED,
+    ))
+    notes = [record["note_id"] for record in encoding.read_jsonl(store / "notes/notes.jsonl")]
+    refined = [r["refined_id"] for r in encoding.read_jsonl(store / "refined/refined.jsonl")]
+    assert "n-779c38c31edb2250" in notes and "rn-33be81da207f9045" in refined
+    assert len(notes) == len(set(notes)) == summary.notes_synthesized
+    assert len(refined) == len(set(refined)) == summary.notes_refined
+    assert cli_main(["store", "check", "--store", str(store)]) == 0
+
+
 def test_drill_down_unknown_card(tmp_path):
     config = jobs_config(tmp_path / "store")
     run_pipeline(config)
-    with pytest.raises(PipelineError):
+    with pytest.raises(CardError):
         drill_down("missing@x#g1", Stores(config))
 
 
@@ -758,7 +783,7 @@ def full_recompute(patch) -> None:
 
     patch.setattr(TextStore, "list", every_document)
     patch.setattr(pipeline, "ingest_corpus", reference_ingest)
-    patch.setattr(cli, "ingest_corpus", reference_ingest)
+    patch.setattr(ingest, "ingest_corpus", reference_ingest)
     patch.setattr(OrganizerStore, "close_window", reference_close_window)
 
 
