@@ -18,7 +18,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .clock import format_instant
 from .ingest import Document
@@ -29,8 +30,7 @@ _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
 _RUN_RE = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int
     end: int  # half-open char offsets into the original text
@@ -79,6 +79,7 @@ class AnnotateOutcome:
     skipped: int = 0  # sentences dropped for lack of a resolvable subject
 
 
+@lru_cache(maxsize=4096)  # a corpus uses few distinct characters
 def _is_punct(char: str) -> bool:
     return unicodedata.category(char).startswith("P")
 

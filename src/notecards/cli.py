@@ -215,7 +215,7 @@ def cmd_ontology_validate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .ingest import TextStore, ingest_corpus
+    from .ingest import TextStore, check_sources, ingest_corpus
     from .pipeline import StoreLock, cut_to_commit
 
     config = _build_config(args)
@@ -223,14 +223,16 @@ def cmd_ingest(args) -> int:
         raise PipelineError("no corpus given (use --corpus or a config file)")
     clock = config.clock()
     root = Path(config.store_root)
+    mask_key = config.mask_key()
+    check_sources(config.corpus_paths, mask_key)  # before the lock makes the store
     with StoreLock(root):
-        repaired = cut_to_commit(root)
-        maker = CardMaker(root / "cards")
+        state, ends, repaired = cut_to_commit(root)
+        maker = CardMaker(root / "cards", state)
         summary = ingest_corpus(
             config.corpus_paths,
-            TextStore(root / "documents"),
+            TextStore(root / "documents", ends["documents/documents.jsonl"]),
             clock,
-            mask_key=config.mask_key(),
+            mask_key=mask_key,
             mask_aliases=config.mask_aliases or None,
             consumed=maker.corpora,
         )

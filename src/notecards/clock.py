@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from datetime import datetime, timezone
+from functools import lru_cache
 
 UTC = timezone.utc
 
@@ -26,10 +27,17 @@ def parse_instant(text: str) -> datetime:
 
 def format_instant(instant: datetime) -> str:
     """Render an aware datetime as ``YYYY-MM-DDTHH:MM:SSZ`` (UTC)."""
-    normalized = instant.astimezone(UTC)
-    if normalized.microsecond:
-        return normalized.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-    return normalized.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return _format_utc(instant if instant.tzinfo is UTC else instant.astimezone(UTC))
+
+
+# A run formats a few instants over and over: every chunk and note of a
+# window shares them. Keyed on UTC datetimes only, where equal means the
+# same text; the bound caps an unpinned clock, whose every instant differs.
+@lru_cache(maxsize=1024)
+def _format_utc(instant: datetime) -> str:
+    # isoformat, unlike strftime's %Y, pads years before 1000 to the four
+    # digits parse_instant needs, and omits a zero microsecond.
+    return instant.replace(tzinfo=None).isoformat() + "Z"
 
 
 class Clock:

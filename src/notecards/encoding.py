@@ -43,7 +43,11 @@ class StoreFormatError(ValueError):
 
 def canonical_json(value: Any) -> str:
     """Stable, whitespace-free JSON with sorted keys."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _CANONICAL.encode(value)
+
+
+# What json.dumps builds on each call with these arguments; it holds no state.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def content_hash(value: Any, length: int = 16) -> str:

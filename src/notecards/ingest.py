@@ -19,7 +19,9 @@ are always read whole.
 The text store is one append-only log, ``documents.jsonl``: one line per
 document in ingestion order, so a byte offset is a position in that
 order. The maker's save commits the log with every other log of the
-store, and records how far annotation has got as one such offset.
+store, and records how far annotation has got as one such offset. The
+store keeps the documents it appends, so the run that ingested them
+reads them from memory, and the log only for what earlier commands logged.
 One writer per store root; any number of readers, each up to the last commit.
 """
 
@@ -210,7 +212,11 @@ def _document_from_dict(raw: dict) -> Document:
 
 
 class TextStore:
-    """Append-only document log, indexed by doc_id at open up to byte *end*."""
+    """Append-only document log, indexed by doc_id at open up to byte *end*.
+
+    It keeps the documents it appends, so the run that ingested them reads
+    them back from memory; only lines logged before the open are decoded.
+    """
 
     def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
@@ -220,6 +226,7 @@ class TextStore:
             self._path, end, scan=_scan_doc_id, build=lambda raw: record_id(raw, "doc_id")
         )
         self._offsets: dict[str, int] = {doc_id: offset for offset, doc_id in index}
+        self._appended: dict[str, Document] = {}  # since the open, in log order
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._offsets
@@ -243,6 +250,7 @@ class TextStore:
         if new:
             offsets = append_jsonl(self._path, map(_document_to_dict, new.values()))
             self._offsets.update(zip(new, offsets))
+            self._appended.update(new)
         return len(new), duplicates
 
     def get(self, doc_id: str) -> Document:
@@ -254,8 +262,14 @@ class TextStore:
 
     def list(self, start: int = 0) -> list[Document]:
         """The documents from byte offset *start* of the log on, in ingestion order."""
-        lines = [(doc_id, offset) for doc_id, offset in self._offsets.items() if offset >= start]
-        return list(read_jsonl_at(self._path, lines, "doc_id", _document_from_dict))
+        lines = [(doc_id, offset) for doc_id, offset in self._offsets.items()
+                 if offset >= start and doc_id not in self._appended]
+        documents = list(read_jsonl_at(self._path, lines, "doc_id", _document_from_dict))
+        # Appended after every line the open indexed, so they come last.
+        documents += [
+            doc for doc_id, doc in self._appended.items() if self._offsets[doc_id] >= start
+        ]
+        return documents
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +403,16 @@ def read_corpus(
     yield make_document(text, meta, ingested_at=clock.now())
 
 
+def check_sources(paths: Iterable[Path], mask_key: bytes | None) -> None:
+    """Refuse a corpus that is not a file or a mask key too short to use, as
+    ingestion would; a writer calls it before it creates a store."""
+    for path in paths:
+        if not Path(path).is_file():
+            raise IngestError(f"corpus not readable: {path}")
+    if mask_key is not None and len(mask_key) < MIN_MASK_KEY_BYTES:
+        raise IngestError(f"mask key must be at least {MIN_MASK_KEY_BYTES} bytes")
+
+
 def ingest_corpus(
     sources: Iterable[Path],
     store: TextStore,
@@ -407,10 +431,7 @@ def ingest_corpus(
     consumed = consumed or {}
     mask = mask_fingerprint(mask_key, mask_aliases)
     paths = [Path(source) for source in sources]
-    # Check readability up front so a bad path never leaves a partial run.
-    for path in paths:
-        if not path.exists():
-            raise IngestError(f"corpus not readable: {path}")
+    check_sources(paths, mask_key)  # so a bad path never leaves a partial run
 
     def documents() -> Iterator[Document]:
         for source in paths:

@@ -19,7 +19,7 @@ extraction limitation, not a tunable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
 from pathlib import Path
@@ -101,15 +101,25 @@ def new_note(
     provenance: Iterable[str],
     place: str | None,
 ) -> Note:
-    """The one way to make a note: its id is a hash over every other field."""
-    note = Note(
-        "", subject, action, tuple(sorted(attributes)), intensity, confidence, time_range,
-        tuple(sorted(provenance)), place=place,
+    """The one way to make a note: its id is a hash over every other field,
+    as :func:`note_to_dict` stores them, but attributes as sorted pairs."""
+    attributes = tuple(sorted(attributes))
+    provenance = tuple(sorted(provenance))
+    fields = {
+        "subject": subject,
+        "action": action,
+        "attributes": attributes,
+        "intensity": intensity.value,
+        "confidence": confidence.value,
+        "time_range": _stamps(time_range),
+        "provenance": provenance,
+        "schema_version": NOTE_SCHEMA_VERSION,
+        "place": place,
+    }
+    return Note(
+        "n-" + content_hash(fields), subject, action, attributes, intensity, confidence,
+        time_range, provenance, place=place,
     )
-    fields = note_to_dict(note)
-    del fields["note_id"]
-    fields["attributes"] = note.attributes  # hashed as sorted pairs, not as the stored mapping
-    return replace(note, note_id="n-" + content_hash(fields))
 
 
 def _event_value(chunk: AnnotatedChunk, template: NoteTemplate) -> float | None:
@@ -224,6 +234,11 @@ def _build_note(
 # ---------------------------------------------------------------------------
 
 
+def _stamps(time_range: tuple[datetime | None, datetime | None]) -> list[str | None]:
+    start, end = time_range
+    return [format_instant(start) if start else None, format_instant(end) if end else None]
+
+
 def note_to_dict(note: Note) -> dict:
     return {
         "note_id": note.note_id,
@@ -232,10 +247,7 @@ def note_to_dict(note: Note) -> dict:
         "attributes": {k: v for k, v in note.attributes},
         "intensity": note.intensity.value,
         "confidence": note.confidence.value,
-        "time_range": [
-            format_instant(note.time_range[0]) if note.time_range[0] else None,
-            format_instant(note.time_range[1]) if note.time_range[1] else None,
-        ],
+        "time_range": _stamps(note.time_range),
         "provenance": list(note.provenance),
         "schema_version": note.schema_version,
         "place": note.place,

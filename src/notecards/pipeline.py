@@ -13,7 +13,10 @@ enforced by a lock.
 One commit rule: the last write of ``run`` and of ``ingest``, the maker's
 save, syncs every log and records its length. Every command reads each
 log only up to it (:func:`read_commit`); ``run`` and ``ingest`` first
-cut each log back to it (:func:`cut_to_commit`). A run's save also moves
+cut each log back to it (:func:`cut_to_commit`) and open from that same
+read: ``run`` through the writer's :class:`Stores`. Both check that each
+corpus is a file and read the mask key before the lock, so an input they
+cannot read leaves no store behind. A run's save also moves
 ``annotated`` to the end of the documents log; an ingest's leaves it, and
 both record what they consumed of each corpus, so the next skips it.
 
@@ -26,7 +29,9 @@ whose id does not read. Everything else, drill-down included, decodes a
 record from its line when asked, and organizing regroups only the keys
 that hold an unreleased chunk. So ``run`` and the readers notice damage
 inside a committed line whose id still reads only when they decode that
-line; ``store check`` decodes every line.
+line; ``store check`` decodes every line. The documents a run ingests
+itself it annotates from memory, and it decodes only those pending
+documents that an earlier command logged.
 
 This module imports every stage. ``run``, ``ingest``, ``card show``,
 ``store check`` and readers given ``--config`` load it; ``cards list``,
@@ -57,7 +62,7 @@ from .cards import (
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
 from .encoding import PipelineError, StoreFormatError, cut_to_length
-from .ingest import TextStore, ingest_corpus
+from .ingest import TextStore, check_sources, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologySpec, load_ontology, merged_or_single
 from .organize import (
@@ -256,11 +261,21 @@ class StoreLock:
 
 class Stores:
     """All six stores under one root, each indexing its logs up to the last commit
-    (``ends``, each log's committed length)."""
+    (``ends``, each log's committed length).
 
-    def __init__(self, config: PipelineConfig):
+    A reader passes no *manifest*, and nothing is written. ``run`` passes
+    its own under the lock, and opens as a writer: every log is first cut
+    back to the commit it then opens from (:func:`cut_to_commit`), and
+    ``repaired`` names the logs that were cut.
+    """
+
+    def __init__(self, config: PipelineConfig, manifest: dict[str, Any] | None = None):
         self.root = root = Path(config.store_root)
-        state, self.ends = read_commit(root)
+        self.repaired: list[Path] = []
+        if manifest is None:
+            state, self.ends = read_commit(root)
+        else:
+            state, self.ends, self.repaired = cut_to_commit(root, manifest)
         self.text = TextStore(root / "documents", self.ends["documents/documents.jsonl"])
         self.organizer = OrganizerStore(
             root / "chunks",
@@ -277,7 +292,9 @@ class Stores:
         self.manager = CardManager(self.ledger, self.maker)
 
 
-def cut_to_commit(root: Path, manifest: dict[str, Any] | None = None) -> list[Path]:
+def cut_to_commit(
+    root: Path, manifest: dict[str, Any] | None = None
+) -> tuple[dict[str, Any], dict[str, int], list[Path]]:
     """Cut every log back to the length the last commit recorded.
 
     ``run`` and ``ingest`` call it under the lock, before they open the
@@ -285,7 +302,8 @@ def cut_to_commit(root: Path, manifest: dict[str, Any] | None = None) -> list[Pa
     differs from a run's *manifest*, is left untouched. A new store first
     gets the empty maker's save, which commits its logs empty and pins
     nothing, so a crash in its first run is cut back like any other.
-    Returns the logs it cut.
+    Returns what :func:`read_commit` read, which the stores open from, and
+    the logs it cut.
     """
     root = Path(root)
     state, lengths = read_commit(root)
@@ -300,9 +318,10 @@ def cut_to_commit(root: Path, manifest: dict[str, Any] | None = None) -> list[Pa
                     f"this run has {name}={value!r}; use a new store"
                 )
     if not state:
-        CardMaker(root / "cards", state).save()
-        return []
-    return [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
+        CardMaker(root / "cards", state).save()  # commits what was read: nothing
+        return state, lengths, []
+    repaired = [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
+    return state, lengths, repaired
 
 
 def load_specs(config: PipelineConfig) -> OntologySpec:
@@ -335,14 +354,16 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         raise PipelineError("at least one corpus is required")
     spec = load_specs(config)
     manifest = store_manifest(config)
+    mask_key = config.mask_key()
+    check_sources(config.corpus_paths, mask_key)  # before the lock makes the store
     summary = RunSummary(
         window=manifest["window"],
         epsilon=manifest["epsilon"],
         watermark=manifest["watermark"],
     )
     with StoreLock(config.store_root):
-        summary.repaired = cut_to_commit(config.store_root, manifest)
-        stores = Stores(config)
+        stores = Stores(config, manifest)
+        summary.repaired = stores.repaired
         stores.maker.manifest = manifest  # the one pinned, or adopted by this run's commit
         now = clock.now()
 
@@ -350,7 +371,7 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
             config.corpus_paths,
             stores.text,
             clock,
-            mask_key=config.mask_key(),
+            mask_key=mask_key,
             mask_aliases=config.mask_aliases or None,
             consumed=stores.maker.corpora,
         )

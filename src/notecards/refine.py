@@ -23,7 +23,7 @@ runs yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
@@ -415,11 +415,7 @@ def refine_notes(
             stage3 = stage2
 
         for note in stage3:
-            trail = tuple(trails.get(note.note_id, ()))
-            record = RefinedNote(note, trail, refined_id="", passthrough=not trail)
-            payload = refined_to_dict(record)
-            del payload["refined_id"], payload["schema_version"]  # hashed without either
-            refined.append(replace(record, refined_id="rn-" + content_hash(payload)))
+            refined.append(new_refined(note, tuple(trails.get(note.note_id, ()))))
 
     refined.sort(key=lambda r: (r.subject, r.action, r.refined_id))
     return refined
@@ -428,6 +424,18 @@ def refine_notes(
 # ---------------------------------------------------------------------------
 # Refined note store
 # ---------------------------------------------------------------------------
+
+
+def new_refined(note: Note, applied_rules: tuple[RuleApplication, ...]) -> RefinedNote:
+    """The one way to make a refined note: its id is a hash over the fields
+    :func:`refined_to_dict` stores but ``refined_id`` and ``schema_version``."""
+    passthrough = not applied_rules
+    fields = {
+        "note": note_to_dict(note),
+        "applied_rules": [a.as_dict() for a in applied_rules],
+        "passthrough": passthrough,
+    }
+    return RefinedNote(note, applied_rules, "rn-" + content_hash(fields), passthrough)
 
 
 def refined_to_dict(refined: RefinedNote) -> dict:

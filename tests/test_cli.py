@@ -450,6 +450,32 @@ def test_malformed_config_exits_two_before_the_store_is_touched(tmp_path, capsys
     assert not store.exists()
 
 
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("run", ["--corpus", "absent.jsonl"], "corpus not readable: absent.jsonl"),
+        ("ingest", ["--corpus", "absent.jsonl"], "corpus not readable: absent.jsonl"),
+        ("ingest", ["--corpus", "."], "corpus not readable: ."),
+        ("run", ["--mask-key-file", "absent.key"], "cannot read mask key file"),
+        ("ingest", ["--mask-key-file", "absent.key"], "cannot read mask key file"),
+        ("run", ["--mask-key-file", "short.key"], "mask key must be at least 16 bytes"),
+    ],
+    ids=["run-absent-corpus", "ingest-absent-corpus", "ingest-directory-corpus",
+         "run-absent-key", "ingest-absent-key", "run-short-key"],
+)
+def test_unreadable_input_exits_two_before_the_store_is_made(
+    tmp_path, monkeypatch, capsys, command, options, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.key").write_bytes(b"0123456789\n")
+    ontology = ["--ontology", FIXTURES / "ocpd.json"] if command == "run" else []
+    corpus = [] if "--corpus" in options else ["--corpus", FIXTURES / "jobs_corpus.jsonl"]
+    capsys.readouterr()
+    assert run_cli(command, *ontology, *corpus, *options, "--store", "store") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
 def test_store_lock_blocks_concurrent_runs(tmp_path, capsys):
     store = tmp_path / "store"
     store.mkdir()

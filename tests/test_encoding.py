@@ -3,14 +3,51 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from notecards.cli import main as cli_main
-from notecards.encoding import StoreFormatError, append_jsonl, cut_to_length, read_jsonl
+from notecards.encoding import StoreFormatError, append_jsonl, canonical_json, cut_to_length
+from notecards.encoding import read_jsonl
 from notecards.pipeline import LOGS, cut_to_commit
 
 from conftest import FIXTURES, store_bytes
+
+
+def random_text(rng: random.Random) -> str:
+    """Text with escapes, control, non-ASCII and astral characters and a lone surrogate."""
+    alphabet = 'aZ0 "\\\n\x00é☕\U0001F600\ud800/'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    """A JSON value as the stores hold them: nested records, tuples, any text."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.randint(-2**70, 2**70)
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 1e-300, 2.5, rng.uniform(-1e9, 1e9), float("inf")])
+    if kind in (4, 5):
+        return random_text(rng)
+    items = [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {random_text(rng): value for value in items}
+
+
+def test_canonical_json_equals_json_dumps_with_the_canonical_arguments():
+    rng = random.Random(19)
+    for _ in range(2000):
+        value = random_value(rng)
+        expected = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        assert canonical_json(value) == expected
 
 
 def test_whole_log_is_left_alone(tmp_path):
@@ -87,12 +124,12 @@ def store(tmp_path):
 def test_a_run_commits_the_length_of_every_log(store):
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
     assert maker["logs"] == {name: (store / name).stat().st_size for name in LOGS}
-    assert cut_to_commit(store) == []
+    assert cut_to_commit(store)[2] == []
 
 
 def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
     store = tmp_path / "store"
-    assert cut_to_commit(store) == []
+    assert cut_to_commit(store)[2] == []
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
     assert maker == {
         "annotated": 0, "cards": {}, "closed": [], "corpora": {}, "logs": dict.fromkeys(LOGS, 0),

@@ -244,6 +244,7 @@ def test_reopened_store_indexes_every_document_at_its_offset(tmp_path):
 def test_list_opens_the_log_once(tmp_path, monkeypatch):
     store = TextStore(tmp_path / "docs")
     ingest_corpus([write_jsonl(tmp_path / "a.jsonl", corpus_records())], store, CLOCK)
+    reopened = TextStore(tmp_path / "docs")
     opened = []
     path_open = Path.open
 
@@ -252,8 +253,58 @@ def test_list_opens_the_log_once(tmp_path, monkeypatch):
         return path_open(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", counted_open)
+    assert len(reopened.list()) == 3
+    assert opened == ["documents.jsonl"]
+    # The store that appended the documents serves them without reading the log.
     assert len(store.list()) == 3
     assert opened == ["documents.jsonl"]
+
+
+def random_timestamp(rng: random.Random) -> str:
+    """An RFC-3339 instant: some years before 1000, some microseconds, any offset."""
+    year = rng.choice([rng.randint(100, 999), rng.randint(1990, 2030)])
+    month, day, hour = rng.randint(1, 12), rng.randint(1, 28), rng.randint(0, 23)
+    stamp = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:00:00"
+    if rng.random() < 0.5:
+        stamp += f".{rng.randint(0, 999999):06d}"
+    return stamp + rng.choice(["Z", "+00:00", "+05:30", "-08:00", ""])
+
+
+def random_records(rng: random.Random, count: int) -> list[dict]:
+    records = []
+    for k in range(count):
+        record = {
+            "text": rng.choice(["Steve", "Jobs", "Café", "naïve ☕", "Wozniak\r\n"]) + f" {k}.",
+            "source_uri": f"bio://{rng.randint(0, 5)}",
+            "subjects": rng.sample(["steve", "woz", "jony"], rng.randint(0, 2)),
+        }
+        if rng.random() < 0.8:
+            record["timestamp"] = random_timestamp(rng)
+        if rng.random() < 0.5:
+            record["place"] = rng.choice(["the plant", "Cupertino", ""])
+        records.append(record)
+    return records + rng.sample(records, 3)  # duplicates are stored once
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_documents_a_store_appended_equal_the_documents_read_from_its_log(tmp_path, seed):
+    rng = random.Random(seed)
+    options = {}
+    if seed % 2:
+        options = {"mask_key": b"0123456789abcdef", "mask_aliases": {"steve": ("Steve",)}}
+    records = random_records(rng, 40)
+    earlier = write_jsonl(tmp_path / "earlier.jsonl", records[:15])
+    later = write_jsonl(tmp_path / "later.jsonl", records[15:])
+    # Documents an earlier ingest logged are pending for the next run.
+    ingest_corpus([earlier], TextStore(tmp_path / "docs"), Clock(), **options)
+    writer = TextStore(tmp_path / "docs")
+    ingest_corpus([earlier, later], writer, Clock(), **options)  # unpinned: microseconds
+    reader = TextStore(tmp_path / "docs")
+    assert len(reader) == len(writer) == len({json.dumps(r, sort_keys=True) for r in records})
+    starts = {0, writer.end(), *rng.sample(range(writer.end()), 30)}
+    for start in sorted(starts):
+        assert writer.list(start) == reader.list(start)
+    assert all(doc.masked == bool(options) for doc in writer.list())
 
 
 # ---------------------------------------------------------------------------
