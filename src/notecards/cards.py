@@ -12,13 +12,14 @@ in one process completes in a later one, once.
 
 The ledger on disk is a JSON Lines log holding one card snapshot per
 state change; each snapshot carries the card's whole reasoning trail.
-The log is the durable record. The current-state index and the maker
-state are derived whole files, rewritten once at the end of each manager
-batch; replaying the log reconstructs the index bit-exactly. The maker
-state, written last, commits the length of every derived log; every
-command reads a store up to it (:func:`read_commit`). Drill-down and the
-audit walk a card's chain here too. No stage module loads with this one,
-so ``cards list``, ``export`` and ``routes`` run without the pipeline.
+The log is the durable record. The index (each card's latest snapshot
+offset) and the maker state are whole files, rewritten once at the end
+of each manager batch; replaying the log reconstructs the index
+bit-exactly. The maker state, written last, commits the length of every
+derived log; every command reads a store up to it (:func:`read_commit`).
+Drill-down and the audit walk a card's chain here too. No stage module
+loads with this one, so ``cards list``, ``export`` and ``routes`` run
+without the pipeline.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .clock import format_instant, parse_instant
 from .encoding import StoreFormatError, append_jsonl, build_record, canonical_json, committed_size
-from .encoding import content_hash, read_json, read_jsonl, synced_length, write_json
+from .encoding import content_hash, read_json, read_jsonl_index, synced_length, write_json
 
 if TYPE_CHECKING:
     from .ontology import ConceptDef, OntologySpec
@@ -438,29 +439,43 @@ def _snapshot(record: dict) -> Card | None:
     return card_from_dict(record["card"]) if record["type"] == "snapshot" else None
 
 
+def _snapshots(log_path: Path, end: int | None) -> Iterator[tuple[int, Card]]:
+    """Each card snapshot of a ledger log up to byte *end*, with the offset of its line."""
+    for offset, card in read_jsonl_index(log_path, end, scan=lambda line: None, build=_snapshot):
+        if card is not None:
+            yield offset, card
+
+
 class CardLedger:
-    """Snapshot log, replayed up to byte *end*, plus derived index; manager-only writes."""
+    """Snapshot log, replayed up to byte *end*, plus its index; manager-only writes.
+
+    ``index.json`` maps each card id to the byte offset of the line holding
+    that card's latest snapshot in ``log.jsonl``. It is written whole once
+    per manager batch, and replaying the log reproduces it. The log alone
+    holds the cards.
+    """
 
     def __init__(self, root: Path, end: int | None = None):
         self.root = Path(root)
         self.log_path = self.root / "log.jsonl"
         self.index_path = self.root / "index.json"
-        self._cards = self.replay(self.log_path, end)
+        self._cards: dict[str, Card] = {}
+        self._offsets: dict[str, int] = {}  # card id -> offset of its latest snapshot line
+        for offset, card in _snapshots(self.log_path, end):
+            self._cards[card.card_id] = card
+            self._offsets[card.card_id] = offset
 
     @staticmethod
     def replay(log_path: Path, end: int | None = None) -> dict[str, Card]:
-        cards: dict[str, Card] = {}
-        for card in read_jsonl(log_path, end, build=_snapshot):
-            if card is not None:
-                cards[card.card_id] = card
-        return cards
+        return {card.card_id: card for _, card in _snapshots(log_path, end)}
 
     def write_snapshot(self, card: Card) -> None:
-        append_jsonl(self.log_path, [{"type": "snapshot", "card": card_to_dict(card)}])
+        [offset] = append_jsonl(self.log_path, [{"type": "snapshot", "card": card_to_dict(card)}])
         self._cards[card.card_id] = card
+        self._offsets[card.card_id] = offset
 
     def write_index(self) -> None:
-        write_json(self.index_path, {cid: card_to_dict(card) for cid, card in self._cards.items()})
+        write_json(self.index_path, self._offsets)
 
     def get(self, card_id: str) -> Card | None:
         return self._cards.get(card_id)

@@ -353,15 +353,15 @@ def _read_jsonl_corpus(
             summary.rejected += known["rejected"]
         accepted = rejected = 0  # past record["length"]
         for raw in handle:
-            text = raw.decode("utf-8")
-            lines = [text]  # json.loads and strip() ignore the line's own end
-            if "\r" in text:
-                lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            lines = [raw]  # json.loads and strip() ignore the line's own end
+            if b"\r" in raw:
+                lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
             for line in lines:
-                if not line.strip():
-                    continue
                 try:
-                    doc = _parse_line(line, clock)
+                    text = line.decode("utf-8")  # a line that is not UTF-8 is malformed too
+                    if not text.strip():
+                        continue
+                    doc = _parse_line(text, clock)
                 except (ValueError, KeyError):
                     rejected += 1
                     continue
@@ -395,7 +395,10 @@ def read_corpus(
     if path.suffix == ".jsonl":
         yield from _read_jsonl_corpus(path, clock, summary, known, mask)
         return
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        text = ""  # rejected, as an empty file is
     if not text.strip():
         summary.rejected += 1
         return

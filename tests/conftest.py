@@ -45,6 +45,32 @@ def store_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def assert_card_index_follows_the_log(root: Path) -> None:
+    """``cards/index.json`` under store *root* maps exactly the ids of the
+    ledger replayed up to its commit, each to the offset of that card's last
+    snapshot line in the committed ``cards/log.jsonl``, a line holding the
+    card's replayed state."""
+    from notecards.cards import CardLedger, card_to_dict, read_commit
+
+    log = root / "cards" / "log.jsonl"
+    committed = log.read_bytes()[: read_commit(root)[1]["cards/log.jsonl"]]
+    replayed = CardLedger.replay(log, len(committed))
+    last: dict[str, int] = {}  # card id -> offset of its last snapshot line, read here
+    offset = 0
+    for line in committed.splitlines(keepends=True):
+        record = json.loads(line)
+        if record["type"] == "snapshot":
+            last[record["card"]["card_id"]] = offset
+        offset += len(line)
+    index = json.loads((root / "cards" / "index.json").read_text(encoding="utf-8"))
+    assert index == last
+    assert sorted(index) == sorted(replayed)
+    for card_id, offset in index.items():
+        assert 0 <= offset < len(committed)
+        line = committed[offset : committed.index(b"\n", offset)]
+        assert json.loads(line) == {"type": "snapshot", "card": card_to_dict(replayed[card_id])}
+
+
 def utc(year, month, day, hour=0, minute=0, second=0) -> datetime:
     return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
 

@@ -70,3 +70,34 @@ def test_every_run_wrapper_fires_on_a_cold_run_and_a_rerun_with_new_input(tmp_pa
         assert unspanned == [], config_file.name
     assert tracer.counts["ingest.docs_new"] == inputs.docs + inputs.new_docs
     assert store_bytes(tmp_path / "traced") == store_bytes(tmp_path / "untraced")
+
+
+def test_every_cli_wrapper_fires_on_one_pass_of_the_query_mix(tmp_path, monkeypatch, capsys):
+    # The traced query workload fails when a wrapper stays silent; a command
+    # that stops calling a traced name fails here first. The commands are
+    # those of the benchmark's query mix, run in this process.
+    layers = load("layers")
+    inputs = load("gen").generate(tmp_path / "inputs", FIXTURES, 7, 3, 2)
+    run_pipeline(load_config(inputs.config))
+    subject = inputs.subjects[0]
+    card = inputs.card_id(subject)
+    store = ["--store", str(inputs.store)]
+    mix = [
+        ["cards", "list", *store],
+        ["card", "show", card, "--json", *store],
+        ["card", "show", card, "--audit", "--json", *store],
+        ["export", "--format", "dot", *store],
+        ["export", "--format", "json", *store],
+        ["routes", card, f"subject:{subject}", *store],
+        ["notes", "list", *store],
+    ]
+    for owner, attribute, *_ in layers.CLI_TARGETS:
+        monkeypatch.setattr(owner, attribute, owner.__dict__[attribute])  # restored after the test
+    tracer = layers.install(layers.CLI_TARGETS, lambda: 0)
+    assert [layers.cli.main(argv) for argv in mix] == [0] * len(mix)
+    missing = tmp_path / "missing-store"
+    assert layers.cli.main(["cards", "list", "--store", str(missing)]) == 2
+    assert not missing.exists()
+    capsys.readouterr()
+    assert layers.unfired(layers.CLI_TARGETS, tracer.fired) == []
+    assert tracer.fired[layers.target_name(layers.cli, "main")] == len(mix) + 1

@@ -27,7 +27,7 @@ from notecards.cards import (
 from notecards.ontology import ExclusionRule, Intensity, parse_ontology
 from notecards.refine import RefinedNoteStore
 
-from conftest import fixture_refined_rows, make_note, passthrough, utc
+from conftest import assert_card_index_follows_the_log, fixture_refined_rows, make_note, passthrough, utc
 
 GOLDEN_SCORES = (4, 5, 2, 11, 0, 5, 0, 10)
 NOW = utc(2011, 11, 13)
@@ -715,14 +715,17 @@ def test_replaying_the_log_reconstructs_the_index(tmp_path):
         spec,
         NOW + timedelta(days=5),
     )
-    replayed = CardLedger.replay(ledger.log_path)
-    from notecards.cards import card_to_dict
-
-    index_from_log = {
-        cid: card_to_dict(card) for cid, card in sorted(replayed.items())
-    }
-    stored_index = json.loads(ledger.index_path.read_text(encoding="utf-8"))
-    assert index_from_log == stored_index
+    # The expiry moved the older card's entry to its second snapshot.
+    assert sorted(card.status for card in ledger.cards()) == [STATUS_COMMITTED, STATUS_EXPIRED]
+    assert_card_index_follows_the_log(tmp_path)
+    # A remake's request and completion each end in a save of the index.
+    later = NOW + timedelta(days=10)
+    manager.request_remake("296.00@pm#g1", timedelta(days=2), later)
+    assert_card_index_follows_the_log(tmp_path)
+    refined = RefinedNoteStore(tmp_path / "refined")
+    manager.complete_remake("296.00@pm#g1", later + timedelta(days=2), refined, spec)
+    assert_card_index_follows_the_log(tmp_path)
+    assert len(CardLedger(tmp_path / "cards").cards()) == 3
 
 
 def test_log_holds_one_snapshot_per_state_change(tmp_path):

@@ -387,6 +387,22 @@ def test_ingest_subcommand_counts(tmp_path, capsys):
     assert summary == {"accepted": 20, "rejected": 0}
 
 
+def test_a_corpus_line_that_is_not_utf8_is_counted_rejected_run_after_run(tmp_path, capsys):
+    lines = (FIXTURES / "jobs_corpus.jsonl").read_bytes().splitlines(keepends=True)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(lines[0] + b"\xff\xfe bad\n" + lines[1])
+    store = tmp_path / "store"
+    run = ("run", "--store", store, "--ontology", FIXTURES / "ocpd.json", "--corpus", corpus,
+           "--now", "2011-11-13T00:00:00Z", "--json")
+    for annotated in (2, 0):
+        assert run_cli(*run) == 0
+        documents = json.loads(capsys.readouterr().out)["documents"]
+        assert (documents["ingested"], documents["rejected"]) == (2, 1)
+        assert documents["annotated"] == annotated
+    assert run_cli("ingest", "--corpus", corpus, "--store", store, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == {"accepted": 2, "rejected": 1}
+
+
 def test_missing_corpus_is_operational_error(tmp_path, capsys):
     code = run_cli("run", "--store", tmp_path / "s", "--ontology", FIXTURES / "ocpd.json")
     assert code == 2

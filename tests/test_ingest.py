@@ -390,6 +390,30 @@ def test_a_line_still_being_written_is_parsed_until_it_ends(tmp_path, monkeypatc
     assert (second.accepted, second.duplicates, second.rejected) == (3, 2, 0)
 
 
+def test_a_line_that_is_not_utf8_is_one_rejected_record(tmp_path, monkeypatch):
+    good = [json.dumps(record).encode("utf-8") for record in corpus_records()[:2]]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(good[0] + b"\n\xff\xfe bad\n" + good[1] + b"\n")
+    store = TextStore(tmp_path / "docs")
+    first = ingest_corpus([corpus], store, CLOCK)
+    assert (first.accepted, first.rejected) == (2, 1)
+    [record] = first.consumed.values()
+    assert (record["length"], record["accepted"], record["rejected"]) == (corpus.stat().st_size, 2, 1)
+    parsed = count_parsed(monkeypatch)
+    second = ingest_corpus([corpus], store, CLOCK, consumed=first.consumed)
+    assert parsed == []
+    assert (second.accepted, second.duplicates, second.rejected) == (2, 2, 1)
+
+
+def test_a_plain_text_file_that_is_not_utf8_is_rejected_as_an_empty_one_is(tmp_path):
+    store = TextStore(tmp_path / "docs")
+    for name, data in (("latin1.txt", b"caf\xe9"), ("empty.txt", b" \n")):
+        (tmp_path / name).write_bytes(data)
+        summary = ingest_corpus([tmp_path / name], store, CLOCK)
+        assert (summary.accepted, summary.rejected) == (0, 1), name
+    assert len(store) == 0
+
+
 def test_lines_split_as_text_mode_splits_them(tmp_path):
     records = [json.dumps(record) for record in corpus_records()]
     corpus = tmp_path / "c.jsonl"

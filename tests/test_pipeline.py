@@ -20,7 +20,6 @@ from notecards.cards import (
     CardLedger,
     CardMaker,
     CardManager,
-    card_to_dict,
     drill_down,
 )
 from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
@@ -41,7 +40,7 @@ from notecards.pipeline import (
     run_pipeline,
 )
 
-from conftest import FIXTURES, store_bytes
+from conftest import FIXTURES, assert_card_index_follows_the_log, store_bytes
 
 PINNED = "2011-11-13T00:00:00Z"
 
@@ -318,10 +317,28 @@ def test_whole_file_card_state_is_written_once_per_run(tmp_path, monkeypatch):
     assert summary.cards_committed == 5
     assert calls["index"] == 1
     assert calls["maker"] <= 2
-    ledger = Stores(config).ledger
-    index = json.loads(ledger.index_path.read_text(encoding="utf-8"))
-    replayed = CardLedger.replay(ledger.log_path)
-    assert index == {cid: card_to_dict(card) for cid, card in replayed.items()}
+    assert_card_index_follows_the_log(config.store_root)
+
+
+def test_the_card_index_follows_the_log_through_remakes_and_a_rerun(tmp_path):
+    corpus = many_subjects_corpus(tmp_path, 4)
+    config = jobs_config(tmp_path / "store", corpus=corpus)
+    assert run_pipeline(config).cards_committed == 4
+    spec = load_ontology(FIXTURES / "ocpd.json")
+    now = parse_instant(PINNED)
+    Stores(config).manager.request_remake("301.4@subject1#g1", timedelta(days=2), now)
+    assert_card_index_follows_the_log(config.store_root)
+    stores = Stores(config)
+    stores.manager.complete_remake("301.4@subject1#g1", now + timedelta(days=2), stores.refined, spec)
+    assert_card_index_follows_the_log(config.store_root)
+
+    # New input on the same corpus path: a fifth subject, and the rebuilt card's admission.
+    many_subjects_corpus(tmp_path, 5)
+    summary = run_pipeline(config)
+    assert (summary.documents_ingested, summary.cards_committed) == (100, 5)
+    assert_card_index_follows_the_log(config.store_root)
+    index = json.loads((config.store_root / "cards" / "index.json").read_text(encoding="utf-8"))
+    assert sorted(index) == sorted([f"301.4@subject{i}#g1" for i in range(5)] + ["301.4@subject1#g2"])
 
 
 def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
@@ -372,23 +389,28 @@ def test_rerun_after_a_crash_in_admit_matches_an_uninterrupted_run(tmp_path, mon
     log = "cards/log.jsonl"
     assert (tmp_path / "crashed" / log).read_bytes() == (tmp_path / "clean" / log).read_bytes()
     assert len(Stores(crashed).ledger.cards(STATUS_COMMITTED)) == 5
+    assert_card_index_follows_the_log(crashed.store_root)
 
 
 def crash_mid_append(patch, module, after: int) -> None:
-    """*module*'s log appends write *after* whole lines, then half a line, then raise."""
+    """*module*'s log appends write *after* whole lines, then half a line, then
+    raise; until then each returns its lines' offsets, as append_jsonl does."""
     written = []
 
     def append(path, records):
+        offsets = []
         for record in records:
             line = canonical_json(record).encode("ascii") + b"\n"
             if len(written) == after:
                 line = line[: len(line) // 2]
             path.parent.mkdir(parents=True, exist_ok=True)  # as append_jsonl does
             with path.open("ab") as handle:
+                offsets.append(handle.tell())
                 handle.write(line)
             if len(written) == after:
                 raise RuntimeError("injected crash mid-append")
             written.append(line)
+        return offsets
 
     patch.setattr(module, "append_jsonl", append)
 
