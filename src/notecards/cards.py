@@ -15,8 +15,9 @@ state change; each snapshot carries the card's whole reasoning trail.
 The log is the durable record. The index (each card's latest snapshot
 offset) and the maker state are whole files, rewritten once at the end
 of each manager batch; replaying the log reconstructs the index
-bit-exactly. The maker state, written last, commits the length of every
-derived log; every command reads a store up to it (:func:`read_commit`).
+bit-exactly. The maker state commits the length of every derived log,
+and every command reads a store up to it (:func:`read_commit`); the
+index is written after it, so it never names bytes past the commit.
 Drill-down and the audit walk a card's chain here too. No stage module
 loads with this one, so ``cards list``, ``export`` and ``routes`` run
 without the pipeline.
@@ -451,8 +452,8 @@ class CardLedger:
 
     ``index.json`` maps each card id to the byte offset of the line holding
     that card's latest snapshot in ``log.jsonl``. It is written whole once
-    per manager batch, and replaying the log reproduces it. The log alone
-    holds the cards.
+    per manager batch, after the maker's save commits the batch, and
+    replaying the log reproduces it. The log alone holds the cards.
     """
 
     def __init__(self, root: Path, end: int | None = None):
@@ -476,6 +477,20 @@ class CardLedger:
 
     def write_index(self) -> None:
         write_json(self.index_path, self._offsets)
+
+    def index_mismatches(self) -> list[str]:
+        """Each card on which ``index.json`` differs from the replayed ledger's
+        latest snapshot offsets; missing, the index reads as empty."""
+        index = read_json(self.index_path)
+        index = {} if index is None else index
+        if not isinstance(index, dict):
+            return [f"{self.index_path}: not a JSON object"]
+        return [
+            f"index {card_id} -> offset {index.get(card_id, 'none')}, "
+            f"latest snapshot at {self._offsets.get(card_id, 'none')}"
+            for card_id in sorted(index.keys() | self._offsets.keys())
+            if index.get(card_id) != self._offsets.get(card_id)
+        ]
 
     def get(self, card_id: str) -> Card | None:
         return self._cards.get(card_id)
@@ -520,9 +535,10 @@ class CardManager:
         return replace(card, reasoning_trail=card.reasoning_trail + (event,))
 
     def _save(self) -> None:
-        # Once after a batch's last log append; the maker last, as its save commits.
-        self.ledger.write_index()
+        # Once after a batch's last log append. The maker's save commits, and
+        # the index follows it, so the index never names uncommitted bytes.
         self.maker.save()
+        self.ledger.write_index()
 
     def _current(self, card_id: str) -> Card:
         if card_id in self._pending:
@@ -710,19 +726,21 @@ def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
     """Full chain card -> refined notes -> notes -> chunks -> documents."""
     from .notes import note_to_dict
     from .organize import chunk_to_dict
-    from .refine import refined_to_dict
+    from .refine import DanglingNote, refined_to_dict
 
     card = _card(card_id, stores)
     refined_records = []
     for refined_id in card.evidence_ids():
-        record = stores.refined.get(refined_id)
+        try:
+            record = stores.refined.get(refined_id)
+        except DanglingNote as exc:
+            raise CardError(f"dangling note {exc.note_id}") from None
         if record is None:
             raise CardError(f"dangling refined note {refined_id}")
         note_records = []
         for note_id in record.input_note_ids():
-            note = stores.notes.get(note_id)
-            if note is None and note_id == record.note.note_id:
-                note = record.note  # passthrough notes need not be re-fetched
+            # A passthrough's note is its note store's, read with the refined line.
+            note = record.note if record.passthrough else stores.notes.get(note_id)
             if note is None:
                 raise CardError(f"dangling note {note_id}")
             chunk_records = []
@@ -740,14 +758,20 @@ def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
 
 def audit_card(card_id: str, stores: Stores) -> list[str]:
     """Dangling references along the provenance chain; empty means sound."""
+    from .refine import DanglingNote
+
     problems = []
     card = _card(card_id, stores)
     for refined_id in card.evidence_ids():
-        record = stores.refined.get(refined_id)
+        try:
+            record = stores.refined.get(refined_id)
+        except DanglingNote as exc:
+            problems.append(str(exc))
+            continue
         if record is None:
             problems.append(f"card {card_id} -> missing refined note {refined_id}")
             continue
-        for note_id in record.input_note_ids():
+        for note_id in () if record.passthrough else record.input_note_ids():
             if stores.notes.get(note_id) is None:
                 problems.append(f"refined {refined_id} -> missing note {note_id}")
         for chunk_id in record.note.provenance:

@@ -394,6 +394,8 @@ _KEYED_LOGS = {"documents/documents.jsonl": "doc_id", "chunks/chunks.jsonl": "ch
 
 
 def cmd_store_check(args) -> int:
+    from .refine import DanglingNote
+
     stores = _stores(args)  # reads the id of every committed line and replays the ledger
     # Decode every committed line of a keyed log again, whole: each index keeps
     # only the later of two lines that hold one id.
@@ -405,29 +407,33 @@ def cmd_store_check(args) -> int:
         ).items()
         if count > 1
     ]
-    # Build the record of every indexed line; one that is not a record, or
-    # holds another id than its line was read under, exits 2.
+    # Build the record of every indexed line, every note line with the refined
+    # lines; one that is not a record, or holds another id than its line was
+    # read under, exits 2. A passthrough line whose note is missing dangles.
     stores.text.list()
-    stores.notes.list()
-    stores.refined.list()
+    problems = [str(r) for r in stores.refined.read_all() if isinstance(r, DanglingNote)]
     chunks = stores.organizer.chunks()
     cards = _all_cards(stores.ledger, stores.maker)
-    problems = [problem for card in cards for problem in audit_card(card.card_id, stores)]
+    problems += [problem for card in cards for problem in audit_card(card.card_id, stores)]
     problems += [
         f"chunk {chunk.chunk_id} -> missing document {chunk.doc_id}"
         for chunk in chunks if chunk.doc_id not in stores.text
     ]
     problems = list(dict.fromkeys(problems))  # a chunk's card reaches it too
+    index = stores.ledger.index_mismatches()
     report = {"cards": len(cards), "dangling": problems}
     counts = f"{len(cards)} cards, {len(problems)} dangling"
     if repeated:  # shown only when there are some
         report["repeated"] = repeated
         counts += f", {len(repeated)} repeated"
+    if index:  # likewise
+        report["index"] = index
+        counts += f", {len(index)} off the index"
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("\n".join([*repeated, *problems, f"({counts})"]))
-    return 1 if problems or repeated else 0
+        print("\n".join([*repeated, *problems, *index, f"({counts})"]))
+    return 1 if problems or repeated or index else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,6 +13,9 @@ _DURATION_RE = re.compile(r"^(\d+)([dwm])$")
 
 _UNIT_DAYS = {"d": 1, "w": 7, "m": 30}
 
+# The grouping window, which notes also count their horizon in, when a config names none.
+DEFAULT_WINDOW = timedelta(days=7)
+
 
 class DurationError(ValueError):
     """Raised for text that is not a valid duration."""

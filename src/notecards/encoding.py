@@ -88,6 +88,8 @@ def build_record(path: Path, where: str, build: Callable[[Any], Any], value: Any
     record of *path* (say, one missing a field), raises :class:`StoreFormatError`."""
     try:
         return build(value)
+    except StoreFormatError:
+        raise  # a build that reads another store file names that file
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise StoreFormatError(f"{path}: {where} is not a {path.name} record: {exc!r}") from None
 

@@ -21,16 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .annotate import AnnotatedChunk
 from .clock import format_instant, parse_instant
+from .durations import DEFAULT_WINDOW
 from .encoding import append_jsonl, content_hash, id_string, read_jsonl_at, read_jsonl_index
 from .encoding import record_id
-from .ontology import Confidence, Intensity, NoteTemplate, OntologySpec
-from .organize import DEFAULT_WINDOW, ChunkGroup
+
+if TYPE_CHECKING:  # synthesis reads these; the note store and its codec do not
+    from .annotate import AnnotatedChunk
+    from .ontology import NoteTemplate, OntologySpec
+    from .organize import ChunkGroup
 
 NOTE_SCHEMA_VERSION = 1
 
@@ -38,6 +42,38 @@ NOTE_SCHEMA_VERSION = 1
 INTENSITY_BOUNDS = (1.0, 2.0, 3.0)
 HIGH_CONFIDENCE = (3, 0.8)  # (sources, agreement)
 MEDIUM_CONFIDENCE = (2, 0.6)
+
+
+class Intensity(str, Enum):
+    RARE = "rare"
+    OCCASIONAL = "occasional"
+    FREQUENT = "frequent"
+    VERY_FREQUENT = "very_frequent"
+
+    @property
+    def rank(self) -> int:
+        return _INTENSITY_RANK[self]
+
+
+_INTENSITY_RANK = {
+    Intensity.RARE: 0,
+    Intensity.OCCASIONAL: 1,
+    Intensity.FREQUENT: 2,
+    Intensity.VERY_FREQUENT: 3,
+}
+
+
+class Confidence(str, Enum):
+    LOW = "low"
+    MEDIUM = "medium"
+    HIGH = "high"
+
+    @property
+    def rank(self) -> int:
+        return _CONFIDENCE_RANK[self]
+
+
+_CONFIDENCE_RANK = {Confidence.LOW: 0, Confidence.MEDIUM: 1, Confidence.HIGH: 2}
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .durations import DurationError, parse_duration
 from .encoding import PipelineError
+from .notes import Confidence, Intensity  # the scales of a note, which patterns compare
 
 VALUE_KINDS = ("count", "quantity-with-unit", "category", "text")
 AGGREGATORS = ("sum", "max", "mean", "count")
@@ -38,38 +38,6 @@ EXCLUSION_SCOPE = "same-subject-overlapping-validity"
 
 # Entity class id that marks person mentions for subject resolution.
 PERSON_CLASS_ID = "person"
-
-
-class Intensity(str, Enum):
-    RARE = "rare"
-    OCCASIONAL = "occasional"
-    FREQUENT = "frequent"
-    VERY_FREQUENT = "very_frequent"
-
-    @property
-    def rank(self) -> int:
-        return _INTENSITY_RANK[self]
-
-
-_INTENSITY_RANK = {
-    Intensity.RARE: 0,
-    Intensity.OCCASIONAL: 1,
-    Intensity.FREQUENT: 2,
-    Intensity.VERY_FREQUENT: 3,
-}
-
-
-class Confidence(str, Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-    @property
-    def rank(self) -> int:
-        return _CONFIDENCE_RANK[self]
-
-
-_CONFIDENCE_RANK = {Confidence.LOW: 0, Confidence.MEDIUM: 1, Confidence.HIGH: 2}
 
 
 class OntologyError(PipelineError):

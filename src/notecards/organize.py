@@ -29,12 +29,12 @@ from typing import Container, Iterable, Sequence
 
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
+from .durations import DEFAULT_WINDOW
 from .encoding import append_jsonl, canonical_json, read_jsonl
 from .encoding import id_string, read_jsonl_at, read_jsonl_index, record_id
 
 WILDCARD_PLACE = "*"
 
-DEFAULT_WINDOW = timedelta(days=7)
 DEFAULT_EPSILON = timedelta(hours=24)
 DEFAULT_WATERMARK = timedelta(days=2)
 

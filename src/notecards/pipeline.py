@@ -286,7 +286,9 @@ class Stores:
             released_end=self.ends["chunks/released.jsonl"],
         )
         self.notes = NoteStore(root / "notes", self.ends["notes/notes.jsonl"])
-        self.refined = RefinedNoteStore(root / "refined", self.ends["refined/refined.jsonl"])
+        self.refined = RefinedNoteStore(
+            root / "refined", self.notes, self.ends["refined/refined.jsonl"]
+        )
         self.ledger = CardLedger(root / "cards", self.ends["cards/log.jsonl"])
         self.maker = CardMaker(root / "cards", state)
         self.manager = CardManager(self.ledger, self.maker)

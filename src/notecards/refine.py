@@ -19,6 +19,10 @@ Partitions are formed per batch. Evidence that arrives in a later run
 (late windows) is refined and stored, but reaches a committed card only
 through a remake (``CardManager.complete_remake``), which no command
 runs yet.
+
+Each note is stored once. A passthrough refined note's log line names its
+note by id, and the note is read back from the note log; a merged note
+is stored nowhere else, so its refined line holds it whole.
 """
 
 from __future__ import annotations
@@ -26,14 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
 from .encoding import append_jsonl, content_hash, id_string, read_jsonl_at, read_jsonl_index
 from .encoding import record_id
-from .notes import Note, new_note, note_from_dict, note_to_dict, scan_note_id, NOTE_SCHEMA_VERSION
+from .notes import Note, NoteStore, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
 
@@ -93,17 +98,13 @@ class RefinedNote:
 
     def input_note_ids(self) -> tuple[str, ...]:
         """Every source note this refined note accounts for."""
-        return _input_note_ids(
-            self.passthrough, self.note.note_id, (a.input_note_ids for a in self.applied_rules)
-        )
+        if self.passthrough:
+            return (self.note.note_id,)
+        return _rule_inputs(a.input_note_ids for a in self.applied_rules)
 
 
-def _input_note_ids(
-    passthrough: bool, note_id: str, rule_inputs: Iterable[Iterable[str]]
-) -> tuple[str, ...]:
-    """A passthrough note accounts for itself, any other for its rules' inputs, once each."""
-    if passthrough:
-        return (note_id,)
+def _rule_inputs(rule_inputs: Iterable[Iterable[str]]) -> tuple[str, ...]:
+    """A merged note accounts for its rules' inputs, once each."""
     return tuple(dict.fromkeys(i for inputs in rule_inputs for i in inputs))
 
 
@@ -448,9 +449,11 @@ def refined_to_dict(refined: RefinedNote) -> dict:
     }
 
 
-def refined_from_dict(raw: dict) -> RefinedNote:
+def refined_from_dict(raw: dict, note: Note | None = None) -> RefinedNote:
+    """The refined note of a :func:`refined_to_dict` record, or of a stored
+    passthrough line given its *note*."""
     return RefinedNote(
-        note=note_from_dict(raw["note"]),
+        note=note_from_dict(raw["note"]) if note is None else note,
         applied_rules=tuple(
             RuleApplication(
                 rule=a["rule"],
@@ -466,36 +469,63 @@ def refined_from_dict(raw: dict) -> RefinedNote:
     )
 
 
+def _stored_line(refined: RefinedNote) -> dict:
+    """The log line of a refined note. A passthrough line names its note, which
+    the note log holds; a merged line holds its merged note, stored nowhere else."""
+    if not refined.passthrough:
+        return refined_to_dict(refined)
+    return {
+        "applied_rules": [],
+        "note_id": refined.note.note_id,
+        "passthrough": True,
+        "refined_id": refined.refined_id,
+        "schema_version": NOTE_SCHEMA_VERSION,
+    }
+
+
 def _index_refined(raw: dict) -> tuple[str, tuple[str, ...]]:
     """A refined line's id and the note ids it accounts for, without building it."""
-    inputs = _input_note_ids(
-        raw.get("passthrough", False),
-        raw["note"]["note_id"],
-        (a["input_note_ids"] for a in raw.get("applied_rules", ())),
-    )
-    return record_id(raw, "refined_id"), inputs
+    if not raw.get("passthrough", False):
+        return record_id(raw, "refined_id"), _rule_inputs(
+            a["input_note_ids"] for a in raw.get("applied_rules", ())
+        )
+    if "note" in raw:
+        raise ValueError("a passthrough line that holds its note predates this store format; "
+                         "build a new store")
+    return record_id(raw, "refined_id"), (record_id(raw, "note_id"),)
 
 
-_PASSTHROUGH = b'},"passthrough":true,"refined_id":"'
+_PASSTHROUGH = b'{"applied_rules":[],"note_id":"'
 
 
 def _scan_refined(line: bytes) -> tuple[str, tuple[str, ...]] | None:
     """:func:`_index_refined` of a passthrough line, read without decoding it;
-    None for any other line. No key sorted after ``note_id`` in the note, or
-    after ``note`` in the record, holds an object, so the last note id of the
-    line is the note's own."""
-    refined_id = id_string(line, _PASSTHROUGH)
-    note_id = None if refined_id is None else scan_note_id(line)
-    return None if note_id is None else (refined_id, (note_id,))
+    None for any other line. A passthrough line holds no object, and its two
+    ids are the strings after its only ``"note_id":"`` and ``"refined_id":"``."""
+    note_id = id_string(line, _PASSTHROUGH, len(_PASSTHROUGH))
+    refined_id = None if note_id is None else id_string(line, b'"passthrough":true,"refined_id":"')
+    return None if refined_id is None else (refined_id, (note_id,))
+
+
+class DanglingNote(LookupError):
+    """A passthrough refined line names a note that the note store does not hold.
+    It stands in for the record of that line, so it carries the line's id."""
+
+    def __init__(self, refined_id: str, note_id: str):
+        super().__init__(f"refined {refined_id} -> missing note {note_id}")
+        self.refined_id = refined_id
+        self.note_id = note_id
 
 
 class RefinedNoteStore:
-    """Append-only refined-note log, indexed at open up to byte *end*; trails
-    embedded per record, which are decoded from their lines on demand."""
+    """Append-only refined-note log, indexed at open up to byte *end*. Records
+    are decoded from their lines on demand, a passthrough line's note from
+    *notes*, the store of the note log."""
 
-    def __init__(self, root: Path, end: int | None = None):
+    def __init__(self, root: Path, notes: NoteStore, end: int | None = None):
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
+        self._notes = notes
         self._offsets: dict[str, int] = {}  # refined_id -> its line; in log order
         self._processed: set[str] = set()
         lines = read_jsonl_index(self._path, end, scan=_scan_refined, build=_index_refined)
@@ -509,12 +539,29 @@ class RefinedNoteStore:
     def __contains__(self, refined_id: str) -> bool:
         return refined_id in self._offsets
 
+    @staticmethod
+    def _record(
+        note_of: Callable[[str], Note | None], raw: dict
+    ) -> RefinedNote | DanglingNote:
+        """The record of a line, a passthrough's note found by *note_of*."""
+        if not raw.get("passthrough", False):
+            return refined_from_dict(raw)
+        note = note_of(record_id(raw, "note_id"))
+        if note is None:
+            return DanglingNote(raw["refined_id"], raw["note_id"])
+        return refined_from_dict(raw, note)
+
     def get(self, refined_id: str) -> RefinedNote | None:
+        """The refined note of *refined_id*, None if no line holds it; a
+        passthrough line whose note is missing raises :class:`DanglingNote`."""
         if refined_id not in self._offsets:
             return None
         [record] = read_jsonl_at(
-            self._path, [(refined_id, self._offsets[refined_id])], "refined_id", refined_from_dict
+            self._path, [(refined_id, self._offsets[refined_id])], "refined_id",
+            partial(self._record, self._notes.get),
         )
+        if isinstance(record, DanglingNote):
+            raise record
         return record
 
     def processed_note_ids(self) -> set[str]:
@@ -526,14 +573,23 @@ class RefinedNoteStore:
         new = {r.refined_id: r for r in records if r.refined_id not in self._offsets}
         if not new:
             return 0
-        offsets = append_jsonl(self._path, map(refined_to_dict, new.values()))
+        offsets = append_jsonl(self._path, map(_stored_line, new.values()))
         for record, offset in zip(new.values(), offsets):
             self._offsets[record.refined_id] = offset
             self._processed.update(record.input_note_ids())
         return len(new)
 
+    def read_all(self) -> list[RefinedNote | DanglingNote]:
+        """Every stored refined note, in log order, read in one pass over each
+        log; a passthrough line whose note is missing gives its :class:`DanglingNote`."""
+        notes = {note.note_id: note for note in self._notes.list()}
+        build = partial(self._record, notes.get)
+        return list(read_jsonl_at(self._path, self._offsets.items(), "refined_id", build))
+
     def list(self) -> list[RefinedNote]:
-        """Every stored refined note, in log order."""
-        return list(
-            read_jsonl_at(self._path, self._offsets.items(), "refined_id", refined_from_dict)
-        )
+        """Every stored refined note, in log order; raises the first :class:`DanglingNote`."""
+        records = self.read_all()
+        for record in records:
+            if isinstance(record, DanglingNote):
+                raise record
+        return records

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.pipeline import load_config, run_pipeline
@@ -101,3 +105,23 @@ def test_every_cli_wrapper_fires_on_one_pass_of_the_query_mix(tmp_path, monkeypa
     capsys.readouterr()
     assert layers.unfired(layers.CLI_TARGETS, tracer.fired) == []
     assert tracer.fired[layers.target_name(layers.cli, "main")] == len(mix) + 1
+
+
+REPO = PERFBENCH.parent
+BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_each_workload_passes_its_own_output_checks_at_the_tiny_size(workload):
+    # The untraced half of perfbench/selftest.py: a store format change that
+    # breaks the benchmark's output checks fails here, not only in the selftest.
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
+            "--seconds", "1", "--trace", "0", "--size", "tiny"]
+    run = subprocess.run(argv, cwd=REPO, capture_output=True, text=True, timeout=170)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"], run.stderr
+    # The query mix counts one missing-store command per round as failed.
+    allowed = result["attempted"] // load("selftest").QUERY_MIX if workload == "query" else 0
+    assert result["attempted"] >= 1 and 0 <= result["failed"] <= allowed

@@ -27,7 +27,8 @@ from notecards.cards import (
 from notecards.ontology import ExclusionRule, Intensity, parse_ontology
 from notecards.refine import RefinedNoteStore
 
-from conftest import assert_card_index_follows_the_log, fixture_refined_rows, make_note, passthrough, utc
+from conftest import add_refined, assert_card_index_follows_the_log, fixture_refined_rows, make_note
+from conftest import passthrough, refined_store, utc
 
 GOLDEN_SCORES = (4, 5, 2, 11, 0, 5, 0, 10)
 NOW = utc(2011, 11, 13)
@@ -570,11 +571,11 @@ def test_identical_start_tie_breaks_by_card_id(tmp_path):
 
 
 def remake_setup(tmp_path, ocpd_spec, jobs_rows, initial_codes):
-    store = RefinedNoteStore(tmp_path / "refined")
+    store = refined_store(tmp_path)
     maker = CardMaker(tmp_path / "maker")
     manager = CardManager(CardLedger(tmp_path / "cards"), maker)
     initial = [refined_for(jobs_rows, code) for code in initial_codes]
-    store.add_all(initial)
+    add_refined(store, initial)
     maker.update_premature_cards(initial, ocpd_spec, NOW)
     report = manager.admit(maker.open_candidates(), ocpd_spec, NOW)
     assert len(report.committed) == 1
@@ -590,7 +591,7 @@ def test_remake_with_new_note_lands_in_matched_criteria(tmp_path, ocpd_spec, job
     )
     manager.request_remake(card.card_id, timedelta(days=2), NOW)
     late = refined_for(jobs_rows, "O6-5")  # criteria 2 and 4
-    store.add_all([late])
+    add_refined(store, [late])
     rebuilt = manager.complete_remake(
         card.card_id, NOW + timedelta(days=2), store, ocpd_spec
     )
@@ -682,13 +683,13 @@ def test_remake_takes_the_old_evidence_plus_the_notes_logged_after_it(tmp_path):
             spec = replace(spec, exclusion_rules=(ExclusionRule("c0", "c1", resolution=resolution),))
         notes = [random_refined(rng, k) for k in range(rng.randint(0, 40))]
         root = tmp_path / str(trial)
-        store = RefinedNoteStore(root / "refined")
+        store = refined_store(root)
         maker = CardMaker(root / "cards")
         manager = CardManager(CardLedger(root / "cards"), maker)
         cuts = sorted(rng.sample(range(len(notes) + 1), k=min(len(notes) + 1, rng.randint(0, 4))))
         for number, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(notes)])):
             now = NOW + timedelta(days=number)
-            store.add_all(notes[lo:hi])
+            add_refined(store, notes[lo:hi])
             maker.update_premature_cards(notes[lo:hi], spec, now)
             manager.admit(maker.open_candidates(), spec, now)
         later = NOW + timedelta(days=10)
@@ -722,7 +723,7 @@ def test_replaying_the_log_reconstructs_the_index(tmp_path):
     later = NOW + timedelta(days=10)
     manager.request_remake("296.00@pm#g1", timedelta(days=2), later)
     assert_card_index_follows_the_log(tmp_path)
-    refined = RefinedNoteStore(tmp_path / "refined")
+    refined = refined_store(tmp_path)
     manager.complete_remake("296.00@pm#g1", later + timedelta(days=2), refined, spec)
     assert_card_index_follows_the_log(tmp_path)
     assert len(CardLedger(tmp_path / "cards").cards()) == 3

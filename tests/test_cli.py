@@ -292,9 +292,73 @@ def test_store_check_reports_an_id_that_two_committed_lines_hold(fixture_store, 
 def test_store_check_takes_a_card_snapshot_twice_in_the_ledger(fixture_store, capsys):
     # The ledger holds one snapshot per state change, many per card by design.
     repeat_first_line(fixture_store, "cards/log.jsonl")
+    CardLedger(fixture_store / "cards").write_index()  # as the batch's save does after its commit
     capsys.readouterr()
     assert run_cli("store", "check", "--store", fixture_store) == 0
     assert capsys.readouterr().out == "(1 cards, 0 dangling)\n"
+
+
+def test_store_check_reports_a_card_index_that_the_ledger_does_not_give(fixture_store, capsys):
+    index = fixture_store / "cards" / "index.json"
+    offset = json.loads(index.read_text(encoding="utf-8"))[CARD]
+    index.write_text(json.dumps({CARD: offset + 1, "x@y#g1": 0}), encoding="utf-8")
+    findings = [f"index {CARD} -> offset {offset + 1}, latest snapshot at {offset}",
+                "index x@y#g1 -> offset 0, latest snapshot at none"]
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    counts = "(1 cards, 0 dangling, 2 off the index)"
+    assert capsys.readouterr().out == "\n".join([*findings, counts]) + "\n"
+    assert run_cli("store", "check", "--store", fixture_store, "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": [], "index": findings}
+    index.unlink()
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    finding = f"index {CARD} -> offset none, latest snapshot at {offset}"
+    assert capsys.readouterr().out == f"{finding}\n(1 cards, 0 dangling, 1 off the index)\n"
+
+
+def test_a_passthrough_line_whose_note_is_missing_dangles(fixture_store, capsys):
+    # A passthrough line's note id rewritten in place: the log keeps its committed length.
+    path = fixture_store / "refined" / "refined.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    note_id, refined_id = record["note_id"], record["refined_id"]
+    missing = note_id[:-1] + ("1" if note_id.endswith("0") else "0")
+    field = '"note_id":"{}"'.format
+    lines[0] = lines[0].replace(field(note_id).encode(), field(missing).encode())
+    path.write_bytes(b"".join(lines))
+    finding = f"refined {refined_id} -> missing note {missing}"
+    capsys.readouterr()
+    assert run_cli("card", "show", CARD, "--store", fixture_store, "--audit") == 1
+    assert capsys.readouterr().out == f"card {CARD}  audit: 1 dangling\n  {finding}\n"
+    # Without --audit, drill-down refuses the dangling reference.
+    assert run_cli("card", "show", CARD, "--store", fixture_store) == 2
+    assert capsys.readouterr().err == f"error: dangling note {missing}\n"
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    assert capsys.readouterr().out == f"{finding}\n(1 cards, 1 dangling)\n"
+
+
+def test_passthrough_lines_that_hold_their_notes_exit_two_naming_the_line(fixture_store, capsys):
+    # Refined lines as they were before each note was stored once; there is no migration.
+    notes_log = fixture_store / "notes" / "notes.jsonl"
+    notes_by_id = {record["note_id"]: record for record in encoding.read_jsonl(notes_log)}
+    path = fixture_store / "refined" / "refined.jsonl"
+    records = list(encoding.read_jsonl(path))
+    for record in records:
+        record["note"] = notes_by_id[record.pop("note_id")]
+    path.write_text("".join(encoding.canonical_json(r) + "\n" for r in records), encoding="utf-8")
+    maker = fixture_store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    state["logs"]["refined/refined.jsonl"] = path.stat().st_size
+    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    for command in (("card", "show", CARD), ("card", "show", CARD, "--audit"), ("store", "check"),
+                    ("run", "--config", FIXTURES / "jobs_config.json")):
+        assert run_cli(*command, "--store", fixture_store) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 1 is not a refined.jsonl record: ")
+        assert "a passthrough line that holds its note predates this store format" in err
+    assert store_bytes(fixture_store) == before
 
 
 def test_store_check_reports_each_chunk_whose_document_is_missing_once(fixture_store, tmp_path, capsys):
@@ -584,8 +648,10 @@ DECODED_LOGS = [
     (("notes", "list"), ["notes/notes.jsonl"]),
     (("card", "show", CARD), list(LOGS)),
     # store check decodes each log that holds one line per id a second time, whole.
+    # It also reads cards/index.json, a whole file, to compare it with the ledger.
     (("store", "check"), list(LOGS) + ["documents/documents.jsonl", "chunks/chunks.jsonl",
-                                       "notes/notes.jsonl", "refined/refined.jsonl"]),
+                                       "notes/notes.jsonl", "refined/refined.jsonl",
+                                       "cards/index.json"]),
 ]
 
 
@@ -614,7 +680,8 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
     assert run_cli(*command, "--store", fixture_store) == 0
-    expected = [("cards/maker.json",)] + [(name, committed[name]) for name in logs]
+    expected = [("cards/maker.json",)]
+    expected += [(name, committed[name]) if name in committed else (name,) for name in logs]
     assert sorted(decoded) == sorted(expected)
 
 
@@ -705,7 +772,7 @@ NOT_RECORDS = [
     ("chunks/chunks.jsonl", "subject"),
     ("chunks/released.jsonl", None),
     ("notes/notes.jsonl", "intensity"),
-    ("refined/refined.jsonl", "note"),
+    ("refined/refined.jsonl", "note_id"),
     ("cards/log.jsonl", "card"),
 ]
 

@@ -81,9 +81,9 @@ def test_a_reader_loads_no_stage_and_prints_as_in_process(store, tmp_path, capsy
     assert not (tmp_path / "missing").exists()
 
 
-def test_notes_list_loads_the_note_modules_but_not_the_pipeline(store, tmp_path, capsys):
+def test_notes_list_loads_the_note_module_and_no_other_stage(store, tmp_path, capsys):
     proc, loaded = fresh(tmp_path, "notes", "list", "--store", store)
-    assert "notecards.notes" in loaded and "notecards.pipeline" not in loaded
+    assert loaded & STAGES == {"notecards.notes"}
     assert (proc.returncode, proc.stdout, proc.stderr) == in_process(
         capsys, "notes", "list", "--store", store
     )

@@ -124,6 +124,7 @@ def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
         keys.append(tmp_path / f"{name}.key")
         keys[-1].write_bytes(name.encode("ascii") * 32)
     misses: Counter = Counter()
+    merged = 0  # refined lines that are not passthrough lines, over every scanned open
     for seed in range(16):
         rng = random.Random(seed)
         root = tmp_path / f"sequence-{seed}"
@@ -142,27 +143,37 @@ def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
             with monkeypatch.context() as patch:
                 counting_scan_misses(patch, misses)
                 scanned = index_of(Stores(config))
+            refined = config.store_root / "refined" / "refined.jsonl"
+            lines = refined.read_bytes().splitlines() if refined.exists() else []
+            merged += sum(not line.startswith(refine._PASSTHROUGH) for line in lines)
             with monkeypatch.context() as patch:
                 decoding_every_line(patch)
                 decoded = index_of(Stores(config))
             assert scanned == decoded, (seed, now)
     capsys.readouterr()
-    # Every document, chunk and note line scans; a refined line with rules does not.
+    # Every document, chunk, note and passthrough line scans; a merged refined line does not.
     assert set(+misses) <= {"refined.jsonl"}
-    assert (misses["refined.jsonl"] > 0) == (domain == "alcohol")
+    assert misses["refined.jsonl"] == merged
+    assert (merged > 0) == (domain == "alcohol")
 
 
 def test_an_attribute_named_like_an_id_key_is_not_read_as_the_id(tmp_path):
     decoy = make_note(attributes={"note_id": "n-decoy", "refined_id": "rn-decoy", "zz": 1.0})
     notes_root, refined_root = tmp_path / "notes", tmp_path / "refined"
     NoteStore(notes_root).add_all([decoy])
-    RefinedNoteStore(refined_root).add_all([passthrough(decoy)])
-    line = (refined_root / "refined.jsonl").read_bytes()
+    RefinedNoteStore(refined_root, NoteStore(notes_root)).add_all([passthrough(decoy)])
+    line = (notes_root / "notes.jsonl").read_bytes()
     assert b'"note_id":"n-decoy"' in line and b'"refined_id":"rn-decoy"' in line
+    # The passthrough line names its note and holds none of the note's fields.
+    assert (refined_root / "refined.jsonl").read_bytes() == canonical_json({
+        "applied_rules": [], "note_id": decoy.note_id, "passthrough": True,
+        "refined_id": passthrough(decoy).refined_id, "schema_version": 1,
+    }).encode("ascii") + b"\n"
     assert NoteStore(notes_root)._offsets == {decoy.note_id: 0}
-    reopened = RefinedNoteStore(refined_root)
+    reopened = RefinedNoteStore(refined_root, NoteStore(notes_root))
     assert reopened._offsets == {passthrough(decoy).refined_id: 0}
     assert reopened.processed_note_ids() == {decoy.note_id}
+    assert reopened.get(passthrough(decoy).refined_id) == passthrough(decoy)
 
 
 def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec):
@@ -173,11 +184,39 @@ def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec)
     ]
     [merged] = refine_notes(notes_in, alcohol_spec)
     assert not merged.passthrough
-    RefinedNoteStore(tmp_path).add_all([merged])
-    assert refine._scan_refined((tmp_path / "refined.jsonl").read_bytes()) is None
-    reopened = RefinedNoteStore(tmp_path)
+    RefinedNoteStore(tmp_path, NoteStore(tmp_path)).add_all([merged])
+    line = (tmp_path / "refined.jsonl").read_bytes()
+    assert refine._scan_refined(line) is None
+    assert json.loads(line) == refine.refined_to_dict(merged)  # it holds its merged note
+    reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
     assert reopened._offsets == {merged.refined_id: 0}
     assert reopened.processed_note_ids() == {note.note_id for note in notes_in}
+
+
+def test_refined_lines_read_back_as_the_records_the_run_built(tmp_path, monkeypatch):
+    """Passthrough lines, whose notes come from the note log, and merged lines alike."""
+    ontology, pool = alcohol_with_a_total(tmp_path / "alcohol")
+    corpus = tmp_path / "alcohol.jsonl"
+    corpus.write_text("\n".join(pool[:-2]) + "\n", encoding="utf-8")
+    config = PipelineConfig(
+        ontology_paths=[FIXTURES / "ocpd.json", ontology],
+        corpus_paths=[FIXTURES / "jobs_corpus.jsonl", corpus],
+        store_root=tmp_path / "store", now_override="2011-11-20T00:00:00Z",
+    )
+    built = []
+    add_all = RefinedNoteStore.add_all
+
+    def keeping(self, records):
+        records = list(records)
+        built.extend(records)
+        return add_all(self, records)
+
+    monkeypatch.setattr(RefinedNoteStore, "add_all", keeping)
+    run_pipeline(config)
+    assert {record.passthrough for record in built} == {True, False}
+    stores = Stores(config)
+    assert stores.refined.list() == built
+    assert [stores.refined.get(record.refined_id) for record in built] == built
 
 
 def holds_object(value) -> bool:
@@ -221,10 +260,17 @@ def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
                     assert objects_after(record, "chunk_id") == []
                 elif name.startswith("notes"):
                     assert objects_after(record, "note_id") == []
-                else:
-                    assert objects_after(record, "note") == []
-                    assert objects_after(record["note"], "note_id") == []
-                    seen["merged" if record["applied_rules"] else "passthrough"] += 1
+                elif record["passthrough"]:  # the scan reads the whole line
+                    assert list(record) == [
+                        "applied_rules", "note_id", "passthrough", "refined_id", "schema_version"
+                    ]
+                    assert record["applied_rules"] == [] and not holds_object(list(record.values()))
+                    assert line.startswith(refine._PASSTHROUGH)
+                    seen["passthrough"] += 1
+                else:  # decoded, never scanned
+                    assert record["applied_rules"] and "note" in record
+                    assert refine._scan_refined(line + b"\n") is None
+                    seen["merged"] += 1
                 seen[name] += 1
     assert seen["merged"] and seen["passthrough"] and len(seen) == 6
 

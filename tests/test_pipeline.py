@@ -476,6 +476,31 @@ def test_crash_after_the_refined_append_still_commits_the_card(tmp_path, monkeyp
     assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
 
 
+def test_an_ingest_after_a_crash_in_the_maker_save_keeps_the_index_on_the_commit(
+    tmp_path, monkeypatch
+):
+    # The card index is written after the commit, so a run that crashes in its
+    # commit leaves the last commit's index, which an ingest's commit keeps.
+    store = tmp_path / "store"
+    corpora = []
+    for count in (1, 2):
+        (tmp_path / str(count)).mkdir()
+        corpora.append(many_subjects_corpus(tmp_path / str(count), count))
+    run_pipeline(jobs_config(store, corpora[0]))
+
+    def crash(self):
+        raise RuntimeError("injected crash")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CardMaker, "save", crash)
+        with pytest.raises(RuntimeError):
+            run_pipeline(jobs_config(store, corpora[1]))  # commits a second card
+    argv = ["ingest", "--corpus", str(corpora[1]), "--store", str(store), "--now", PINNED]
+    assert cli_main(argv) == 0
+    assert_card_index_follows_the_log(store)
+    assert cli_main(["store", "check", "--store", str(store)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # Crash sweep: a crash at any store write, then a rerun, ends as an uninterrupted run
 # ---------------------------------------------------------------------------
@@ -572,10 +597,14 @@ def crash_sweep(tmp_path: Path, monkeypatch, capsys, earlier: list, steps: list)
     with monkeypatch.context() as patch:
         writes = number_store_writes(patch)
         steps[0](clean)
-    # The numbering reaches every log the step grew, and the commit is its last write.
+    committed = read_store(clean, capsys), store_bytes(clean).get("cards/index.json")
+    # The numbering reaches every log the step grew, and the commit is its last
+    # write but the rewrite of the card index that follows it.
     grown = {name for name, size in log_sizes(clean).items() if size > log_sizes(base)[name]}
     assert grown and {str(path.relative_to(clean)) for kind, path in writes if kind == "append"} == grown
-    assert writes[-1] == ("rename", clean / "cards" / "maker.json")
+    maker = ("rename", clean / "cards" / "maker.json")
+    commit = max(k for k, write in enumerate(writes) if write == maker)
+    assert {path for _, path in writes[commit + 1 :]} <= {clean / "cards" / "index.json"}
     for step in steps[1:]:
         step(clean)
     # A finished step commits every log it appended to: the next open cuts nothing.
@@ -591,7 +620,16 @@ def crash_sweep(tmp_path: Path, monkeypatch, capsys, earlier: list, steps: list)
             number_store_writes(patch, k, torn)
             with pytest.raises(InjectedCrash):
                 steps[0](store)
-        names = [] if read_store(store, capsys) == seen else ["readers see past the commit"]
+        if k <= commit:
+            names = [] if read_store(store, capsys) == seen else ["readers see past the commit"]
+        else:  # committed: readers see the step's store, and store check an index left stale
+            *outputs, (status, check) = read_store(store, capsys)
+            (*expected_outputs, sound), index = committed
+            names = [] if outputs == expected_outputs else ["readers do not see the commit"]
+            if store_bytes(store).get("cards/index.json") == index:
+                names += [] if (status, check) == sound else ["store check fails"]
+            elif status != 1 or "off the index" not in check:
+                names.append("store check misses the stale index")
         for step in steps:
             step(store)
         got = store_bytes(store)

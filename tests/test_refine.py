@@ -5,6 +5,7 @@ from datetime import timedelta
 
 import pytest
 
+from notecards.notes import NoteStore
 from notecards.ontology import parse_ontology
 from notecards.refine import (
     CONFLICTED,
@@ -355,9 +356,9 @@ def test_refined_store_tracks_processed_ids(tmp_path):
     spec = policy_spec("max")
     batch = same_event_notes([3, 5])
     refined = refine_notes(batch, spec, WINDOW)
-    store = RefinedNoteStore(tmp_path)
+    store = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
     assert store.add_all(refined) == 1
     assert store.processed_note_ids() == {"n-amt-3", "n-amt-5"}
-    reloaded = RefinedNoteStore(tmp_path)
+    reloaded = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
     assert reloaded.get(refined[0].refined_id) == refined[0]
     assert reloaded.list() == [refined[0]]
