@@ -1,14 +1,14 @@
-"""Criterion-scored cards: accumulation, commit, conflicts, remakes.
+"""Criterion-scored cards: accumulation, commit, conflicts.
 
 The maker accumulates refined-note evidence into one premature card per
 (subject, concept) and hands a card over exactly when it first reaches
 the concept threshold. The manager is the single serialization point: it
-alone writes the official card ledger, resolves exclusion conflicts
-(expire-older or flag-only), and runs the remake protocol. Every action
-lands as a reasoning event on the affected cards' trails, so a committed
-card explains itself end to end. A remake's state is its card's trail
-alone: completing reads the last remake event there, so a request made
-in one process completes in a later one, once.
+alone writes the official card ledger and resolves exclusion conflicts
+(expire-older or flag-only). Every action lands as a reasoning event on
+the affected cards' trails, so a committed card explains itself end to
+end. A card is premature until it commits or expires, and a blocked one
+stays held in its slot; a committed or expired card closes its slot, and
+a closed slot takes no later evidence.
 
 The ledger on disk is a JSON Lines log holding one card snapshot per
 state change; each snapshot carries the card's whole reasoning trail.
@@ -26,32 +26,31 @@ without the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .clock import format_instant, parse_instant
 from .encoding import StoreFormatError, append_jsonl, build_record, canonical_json, committed_size
-from .encoding import content_hash, read_json, read_jsonl_index, synced_length, write_json
+from .encoding import read_json, read_jsonl_index, synced_length, write_json
 
 if TYPE_CHECKING:
     from .ontology import ConceptDef, OntologySpec
     from .pipeline import Stores
-    from .refine import RefinedNote, RefinedNoteStore
+    from .refine import RefinedNote
 
 STATUS_PREMATURE = "premature"
 STATUS_COMMITTED = "committed"
 STATUS_EXPIRED = "expired"
-STATUS_SUPERSEDED = "superseded"
 
 
 class CardError(Exception):
-    """Gate violations: below threshold, blocked commit, bad remake."""
+    """Gate violations: below threshold, blocked commit, unknown card."""
 
 
 @dataclass(frozen=True)
 class ReasoningEvent:
-    kind: str  # conflict-detected | expired | remake-requested | remake-completed | committed | flagged
+    kind: str  # conflict-detected | expired | committed | flagged
     timestamp: datetime
     detail: tuple[tuple[str, str], ...] = ()
 
@@ -390,7 +389,7 @@ class CardMaker:
         self._closed.add(key)
 
     def reopen_slot(self, card: Card) -> None:
-        """Hold *card* in its slot: a blocked candidate, or a remake's successor."""
+        """Hold *card*, a blocked candidate, in its slot."""
         key = self.slot_key(card.subject, card.concept_id)
         self._closed.discard(key)
         self._cards[key] = card
@@ -400,12 +399,12 @@ class CardMaker:
     ) -> list[Card]:
         """Accumulate evidence; return cards newly reaching their threshold.
 
-        A slot's first card is generation 1; remakes bring later ones. The
-        batch's evidence is collected per slot first, and each touched card
-        is then rebuilt once. Evidence only grows and no slot restarts a
-        card id, so a card is announced (validity stamped) when the batch
-        carries it across its threshold, at most once. Nothing is saved
-        here: the manager saves the maker after admit.
+        Every card is generation 1. The batch's evidence is collected per
+        slot first, and each touched card is then rebuilt once. Evidence
+        only grows and a closed slot takes none, so a card is announced
+        (validity stamped) when the batch carries it across its threshold,
+        at most once. Nothing is saved here: the manager saves the maker
+        after admit.
         """
         concepts = {concept.concept_id: concept for concept in spec.concepts}
         before: dict[str, Card] = {}  # slot key -> its card before this batch
@@ -414,7 +413,7 @@ class CardMaker:
             for concept_id, criterion_index in map_note_to_criteria(refined, spec):
                 key = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
-                    continue  # committed or expired; only a remake reopens it
+                    continue  # committed or expired: closed for good
                 if key not in before:
                     card = self._cards.get(key) or new_card(concepts[concept_id], refined.subject)
                     before[key] = card
@@ -534,12 +533,6 @@ class CardManager:
         )
         return replace(card, reasoning_trail=card.reasoning_trail + (event,))
 
-    def _save(self) -> None:
-        # Once after a batch's last log append. The maker's save commits, and
-        # the index follows it, so the index never names uncommitted bytes.
-        self.maker.save()
-        self.ledger.write_index()
-
     def _current(self, card_id: str) -> Card:
         if card_id in self._pending:
             return self._pending[card_id]
@@ -643,68 +636,11 @@ class CardManager:
             else:
                 report.committed.append(self.commit_card(current, now, spec))
             self._pending = {}
-        self._save()
+        # Once after the batch's last log append. The maker's save commits, and
+        # the index follows it, so the index never names uncommitted bytes.
+        self.maker.save()
+        self.ledger.write_index()
         return report
-
-    # -- remakes -------------------------------------------------------------
-
-    def request_remake(self, card_id: str, waiting_period: timedelta, now: datetime) -> Card:
-        """Append a remake request, ready after *waiting_period*, to the card's trail."""
-        card = self.ledger.get(card_id)
-        if card is None:
-            raise CardError(f"unknown card {card_id}")
-        if card.status == STATUS_SUPERSEDED:
-            raise CardError(f"card {card_id} is superseded already")
-        card = self._record(
-            card, "remake-requested", now,
-            ticket="rmk-" + content_hash([card_id, format_instant(now)]),
-            ready_at=format_instant(now + waiting_period),
-        )
-        self.ledger.write_snapshot(card)
-        self._save()
-        return card
-
-    def complete_remake(
-        self, card_id: str, now: datetime, refined_store: RefinedNoteStore, spec: OntologySpec
-    ) -> Card:
-        """Rebuild a card whose last remake event is a ready request, from every
-        refined note of its subject that maps to its concept, in log order: its
-        evidence plus the notes logged after it, as an open slot takes them all."""
-        old = self.ledger.get(card_id)
-        if old is None:
-            raise CardError(f"unknown card {card_id}")
-        remakes = [e for e in old.reasoning_trail if e.kind.startswith("remake-")]
-        if not remakes or remakes[-1].kind != "remake-requested":
-            raise CardError(f"card {card_id} has no remake request to complete")
-        ticket = remakes[-1].detail_map()
-        if now < parse_instant(ticket["ready_at"]):
-            raise CardError(f"waiting period runs until {ticket['ready_at']}")
-        concept = spec.concept(old.concept_id)
-        if concept is None:
-            raise CardError(f"concept {old.concept_id} missing from ontology")
-
-        rebuilt = new_card(concept, old.subject, old.generation + 1)
-        for record in refined_store.list():
-            if record.subject != old.subject:
-                continue
-            for concept_id, criterion_index in map_note_to_criteria(record, spec):
-                if concept_id == old.concept_id:
-                    rebuilt = add_evidence(rebuilt, criterion_index, record.refined_id)
-
-        old = replace(old, status=STATUS_SUPERSEDED, validity=(old.validity[0], now))
-        old = self._record(
-            old, "remake-completed", now, ticket=ticket["ticket"], successor=rebuilt.card_id
-        )
-        self.ledger.write_snapshot(old)
-        if rebuilt.criteria_met >= rebuilt.threshold:
-            rebuilt = replace(rebuilt, validity=(now, None))
-        rebuilt = self._record(
-            rebuilt, "remake-completed", now, ticket=ticket["ticket"], predecessor=old.card_id
-        )
-        self.ledger.write_snapshot(rebuilt)
-        self.maker.reopen_slot(rebuilt)
-        self._save()
-        return rebuilt
 
 
 # ---------------------------------------------------------------------------

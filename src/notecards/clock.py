@@ -15,14 +15,19 @@ UTC = timezone.utc
 
 
 def parse_instant(text: str) -> datetime:
-    """Parse an RFC-3339 timestamp; naive values are taken as UTC."""
+    """Parse an RFC-3339 timestamp; naive values are taken as UTC. Text that
+    is not one, or names an instant whose UTC date is out of range, raises
+    ``ValueError``."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     parsed = datetime.fromisoformat(cleaned)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=UTC)
-    return parsed.astimezone(UTC)
+    try:
+        return parsed.astimezone(UTC)
+    except OverflowError:
+        raise ValueError(f"instant out of range in UTC: {text}") from None
 
 
 def format_instant(instant: datetime) -> str:

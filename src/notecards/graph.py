@@ -2,7 +2,7 @@
 
 Edges are always recomputed from card state, never stored, so the graph
 cannot drift from the ledger. Node kinds are cards and subjects; edge
-types are exactly same-subject, conflict, supersedes and evidence-shared.
+types are exactly same-subject, conflict and evidence-shared.
 Route finding treats edges as undirected (routes on a map) and returns
 simple paths ordered shortest first, then by node-id sequence.
 """
@@ -105,16 +105,11 @@ def build_graph(cards: Sequence[Card], card_filter: GraphFilter | None = None) -
     selected_ids = {card.card_id for card in selected}
     for card in selected:
         for event in card.reasoning_trail:
-            detail = event.detail_map()
             if event.kind == "conflict-detected":
-                other = detail.get("counterpart")
+                other = event.detail_map().get("counterpart")
                 if other in selected_ids:
                     a, b = sorted((card.card_id, other))
                     edges.add(GraphEdge(a, b, "conflict"))
-            elif event.kind == "remake-completed":
-                successor = detail.get("successor")
-                if successor in selected_ids:
-                    edges.add(GraphEdge(successor, card.card_id, "supersedes"))
 
     # Cards holding each refined note, in card_id order, so every pair is (lower, higher).
     holders: dict[str, list[str]] = defaultdict(list)

@@ -284,10 +284,13 @@ def _parse_record(raw: dict, clock: Clock) -> Document:
         raise ValueError("record missing text")
     if not isinstance(source_uri, str) or not source_uri:
         raise ValueError("record missing source_uri")
-    timestamp = None
-    if raw.get("timestamp") is not None:
-        timestamp = parse_instant(raw["timestamp"])
-    subjects = raw.get("subjects") or []
+    timestamp = raw.get("timestamp")
+    if timestamp is not None:
+        if not isinstance(timestamp, str):
+            raise ValueError("timestamp must be a string")
+        timestamp = parse_instant(timestamp)
+    subjects = raw.get("subjects")
+    subjects = [] if subjects is None else subjects
     if not isinstance(subjects, list) or any(not isinstance(s, str) for s in subjects):
         raise ValueError("subjects must be a list of strings")
     place = raw.get("place")

@@ -237,7 +237,10 @@ class StoreLock:
         self.path = Path(store_root) / "lock"
 
     def __enter__(self) -> "StoreLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):  # a file, or a path below one
+            raise PipelineError(f"store root is not a directory: {self.path.parent}") from None
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:

@@ -16,9 +16,8 @@ at each run's earliest note and sums. A conflicting field with no policy
 is a configuration error and fails fast.
 
 Partitions are formed per batch. Evidence that arrives in a later run
-(late windows) is refined and stored, but reaches a committed card only
-through a remake (``CardManager.complete_remake``), which no command
-runs yet.
+(late windows) is refined and stored; it reaches a card whose slot is
+still open, and a committed or expired card takes no later evidence.
 
 Each note is stored once. A passthrough refined note's log line names its
 note by id, and the note is read back from the note log; a merged note
@@ -585,11 +584,3 @@ class RefinedNoteStore:
         notes = {note.note_id: note for note in self._notes.list()}
         build = partial(self._record, notes.get)
         return list(read_jsonl_at(self._path, self._offsets.items(), "refined_id", build))
-
-    def list(self) -> list[RefinedNote]:
-        """Every stored refined note, in log order; raises the first :class:`DanglingNote`."""
-        records = self.read_all()
-        for record in records:
-            if isinstance(record, DanglingNote):
-                raise record
-        return records

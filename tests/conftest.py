@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from notecards.clock import parse_instant
-from notecards.notes import Note, NoteStore
+from notecards.notes import Note
 from notecards.ontology import Confidence, Intensity, load_ontology
-from notecards.refine import RefinedNote, RefinedNoteStore
+from notecards.refine import RefinedNote
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "notecards" / "fixtures"
 
@@ -116,19 +116,6 @@ def passthrough(note: Note) -> RefinedNote:
         refined_id="rn-test-" + note.note_id,
         passthrough=True,
     )
-
-
-def refined_store(root: Path) -> RefinedNoteStore:
-    """A refined store at ``root/refined`` over a note store at ``root/notes``."""
-    return RefinedNoteStore(root / "refined", NoteStore(root / "notes"))
-
-
-def add_refined(store: RefinedNoteStore, records) -> int:
-    """Store *records* as a run does: each passthrough's note goes to the note
-    store first, since its refined line only names it."""
-    records = list(records)
-    store._notes.add_all(r.note for r in records if r.passthrough)
-    return store.add_all(records)
 
 
 def fixture_refined_rows(jobs_rows: list[dict]) -> list[RefinedNote]:

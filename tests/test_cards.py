@@ -16,7 +16,6 @@ from notecards.cards import (
     STATUS_COMMITTED,
     STATUS_EXPIRED,
     STATUS_PREMATURE,
-    STATUS_SUPERSEDED,
     add_evidence,
     card_from_dict,
     card_to_dict,
@@ -24,11 +23,10 @@ from notecards.cards import (
     map_note_to_criteria,
     new_card,
 )
-from notecards.ontology import ExclusionRule, Intensity, parse_ontology
-from notecards.refine import RefinedNoteStore
+from notecards.ontology import Intensity, parse_ontology
 
-from conftest import add_refined, assert_card_index_follows_the_log, fixture_refined_rows, make_note
-from conftest import passthrough, refined_store, utc
+from conftest import assert_card_index_follows_the_log, fixture_refined_rows, make_note
+from conftest import passthrough, utc
 
 GOLDEN_SCORES = (4, 5, 2, 11, 0, 5, 0, 10)
 NOW = utc(2011, 11, 13)
@@ -565,140 +563,23 @@ def test_identical_start_tie_breaks_by_card_id(tmp_path):
     assert any(e.kind == "expired" for e in expired.reasoning_trail)
 
 
-# ---------------------------------------------------------------------------
-# Remake protocol
-# ---------------------------------------------------------------------------
-
-
-def remake_setup(tmp_path, ocpd_spec, jobs_rows, initial_codes):
-    store = refined_store(tmp_path)
+def committed_setup(tmp_path, ocpd_spec, jobs_rows, codes):
+    """The card that the notes of *codes* commit."""
     maker = CardMaker(tmp_path / "maker")
     manager = CardManager(CardLedger(tmp_path / "cards"), maker)
-    initial = [refined_for(jobs_rows, code) for code in initial_codes]
-    add_refined(store, initial)
-    maker.update_premature_cards(initial, ocpd_spec, NOW)
-    report = manager.admit(maker.open_candidates(), ocpd_spec, NOW)
-    assert len(report.committed) == 1
-    return store, maker, manager, report.committed[0]
+    maker.update_premature_cards([refined_for(jobs_rows, code) for code in codes], ocpd_spec, NOW)
+    [card] = manager.admit(maker.open_candidates(), ocpd_spec, NOW).committed
+    return card
 
 
 FOUR_CRITERIA_CODES = ("O6-2", "O6-6", "O1-4", "O7-1")  # covers criteria 1,2,3,4,6,8
 
 
-def test_remake_with_new_note_lands_in_matched_criteria(tmp_path, ocpd_spec, jobs_rows):
-    store, maker, manager, card = remake_setup(
-        tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
-    )
-    manager.request_remake(card.card_id, timedelta(days=2), NOW)
-    late = refined_for(jobs_rows, "O6-5")  # criteria 2 and 4
-    add_refined(store, [late])
-    rebuilt = manager.complete_remake(
-        card.card_id, NOW + timedelta(days=2), store, ocpd_spec
-    )
-    assert rebuilt.generation == card.generation + 1
-    # Oracle: re-run the mapping for the late note and check those criteria.
-    expected = map_note_to_criteria(late, ocpd_spec)
-    dims = rebuilt.dimension_map()
-    for concept_id, index in expected:
-        assert concept_id == "301.4"
-        assert late.refined_id in dims[index]
-    old = manager.ledger.get(card.card_id)
-    assert old.status == STATUS_SUPERSEDED
-    assert any(e.kind == "remake-completed" for e in old.reasoning_trail)
-
-
-def test_remake_without_new_notes_is_a_fixpoint(tmp_path, ocpd_spec, jobs_rows):
-    store, maker, manager, card = remake_setup(
-        tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
-    )
-    manager.request_remake(card.card_id, timedelta(days=2), NOW)
-    rebuilt = manager.complete_remake(
-        card.card_id, NOW + timedelta(days=2), store, ocpd_spec
-    )
-    assert rebuilt.dimension_map() == card.dimension_map()
-
-
-def test_remake_before_waiting_period_rejected(tmp_path, ocpd_spec, jobs_rows):
-    store, maker, manager, card = remake_setup(
-        tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
-    )
-    manager.request_remake(card.card_id, timedelta(days=2), NOW)
-    with pytest.raises(CardError):
-        manager.complete_remake(card.card_id, NOW + timedelta(days=1), store, ocpd_spec)
-
-
-def test_remake_unknown_card_rejected(tmp_path, ocpd_spec):
-    manager = CardManager(CardLedger(tmp_path / "cards"), CardMaker(tmp_path / "cards"))
-    with pytest.raises(CardError):
-        manager.request_remake("missing@x#g1", timedelta(days=2), NOW)
-
-
-def test_a_completed_remake_does_not_complete_or_start_again(tmp_path, ocpd_spec, jobs_rows):
-    store, maker, manager, card = remake_setup(
-        tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES
-    )
-    with pytest.raises(CardError, match="no remake request"):
-        manager.complete_remake(card.card_id, NOW, store, ocpd_spec)
-    manager.request_remake(card.card_id, timedelta(days=2), NOW)
-    manager.complete_remake(card.card_id, NOW + timedelta(days=2), store, ocpd_spec)
-    log = manager.ledger.log_path.read_bytes()
-    with pytest.raises(CardError, match="no remake request"):
-        manager.complete_remake(card.card_id, NOW + timedelta(days=3), store, ocpd_spec)
-    with pytest.raises(CardError, match="superseded"):
-        manager.request_remake(card.card_id, timedelta(days=2), NOW + timedelta(days=3))
-    assert manager.ledger.log_path.read_bytes() == log
-
-
 def test_a_card_record_with_the_retired_evidence_seq_key_still_loads(tmp_path, ocpd_spec, jobs_rows):
-    _, _, _, card = remake_setup(tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES)
+    card = committed_setup(tmp_path, ocpd_spec, jobs_rows, FOUR_CRITERIA_CODES)
     record = card_to_dict(card)
     assert card_from_dict({**record, "evidence_seq": 3}) == card
     assert "evidence_seq" not in record
-
-
-def reference_remake(card: Card, store: RefinedNoteStore, spec) -> Card:
-    """The rule remakes kept while each card recorded the log position of its
-    last evidence: its evidence, plus the notes of its subject logged after
-    that position, added in log order."""
-    log = store.list()
-    position = {record.refined_id: seq for seq, record in enumerate(log)}
-    mark = max((position[refined_id] for refined_id in card.evidence_ids()), default=-1)
-    taken = set(card.evidence_ids())
-    taken.update(record.refined_id for record in log[mark + 1 :] if record.subject == card.subject)
-    rebuilt = new_card(spec.concept(card.concept_id), card.subject, card.generation + 1)
-    for record in log:
-        if record.refined_id in taken:
-            for concept_id, index in full_scan_criteria(record, spec):
-                if concept_id == card.concept_id:
-                    rebuilt = add_evidence(rebuilt, index, record.refined_id)
-    return rebuilt
-
-
-def test_remake_takes_the_old_evidence_plus_the_notes_logged_after_it(tmp_path):
-    rng = random.Random(41)
-    for trial in range(50):
-        spec = random_spec(rng)
-        if len(spec.concepts) > 1 and rng.random() < 0.5:
-            resolution = rng.choice(["expire-older", "flag-only"])
-            spec = replace(spec, exclusion_rules=(ExclusionRule("c0", "c1", resolution=resolution),))
-        notes = [random_refined(rng, k) for k in range(rng.randint(0, 40))]
-        root = tmp_path / str(trial)
-        store = refined_store(root)
-        maker = CardMaker(root / "cards")
-        manager = CardManager(CardLedger(root / "cards"), maker)
-        cuts = sorted(rng.sample(range(len(notes) + 1), k=min(len(notes) + 1, rng.randint(0, 4))))
-        for number, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(notes)])):
-            now = NOW + timedelta(days=number)
-            add_refined(store, notes[lo:hi])
-            maker.update_premature_cards(notes[lo:hi], spec, now)
-            manager.admit(maker.open_candidates(), spec, now)
-        later = NOW + timedelta(days=10)
-        for card in manager.ledger.cards():
-            expected = reference_remake(card, store, spec)
-            manager.request_remake(card.card_id, timedelta(days=2), later)
-            rebuilt = manager.complete_remake(card.card_id, later + timedelta(days=2), store, spec)
-            assert rebuilt.card_id == expected.card_id
-            assert rebuilt.dimensions == expected.dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +600,7 @@ def test_replaying_the_log_reconstructs_the_index(tmp_path):
     # The expiry moved the older card's entry to its second snapshot.
     assert sorted(card.status for card in ledger.cards()) == [STATUS_COMMITTED, STATUS_EXPIRED]
     assert_card_index_follows_the_log(tmp_path)
-    # A remake's request and completion each end in a save of the index.
-    later = NOW + timedelta(days=10)
-    manager.request_remake("296.00@pm#g1", timedelta(days=2), later)
-    assert_card_index_follows_the_log(tmp_path)
-    refined = refined_store(tmp_path)
-    manager.complete_remake("296.00@pm#g1", later + timedelta(days=2), refined, spec)
-    assert_card_index_follows_the_log(tmp_path)
-    assert len(CardLedger(tmp_path / "cards").cards()) == 3
+    assert len(CardLedger(tmp_path / "cards").cards()) == 2
 
 
 def test_log_holds_one_snapshot_per_state_change(tmp_path):

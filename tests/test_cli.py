@@ -505,6 +505,7 @@ def with_key(section, key, value):
         (with_key(None, "now", 0), "config now must be a string"),
         (with_key(None, "now", False), "config now must be a string"),
         (with_key(None, "now", ""), "Invalid isoformat string: ''"),
+        (with_key(None, "now", "0001-01-01T00:00:00+01:00"), "instant out of range in UTC"),
         (with_key(None, "mask_aliases", []), "config mask_aliases must be a JSON object"),
         (with_key(None, "mask_aliases", False), "config mask_aliases must be a JSON object"),
     ],
@@ -513,7 +514,8 @@ def with_key(section, key, value):
         "zero-window", "zero-horizon", "string-horizon", "boolean-horizon", "number-store",
         "list-mask-key-file", "number-now", "number-window", "list-epsilon", "object-watermark",
         "string-aliases", "list-aliases", "false-mask-key-file", "zero-mask-key-file",
-        "zero-now", "false-now", "empty-now", "empty-list-aliases", "false-aliases",
+        "zero-now", "false-now", "empty-now", "out-of-range-now", "empty-list-aliases",
+        "false-aliases",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "ingest"])
@@ -580,6 +582,21 @@ def test_lock_holds_the_pid_of_the_run(tmp_path):
     with StoreLock(tmp_path / "store") as lock:
         assert lock.path.read_text(encoding="utf-8") == f"{os.getpid()}\n"
     assert not lock.path.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_writer_on_a_store_root_that_is_not_a_directory_exits_two(tmp_path, capsys, command, below):
+    regular = tmp_path / "regular"
+    regular.write_bytes(b"not a store\n")
+    store = regular / "store" if below else regular
+    ontology = ["--ontology", FIXTURES / "ocpd.json"] if command == "run" else []
+    capsys.readouterr()
+    code = run_cli(command, *ontology, "--corpus", FIXTURES / "jobs_corpus.jsonl", "--store", store)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: store root is not a directory: {store}\n"
+    assert regular.read_bytes() == b"not a store\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
 
 
 READ_ONLY_COMMANDS = [

@@ -205,6 +205,8 @@ def test_graph_matches_pairwise_oracle_on_random_card_sets():
         expected = pairwise_graph(cards, card_filter)
         assert graph.nodes == expected.nodes
         assert graph.edges == expected.edges
+        # Events other than conflict-detected, remake-completed among them, add no edge.
+        assert {e.edge_type for e in graph.edges} <= {"same-subject", "conflict", "evidence-shared"}
         shared += any(e.edge_type == "evidence-shared" for e in graph.edges)
     assert shared > 100  # the sets do exercise evidence sharing
 

@@ -215,7 +215,7 @@ def test_refined_lines_read_back_as_the_records_the_run_built(tmp_path, monkeypa
     run_pipeline(config)
     assert {record.passthrough for record in built} == {True, False}
     stores = Stores(config)
-    assert stores.refined.list() == built
+    assert stores.refined.read_all() == built
     assert [stores.refined.get(record.refined_id) for record in built] == built
 
 

@@ -79,8 +79,24 @@ def test_reingest_is_a_noop(tmp_path):
     assert sorted(p.name for p in log.parent.iterdir()) == ["documents.jsonl"]
 
 
-def test_malformed_record_rejected_without_aborting(tmp_path):
-    records = corpus_records()[:2] + [{"source_uri": "bio://ch04"}]  # no text
+MALFORMED = {
+    "no-text": {"source_uri": "bio://ch04"},
+    "number-place": {"text": "He rests.", "source_uri": "bio://ch04", "place": 5},
+    "false-subjects": {"text": "He rests.", "source_uri": "bio://ch04", "subjects": False},
+    "empty-string-subjects": {"text": "He rests.", "source_uri": "bio://ch04", "subjects": ""},
+    "number-timestamp": {"text": "He rests.", "source_uri": "bio://ch04", "timestamp": 5},
+    "boolean-timestamp": {"text": "He rests.", "source_uri": "bio://ch04", "timestamp": True},
+    "list-timestamp": {"text": "He rests.", "source_uri": "bio://ch04", "timestamp": ["2011"]},
+    "empty-timestamp": {"text": "He rests.", "source_uri": "bio://ch04", "timestamp": ""},
+    "out-of-range-timestamp": {
+        "text": "He rests.", "source_uri": "bio://ch04", "timestamp": "0001-01-01T00:00:00+01:00",
+    },
+}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_record_rejected_without_aborting(tmp_path, malformed):
+    records = corpus_records()[:2] + [malformed]
     corpus = write_jsonl(tmp_path / "c.jsonl", records)
     store = TextStore(tmp_path / "docs")
     summary = ingest_corpus([corpus], store, CLOCK)

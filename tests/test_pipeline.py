@@ -14,8 +14,6 @@ import pytest
 
 from notecards.cards import (
     STATUS_COMMITTED,
-    STATUS_PREMATURE,
-    STATUS_SUPERSEDED,
     CardError,
     CardLedger,
     CardMaker,
@@ -26,7 +24,6 @@ from notecards import cards, encoding, ingest, notes, organize, pipeline, refine
 from notecards.encoding import canonical_json
 from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
-from notecards.ontology import load_ontology
 from notecards.ingest import TextStore
 from notecards.notes import NoteStore
 from notecards.organize import OrganizerStore
@@ -63,7 +60,7 @@ def split_corpus(tmp_path: Path) -> tuple[Path, Path]:
     return head, tail
 
 
-def test_late_document_flows_to_refined_store_and_remake(tmp_path):
+def test_a_late_document_is_refined_and_leaves_the_committed_card_as_it_was(tmp_path):
     head, tail = split_corpus(tmp_path)
     store = tmp_path / "store"
 
@@ -71,9 +68,7 @@ def test_late_document_flows_to_refined_store_and_remake(tmp_path):
     summary = run_pipeline(config)
     assert summary.cards_committed == 1
     stores = Stores(config)
-    card = stores.ledger.committed()[0]
-    before = sum(card.score_vector())
-    assert before == 19 * 0 + sum(card.score_vector())  # 19 rows' worth
+    [card] = stores.ledger.committed()
     refined_before = len(stores.refined)
 
     # The last document arrives after its window was already released.
@@ -85,47 +80,9 @@ def test_late_document_flows_to_refined_store_and_remake(tmp_path):
 
     stores = Stores(late_config)
     assert len(stores.refined) == refined_before + 1
-    # The committed card is untouched until a remake absorbs the late note.
-    assert stores.ledger.committed()[0].dimension_map() == card.dimension_map()
-
-    now = parse_instant(PINNED)
-    stores.manager.request_remake(card.card_id, timedelta(days=2), now)
-    spec = __import__("notecards.ontology", fromlist=["load_ontology"]).load_ontology(
-        FIXTURES / "ocpd.json"
-    )
-    rebuilt = stores.manager.complete_remake(
-        card.card_id, now + timedelta(days=2), stores.refined, spec
-    )
-    assert sum(rebuilt.score_vector()) == sum(card.score_vector()) + 2  # O7-4 hits 4 and 8
-    assert stores.ledger.get(card.card_id).status == STATUS_SUPERSEDED
-    report = stores.manager.admit([rebuilt], spec, now + timedelta(days=2))
-    assert len(report.committed) == 1
-    assert report.committed[0].criteria_met == 6
-
-
-def test_a_remake_requested_in_one_process_completes_once_in_another(tmp_path):
-    config = jobs_config(tmp_path / "store")
-    run_pipeline(config)
-    spec = load_ontology(FIXTURES / "ocpd.json")
-    now = parse_instant(PINNED)
-    g1 = Stores(config).manager.request_remake("301.4@steve#g1", timedelta(days=2), now)
-    assert g1.reasoning_trail[-1].kind == "remake-requested"
-
-    stores = Stores(config)
-    with pytest.raises(CardError, match="waiting period"):
-        stores.manager.complete_remake(g1.card_id, now + timedelta(days=1), stores.refined, spec)
-    stores.manager.complete_remake(g1.card_id, now + timedelta(days=2), stores.refined, spec)
-
-    stores = Stores(config)
-    assert stores.ledger.get(g1.card_id).status == STATUS_SUPERSEDED
-    [g2] = stores.maker.premature_cards()
-    assert (g2.card_id, g2.status) == ("301.4@steve#g2", STATUS_PREMATURE)
-    assert g2.score_vector() == (4, 5, 2, 11, 0, 5, 0, 10)
-    assert g2 == stores.ledger.get(g2.card_id)
-    log = (config.store_root / "cards" / "log.jsonl").read_bytes()
-    with pytest.raises(CardError, match="no remake request"):
-        stores.manager.complete_remake(g1.card_id, now + timedelta(days=3), stores.refined, spec)
-    assert (config.store_root / "cards" / "log.jsonl").read_bytes() == log
+    # The card's slot closed when it committed: the late note reaches no card.
+    assert stores.ledger.cards() == [card]
+    assert stores.maker.premature_cards() == []
 
 
 def test_masking_pseudonymizes_subjects_end_to_end(tmp_path):
@@ -320,25 +277,19 @@ def test_whole_file_card_state_is_written_once_per_run(tmp_path, monkeypatch):
     assert_card_index_follows_the_log(config.store_root)
 
 
-def test_the_card_index_follows_the_log_through_remakes_and_a_rerun(tmp_path):
+def test_the_card_index_follows_the_log_through_a_rerun(tmp_path):
     corpus = many_subjects_corpus(tmp_path, 4)
     config = jobs_config(tmp_path / "store", corpus=corpus)
     assert run_pipeline(config).cards_committed == 4
-    spec = load_ontology(FIXTURES / "ocpd.json")
-    now = parse_instant(PINNED)
-    Stores(config).manager.request_remake("301.4@subject1#g1", timedelta(days=2), now)
-    assert_card_index_follows_the_log(config.store_root)
-    stores = Stores(config)
-    stores.manager.complete_remake("301.4@subject1#g1", now + timedelta(days=2), stores.refined, spec)
     assert_card_index_follows_the_log(config.store_root)
 
-    # New input on the same corpus path: a fifth subject, and the rebuilt card's admission.
+    # New input on the same corpus path: a fifth subject.
     many_subjects_corpus(tmp_path, 5)
     summary = run_pipeline(config)
     assert (summary.documents_ingested, summary.cards_committed) == (100, 5)
     assert_card_index_follows_the_log(config.store_root)
     index = json.loads((config.store_root / "cards" / "index.json").read_text(encoding="utf-8"))
-    assert sorted(index) == sorted([f"301.4@subject{i}#g1" for i in range(5)] + ["301.4@subject1#g2"])
+    assert sorted(index) == [f"301.4@subject{i}#g1" for i in range(5)]
 
 
 def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):

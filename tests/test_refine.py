@@ -361,4 +361,4 @@ def test_refined_store_tracks_processed_ids(tmp_path):
     assert store.processed_note_ids() == {"n-amt-3", "n-amt-5"}
     reloaded = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
     assert reloaded.get(refined[0].refined_id) == refined[0]
-    assert reloaded.list() == [refined[0]]
+    assert reloaded.read_all() == [refined[0]]
