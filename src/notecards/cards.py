@@ -199,15 +199,6 @@ def new_card(concept: ConceptDef, subject: str, generation: int = 1) -> Card:
     )
 
 
-def add_evidence(card: Card, criterion_index: int, refined_id: str) -> Card:
-    """Monotone: adding evidence never lowers any dimension score."""
-    dims = {index: list(ids) for index, ids in card.dimensions}
-    bucket = dims.setdefault(criterion_index, [])
-    if refined_id not in bucket:
-        bucket.append(refined_id)
-    return replace(card, dimensions=tuple(sorted((i, tuple(ids)) for i, ids in dims.items())))
-
-
 # ---------------------------------------------------------------------------
 # Conflicts
 # ---------------------------------------------------------------------------

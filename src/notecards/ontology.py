@@ -215,9 +215,6 @@ class OntologySpec:
     refinement_policies: tuple[RefinementPolicy, ...] = ()
     exclusion_rules: tuple[ExclusionRule, ...] = ()
 
-    def concept(self, concept_id: str) -> ConceptDef | None:
-        return next((c for c in self.concepts if c.concept_id == concept_id), None)
-
     @cached_property
     def criteria_by_action(
         self,

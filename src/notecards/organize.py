@@ -17,6 +17,13 @@ regroups only the keys those chunks fall in, each with the chunks already
 released under it read back by offset. A key whose chunks were all
 released has nothing fresh to release, so this releases exactly what
 regrouping every stored chunk would.
+
+A chunk's log line holds only what its id does not say. The id is
+``f"{doc_id}#{sentence_index}"``, and a stored chunk's provenance is
+always itself (dedupe merges provenance in memory only), so the line
+leaves out the document, the sentence, the provenance and a schema
+version, and reading it rebuilds them. A line that holds them too, as
+lines once did, reads as it holds them.
 """
 
 from __future__ import annotations
@@ -160,33 +167,73 @@ def _annotation_to_dict(a: Annotation) -> dict:
     }
 
 
-def chunk_to_dict(chunk: AnnotatedChunk) -> dict:
+def _stored_chunk(chunk: AnnotatedChunk) -> dict:
+    """The log line of a chunk: :func:`chunk_to_dict` less what its id says
+    (document and sentence), its provenance (itself) and the schema version."""
     return {
-        "chunk_id": chunk.chunk_id,
-        "doc_id": chunk.doc_id,
-        "sentence_index": chunk.sentence_index,
         "annotations": [_annotation_to_dict(a) for a in chunk.annotations],
-        "subject": chunk.subject,
-        "time": chunk.stamp or None,
+        "chunk_id": chunk.chunk_id,
         "place": chunk.place,
         "quantities": [[i, v] for i, v in chunk.quantities],
+        "subject": chunk.subject,
+        "time": chunk.stamp or None,
+    }
+
+
+def chunk_to_dict(chunk: AnnotatedChunk) -> dict:
+    return {
+        **_stored_chunk(chunk),
+        "doc_id": chunk.doc_id,
+        "sentence_index": chunk.sentence_index,
         "provenance": list(chunk.provenance),
         "schema_version": 1,
     }
 
 
+def _id_parts(chunk_id: str) -> tuple[str, int]:
+    """The document and sentence a chunk id names; an id that does not name
+    them as ``f"{doc_id}#{sentence_index}"`` raises ``ValueError``."""
+    doc_id, _, sentence = chunk_id.rpartition("#")
+    if not sentence.isdigit() or f"{doc_id}#{int(sentence)}" != chunk_id:
+        raise ValueError(f"chunk id {chunk_id!r} does not name a document and sentence")
+    return doc_id, int(sentence)
+
+
 def chunk_from_dict(raw: dict) -> AnnotatedChunk:
+    """The chunk of a stored line, its document, sentence and provenance
+    rebuilt from its id; a line that holds them too (the earlier format)
+    reads them as it holds them."""
+    chunk_id = record_id(raw, "chunk_id")
+    if "doc_id" in raw:
+        doc_id, sentence_index = raw["doc_id"], raw["sentence_index"]
+    else:
+        doc_id, sentence_index = _id_parts(chunk_id)
     return AnnotatedChunk(
-        chunk_id=raw["chunk_id"],
-        doc_id=raw["doc_id"],
-        sentence_index=raw["sentence_index"],
+        chunk_id=chunk_id,
+        doc_id=doc_id,
+        sentence_index=sentence_index,
         annotations=tuple(Annotation(**a) for a in raw["annotations"]),
         subject=raw["subject"],
         time=parse_instant(raw["time"]) if raw.get("time") else None,
         place=raw.get("place"),
         quantities=tuple((int(i), float(v)) for i, v in raw.get("quantities", ())),
-        provenance=tuple(raw.get("provenance", ())),
+        provenance=tuple(raw.get("provenance", (chunk_id,))),
     )
+
+
+def _check_storable(chunk: AnnotatedChunk) -> None:
+    """Raise ``ValueError`` unless :func:`chunk_from_dict` rebuilds *chunk*
+    from its :func:`_stored_chunk` line: its id names its document and
+    sentence, and its provenance is itself (a merged one lives in memory only)."""
+    if chunk.chunk_id != f"{chunk.doc_id}#{chunk.sentence_index}":
+        raise ValueError(
+            f"chunk id {chunk.chunk_id!r} does not name document {chunk.doc_id!r}, "
+            f"sentence {chunk.sentence_index!r}"
+        )
+    if chunk.provenance != (chunk.chunk_id,):
+        raise ValueError(
+            f"chunk {chunk.chunk_id} has provenance {list(chunk.provenance)}, not its own id"
+        )
 
 
 # A chunk line's id: no key sorted after chunk_id holds an object.
@@ -266,11 +313,14 @@ class OrganizerStore:
         return self._read(self._offsets)
 
     def add_chunks(self, chunks: Sequence[AnnotatedChunk]) -> int:
-        """Append chunks not seen before; returns how many were new."""
+        """Append chunks not seen before; returns how many were new. A chunk
+        its line cannot rebuild raises ``ValueError`` before anything is appended."""
         new = [c for c in chunks if c.chunk_id not in self._offsets]
         if not new:
             return 0
-        offsets = append_jsonl(self._chunks_path, map(chunk_to_dict, new))
+        for chunk in new:
+            _check_storable(chunk)
+        offsets = append_jsonl(self._chunks_path, map(_stored_chunk, new))
         for chunk, offset in zip(new, offsets):
             self._offsets[chunk.chunk_id] = offset
             self._unreleased[chunk.chunk_id] = chunk

@@ -21,7 +21,10 @@ still open, and a committed or expired card takes no later evidence.
 
 Each note is stored once. A passthrough refined note's log line names its
 note by id, and the note is read back from the note log; a merged note
-is stored nowhere else, so its refined line holds it whole.
+is stored nowhere else, so its refined line holds it whole. No refined
+line stores the ``schema_version`` of :func:`refined_to_dict`, which no
+reader reads; a merged line's note keeps its own, as every stored note
+does. A line that holds one reads as before.
 """
 
 from __future__ import annotations
@@ -469,16 +472,18 @@ def refined_from_dict(raw: dict, note: Note | None = None) -> RefinedNote:
 
 
 def _stored_line(refined: RefinedNote) -> dict:
-    """The log line of a refined note. A passthrough line names its note, which
-    the note log holds; a merged line holds its merged note, stored nowhere else."""
+    """The log line of a refined note, :func:`refined_to_dict` less its
+    unread ``schema_version``. A passthrough line names its note, which the
+    note log holds; a merged line holds its merged note, stored nowhere else."""
     if not refined.passthrough:
-        return refined_to_dict(refined)
+        line = refined_to_dict(refined)
+        del line["schema_version"]
+        return line
     return {
         "applied_rules": [],
         "note_id": refined.note.note_id,
         "passthrough": True,
         "refined_id": refined.refined_id,
-        "schema_version": NOTE_SCHEMA_VERSION,
     }
 
 

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
+from notecards.cards import Card
 from notecards.clock import parse_instant
 from notecards.notes import Note
-from notecards.ontology import Confidence, Intensity, load_ontology
+from notecards.ontology import ConceptDef, Confidence, Intensity, OntologySpec, load_ontology
 from notecards.refine import RefinedNote
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "notecards" / "fixtures"
@@ -140,3 +142,16 @@ def fixture_refined_rows(jobs_rows: list[dict]) -> list[RefinedNote]:
             )
         )
     return records
+
+
+def concept_of(spec: OntologySpec, concept_id: str) -> ConceptDef | None:
+    return next((c for c in spec.concepts if c.concept_id == concept_id), None)
+
+
+def add_evidence(card: Card, criterion_index: int, refined_id: str) -> Card:
+    """Monotone: adding evidence never lowers any dimension score."""
+    dims = {index: list(ids) for index, ids in card.dimensions}
+    bucket = dims.setdefault(criterion_index, [])
+    if refined_id not in bucket:
+        bucket.append(refined_id)
+    return replace(card, dimensions=tuple(sorted((i, tuple(ids)) for i, ids in dims.items())))

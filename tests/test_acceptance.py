@@ -25,7 +25,6 @@ from notecards.cards import (
     CardLedger,
     CardMaker,
     CardManager,
-    add_evidence,
     new_card,
 )
 from notecards.graph import (
@@ -46,7 +45,7 @@ from notecards.refine import (
     apply_max_rule,
 )
 
-from conftest import FIXTURES, fixture_refined_rows, make_note, utc
+from conftest import FIXTURES, add_evidence, concept_of, fixture_refined_rows, make_note, utc
 
 GOLDEN_SCORES = (4, 5, 2, 11, 0, 5, 0, 10)
 NOW = utc(2011, 11, 13)
@@ -236,7 +235,7 @@ def test_acceptance_4_no_committed_exclusive_overlap(tmp_path):
             concept = rng.choice(concept_ids)
             generation = generations.get((subject, concept), 0) + 1
             generations[(subject, concept)] = generation
-            card = new_card(spec.concept(concept), subject, generation)
+            card = new_card(concept_of(spec, concept), subject, generation)
             card = add_evidence(card, 1, f"rn-{trial}-{generation}")
             card = replace(card, validity=(now, None))
             manager.admit([card], spec, now)

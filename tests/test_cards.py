@@ -16,7 +16,6 @@ from notecards.cards import (
     STATUS_COMMITTED,
     STATUS_EXPIRED,
     STATUS_PREMATURE,
-    add_evidence,
     card_from_dict,
     card_to_dict,
     detect_conflicts,
@@ -25,8 +24,8 @@ from notecards.cards import (
 )
 from notecards.ontology import Intensity, parse_ontology
 
-from conftest import assert_card_index_follows_the_log, fixture_refined_rows, make_note
-from conftest import passthrough, utc
+from conftest import add_evidence, assert_card_index_follows_the_log, concept_of
+from conftest import fixture_refined_rows, make_note, passthrough, utc
 
 GOLDEN_SCORES = (4, 5, 2, 11, 0, 5, 0, 10)
 NOW = utc(2011, 11, 13)
@@ -163,7 +162,9 @@ class PerNoteMaker:
                 key = CardMaker.slot_key(refined.subject, concept_id)
                 if key in self.closed:
                     continue
-                card = self.cards.get(key) or new_card(spec.concept(concept_id), refined.subject)
+                card = self.cards.get(key) or new_card(
+                    concept_of(spec, concept_id), refined.subject
+                )
                 before = card.criteria_met
                 card = add_evidence(card, criterion_index, refined.refined_id)
                 if before < card.threshold <= card.criteria_met:
@@ -294,14 +295,14 @@ def test_score_card_golden(tmp_path, ocpd_spec, jobs_rows):
 
 
 def test_score_card_empty(ocpd_spec):
-    card = new_card(ocpd_spec.concept("301.4"), "steve")
+    card = new_card(concept_of(ocpd_spec, "301.4"), "steve")
     assert card.score_vector() == (0,) * 8
     assert card.criteria_met == 0
 
 
 def test_score_card_matches_recount_oracle(ocpd_spec):
     rng = random.Random(17)
-    concept = ocpd_spec.concept("301.4")
+    concept = concept_of(ocpd_spec, "301.4")
     for _ in range(200):
         card = new_card(concept, "steve")
         placed: dict[int, set[str]] = {}
@@ -370,7 +371,7 @@ def exclusive_pair_spec(resolution: str = "expire-older"):
 
 
 def candidate(spec, concept_id: str, subject: str, start, evidence: str = "rn-x") -> Card:
-    card = new_card(spec.concept(concept_id), subject)
+    card = new_card(concept_of(spec, concept_id), subject)
     card = add_evidence(card, 1, evidence)
     from dataclasses import replace
 
@@ -393,7 +394,7 @@ def test_commit_fixture_card(tmp_path, ocpd_spec, jobs_rows):
 
 def test_commit_below_threshold_rejected(tmp_path, ocpd_spec):
     manager = CardManager(CardLedger(tmp_path / "cards"), CardMaker(tmp_path / "cards"))
-    card = new_card(ocpd_spec.concept("301.4"), "steve")
+    card = new_card(concept_of(ocpd_spec, "301.4"), "steve")
     with pytest.raises(CardError):
         manager.commit_card(card, NOW, ocpd_spec)
 

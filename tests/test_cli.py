@@ -361,6 +361,53 @@ def test_passthrough_lines_that_hold_their_notes_exit_two_naming_the_line(fixtur
     assert store_bytes(fixture_store) == before
 
 
+def test_chunk_and_refined_lines_in_the_earlier_shape_read_as_before(
+    fixture_store, tmp_path, capsys
+):
+    # Lines as they were before a chunk line left out what its id says and
+    # both left out their schema version: read as they are, with no migration.
+    capsys.readouterr()
+    assert run_cli("card", "show", CARD, "--audit", "--json", "--store", fixture_store) == 0
+    shown = capsys.readouterr().out
+    chunks_log = fixture_store / "chunks" / "chunks.jsonl"
+    refined_log = fixture_store / "refined" / "refined.jsonl"
+    earlier = {
+        chunks_log: [organize.chunk_to_dict(organize.chunk_from_dict(record))
+                     for record in encoding.read_jsonl(chunks_log)],
+        refined_log: [{**record, "schema_version": 1}
+                      for record in encoding.read_jsonl(refined_log)],
+    }
+    held_keys = {"doc_id", "sentence_index", "provenance", "schema_version"}
+    assert held_keys <= set(earlier[chunks_log][0])
+    maker = fixture_store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    for path, records in earlier.items():
+        lines = "".join(encoding.canonical_json(r) + "\n" for r in records)
+        path.write_text(lines, encoding="utf-8")
+        state["logs"][f"{path.parent.name}/{path.name}"] = path.stat().st_size
+    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    assert run_cli("card", "show", CARD, "--audit", "--json", "--store", fixture_store) == 0
+    assert capsys.readouterr().out == shown
+    assert run_cli("store", "check", "--store", fixture_store) == 0
+    # A run on top appends lines in the current shape after the earlier ones.
+    record = json.loads((FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    record.update(source_uri="bio://jobs/early", timestamp="2011-09-01T09:00:00Z")
+    corpus = tmp_path / "early.jsonl"
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    held = {path: path.read_bytes() for path in earlier}
+    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", corpus,
+                   "--store", fixture_store) == 0
+    appended = {path: path.read_bytes()[len(held[path]):].splitlines() for path in earlier}
+    for path, lines in appended.items():
+        assert path.read_bytes().startswith(held[path]) and len(lines) == 1
+    [chunk_line], [refined_line] = appended[chunks_log], appended[refined_log]
+    assert sorted(json.loads(chunk_line)) == [
+        "annotations", "chunk_id", "place", "quantities", "subject", "time"
+    ]
+    assert sorted(json.loads(refined_line)) == ["applied_rules", "note_id", "passthrough", "refined_id"]
+    assert run_cli("store", "check", "--store", fixture_store) == 0
+
+
 def test_store_check_reports_each_chunk_whose_document_is_missing_once(fixture_store, tmp_path, capsys):
     # Reported the day before the pinned clock: its chunk is stored, but its
     # window is still open, so no note and no card reaches it.
@@ -373,9 +420,11 @@ def test_store_check_reports_each_chunk_whose_document_is_missing_once(fixture_s
     chunks = [json.loads(line) for line in (fixture_store / "chunks" / "chunks.jsonl").open()]
     reached = rename_document(fixture_store, 0)  # the card reaches its chunk
     unreached = rename_document(fixture_store, -1)
+    # A stored chunk line names its document only in its id, "<doc_id>#<sentence_index>".
     findings = [
-        f"chunk {chunk['chunk_id']} -> missing document {chunk['doc_id']}"
-        for doc_id in (reached, unreached) for chunk in chunks if chunk["doc_id"] == doc_id
+        f"chunk {chunk['chunk_id']} -> missing document {doc_id}"
+        for doc_id in (reached, unreached) for chunk in chunks
+        if chunk["chunk_id"].rpartition("#")[0] == doc_id
     ]
     assert len(findings) == 2
     capsys.readouterr()

@@ -8,7 +8,7 @@ from datetime import timedelta
 
 import pytest
 
-from notecards.cards import Card, ReasoningEvent, add_evidence, make_card_id, new_card
+from notecards.cards import Card, ReasoningEvent, make_card_id, new_card
 from notecards.graph import (
     CardGraph,
     GraphEdge,
@@ -22,7 +22,7 @@ from notecards.graph import (
 )
 from notecards.ontology import parse_ontology
 
-from conftest import utc
+from conftest import add_evidence, concept_of, utc
 
 NOW = utc(2011, 11, 13)
 
@@ -66,7 +66,7 @@ def simple_spec():
 def committed_card(spec, concept_id, subject, evidence=("rn-1",)):
     from dataclasses import replace
 
-    card = new_card(spec.concept(concept_id), subject)
+    card = new_card(concept_of(spec, concept_id), subject)
     for rid in evidence:
         card = add_evidence(card, 1, rid)
     return replace(card, status="committed", validity=(NOW, None))
@@ -362,7 +362,7 @@ def test_json_export_round_trips():
 def test_query_by_status_and_bounds():
     spec = simple_spec()
     committed = committed_card(spec, "c0", "steve")
-    premature = new_card(spec.concept("c1"), "steve")
+    premature = new_card(concept_of(spec, "c1"), "steve")
     cards = [committed, premature]
     assert query_cards(cards, status="committed") == [committed]
     assert query_cards(cards, min_criteria_met=7) == []

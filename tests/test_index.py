@@ -167,7 +167,7 @@ def test_an_attribute_named_like_an_id_key_is_not_read_as_the_id(tmp_path):
     # The passthrough line names its note and holds none of the note's fields.
     assert (refined_root / "refined.jsonl").read_bytes() == canonical_json({
         "applied_rules": [], "note_id": decoy.note_id, "passthrough": True,
-        "refined_id": passthrough(decoy).refined_id, "schema_version": 1,
+        "refined_id": passthrough(decoy).refined_id,
     }).encode("ascii") + b"\n"
     assert NoteStore(notes_root)._offsets == {decoy.note_id: 0}
     reopened = RefinedNoteStore(refined_root, NoteStore(notes_root))
@@ -187,7 +187,10 @@ def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec)
     RefinedNoteStore(tmp_path, NoteStore(tmp_path)).add_all([merged])
     line = (tmp_path / "refined.jsonl").read_bytes()
     assert refine._scan_refined(line) is None
-    assert json.loads(line) == refine.refined_to_dict(merged)  # it holds its merged note
+    # It holds its merged note, and all refined_to_dict gives but the unread schema_version.
+    expected = refine.refined_to_dict(merged)
+    assert expected.pop("schema_version") == 1
+    assert json.loads(line) == expected
     reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
     assert reopened._offsets == {merged.refined_id: 0}
     assert reopened.processed_note_ids() == {note.note_id for note in notes_in}
@@ -258,12 +261,14 @@ def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
                     assert min(record) == "doc_id"  # the scan reads it only at the start
                 elif name.startswith("chunks"):
                     assert objects_after(record, "chunk_id") == []
+                    # Its id says its document and sentence, and its provenance is itself.
+                    assert list(record) == [
+                        "annotations", "chunk_id", "place", "quantities", "subject", "time"
+                    ]
                 elif name.startswith("notes"):
                     assert objects_after(record, "note_id") == []
                 elif record["passthrough"]:  # the scan reads the whole line
-                    assert list(record) == [
-                        "applied_rules", "note_id", "passthrough", "refined_id", "schema_version"
-                    ]
+                    assert list(record) == ["applied_rules", "note_id", "passthrough", "refined_id"]
                     assert record["applied_rules"] == [] and not holds_object(list(record.values()))
                     assert line.startswith(refine._PASSTHROUGH)
                     seen["passthrough"] += 1

@@ -24,6 +24,8 @@ from notecards.ontology import (
     validate_ontology,
 )
 
+from conftest import concept_of
+
 # ---------------------------------------------------------------------------
 # Minimal spec builder
 # ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ def test_duration_rejects_garbage():
 
 
 def test_ocpd_fixture_loads(ocpd_spec):
-    concept = ocpd_spec.concept("301.4")
+    concept = concept_of(ocpd_spec, "301.4")
     assert concept is not None
     assert len(concept.criteria) == 8
     assert concept.threshold == 4

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from datetime import timedelta
 
+import pytest
+
 from notecards import organize
 from notecards.annotate import AnnotatedChunk, Annotation
 from notecards.clock import format_instant
-from notecards.encoding import append_jsonl
+from notecards.encoding import StoreFormatError, append_jsonl
 from notecards.organize import (
     ChunkGroup,
     OrganizerStore,
@@ -329,6 +332,58 @@ def test_store_reload_sees_same_chunks(tmp_path):
     store.add_chunks([chunk("d1#0", time=utc(2020, 1, 2))])
     fresh = OrganizerStore(tmp_path)
     assert fresh.get_chunk("d1#0") == store.get_chunk("d1#0")
+
+
+def test_a_chunk_line_holds_what_its_id_does_not_say_and_reads_back_whole(tmp_path):
+    appended = [
+        replace(chunk("doc#with#hash#12", time=utc(2020, 1, 2, 3, 4, 5), place="Paris",
+                      doc_id="doc#with#hash", sentence_index=12), quantities=((1, 2.5),)),
+        chunk("d2#0"),
+    ]
+    store = OrganizerStore(tmp_path)
+    store.add_chunks(appended)
+    lines = (tmp_path / "chunks.jsonl").read_text(encoding="ascii").splitlines()
+    assert [sorted(json.loads(line)) for line in lines] == [
+        ["annotations", "chunk_id", "place", "quantities", "subject", "time"]
+    ] * 2
+    assert json.loads(lines[0])["chunk_id"] == "doc#with#hash#12"
+    reopened = OrganizerStore(tmp_path)
+    assert reopened.chunks() == appended
+    assert [reopened.get_chunk(c.chunk_id) for c in appended] == appended
+    assert reopened.chunks()[0].doc_id == "doc#with#hash"
+
+
+def test_a_chunk_in_the_earlier_line_format_reads_as_it_holds(tmp_path):
+    # Lines once held the document, sentence, provenance and a schema version too.
+    held = chunk("d1#3", time=utc(2020, 1, 2), sentence_index=3)
+    append_jsonl(tmp_path / "chunks.jsonl", [organize.chunk_to_dict(held)])
+    assert OrganizerStore(tmp_path).chunks() == [held]
+
+
+@pytest.mark.parametrize("bad", [
+    chunk("d1#0", doc_id="d2"),  # names another document
+    chunk("d1#0", sentence_index=1),  # names another sentence
+    chunk("d1", doc_id="d1"),  # names no sentence
+    chunk("d1#01", doc_id="d1", sentence_index=1),  # names the sentence in another form
+    replace(chunk("d1#0"), provenance=("d1#0", "d2#0")),  # merged by dedupe
+    replace(chunk("d1#0"), provenance=()),
+], ids=["other-document", "other-sentence", "no-sentence", "padded-sentence", "merged", "none"])
+def test_a_chunk_its_line_cannot_rebuild_is_refused_before_anything_is_appended(tmp_path, bad):
+    store = OrganizerStore(tmp_path)
+    store.add_chunks([chunk("d0#0")])
+    before = (tmp_path / "chunks.jsonl").read_bytes()
+    with pytest.raises(ValueError):
+        store.add_chunks([chunk("d3#0"), bad])
+    assert (tmp_path / "chunks.jsonl").read_bytes() == before
+    assert len(store) == 1 and not store.has_chunk("d3#0")
+
+
+@pytest.mark.parametrize("chunk_id", ["d1", "d1#", "d1#x", "d1#01", "d1#+1", "d1# 1"])
+def test_a_stored_chunk_id_that_names_no_sentence_does_not_read(tmp_path, chunk_id):
+    line = {**organize._stored_chunk(chunk("d1#0")), "chunk_id": chunk_id}
+    append_jsonl(tmp_path / "chunks.jsonl", [line])
+    with pytest.raises(StoreFormatError, match="does not name a document and sentence"):
+        OrganizerStore(tmp_path)
 
 
 def test_undated_groups_release_at_any_close(tmp_path):
