@@ -22,8 +22,8 @@ A chunk's log line holds only what its id does not say. The id is
 ``f"{doc_id}#{sentence_index}"``, and a stored chunk's provenance is
 always itself (dedupe merges provenance in memory only), so the line
 leaves out the document, the sentence, the provenance and a schema
-version, and reading it rebuilds them. A line that holds them too, as
-lines once did, reads as it holds them.
+version, and reading it rebuilds them; keys a line holds beyond those
+(lines once held all four) are not read.
 """
 
 from __future__ import annotations
@@ -201,13 +201,9 @@ def _id_parts(chunk_id: str) -> tuple[str, int]:
 
 def chunk_from_dict(raw: dict) -> AnnotatedChunk:
     """The chunk of a stored line, its document, sentence and provenance
-    rebuilt from its id; a line that holds them too (the earlier format)
-    reads them as it holds them."""
+    rebuilt from its id."""
     chunk_id = record_id(raw, "chunk_id")
-    if "doc_id" in raw:
-        doc_id, sentence_index = raw["doc_id"], raw["sentence_index"]
-    else:
-        doc_id, sentence_index = _id_parts(chunk_id)
+    doc_id, sentence_index = _id_parts(chunk_id)
     return AnnotatedChunk(
         chunk_id=chunk_id,
         doc_id=doc_id,
@@ -217,7 +213,7 @@ def chunk_from_dict(raw: dict) -> AnnotatedChunk:
         time=parse_instant(raw["time"]) if raw.get("time") else None,
         place=raw.get("place"),
         quantities=tuple((int(i), float(v)) for i, v in raw.get("quantities", ())),
-        provenance=tuple(raw.get("provenance", (chunk_id,))),
+        provenance=(chunk_id,),
     )
 
 
@@ -225,7 +221,7 @@ def _check_storable(chunk: AnnotatedChunk) -> None:
     """Raise ``ValueError`` unless :func:`chunk_from_dict` rebuilds *chunk*
     from its :func:`_stored_chunk` line: its id names its document and
     sentence, and its provenance is itself (a merged one lives in memory only)."""
-    if chunk.chunk_id != f"{chunk.doc_id}#{chunk.sentence_index}":
+    if _id_parts(chunk.chunk_id) != (chunk.doc_id, chunk.sentence_index):
         raise ValueError(
             f"chunk id {chunk.chunk_id!r} does not name document {chunk.doc_id!r}, "
             f"sentence {chunk.sentence_index!r}"

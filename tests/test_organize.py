@@ -365,9 +365,11 @@ def test_a_chunk_in_the_earlier_line_format_reads_as_it_holds(tmp_path):
     chunk("d1#0", sentence_index=1),  # names another sentence
     chunk("d1", doc_id="d1"),  # names no sentence
     chunk("d1#01", doc_id="d1", sentence_index=1),  # names the sentence in another form
+    chunk("d1#-1", doc_id="d1", sentence_index=-1),  # a negative sentence, which no id names
     replace(chunk("d1#0"), provenance=("d1#0", "d2#0")),  # merged by dedupe
     replace(chunk("d1#0"), provenance=()),
-], ids=["other-document", "other-sentence", "no-sentence", "padded-sentence", "merged", "none"])
+], ids=["other-document", "other-sentence", "no-sentence", "padded-sentence",
+        "negative-sentence", "merged", "none"])
 def test_a_chunk_its_line_cannot_rebuild_is_refused_before_anything_is_appended(tmp_path, bad):
     store = OrganizerStore(tmp_path)
     store.add_chunks([chunk("d0#0")])
