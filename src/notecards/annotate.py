@@ -25,6 +25,11 @@ from .clock import format_instant
 from .ingest import Document
 from .ontology import PERSON_CLASS_ID, OntologySpec
 
+# What annotate_with_matcher gives for a (document, ontology) pair. A store
+# pins the version that wrote its chunks, which it reads back by annotating
+# again: raise it with any change to this module that changes that output.
+ANNOTATOR_VERSION = 1
+
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
 # A maximal run of non-whitespace; ``\s`` is exactly ``str.isspace``.
 _RUN_RE = re.compile(r"\S+")
@@ -56,12 +61,14 @@ class AnnotatedChunk:
     chunk_id: str
     doc_id: str
     sentence_index: int
-    annotations: tuple[Annotation, ...]
+    # None when read from a chunk line, which holds only their signature.
+    annotations: tuple[Annotation, ...] | None
     subject: str
     time: datetime | None
     place: str | None
     quantities: tuple[tuple[int, float], ...] = ()  # (token index, value)
     provenance: tuple[str, ...] = ()
+    signature: tuple[tuple[str, str], ...] | None = None  # set when annotations is None
 
     @cached_property
     def stamp(self) -> str:
@@ -70,6 +77,8 @@ class AnnotatedChunk:
 
     def annotation_signature(self) -> tuple[tuple[str, str], ...]:
         """Sorted multiset of (canonical_id, kind) pairs, used by dedup."""
+        if self.annotations is None:
+            return self.signature
         return tuple(sorted((a.canonical_id, a.kind) for a in self.annotations))
 
 

@@ -650,7 +650,8 @@ def _card(card_id: str, stores: Stores) -> Card:
 
 
 def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
-    """Full chain card -> refined notes -> notes -> chunks -> documents."""
+    """Full chain card -> refined notes -> notes -> chunks -> documents, each
+    chunk with the annotations annotating its document again gives."""
     from .notes import note_to_dict
     from .organize import chunk_to_dict
     from .refine import DanglingNote, refined_to_dict
@@ -676,6 +677,7 @@ def drill_down(card_id: str, stores: Stores) -> dict[str, Any]:
                 if chunk is None:
                     raise CardError(f"dangling chunk {chunk_id}")
                 document = stores.text.get(chunk.doc_id)
+                chunk = stores.whole(chunk, document)
                 source = {"doc_id": document.doc_id, "source_uri": document.meta.source_uri}
                 chunk_records.append({"chunk": chunk_to_dict(chunk), "document": source})
             note_records.append({"note": note_to_dict(note), "chunks": chunk_records})

@@ -1,7 +1,8 @@
 """Operator command line.
 
 Commands: ``ontology validate``, ``ingest``, ``run``, ``notes list``,
-``cards list``, ``card show``, ``export``, ``routes``, ``store check``.
+``cards list``, ``card show``, ``export``, ``routes``, ``store check``,
+``store stats``.
 Exit status is 0 on success, 1 when validation findings exist, 2 on
 operational errors. ``run`` and ``ingest`` take ``--now`` to pin the clock
 for reproducible runs; the other store commands read up to the last commit.
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .cards import Card, CardError, CardLedger, CardMaker, audit_card, card_to_dict, drill_down
-from .cards import read_commit
+from .cards import LOGS, read_commit
 from .clock import parse_instant
 from .encoding import PipelineError, read_jsonl, record_id
 from .graph import GraphError, GraphFilter, build_graph, export_graph, find_routes, query_cards
@@ -117,8 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_store_check = store_sub.add_parser("check", help="decode the store, audit every card")
     _store_flags(p_store_check)
     _json_flag(p_store_check)
+    p_store_stats = store_sub.add_parser("stats", help="count each log's records and bytes")
+    _store_flags(p_store_stats)
+    _json_flag(p_store_stats)
 
     return parser
+
+
+def _instant(text: str, flag: str):
+    """The instant a flag's value names; one it does not name exits 2, naming the flag."""
+    try:
+        return parse_instant(text)
+    except ValueError as exc:
+        raise PipelineError(f"{flag}: {exc}") from None
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -132,6 +144,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     if args.store:
         config.store_root = args.store
     if getattr(args, "now", None):
+        _instant(args.now, "--now")
         config.now_override = args.now
     if getattr(args, "mask_key_file", None):
         config.mask_key_file = args.mask_key_file
@@ -351,7 +364,9 @@ def _graph_for(args):
     valid_from = getattr(args, "valid_from", None)
     valid_to = getattr(args, "valid_to", None)
     if valid_from and valid_to:
-        time_range = (parse_instant(valid_from), parse_instant(valid_to))
+        time_range = (_instant(valid_from, "--from"), _instant(valid_to, "--to"))
+        if time_range[0] > time_range[1]:
+            raise PipelineError(f"--from {valid_from} is later than --to {valid_to}")
     elif valid_from or valid_to:
         raise PipelineError("--from and --to go together")
     card_filter = GraphFilter(
@@ -410,7 +425,7 @@ def cmd_store_check(args) -> int:
     # Build the record of every indexed line, every note line with the refined
     # lines; one that is not a record, or holds another id than its line was
     # read under, exits 2. A passthrough line whose note is missing dangles.
-    stores.text.list()
+    documents = {doc.doc_id: doc for doc in stores.text.list()}
     problems = [str(r) for r in stores.refined.read_all() if isinstance(r, DanglingNote)]
     chunks = stores.organizer.chunks()
     cards = _all_cards(stores.ledger, stores.maker)
@@ -420,20 +435,69 @@ def cmd_store_check(args) -> int:
         for chunk in chunks if chunk.doc_id not in stores.text
     ]
     problems = list(dict.fromkeys(problems))  # a chunk's card reaches it too
+    # A chunk line is a view of annotating its document with the store's own
+    # ontology, which a store committed before it kept one does not have.
+    stale = []
+    if (stores.maker.manifest or {}).get("stored_ontology_sha256"):
+        stale = [_stale_chunk(chunk, stores, documents[chunk.doc_id])
+                 for chunk in chunks if chunk.doc_id in documents]
+        stale = [finding for finding in stale if finding]
     index = stores.ledger.index_mismatches()
     report = {"cards": len(cards), "dangling": problems}
     counts = f"{len(cards)} cards, {len(problems)} dangling"
     if repeated:  # shown only when there are some
         report["repeated"] = repeated
         counts += f", {len(repeated)} repeated"
+    if stale:  # likewise
+        report["stale"] = stale
+        counts += f", {len(stale)} stale"
     if index:  # likewise
         report["index"] = index
         counts += f", {len(index)} off the index"
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("\n".join([*repeated, *problems, *index, f"({counts})"]))
-    return 1 if problems or repeated or index else 0
+        print("\n".join([*repeated, *problems, *stale, *index, f"({counts})"]))
+    return 1 if problems or repeated or stale or index else 0
+
+
+def _stale_chunk(chunk, stores: Stores, document) -> str | None:
+    """A finding when *chunk*'s line holds other than annotating its document again gives."""
+    from .organize import stale_keys
+
+    fresh = stores.annotate_again(chunk, document)
+    if fresh is None:
+        return f"chunk {chunk.chunk_id}: annotating document {chunk.doc_id} again gives no chunk"
+    keys = stale_keys(chunk, fresh)
+    if keys:
+        return (f"chunk {chunk.chunk_id}: annotating document {chunk.doc_id} again "
+                f"gives another {', '.join(keys)}")
+    return None
+
+
+def cmd_store_stats(args) -> int:
+    from .organize import OrganizerStore
+
+    root = _store_root(args)
+    _, ends = read_commit(root)
+    logs = {}
+    for name in LOGS:
+        path = root / name
+        data = path.read_bytes()[: ends[name]] if ends[name] else b""
+        logs[name] = {"records": data.count(b"\n"), "committed_bytes": ends[name],
+                      "disk_bytes": path.stat().st_size if path.exists() else 0}
+    organizer = OrganizerStore(root / "chunks", chunks_end=ends["chunks/chunks.jsonl"],
+                               released_end=ends["chunks/released.jsonl"])
+    report = {"logs": logs, "unreleased_chunks": organizer.unreleased()}
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        width = max(map(len, LOGS))
+        for name, counts in logs.items():
+            print(f"{name:<{width}}  records={counts['records']} "
+                  f"committed={counts['committed_bytes']} on_disk={counts['disk_bytes']}")
+        print(f"unreleased chunks: {report['unreleased_chunks']}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -449,6 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         ("export", None): cmd_export,
         ("routes", None): cmd_routes,
         ("store", "check"): cmd_store_check,
+        ("store", "stats"): cmd_store_stats,
     }
     handler = handlers[(args.command, getattr(args, "subcommand", None))]
     try:

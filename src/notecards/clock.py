@@ -21,13 +21,16 @@ def parse_instant(text: str) -> datetime:
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(cleaned)
+    try:
+        parsed = datetime.fromisoformat(cleaned)
+    except ValueError:
+        raise ValueError(f"not an RFC-3339 instant: {text!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=UTC)
     try:
         return parsed.astimezone(UTC)
     except OverflowError:
-        raise ValueError(f"instant out of range in UTC: {text}") from None
+        raise ValueError(f"instant out of range in UTC: {text!r}") from None
 
 
 def format_instant(instant: datetime) -> str:

@@ -18,12 +18,19 @@ released under it read back by offset. A key whose chunks were all
 released has nothing fresh to release, so this releases exactly what
 regrouping every stored chunk would.
 
-A chunk's log line holds only what its id does not say. The id is
-``f"{doc_id}#{sentence_index}"``, and a stored chunk's provenance is
-always itself (dedupe merges provenance in memory only), so the line
-leaves out the document, the sentence, the provenance and a schema
-version, and reading it rebuilds them; keys a line holds beyond those
-(lines once held all four) are not read.
+A chunk's log line holds only what neither its id nor annotation says.
+The id is ``f"{doc_id}#{sentence_index}"``, and a stored chunk's
+provenance is always itself (dedupe merges provenance in memory only).
+Annotation is deterministic, so a chunk is what annotating its document
+with the store's ontology gives for its sentence: the line keeps of its
+annotations only their signature, the sorted (canonical_id, kind) pairs
+that dedupe compares, and leaves out the document, the sentence, the
+provenance and a schema version. Reading it rebuilds the id's parts and
+gives a chunk whose ``annotations`` is None; a reader that needs them
+annotates the document again (:class:`notecards.pipeline.Stores`).
+Lines of earlier shapes, which held the annotations whole (and maybe the
+id's parts too), read with their annotations, and their signature comes
+from them; keys a line holds beyond those are not read.
 """
 
 from __future__ import annotations
@@ -168,26 +175,41 @@ def _annotation_to_dict(a: Annotation) -> dict:
 
 
 def _stored_chunk(chunk: AnnotatedChunk) -> dict:
-    """The log line of a chunk: :func:`chunk_to_dict` less what its id says
-    (document and sentence), its provenance (itself) and the schema version."""
+    """The log line of a chunk: what neither its id nor annotating its
+    document again says, and the signature of its annotations."""
     return {
-        "annotations": [_annotation_to_dict(a) for a in chunk.annotations],
         "chunk_id": chunk.chunk_id,
         "place": chunk.place,
         "quantities": [[i, v] for i, v in chunk.quantities],
+        "signature": [list(pair) for pair in chunk.annotation_signature()],
         "subject": chunk.subject,
         "time": chunk.stamp or None,
     }
 
 
 def chunk_to_dict(chunk: AnnotatedChunk) -> dict:
+    """A chunk as ``card show`` prints it, annotations whole."""
     return {
-        **_stored_chunk(chunk),
+        "annotations": [_annotation_to_dict(a) for a in chunk.annotations],
+        "chunk_id": chunk.chunk_id,
         "doc_id": chunk.doc_id,
-        "sentence_index": chunk.sentence_index,
+        "place": chunk.place,
         "provenance": list(chunk.provenance),
+        "quantities": [[i, v] for i, v in chunk.quantities],
         "schema_version": 1,
+        "sentence_index": chunk.sentence_index,
+        "subject": chunk.subject,
+        "time": chunk.stamp or None,
     }
+
+
+def stale_keys(stored: AnnotatedChunk, fresh: AnnotatedChunk) -> list[str]:
+    """The keys of *stored*'s line whose value differs from *fresh*'s, the chunk
+    annotating its document again gives; ``annotations`` too when the line holds them."""
+    held, again = _stored_chunk(stored), _stored_chunk(fresh)
+    if stored.annotations is not None:
+        held["annotations"], again["annotations"] = stored.annotations, fresh.annotations
+    return sorted(key for key in held if held[key] != again[key])
 
 
 def _id_parts(chunk_id: str) -> tuple[str, int]:
@@ -199,27 +221,41 @@ def _id_parts(chunk_id: str) -> tuple[str, int]:
     return doc_id, int(sentence)
 
 
+def _signature_from_list(raw: list) -> tuple[tuple[str, str], ...]:
+    pairs = tuple((canonical_id, kind) for canonical_id, kind in raw)
+    if not all(isinstance(part, str) for pair in pairs for part in pair):
+        raise TypeError("a signature pair is not two strings")
+    return pairs
+
+
 def chunk_from_dict(raw: dict) -> AnnotatedChunk:
     """The chunk of a stored line, its document, sentence and provenance
-    rebuilt from its id."""
+    rebuilt from its id. A line that holds only the signature of its
+    annotations gives ``annotations`` None; one of an earlier shape, which
+    holds them whole, gives them."""
     chunk_id = record_id(raw, "chunk_id")
     doc_id, sentence_index = _id_parts(chunk_id)
+    if "annotations" in raw:
+        annotations, signature = tuple(Annotation(**a) for a in raw["annotations"]), None
+    else:
+        annotations, signature = None, _signature_from_list(raw["signature"])
     return AnnotatedChunk(
         chunk_id=chunk_id,
         doc_id=doc_id,
         sentence_index=sentence_index,
-        annotations=tuple(Annotation(**a) for a in raw["annotations"]),
+        annotations=annotations,
         subject=raw["subject"],
         time=parse_instant(raw["time"]) if raw.get("time") else None,
         place=raw.get("place"),
         quantities=tuple((int(i), float(v)) for i, v in raw.get("quantities", ())),
         provenance=(chunk_id,),
+        signature=signature,
     )
 
 
 def _check_storable(chunk: AnnotatedChunk) -> None:
-    """Raise ``ValueError`` unless :func:`chunk_from_dict` rebuilds *chunk*
-    from its :func:`_stored_chunk` line: its id names its document and
+    """Raise ``ValueError`` unless :func:`chunk_from_dict` rebuilds *chunk*,
+    but for its annotations, from its :func:`_stored_chunk` line: its id names its document and
     sentence, and its provenance is itself (a merged one lives in memory only)."""
     if _id_parts(chunk.chunk_id) != (chunk.doc_id, chunk.sentence_index):
         raise ValueError(
@@ -305,8 +341,14 @@ class OrganizerStore:
         return chunk
 
     def chunks(self) -> list[AnnotatedChunk]:
-        """Every stored chunk, in log order, each decoded from its line."""
-        return self._read(self._offsets)
+        """Every stored chunk, in log order: the unreleased ones as held, the
+        rest each decoded from its line."""
+        read = iter(self._read(c for c in self._offsets if c not in self._unreleased))
+        return [self._unreleased.get(chunk_id) or next(read) for chunk_id in self._offsets]
+
+    def unreleased(self) -> int:
+        """How many stored chunks no released line names."""
+        return len(self._unreleased)
 
     def add_chunks(self, chunks: Sequence[AnnotatedChunk]) -> int:
         """Append chunks not seen before; returns how many were new. A chunk

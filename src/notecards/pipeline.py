@@ -6,9 +6,19 @@ content-derived ids, so re-running over the same inputs is a no-op at
 every store and two fresh runs with a pinned clock produce byte-identical
 stores. A run annotates only the documents logged past ``annotated``,
 the position the last commit recorded, which is safe because the commit
-pins the ontology and the grouping and note parameters of a store (the
-maker's ``manifest``). One pipeline run per store root at a time,
-enforced by a lock.
+pins the ontology, the grouping and note parameters and the annotator
+version of a store (the maker's ``manifest``). One pipeline run per store
+root at a time, enforced by a lock.
+
+A chunk line keeps of its annotations only their signature
+(:mod:`notecards.organize`), since annotation is deterministic. The store
+keeps the merged ontology it annotates with, ``ontology.json``, written
+by the run that first pins the store and never rewritten; the manifest
+records its sha256. Whoever needs a stored chunk's annotations annotates
+its document again (:meth:`Stores.whole`): ``run`` with its own matcher,
+for the chunks it releases that the open read from their lines, and
+``card show`` and ``store check`` with the store's copy, which a store
+committed before it kept one needs only once a line holds no annotations.
 
 One commit rule: the last write of ``run`` and of ``ingest``, the maker's
 save, syncs every log and records its length. Every command reads each
@@ -43,12 +53,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .annotate import GazetteerMatcher, annotate_with_matcher
+from .annotate import ANNOTATOR_VERSION, AnnotatedChunk, GazetteerMatcher, annotate_with_matcher
 from .cards import (
     LOGS,
     CardLedger,
@@ -61,10 +72,10 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import PipelineError, StoreFormatError, cut_to_length
-from .ingest import TextStore, check_sources, ingest_corpus
+from .encoding import PipelineError, StoreFormatError, cut_to_length, write_json
+from .ingest import Document, TextStore, check_sources, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
-from .ontology import OntologySpec, load_ontology, merged_or_single
+from .ontology import OntologyError, OntologySpec, load_ontology, merged_or_single, spec_to_dict
 from .organize import (
     DEFAULT_EPSILON,
     DEFAULT_WATERMARK,
@@ -168,6 +179,10 @@ def config_from_dict(data: Any, base: Path | None = None) -> PipelineConfig:
     config.mask_aliases = {subject: tuple(names) for subject, names in aliases.items()}
     if data.get("now") is not None:
         config.now_override = string(data["now"], "now")
+        try:
+            parse_instant(config.now_override)
+        except ValueError as exc:
+            raise PipelineError(f"config now: {exc}") from None
     return config
 
 
@@ -267,12 +282,20 @@ class Stores:
     (``ends``, each log's committed length).
 
     A reader passes no *manifest*, and nothing is written. ``run`` passes
-    its own under the lock, and opens as a writer: every log is first cut
-    back to the commit it then opens from (:func:`cut_to_commit`), and
-    ``repaired`` names the logs that were cut.
+    its own under the lock, with the merged ontology *spec*, and opens as a
+    writer: every log is first cut back to the commit it then opens from
+    (:func:`cut_to_commit`), and ``repaired`` names the logs that were cut.
+    The maker then holds the manifest the run's commit pins: the store's,
+    or the run's own, adopted with the store's copy of *spec*, which the
+    run that first pins a store writes and none rewrites.
     """
 
-    def __init__(self, config: PipelineConfig, manifest: dict[str, Any] | None = None):
+    def __init__(
+        self,
+        config: PipelineConfig,
+        manifest: dict[str, Any] | None = None,
+        spec: OntologySpec | None = None,
+    ):
         self.root = root = Path(config.store_root)
         self.repaired: list[Path] = []
         if manifest is None:
@@ -295,6 +318,37 @@ class Stores:
         self.ledger = CardLedger(root / "cards", self.ends["cards/log.jsonl"])
         self.maker = CardMaker(root / "cards", state)
         self.manager = CardManager(self.ledger, self.maker)
+        if manifest is not None:
+            kept = (self.maker.manifest or {}).get("stored_ontology_sha256")
+            kept = kept or keep_ontology(root, spec)
+            self.maker.manifest = {**manifest, "stored_ontology_sha256": kept}
+
+    @cached_property
+    def matcher(self) -> GazetteerMatcher:
+        """The matcher of the ontology the store keeps; ``run`` sets its own."""
+        return GazetteerMatcher(load_stored_ontology(self.root, self.maker.manifest))
+
+    def annotate_again(
+        self, chunk: AnnotatedChunk, document: Document | None = None
+    ) -> AnnotatedChunk | None:
+        """The chunk annotating *chunk*'s document (*document*, when read
+        already) again gives for its sentence; None if it gives none."""
+        document = document or self.text.get(chunk.doc_id)
+        outcome = annotate_with_matcher(document, self.matcher)
+        return next((c for c in outcome.chunks if c.chunk_id == chunk.chunk_id), None)
+
+    def whole(self, chunk: AnnotatedChunk, document: Document | None = None) -> AnnotatedChunk:
+        """*chunk* with its annotations. One read from a line that holds only
+        their signature takes them from annotating its document again."""
+        if chunk.annotations is not None:
+            return chunk
+        fresh = self.annotate_again(chunk, document)
+        if fresh is None:
+            raise StoreFormatError(
+                f"chunk {chunk.chunk_id}: annotating document {chunk.doc_id} again "
+                f"gives no chunk for sentence {chunk.sentence_index}"
+            )
+        return replace(chunk, annotations=fresh.annotations, signature=None)
 
 
 def cut_to_commit(
@@ -317,6 +371,8 @@ def cut_to_commit(
         raise StoreFormatError(f"{root / 'store.json'}: predates this store format; build a new store")
     if manifest and pinned:
         for name, value in manifest.items():
+            if name == "annotator" and name not in pinned:
+                continue  # pinned before the version was: adopted by this run
             if pinned.get(name) != value:
                 raise PipelineError(
                     f"store {root} was built with {name}={pinned.get(name)!r}, "
@@ -335,8 +391,46 @@ def load_specs(config: PipelineConfig) -> OntologySpec:
     return merged_or_single([load_ontology(Path(p)) for p in config.ontology_paths])
 
 
+# The store's own copy of the merged ontology, relative to its root.
+STORED_ONTOLOGY = "ontology.json"
+
+
+def keep_ontology(root: Path, spec: OntologySpec) -> str:
+    """Write the store's copy of *spec*; returns the sha256 of its bytes."""
+    path = Path(root) / STORED_ONTOLOGY
+    write_json(path, spec_to_dict(spec))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def load_stored_ontology(root: Path, manifest: dict[str, Any] | None) -> OntologySpec:
+    """The ontology the store keeps, as *manifest*, the last commit's pin,
+    records it. A missing or damaged copy, or one annotated by another
+    annotator version, raises :class:`StoreFormatError` naming the file."""
+    path = Path(root) / STORED_ONTOLOGY
+    manifest = manifest or {}
+    digest = manifest.get("stored_ontology_sha256")
+    if digest is None:
+        raise StoreFormatError(f"{path}: the last commit keeps no ontology to annotate with")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StoreFormatError(f"{path}: cannot read the store's ontology: {exc.strerror}") from None
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise StoreFormatError(f"{path}: not the ontology the last commit kept (sha256 differs)")
+    if manifest.get("annotator") != ANNOTATOR_VERSION:
+        raise StoreFormatError(
+            f"{path}: the store was annotated with annotator={manifest.get('annotator')!r}, "
+            f"this program annotates with annotator={ANNOTATOR_VERSION}; use a new store"
+        )
+    try:
+        return load_ontology(data.decode("utf-8"))
+    except (OntologyError, UnicodeDecodeError) as exc:
+        raise StoreFormatError(f"{path}: {exc}") from None
+
+
 def store_manifest(config: PipelineConfig) -> dict[str, Any]:
-    """What a store's derived records depend on: ontology bytes, grouping and horizon."""
+    """What a store's derived records depend on: ontology bytes, grouping,
+    horizon and the annotator's version."""
     digest = hashlib.sha256()
     for path in config.ontology_paths:
         try:
@@ -344,6 +438,7 @@ def store_manifest(config: PipelineConfig) -> dict[str, Any]:
         except OSError as exc:
             raise PipelineError(f"cannot read ontology {path}: {exc}") from exc
     return {
+        "annotator": ANNOTATOR_VERSION,
         "ontology_sha256": digest.hexdigest(),
         "window": format_duration(config.window),
         "epsilon": format_duration(config.epsilon),
@@ -367,9 +462,8 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         watermark=manifest["watermark"],
     )
     with StoreLock(config.store_root):
-        stores = Stores(config, manifest)
+        stores = Stores(config, manifest, spec)
         summary.repaired = stores.repaired
-        stores.maker.manifest = manifest  # the one pinned, or adopted by this run's commit
         now = clock.now()
 
         ingest_summary = ingest_corpus(
@@ -384,7 +478,7 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         summary.documents_ingested = ingest_summary.accepted
         summary.documents_rejected = ingest_summary.rejected
 
-        matcher = GazetteerMatcher(spec)
+        matcher = stores.matcher = GazetteerMatcher(spec)
         produced = []
         # Pending: the documents stored since the last run's commit, by any command.
         pending = stores.text.list(start=stores.maker.annotated)
@@ -398,6 +492,8 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
 
         released = stores.organizer.close_window(now)
         summary.groups_released = len(released)
+        # Chunks read at the open hold only a signature; synthesis reads the annotations.
+        released = [replace(g, chunks=tuple(map(stores.whole, g.chunks))) for g in released]
 
         synthesized = synthesize_notes(released, spec, config.synthesis())
         summary.notes_synthesized = stores.notes.add_all(synthesized)

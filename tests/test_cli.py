@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -361,51 +362,158 @@ def test_passthrough_lines_that_hold_their_notes_exit_two_naming_the_line(fixtur
     assert store_bytes(fixture_store) == before
 
 
+@pytest.mark.parametrize("id_parts", [True, False], ids=["with-id-parts", "annotations-only"])
 def test_chunk_and_refined_lines_in_the_earlier_shape_read_as_before(
-    fixture_store, tmp_path, capsys
+    fixture_store, tmp_path, capsys, monkeypatch, id_parts
 ):
-    # Lines as they were before a chunk line left out what its id says and
-    # both left out their schema version: read as they are, with no migration.
+    # Lines as they were before a chunk line left out its annotations (and,
+    # before that, what its id says) and both left out their schema version,
+    # in a store committed before it kept its ontology: read as they are,
+    # with no migration.
     capsys.readouterr()
     assert run_cli("card", "show", CARD, "--audit", "--json", "--store", fixture_store) == 0
     shown = capsys.readouterr().out
     chunks_log = fixture_store / "chunks" / "chunks.jsonl"
     refined_log = fixture_store / "refined" / "refined.jsonl"
+    stores = pipeline.Stores(pipeline.PipelineConfig(store_root=fixture_store))
+    whole = [organize.chunk_to_dict(stores.whole(c)) for c in stores.organizer.chunks()]
+    held_keys = {"doc_id", "sentence_index", "provenance", "schema_version"}
     earlier = {
-        chunks_log: [organize.chunk_to_dict(organize.chunk_from_dict(record))
-                     for record in encoding.read_jsonl(chunks_log)],
+        chunks_log: [r if id_parts else {k: v for k, v in r.items() if k not in held_keys}
+                     for r in whole],
         refined_log: [{**record, "schema_version": 1}
                       for record in encoding.read_jsonl(refined_log)],
     }
-    held_keys = {"doc_id", "sentence_index", "provenance", "schema_version"}
-    assert held_keys <= set(earlier[chunks_log][0])
+    assert "annotations" in earlier[chunks_log][0] and "signature" not in earlier[chunks_log][0]
+    assert (held_keys <= set(earlier[chunks_log][0])) == id_parts
     maker = fixture_store / "cards" / "maker.json"
     state = json.loads(maker.read_text(encoding="utf-8"))
     for path, records in earlier.items():
         lines = "".join(encoding.canonical_json(r) + "\n" for r in records)
         path.write_text(lines, encoding="utf-8")
         state["logs"][f"{path.parent.name}/{path.name}"] = path.stat().st_size
+    # Committed before the store kept its ontology: no copy, and no annotator version.
+    kept = fixture_store / "ontology.json"
+    kept.unlink()
+    for key in ("annotator", "stored_ontology_sha256"):
+        del state["manifest"][key]
     maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
     assert run_cli("card", "show", CARD, "--audit", "--json", "--store", fixture_store) == 0
     assert capsys.readouterr().out == shown
     assert run_cli("store", "check", "--store", fixture_store) == 0
-    # A run on top appends lines in the current shape after the earlier ones.
+    assert capsys.readouterr().out == "(1 cards, 0 dangling)\n"
+    # A run on top keeps the ontology once, adopts the annotator version, and
+    # appends lines in the current shape after the earlier ones.
+    written = []
+    write_json = pipeline.write_json
+    monkeypatch.setattr(pipeline, "write_json", lambda path, value: (written.append(path),
+                                                                     write_json(path, value)))
     record = json.loads((FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
     record.update(source_uri="bio://jobs/early", timestamp="2011-09-01T09:00:00Z")
     corpus = tmp_path / "early.jsonl"
     corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
     held = {path: path.read_bytes() for path in earlier}
-    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", corpus,
-                   "--store", fixture_store) == 0
+    for _ in range(2):
+        assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", corpus,
+                       "--store", fixture_store) == 0
+    assert written == [kept]
+    manifest = json.loads(maker.read_text(encoding="utf-8"))["manifest"]
+    assert manifest["annotator"] == 1
+    assert manifest["stored_ontology_sha256"] == hashlib.sha256(kept.read_bytes()).hexdigest()
     appended = {path: path.read_bytes()[len(held[path]):].splitlines() for path in earlier}
     for path, lines in appended.items():
         assert path.read_bytes().startswith(held[path]) and len(lines) == 1
     [chunk_line], [refined_line] = appended[chunks_log], appended[refined_log]
     assert sorted(json.loads(chunk_line)) == [
-        "annotations", "chunk_id", "place", "quantities", "subject", "time"
+        "chunk_id", "place", "quantities", "signature", "subject", "time"
     ]
     assert sorted(json.loads(refined_line)) == ["applied_rules", "note_id", "passthrough", "refined_id"]
+    capsys.readouterr()
     assert run_cli("store", "check", "--store", fixture_store) == 0
+    assert capsys.readouterr().out == "(1 cards, 0 dangling)\n"
+    assert run_cli("card", "show", CARD, "--audit", "--json", "--store", fixture_store) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_store_check_reports_a_chunk_line_that_annotating_its_document_again_does_not_give(
+    fixture_store, capsys
+):
+    # One canonical id in the first line's signature rewritten in place, as
+    # valid JSON: the log keeps its committed length.
+    path = fixture_store / "chunks" / "chunks.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    canonical_id = record["signature"][0][0]
+    changed = canonical_id[:-1] + ("x" if canonical_id[-1] != "x" else "y")
+    lines[0] = lines[0].replace(f'[["{canonical_id}",'.encode(), f'[["{changed}",'.encode())
+    assert json.loads(lines[0])["signature"][0][0] == changed
+    path.write_bytes(b"".join(lines))
+    doc_id = record["chunk_id"].rpartition("#")[0]
+    finding = f"chunk {record['chunk_id']}: annotating document {doc_id} again gives another signature"
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", fixture_store) == 1
+    assert capsys.readouterr().out == f"{finding}\n(1 cards, 0 dangling, 1 stale)\n"
+    assert run_cli("store", "check", "--store", fixture_store, "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {"cards": 1, "dangling": [], "stale": [finding]}
+
+
+@pytest.mark.parametrize("damage", ["missing", "changed", "not-json"])
+def test_a_missing_or_damaged_stored_ontology_exits_two_naming_it(fixture_store, capsys, damage):
+    kept = fixture_store / "ontology.json"
+    if damage == "missing":
+        kept.unlink()
+    elif damage == "changed":
+        spec = json.loads(kept.read_text(encoding="utf-8"))
+        spec["dictionary"] = spec["dictionary"][1:]
+        kept.write_text(json.dumps(spec, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    else:
+        kept.write_bytes(kept.read_bytes()[:-10])
+    capsys.readouterr()
+    for command in (("card", "show", CARD), ("card", "show", CARD, "--audit", "--json"),
+                    ("store", "check")):
+        assert run_cli(*command, "--store", fixture_store) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {kept}: ")
+    # Commands that annotate nothing do not read it.
+    assert run_cli("cards", "list", "--store", fixture_store) == 0
+
+
+def test_store_stats_counts_each_log_and_writes_nothing(fixture_store, tmp_path, capsys):
+    before = store_bytes(fixture_store)
+    # A torn tail past the commit shows as the difference of the two lengths.
+    with (fixture_store / "notes" / "notes.jsonl").open("ab") as handle:
+        handle.write(b'{"torn":')
+    torn = store_bytes(fixture_store)
+    capsys.readouterr()
+    assert run_cli("store", "stats", "--store", fixture_store) == 0
+    assert capsys.readouterr().out == (
+        "documents/documents.jsonl  records=20 committed=6483 on_disk=6483\n"
+        "chunks/chunks.jsonl        records=20 committed=4080 on_disk=4080\n"
+        "chunks/released.jsonl      records=1 committed=963 on_disk=963\n"
+        "notes/notes.jsonl          records=20 committed=5920 on_disk=5928\n"
+        "refined/refined.jsonl      records=20 committed=2120 on_disk=2120\n"
+        "cards/log.jsonl            records=1 committed=1186 on_disk=1186\n"
+        "unreleased chunks: 0\n"
+    )
+    assert run_cli("store", "stats", "--store", fixture_store, "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["logs", "unreleased_chunks"] and list(report["logs"]) == sorted(LOGS)
+    assert report["logs"]["notes/notes.jsonl"] == {
+        "committed_bytes": 5920, "disk_bytes": 5928, "records": 20
+    }
+    assert store_bytes(fixture_store) == torn and len(torn) == len(before)
+    # A chunk on a window still open stays unreleased.
+    record = json.loads((FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    record.update(source_uri="bio://jobs/open", timestamp="2011-11-12T09:00:00Z")
+    corpus = tmp_path / "open.jsonl"
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", corpus,
+                   "--store", fixture_store) == 0
+    capsys.readouterr()
+    assert run_cli("store", "stats", "--store", fixture_store, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["unreleased_chunks"] == 1
+    assert run_cli("store", "stats", "--store", tmp_path / "absent") == 2
+    assert not (tmp_path / "absent").exists()
 
 
 def test_store_check_reports_each_chunk_whose_document_is_missing_once(fixture_store, tmp_path, capsys):
@@ -553,8 +661,9 @@ def with_key(section, key, value):
         (with_key(None, "mask_key_file", 0), "config mask_key_file must be a string"),
         (with_key(None, "now", 0), "config now must be a string"),
         (with_key(None, "now", False), "config now must be a string"),
-        (with_key(None, "now", ""), "Invalid isoformat string: ''"),
-        (with_key(None, "now", "0001-01-01T00:00:00+01:00"), "instant out of range in UTC"),
+        (with_key(None, "now", ""), "config now: not an RFC-3339 instant: ''"),
+        (with_key(None, "now", "0001-01-01T00:00:00+01:00"),
+         "config now: instant out of range in UTC: '0001-01-01T00:00:00+01:00'"),
         (with_key(None, "mask_aliases", []), "config mask_aliases must be a JSON object"),
         (with_key(None, "mask_aliases", False), "config mask_aliases must be a JSON object"),
     ],
@@ -579,6 +688,35 @@ def test_malformed_config_exits_two_before_the_store_is_touched(tmp_path, capsys
     assert run_cli(command, "--config", path, "--store", store) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not store.exists()
+
+
+PINNED = "2011-11-13T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--config", FIXTURES / "jobs_config.json", "--now", "xyz"],
+         "--now: not an RFC-3339 instant: 'xyz'"),
+        (["ingest", "--corpus", FIXTURES / "jobs_corpus.jsonl", "--now", " 2011-13-01Z"],
+         "--now: not an RFC-3339 instant: ' 2011-13-01Z'"),
+        (["export", "--from", "xyz", "--to", PINNED], "--from: not an RFC-3339 instant: 'xyz'"),
+        (["export", "--from", PINNED, "--to", "13/11/2011"],
+         "--to: not an RFC-3339 instant: '13/11/2011'"),
+        (["export", "--from", "2011-11-14T00:00:00Z", "--to", PINNED],
+         f"--from 2011-11-14T00:00:00Z is later than --to {PINNED}"),
+    ],
+    ids=["run-now", "ingest-now", "export-from", "export-to", "export-from-after-to"],
+)
+def test_an_instant_flag_that_does_not_read_exits_two_naming_the_flag_and_the_text(
+    fixture_store, tmp_path, capsys, argv, message
+):
+    store = fixture_store if argv[0] == "export" else tmp_path / "new"
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    assert run_cli(*argv, "--store", store) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "new").exists() and store_bytes(fixture_store) == before
 
 
 @pytest.mark.parametrize(

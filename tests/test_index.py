@@ -261,9 +261,10 @@ def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
                     assert min(record) == "doc_id"  # the scan reads it only at the start
                 elif name.startswith("chunks"):
                     assert objects_after(record, "chunk_id") == []
-                    # Its id says its document and sentence, and its provenance is itself.
+                    # Its id says its document and sentence, and its provenance is itself;
+                    # annotating its document again says its annotations.
                     assert list(record) == [
-                        "annotations", "chunk_id", "place", "quantities", "subject", "time"
+                        "chunk_id", "place", "quantities", "signature", "subject", "time"
                     ]
                 elif name.startswith("notes"):
                     assert objects_after(record, "note_id") == []

@@ -327,14 +327,19 @@ def test_store_add_is_idempotent(tmp_path):
     assert len(store) == 1
 
 
+def as_stored(held: AnnotatedChunk) -> AnnotatedChunk:
+    """*held* as its line reads back: its annotations only as their signature."""
+    return replace(held, annotations=None, signature=held.annotation_signature())
+
+
 def test_store_reload_sees_same_chunks(tmp_path):
     store = OrganizerStore(tmp_path)
     store.add_chunks([chunk("d1#0", time=utc(2020, 1, 2))])
     fresh = OrganizerStore(tmp_path)
-    assert fresh.get_chunk("d1#0") == store.get_chunk("d1#0")
+    assert fresh.get_chunk("d1#0") == as_stored(store.get_chunk("d1#0"))
 
 
-def test_a_chunk_line_holds_what_its_id_does_not_say_and_reads_back_whole(tmp_path):
+def test_a_chunk_line_holds_what_its_id_and_annotation_do_not_say_and_reads_back(tmp_path):
     appended = [
         replace(chunk("doc#with#hash#12", time=utc(2020, 1, 2, 3, 4, 5), place="Paris",
                       doc_id="doc#with#hash", sentence_index=12), quantities=((1, 2.5),)),
@@ -344,20 +349,29 @@ def test_a_chunk_line_holds_what_its_id_does_not_say_and_reads_back_whole(tmp_pa
     store.add_chunks(appended)
     lines = (tmp_path / "chunks.jsonl").read_text(encoding="ascii").splitlines()
     assert [sorted(json.loads(line)) for line in lines] == [
-        ["annotations", "chunk_id", "place", "quantities", "subject", "time"]
+        ["chunk_id", "place", "quantities", "signature", "subject", "time"]
     ] * 2
     assert json.loads(lines[0])["chunk_id"] == "doc#with#hash#12"
+    assert json.loads(lines[0])["signature"] == [["alcohol", "entity"], ["consume", "relationship"]]
     reopened = OrganizerStore(tmp_path)
-    assert reopened.chunks() == appended
-    assert [reopened.get_chunk(c.chunk_id) for c in appended] == appended
+    assert reopened.chunks() == [as_stored(c) for c in appended]
+    assert [reopened.get_chunk(c.chunk_id) for c in appended] == [as_stored(c) for c in appended]
     assert reopened.chunks()[0].doc_id == "doc#with#hash"
+    assert [c.annotation_signature() for c in reopened.chunks()] == [
+        c.annotation_signature() for c in appended
+    ]
 
 
-def test_a_chunk_in_the_earlier_line_format_reads_as_it_holds(tmp_path):
-    # Lines once held the document, sentence, provenance and a schema version too.
+def test_a_chunk_in_an_earlier_line_format_reads_as_it_holds(tmp_path):
+    # Lines once held the annotations whole, and before that the document,
+    # sentence, provenance and a schema version too.
     held = chunk("d1#3", time=utc(2020, 1, 2), sentence_index=3)
-    append_jsonl(tmp_path / "chunks.jsonl", [organize.chunk_to_dict(held)])
-    assert OrganizerStore(tmp_path).chunks() == [held]
+    whole = organize.chunk_to_dict(held)
+    shorter = {k: v for k, v in whole.items()
+               if k not in ("doc_id", "sentence_index", "provenance", "schema_version")}
+    append_jsonl(tmp_path / "chunks.jsonl", [whole, {**shorter, "chunk_id": "d1#4"}])
+    assert OrganizerStore(tmp_path).chunks() == [held, replace(held, chunk_id="d1#4",
+                                                              sentence_index=4, provenance=("d1#4",))]
 
 
 @pytest.mark.parametrize("bad", [

@@ -26,6 +26,7 @@ from notecards.cli import main as cli_main
 from notecards.clock import parse_instant
 from notecards.ingest import TextStore
 from notecards.notes import NoteStore
+from notecards.ontology import load_ontology, spec_to_dict
 from notecards.organize import OrganizerStore
 from notecards.refine import RefinedNoteStore
 from notecards.pipeline import (
@@ -1028,15 +1029,21 @@ def maker_state(store: Path) -> dict:
 def test_first_run_writes_the_manifest(tmp_path):
     store = tmp_path / "store"
     run_pipeline(jobs_config(store))
+    kept = store / "ontology.json"
     assert maker_state(store)["manifest"] == {
+        "annotator": 1,
         "ontology_sha256": hashlib.sha256(
             hashlib.sha256((FIXTURES / "ocpd.json").read_bytes()).digest()
         ).hexdigest(),
+        "stored_ontology_sha256": hashlib.sha256(kept.read_bytes()).hexdigest(),
         "window": "1w",
         "epsilon": "1d",
         "watermark": "2d",
         "horizon_windows": 4,
     }
+    assert json.loads(kept.read_text(encoding="utf-8")) == spec_to_dict(
+        load_ontology(FIXTURES / "ocpd.json")
+    )
     assert not (store / "store.json").exists()
 
 
@@ -1070,6 +1077,26 @@ def test_store_with_a_store_json_and_no_manifest_exits_two_naming_it(tmp_path, c
         assert f"error: {store / 'store.json'}: predates this store format" in capsys.readouterr().err
     assert store_bytes(store) == before
     assert cli_main(["cards", "list", "--store", str(store)]) == 0
+
+
+def test_a_store_of_another_annotator_version_exits_two_and_is_left(tmp_path, capsys):
+    store = tmp_path / "store"
+    argv = ["--config", str(FIXTURES / "jobs_config.json"), "--store", str(store)]
+    assert cli_main(["run", *argv]) == 0
+    state = maker_state(store)
+    state["manifest"]["annotator"] = 2
+    encoding.write_json(store / "cards" / "maker.json", state)
+    tear_a_log(store)
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert cli_main(["run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "built with annotator=2, this run has annotator=1; use a new store" in err
+    # A reader annotates again only with the version that wrote the store.
+    assert cli_main(["card", "show", "301.4@steve#g1", "--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store / 'ontology.json'}: ") and "use a new store" in err
+    assert store_bytes(store) == before
 
 
 def test_manifest_ignores_where_the_ontology_lives(tmp_path):
