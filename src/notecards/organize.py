@@ -188,18 +188,17 @@ def _stored_chunk(chunk: AnnotatedChunk) -> dict:
 
 
 def chunk_to_dict(chunk: AnnotatedChunk) -> dict:
-    """A chunk as ``card show`` prints it, annotations whole."""
+    """A chunk as ``card show`` prints it: its line with the annotations whole
+    in place of their signature, and what its id says."""
+    line = _stored_chunk(chunk)
+    del line["signature"]
     return {
+        **line,
         "annotations": [_annotation_to_dict(a) for a in chunk.annotations],
-        "chunk_id": chunk.chunk_id,
         "doc_id": chunk.doc_id,
-        "place": chunk.place,
-        "provenance": list(chunk.provenance),
-        "quantities": [[i, v] for i, v in chunk.quantities],
-        "schema_version": 1,
         "sentence_index": chunk.sentence_index,
-        "subject": chunk.subject,
-        "time": chunk.stamp or None,
+        "provenance": list(chunk.provenance),
+        "schema_version": 1,
     }
 
 
