@@ -8,8 +8,9 @@ operational errors. ``run`` and ``ingest`` take ``--now`` to pin the clock
 for reproducible runs; the other store commands read up to the last commit.
 
 Handlers import what they use: ``cards list``, ``export`` and ``routes``
-load no stage module. ``run``, ``ingest``, ``card show``, ``store check``
-and a reader given ``--config`` load the pipeline, and with it every stage.
+load no stage module, and ``store stats`` only the chunk store's. ``run``,
+``ingest``, ``card show``, ``store check`` and a reader given ``--config``
+load the pipeline, and with it every stage.
 """
 
 from __future__ import annotations
