@@ -15,8 +15,8 @@ state change; each snapshot carries the card's whole reasoning trail.
 The log is the durable record. The index (each card's latest snapshot
 offset) and the maker state are whole files, rewritten once at the end
 of each manager batch; replaying the log reconstructs the index
-bit-exactly. The maker state commits the length of every derived log,
-and every command reads a store up to it (:func:`read_commit`); the
+bit-exactly. The maker state commits the length and the sha256 of every
+derived log, and every command reads a store up to it (:func:`read_commit`); the
 index is written after it, so it never names bytes past the commit.
 Drill-down and the audit walk a card's chain here too. No stage module
 loads with this one, so ``cards list``, ``export`` and ``routes`` run
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .clock import format_instant, parse_instant
-from .encoding import StoreFormatError, append_jsonl, build_record, canonical_json, committed_size
-from .encoding import read_json, read_jsonl_index, synced_length, write_json
+from .encoding import Log, StoreFormatError, append_jsonl, build_record, canonical_json
+from .encoding import commit_logs, committed_size, read_json, write_json
 
 if TYPE_CHECKING:
     from .ontology import ConceptDef, OntologySpec
@@ -289,9 +289,10 @@ LOGS = ("documents/documents.jsonl", "chunks/chunks.jsonl", "chunks/released.jso
         "notes/notes.jsonl", "refined/refined.jsonl", "cards/log.jsonl")
 
 
-def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
+def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, Log]]:
     """The maker state the last commit saved (``{}`` in a new store) and each
-    log's committed length; a commit that does not hold raises, naming the file.
+    log as it committed it: its length and the digest of its bytes, keyed by
+    its name in :data:`LOGS`. A commit that does not hold raises, naming the file.
 
     Never writes. Committed prefixes never change, so a reader without the
     lock sees the last commit whole, and nothing a run appends after it.
@@ -302,7 +303,7 @@ def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
     if state is None:
         if any(committed_size(root / name, 0) for name in LOGS):
             raise StoreFormatError(f"{maker}: missing, so nothing commits the logs beside it")
-        return {}, dict.fromkeys(LOGS, 0)
+        return {}, {name: Log(root / name, 0) for name in LOGS}
     lengths = state.get("logs") if isinstance(state, dict) else None
     if not isinstance(lengths, dict) or sorted(lengths) != sorted(LOGS):
         raise StoreFormatError(f"{maker}: the store predates this store format; build a new store")
@@ -313,11 +314,17 @@ def read_commit(root: Path) -> tuple[dict[str, Any], dict[str, int]]:
             raise StoreFormatError(
                 f"{maker}: committed length {value!r} is not a non-negative integer"
             )
+    # A store committed before digests has none; its next writer's save adopts them.
+    digests = state.get("digests", {})
+    if not isinstance(digests, dict) or not set(digests) <= set(LOGS) or not all(
+        isinstance(digest, str) for digest in digests.values()
+    ):
+        raise StoreFormatError(f"{maker}: digests is not a map from logs to sha256 digests")
     for name in LOGS:
         committed_size(root / name, lengths[name])
     if state.get("annotated", 0) > lengths["documents/documents.jsonl"]:
         raise StoreFormatError(f"{maker}: annotated is past the committed documents log")
-    return state, lengths
+    return state, {name: Log(root / name, lengths[name], digests.get(name)) for name in LOGS}
 
 
 class CardMaker:
@@ -327,16 +334,22 @@ class CardMaker:
     (how much of the documents log annotation has covered), ``corpora``
     (what ingestion consumed of each corpus path, which only writers read;
     see :mod:`notecards.ingest`), ``manifest`` (the inputs a run pinned the
-    store to, or null) and, under ``logs``, the synced byte length at the
-    save of each of :data:`LOGS` in the store *root* is in, which commits
-    them. Other keys are ignored. *state* is that file's value when the
-    caller has read it already.
+    store to, or null) and, under ``logs`` and ``digests``, the synced byte
+    length at the save of each of :data:`LOGS` in the store *root* is in and
+    the sha256 of those bytes, which commit them. Other keys are ignored.
+    *state* is that file's value when the caller has read it already, and
+    *logs* what :func:`read_commit` gave with it, as the caller's stores
+    have read them: the save continues the digest each read checked.
     """
 
-    def __init__(self, root: Path, state: dict | None = None):
+    def __init__(
+        self, root: Path, state: dict | None = None, logs: dict[str, Log] | None = None
+    ):
         self.root = Path(root)
         self._path = self.root / "maker.json"
         state = read_json(self._path, {}) if state is None else state
+        # Without *logs*, a save commits every log whole, as if all of it were appended.
+        self.logs = logs or {name: Log(self.root.parent / name, 0) for name in LOGS}
         self._cards: dict[str, Card] = build_record(
             self._path, "the value of cards",
             lambda cards: {k: card_from_dict(v) for k, v in cards.items()}, state.get("cards", {}),
@@ -358,9 +371,11 @@ class CardMaker:
             "cards": {k: card_to_dict(v) for k, v in self._cards.items()},
             "closed": sorted(self._closed),
             "corpora": self.corpora,
-            "logs": {name: synced_length(self.root.parent / name) for name in LOGS},
             "manifest": self.manifest,
         }
+        committed = dict(zip(LOGS, commit_logs(self.logs[name] for name in LOGS)))
+        state["logs"] = {name: length for name, (length, _) in committed.items()}
+        state["digests"] = {name: digest for name, (_, digest) in committed.items() if digest}
         write_json(self._path, state)
 
     def premature_cards(self) -> list[Card]:
@@ -430,15 +445,9 @@ def _snapshot(record: dict) -> Card | None:
     return card_from_dict(record["card"]) if record["type"] == "snapshot" else None
 
 
-def _snapshots(log_path: Path, end: int | None) -> Iterator[tuple[int, Card]]:
-    """Each card snapshot of a ledger log up to byte *end*, with the offset of its line."""
-    for offset, card in read_jsonl_index(log_path, end, scan=lambda line: None, build=_snapshot):
-        if card is not None:
-            yield offset, card
-
-
 class CardLedger:
-    """Snapshot log, replayed up to byte *end*, plus its index; manager-only writes.
+    """Snapshot log, replayed as committed (*log*; the whole file without
+    one), plus its index; manager-only writes.
 
     ``index.json`` maps each card id to the byte offset of the line holding
     that card's latest snapshot in ``log.jsonl``. It is written whole once
@@ -446,19 +455,22 @@ class CardLedger:
     replaying the log reproduces it. The log alone holds the cards.
     """
 
-    def __init__(self, root: Path, end: int | None = None):
+    def __init__(self, root: Path, log: Log | None = None):
         self.root = Path(root)
         self.log_path = self.root / "log.jsonl"
         self.index_path = self.root / "index.json"
         self._cards: dict[str, Card] = {}
         self._offsets: dict[str, int] = {}  # card id -> offset of its latest snapshot line
-        for offset, card in _snapshots(self.log_path, end):
-            self._cards[card.card_id] = card
-            self._offsets[card.card_id] = offset
+        log = log or Log(self.log_path)
+        for card, offset in zip(log.records(_snapshot), log.offsets()):
+            if card is not None:
+                self._cards[card.card_id] = card
+                self._offsets[card.card_id] = offset
 
     @staticmethod
     def replay(log_path: Path, end: int | None = None) -> dict[str, Card]:
-        return {card.card_id: card for _, card in _snapshots(log_path, end)}
+        snapshots = Log(log_path, end).records(_snapshot)
+        return {card.card_id: card for card in snapshots if card is not None}
 
     def write_snapshot(self, card: Card) -> None:
         [offset] = append_jsonl(self.log_path, [{"type": "snapshot", "card": card_to_dict(card)}])

@@ -240,11 +240,11 @@ def cmd_ingest(args) -> int:
     mask_key = config.mask_key()
     check_sources(config.corpus_paths, mask_key)  # before the lock makes the store
     with StoreLock(root):
-        state, ends, repaired = cut_to_commit(root)
-        maker = CardMaker(root / "cards", state)
+        state, logs, repaired = cut_to_commit(root)
+        maker = CardMaker(root / "cards", state, logs)
         summary = ingest_corpus(
             config.corpus_paths,
-            TextStore(root / "documents", ends["documents/documents.jsonl"]),
+            TextStore(root / "documents", logs["documents/documents.jsonl"], index=False),
             clock,
             mask_key=mask_key,
             mask_aliases=config.mask_aliases or None,
@@ -300,8 +300,8 @@ def cmd_notes_list(args) -> int:
 
 def cmd_cards_list(args) -> int:
     root = _store_root(args)
-    state, ends = read_commit(root)  # one read: the held cards match the ledger
-    ledger = CardLedger(root / "cards", ends["cards/log.jsonl"])
+    state, logs = read_commit(root)  # one read: the held cards match the ledger
+    ledger = CardLedger(root / "cards", logs["cards/log.jsonl"])
     cards = query_cards(
         _all_cards(ledger, CardMaker(root / "cards", state)), concept=args.concept,
         status=args.status, subject=args.subject, min_criteria_met=args.min_met,
@@ -419,7 +419,7 @@ def cmd_store_check(args) -> int:
         f"{name}: {key} {ident} is held by {count} committed lines"
         for name, key in _KEYED_LOGS.items()
         for ident, count in Counter(
-            read_jsonl(stores.root / name, stores.ends[name], build=partial(record_id, name=key))
+            read_jsonl(stores.root / name, stores.logs[name].end, build=partial(record_id, name=key))
         ).items()
         if count > 1
     ]
@@ -480,15 +480,15 @@ def cmd_store_stats(args) -> int:
     from .organize import OrganizerStore
 
     root = _store_root(args)
-    _, ends = read_commit(root)
+    _, committed = read_commit(root)
     logs = {}
-    for name in LOGS:
+    for name, log in committed.items():
         path = root / name
-        data = path.read_bytes()[: ends[name]] if ends[name] else b""
-        logs[name] = {"records": data.count(b"\n"), "committed_bytes": ends[name],
+        data = path.read_bytes()[: log.end] if log.end else b""
+        logs[name] = {"records": data.count(b"\n"), "committed_bytes": log.end,
                       "disk_bytes": path.stat().st_size if path.exists() else 0}
-    organizer = OrganizerStore(root / "chunks", chunks_end=ends["chunks/chunks.jsonl"],
-                               released_end=ends["chunks/released.jsonl"])
+    organizer = OrganizerStore(root / "chunks", chunks_log=committed["chunks/chunks.jsonl"],
+                               released_log=committed["chunks/released.jsonl"])
     report = {"logs": logs, "unreleased_chunks": organizer.unreleased()}
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

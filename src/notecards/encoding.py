@@ -5,15 +5,17 @@ makes whole-store byte determinism achievable. Every store file is read
 and written here, in one of two formats:
 
 - Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
-  :func:`read_jsonl_index`, :func:`read_jsonl_at`, :func:`append_jsonl`).
-  A commit record names a log's length only once the log is on disk
-  (:func:`synced_length`). Every command reads a log only up to that
-  length, once it holds it (:func:`committed_size`), and a writer first
-  cuts it back to that length (:func:`cut_to_length`), so no reader meets
-  the torn end of an interrupted append: a line without its newline.
-  A store indexes a log by reading each line's id out of its canonical
-  bytes (:func:`id_string`), and decodes a line only when that fails or
-  when it needs the record.
+  :func:`read_jsonl_at`, :func:`append_jsonl`).
+  A commit record names a log's length and the sha256 of its bytes only
+  once the log is on disk (:func:`commit_logs`). Every command reads a log
+  only up to that length, once it holds it (:func:`committed_size`), and a
+  writer first cuts it back to that length (:func:`cut_to_length`), so no
+  reader meets the torn end of an interrupted append: a line without its
+  newline. A store reads a log once, as a :class:`Log`, checking its bytes
+  against their digest in the same pass; it takes what it indexes from
+  bytes the digest vouches for with one regex pass per block, decoding no
+  line, and decodes every line of a log that has no digest, or whose bytes
+  differ from it, naming the line that does not decode, or else the log.
 - Whole files are indented JSON with sorted keys (:func:`read_json`,
   :func:`write_json`), written to a synced temp file and renamed over the
   old one, so a crash leaves the old or the new version, never a torn one.
@@ -28,6 +30,7 @@ import hashlib
 import json
 import os
 import re
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -118,26 +121,13 @@ def read_jsonl(
     With *build*, each record is ``build(record)``; a record it cannot
     build raises :class:`StoreFormatError`, naming the file and the line.
     """
-    for _offset, record in read_jsonl_index(path, end, scan=_unread, build=build):
-        yield record
+    for number, _offset, line in _lines(path, end):
+        yield _decode(path, f"line {number}", line, build)
 
 
-def _unread(line: bytes) -> None:
-    return None
-
-
-def read_jsonl_index(
-    path: Path,
-    end: int | None,
-    scan: Callable[[bytes], Any],
-    build: Callable[[Any], Any] | None,
-) -> Iterator[tuple[int, Any]]:
-    """Each line of a log with the byte offset it starts at and ``scan(line)``,
-    or where that is None, the decoded line's ``build(record)``, as :func:`read_jsonl`.
-
-    A line whose scan reads is not decoded, so damage elsewhere in it goes
-    unnoticed until a reader decodes it (``store check`` decodes them all).
-    """
+def _lines(path: Path, end: int | None) -> Iterator[tuple[int, int, bytes]]:
+    """The number, offset and bytes of each line of a log up to byte *end*;
+    a line without its newline raises."""
     if not path.exists():
         return
     with path.open("rb") as handle:
@@ -149,30 +139,248 @@ def read_jsonl_index(
                 raise StoreFormatError(
                     f"{path}: line {number} is the torn end of an interrupted append"
                 )
-            value = scan(line)
-            if value is None:
-                value = _decode(path, f"line {number}", line, build)
-            yield offset, value
+            yield number, offset, line
             offset += len(line)
 
 
-def id_string(line: bytes, key: bytes, end: int | None = None) -> str | None:
-    """The string value of the last *key*, a ``b'"name":"'``, before byte *end*
-    of a canonical log line; None if there is none, or it holds an escape or
-    a byte that is not ASCII.
+# A log is read in blocks of about this many bytes, each cut at a line end:
+# small enough to stay in cache over the passes a read makes over a block
+# (hash, scan), which at 1 MiB take half as long again, and to add little
+# to a command's peak memory.
+BLOCK = 1 << 16
 
-    In canonical JSON (sorted keys, ASCII, no whitespace) a quote followed by
-    a colon only ends an object key, so *key* matches only the end of one,
-    and the last match is the top-level key when no key sorted after it
-    holds an object.
+
+class Log:
+    """A log as the last commit left it: its bytes up to *end* (None: the
+    whole file), which *digest*, the sha256 of them the commit recorded,
+    vouches for.
+
+    A store reads it once (:meth:`index`, :meth:`records` or :meth:`check`)
+    and checks it against the digest in the same pass. Only bytes the digest
+    vouches for are read without decoding each line; without one (a store
+    committed before digests, or a log opened outside a store) every line is
+    decoded once. Committed bytes that differ from their digest raise, naming
+    the line that does not decode, or else the log. The commit that follows
+    continues the checked hash over what was appended (:func:`commit_logs`).
     """
-    at = line.rfind(key, 0, end)
-    value = None if at < 0 else _PLAIN_STRING.match(line, at + len(key))
-    return None if value is None else value[0].decode("ascii")
+
+    def __init__(self, path: Path, end: int | None = None, digest: str | None = None):
+        self.path = Path(path)
+        self.end = end
+        self.digest = digest
+        self.lines = 0  # committed lines, once read
+        # sha256 of the committed bytes, once checked; an empty log needs no read.
+        self._hasher = hashlib.sha256() if end == 0 else None
+        self._offsets: list[int] | None = None  # of each committed line, once read
+
+    def check(self) -> None:
+        """Read the committed bytes and check them; what they hold is not kept."""
+        self.index(None, _nothing)
+        self._offsets = None
+
+    def index(
+        self,
+        scan: Callable[[str], list | None] | None,
+        build: Callable[[Any], Any],
+        offsets: bool = False,
+    ) -> list:
+        """A value for each committed line, and with *offsets*, each line's
+        offset (:meth:`offsets`) from the same read.
+
+        When the digest vouches for the bytes, ``scan(text)`` gives the values
+        of the lines of each block, *text*: one for each line, in log order
+        unless the scan says otherwise, or None if a line is not one it reads.
+        A scan is a regex pass that decodes no line but those it decodes
+        itself. Otherwise, or if a scan fails, every line is decoded instead,
+        and its value is ``build(record)``, as :meth:`records`.
+        """
+        found = None if self.digest is None else self._scan(scan, offsets)
+        return self.records(build) if found is None else found
+
+    def _scan(self, scan: Callable[[str], list | None] | None, offsets: bool) -> list | None:
+        hasher, found, starts, lines, length = hashlib.sha256(), [], [], 0, 0
+        for offset, block in self._blocks():
+            hasher.update(block)
+            if scan is None:
+                lines += block.count(b"\n")
+            else:
+                try:
+                    values = scan(block.decode("latin-1"))
+                except (KeyError, IndexError, TypeError, ValueError, AttributeError):
+                    values = None  # a line it decodes is not a record: decoding names it
+                if values is None:
+                    return None
+                found += values
+            if offsets:
+                starts += _starts(block, offset)
+            length = offset + len(block)
+        if hasher.hexdigest() != self.digest:
+            return None
+        self._hasher, self.end = hasher, length
+        self.lines = lines if scan is None else len(found)
+        self._offsets = starts if offsets else None
+        return found
+
+    def records(self, build: Callable[[Any], Any]) -> list:
+        """``build(record)`` of each committed line, in log order, every line
+        decoded; a line that does not decode or build raises, naming the file
+        and the line, as do bytes that differ from the digest."""
+        hasher, found, starts, length = hashlib.sha256(), [], [], 0
+        for number, offset, line in _lines(self.path, self.end):
+            hasher.update(line)
+            found.append(_decode(self.path, f"line {number}", line, build))
+            starts.append(offset)
+            length = offset + len(line)
+        if self.digest is not None and hasher.hexdigest() != self.digest:
+            raise StoreFormatError(
+                f"{self.path}: its committed bytes differ from the sha256 the last commit recorded"
+            )
+        self._hasher, self.lines, self.end, self._offsets = hasher, len(found), length, starts
+        return found
+
+    def offsets(self) -> list[int]:
+        """The offset of each committed line, in log order: those the read
+        kept, which it hands over once, or else from reading the bytes it
+        checked again."""
+        offsets, self._offsets = self._offsets, None
+        if offsets is None:
+            offsets = [o for offset, block in self._blocks() for o in _starts(block, offset)]
+        return offsets
+
+    def _blocks(self) -> Iterator[tuple[int, bytes]]:
+        """The committed bytes in blocks that each end a line, with their
+        offsets; a torn end, which only a whole-file read meets, comes last."""
+        if not self.path.exists():
+            return
+        with self.path.open("rb") as handle:
+            offset, size = 0, BLOCK
+            while self.end is None or offset < self.end:
+                data = handle.read(size if self.end is None else min(size, self.end - offset))
+                if not data:
+                    return
+                cut = data.rfind(b"\n") + 1
+                if cut == len(data) or len(data) < size:  # whole lines, or the end
+                    yield offset, data
+                    offset += len(data)
+                    size = BLOCK
+                elif cut:  # the last line runs on past the block: the next reads it
+                    handle.seek(offset + cut)
+                    yield offset, data[:cut]
+                    offset += cut
+                    size = BLOCK
+                else:  # a line longer than the block
+                    handle.seek(offset)
+                    size *= 2
+
+    def commit(self) -> tuple[int, str | None]:
+        """The log's length, forced to disk if it grew since the read, and
+        the sha256 of its bytes: the checked hash continued over what was
+        appended. A log not read and not grown keeps the digest it had."""
+        size = self.path.stat().st_size if self.path.exists() else 0
+        if self._hasher is None:
+            if size == self.end:
+                return size, self.digest
+            self.check()
+        committed = self.end or 0
+        if size == committed:
+            return size, self._hasher.hexdigest()
+        _fsync(self.path)
+        hasher = self._hasher.copy()
+        with self.path.open("rb") as handle:
+            handle.seek(committed)
+            for start in range(committed, size, BLOCK):
+                hasher.update(handle.read(min(BLOCK, size - start)))
+        return size, hasher.hexdigest()
 
 
-# The bytes of a JSON string up to its closing quote, when none is escaped or non-ASCII.
-_PLAIN_STRING = re.compile(rb'[^"\\\x80-\xff]*(?=")')
+class LineIndex:
+    """Where the line of each id is in a log: for the committed lines, whose
+    ids (*ids*, in log order) a read of *log* gave, the offsets that read
+    kept, or a second read gives when first asked for; then the lines
+    appended since, in log order."""
+
+    def __init__(self, log: Log, ids: list[str]):
+        self._log = log
+        self._ids: list[str] | None = ids  # until paired with their offsets
+        self._members: set[str] | None = None
+        self._appended: dict[str, int] = {}
+        self._offsets: dict[str, int] | None = None
+        if log._offsets is None:
+            self._members = set(ids)
+        else:  # the read kept them
+            self.offsets()
+
+    def __contains__(self, ident: str) -> bool:
+        return ident in (self._members if self._offsets is None else self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._members if self._offsets is None else self._offsets)
+
+    def offsets(self) -> dict[str, int]:
+        """Each id and the offset of its line, in log order; of two lines
+        that hold one id, the later."""
+        if self._offsets is None:
+            self._offsets = dict(zip(self._ids, self._log.offsets()))
+            self._offsets.update(self._appended)
+            self._ids = self._members = None
+        return self._offsets
+
+    def add(self, ids: Iterable[str], offsets: Iterable[int]) -> None:
+        """Index lines appended past the commit."""
+        added = dict(zip(ids, offsets))
+        if self._offsets is None:
+            self._members.update(added)
+            self._appended.update(added)
+        else:
+            self._offsets.update(added)
+
+
+def _nothing(record: Any) -> None:
+    return None
+
+
+def scan_ids(pattern: re.Pattern, text: str) -> list[str] | None:
+    """The id *pattern* reads in each line of *text*, whole lines, or None if
+    a line does not give one. *pattern* matches at each line break, and its
+    one group is the id in the line that follows, read up to its closing quote."""
+    ids = pattern.findall("\n" + text)
+    ids.pop()  # the break that ends the last line, which starts none
+    return ids if "" not in ids and plain(ids) else None
+
+
+def plain(ids: list[str]) -> bool:
+    """Whether each of *ids*, each read from a canonical line up to the next
+    quote, is the whole string: none holds an escape, or a line break, which
+    a read past a line's end would."""
+    read = "".join(ids)
+    return "\\" not in read and "\n" not in read
+
+
+def _starts(block: bytes, offset: int) -> list[int]:
+    """The offset of each line of *block*, whole lines starting at *offset*."""
+    lengths = map((1).__add__, map(len, block.split(b"\n")[:-1]))
+    return list(accumulate(lengths, initial=offset))[:-1]
+
+
+def commit_logs(logs: Iterable[Log]) -> list[tuple[int, str | None]]:
+    """:meth:`Log.commit` of each log, then the directory of each that was
+    empty at its read forced to disk once, since only its entry can be new:
+    each log's length and digest, which a commit record may then name."""
+    logs = list(logs)
+    committed = [log.commit() for log in logs]
+    for directory in dict.fromkeys(
+        log.path.parent for log, (size, _) in zip(logs, committed) if size and not log.end
+    ):
+        _fsync(directory)
+    return committed
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def committed_size(path: Path, length: int) -> int:
@@ -196,20 +404,6 @@ def cut_to_length(path: Path, length: int) -> bool:
         return False
     os.truncate(path, length)
     return True
-
-
-def synced_length(path: Path) -> int:
-    """Force a log, missing meaning empty, and its directory entry to disk;
-    returns its length, which a commit record may then name."""
-    if not path.exists():
-        return 0
-    for name in (path, path.parent):
-        fd = os.open(name, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    return path.stat().st_size
 
 
 def read_jsonl_at(

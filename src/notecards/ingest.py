@@ -31,6 +31,7 @@ import hashlib
 import hmac
 import json
 import os
+import re
 import unicodedata
 import uuid
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
 from .encoding import PipelineError, append_jsonl, canonical_json
-from .encoding import id_string, read_jsonl_at, read_jsonl_index, record_id
+from .encoding import LineIndex, Log, read_jsonl_at, record_id, scan_ids
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -195,10 +196,9 @@ def _document_to_dict(doc: Document) -> dict:
     }
 
 
-# A document line's id, read only where it starts the line: doc_id is the
-# first key, and meta, sorted after it, holds an object.
-_DOC_ID = b'{"doc_id":"'
-_scan_doc_id = partial(id_string, key=_DOC_ID, end=len(_DOC_ID))
+# At each line break, the id of the document line that follows, if one does:
+# doc_id is the first key of a document line.
+_DOCUMENT_ID = re.compile(r'\n(?:\{"doc_id":"([^"]*)"|)')
 
 
 def _document_from_dict(raw: dict) -> Document:
@@ -212,27 +212,29 @@ def _document_from_dict(raw: dict) -> Document:
 
 
 class TextStore:
-    """Append-only document log, indexed by doc_id at open up to byte *end*.
+    """Append-only document log, indexed by doc_id at open as committed
+    (*log*; the whole file without one). With *index* false, the offsets of
+    the committed lines are read only when first needed: ``run`` decodes
+    few committed documents, often none.
 
     It keeps the documents it appends, so the run that ingested them reads
     them back from memory; only lines logged before the open are decoded.
     """
 
-    def __init__(self, root: Path, end: int | None = None):
+    def __init__(self, root: Path, log: Log | None = None, index: bool = True):
         self.root = Path(root)
         self._path = self.root / "documents.jsonl"
-        # doc_id -> the offset of its line; insertion order is ingestion order.
-        index = read_jsonl_index(
-            self._path, end, scan=_scan_doc_id, build=lambda raw: record_id(raw, "doc_id")
-        )
-        self._offsets: dict[str, int] = {doc_id: offset for offset, doc_id in index}
+        self._log = log or Log(self._path)
+        scan = partial(scan_ids, _DOCUMENT_ID)
+        ids = self._log.index(scan, partial(record_id, name="doc_id"), offsets=index)
+        self._lines = LineIndex(self._log, ids)
         self._appended: dict[str, Document] = {}  # since the open, in log order
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._offsets
+        return doc_id in self._lines
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._lines)
 
     def end(self) -> int:
         """The log's length in bytes: the offset the next document gets."""
@@ -243,18 +245,17 @@ class TextStore:
         new: dict[str, Document] = {}
         duplicates = 0
         for doc in documents:
-            if doc.doc_id in self._offsets or doc.doc_id in new:
+            if doc.doc_id in self._lines or doc.doc_id in new:
                 duplicates += 1
             else:
                 new[doc.doc_id] = doc
         if new:
-            offsets = append_jsonl(self._path, map(_document_to_dict, new.values()))
-            self._offsets.update(zip(new, offsets))
+            self._lines.add(new, append_jsonl(self._path, map(_document_to_dict, new.values())))
             self._appended.update(new)
         return len(new), duplicates
 
     def get(self, doc_id: str) -> Document:
-        offset = self._offsets.get(doc_id)
+        offset = self._lines.offsets().get(doc_id)
         if offset is None:
             raise IngestError(f"unknown doc_id {doc_id!r}")
         [document] = read_jsonl_at(self._path, [(doc_id, offset)], "doc_id", _document_from_dict)
@@ -262,14 +263,16 @@ class TextStore:
 
     def list(self, start: int = 0) -> list[Document]:
         """The documents from byte offset *start* of the log on, in ingestion order."""
-        lines = [(doc_id, offset) for doc_id, offset in self._offsets.items()
-                 if offset >= start and doc_id not in self._appended]
+        lines = []
+        if start < self._log.end:  # some committed lines start past it
+            lines = [(doc_id, offset) for doc_id, offset in self._lines.offsets().items()
+                     if offset >= start and doc_id not in self._appended]
         documents = list(read_jsonl_at(self._path, lines, "doc_id", _document_from_dict))
-        # Appended after every line the open indexed, so they come last.
-        documents += [
-            doc for doc_id, doc in self._appended.items() if self._offsets[doc_id] >= start
-        ]
-        return documents
+        # Appended past the commit, so after every committed line.
+        if start <= self._log.end:
+            return documents + list(self._appended.values())
+        offsets = self._lines.offsets()
+        return documents + [doc for doc_id, doc in self._appended.items() if offsets[doc_id] >= start]
 
 
 # ---------------------------------------------------------------------------

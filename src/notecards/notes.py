@@ -19,6 +19,7 @@ extraction limitation, not a tunable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -28,8 +29,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .clock import format_instant, parse_instant
 from .durations import DEFAULT_WINDOW
-from .encoding import append_jsonl, content_hash, id_string, read_jsonl_at, read_jsonl_index
-from .encoding import record_id
+from .encoding import LineIndex, Log, append_jsonl, content_hash, read_jsonl_at, record_id
+from .encoding import scan_ids
 
 if TYPE_CHECKING:  # synthesis reads these; the note store and its codec do not
     from .annotate import AnnotatedChunk
@@ -290,8 +291,10 @@ def note_to_dict(note: Note) -> dict:
     }
 
 
-# The id of a note line: no key sorted after note_id holds an object.
-scan_note_id = partial(id_string, key=b'"note_id":"')
+# At each line break, the id of the note line that follows, if one does: the
+# last "note_id" key in it, the top-level one, since no key sorted after
+# note_id holds an object.
+_NOTE_ID = re.compile(r'\n(?:[^\n]*"note_id":"([^"]*)"|)')
 
 
 def note_from_dict(raw: dict) -> Note:
@@ -314,47 +317,66 @@ def note_from_dict(raw: dict) -> Note:
 
 
 class NoteStore:
-    """Append-only note table, indexed by note_id at open up to byte *end*;
-    notes are decoded from their lines on demand, and filters scan them."""
+    """Append-only note table as committed (*log*; the whole file without
+    one), indexed by note_id; notes are decoded from their lines on demand,
+    and filters scan them.
 
-    def __init__(self, root: Path, end: int | None = None):
+    With *index* false, the open only checks the log, and the first get,
+    membership test or list indexes it: ``run`` appends notes and reads none.
+    """
+
+    def __init__(self, root: Path, log: Log | None = None, index: bool = True):
         self.root = Path(root)
         self._path = self.root / "notes.jsonl"
-        index = read_jsonl_index(
-            self._path, end, scan=scan_note_id, build=lambda raw: record_id(raw, "note_id")
-        )
-        # note_id -> the offset of its line, in log order.
-        self._offsets: dict[str, int] = {note_id: offset for offset, note_id in index}
+        self._log = log or Log(self._path)
+        self._appended: dict[str, int] = {}  # note_id -> its line, for the notes added here
+        self._lines: LineIndex | None = None
+        if index:
+            self._index()
+        else:
+            self._log.check()
+
+    def _index(self) -> LineIndex:
+        if self._lines is None:
+            scan = partial(scan_ids, _NOTE_ID)
+            ids = self._log.index(scan, partial(record_id, name="note_id"), offsets=True)
+            self._lines = LineIndex(self._log, ids)
+            self._lines.add(self._appended, self._appended.values())
+        return self._lines
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return self._log.lines + len(self._appended)
 
     def __contains__(self, note_id: str) -> bool:
-        return note_id in self._offsets
+        return note_id in self._index()
 
     def get(self, note_id: str) -> Note | None:
-        if note_id not in self._offsets:
+        offset = self._index().offsets().get(note_id)
+        if offset is None:
             return None
-        [note] = read_jsonl_at(
-            self._path, [(note_id, self._offsets[note_id])], "note_id", note_from_dict
-        )
+        [note] = read_jsonl_at(self._path, [(note_id, offset)], "note_id", note_from_dict)
         return note
 
     def add_all(self, notes: Iterable[Note]) -> int:
-        """Append the notes not stored yet, each id once (an id hashes every
-        other field, so notes of one id are equal); returns how many."""
-        new = {note.note_id: note for note in notes if note.note_id not in self._offsets}
+        """Append the notes, each id once (an id hashes every other field, so
+        notes of one id are equal) and none this store appended before;
+        returns how many. A run's notes come only from chunks released for the
+        first time, so none is committed already."""
+        new = {note.note_id: note for note in notes if note.note_id not in self._appended}
         if not new:
             return 0
-        offsets = append_jsonl(self._path, map(note_to_dict, new.values()))
-        self._offsets.update(zip(new, offsets))
+        appended = dict(zip(new, append_jsonl(self._path, map(note_to_dict, new.values()))))
+        self._appended.update(appended)
+        if self._lines is not None:
+            self._lines.add(appended, appended.values())
         return len(new)
 
     def list(
         self, subject: str | None = None, action: tuple[str, str] | None = None
     ) -> list[Note]:
         out = []
-        for note in read_jsonl_at(self._path, self._offsets.items(), "note_id", note_from_dict):
+        lines = self._index().offsets().items()
+        for note in read_jsonl_at(self._path, lines, "note_id", note_from_dict):
             if subject is not None and note.subject != subject:
                 continue
             if action is not None and note.action != action:

@@ -35,6 +35,7 @@ from them; keys a line holds beyond those are not read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from datetime import datetime, timedelta, timezone
@@ -44,8 +45,8 @@ from typing import Container, Iterable, Sequence
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
 from .durations import DEFAULT_WINDOW
-from .encoding import append_jsonl, canonical_json, read_jsonl
-from .encoding import id_string, read_jsonl_at, read_jsonl_index, record_id
+from .encoding import LineIndex, Log, append_jsonl, canonical_json, read_jsonl_at, record_id
+from .encoding import scan_ids
 
 WILDCARD_PLACE = "*"
 
@@ -267,8 +268,10 @@ def _check_storable(chunk: AnnotatedChunk) -> None:
         )
 
 
-# A chunk line's id: no key sorted after chunk_id holds an object.
-_scan_chunk_id = partial(id_string, key=b'"chunk_id":"')
+# At each line break, the id of the chunk line that follows, if one does: the
+# first "chunk_id" key in it, which starts it or follows the annotations
+# that earlier lines held, none of which holds one.
+_CHUNK_ID = re.compile(r'\n(?:\{(?:"annotations":[^\n]*?)?"chunk_id":"([^"]*)"|)')
 
 
 def _released_from_dict(raw: dict) -> dict[str, list[str]]:
@@ -286,6 +289,8 @@ class OrganizerStore:
     mapping each released key to the chunk ids it released; replaying it
     gives every key's released chunk ids. Chunks are indexed by offset,
     and only the unreleased ones are kept decoded (see the module docstring).
+    With *index* false, the offsets of the committed chunk lines are read
+    only when first needed, as :class:`notecards.ingest.TextStore`'s.
     """
 
     def __init__(
@@ -294,8 +299,9 @@ class OrganizerStore:
         window_length: timedelta = DEFAULT_WINDOW,
         epsilon: timedelta = DEFAULT_EPSILON,
         watermark: timedelta = DEFAULT_WATERMARK,
-        chunks_end: int | None = None,
-        released_end: int | None = None,
+        chunks_log: Log | None = None,
+        released_log: Log | None = None,
+        index: bool = True,
     ):
         self.root = Path(root)
         self.window_length = window_length
@@ -304,46 +310,46 @@ class OrganizerStore:
         self._chunks_path = self.root / "chunks.jsonl"
         self._released_path = self.root / "released.jsonl"
         self._released: dict[str, list[str]] = {}
-        for record in read_jsonl(self._released_path, released_end, build=_released_from_dict):
+        released = (released_log or Log(self._released_path)).records(_released_from_dict)
+        for record in released:
             for key, chunk_ids in record.items():
                 seen = self._released.get(key)
                 self._released[key] = sorted(seen + chunk_ids) if seen else chunk_ids
-        named = {chunk_id for chunk_ids in self._released.values() for chunk_id in chunk_ids}
-        index = read_jsonl_index(
-            self._chunks_path,
-            chunks_end,
-            scan=_scan_chunk_id,
-            build=lambda raw: record_id(raw, "chunk_id"),
-        )
-        # chunk_id -> its line; in log order.
-        self._offsets: dict[str, int] = {chunk_id: offset for offset, chunk_id in index}
-        unreleased = [(c, offset) for c, offset in self._offsets.items() if c not in named]
+        chunks_log = chunks_log or Log(self._chunks_path)
+        scan = partial(scan_ids, _CHUNK_ID)
+        ids = chunks_log.index(scan, partial(record_id, name="chunk_id"), offsets=index)
+        self._lines = LineIndex(chunks_log, ids)
+        unreleased = set(ids).difference(*self._released.values())
+        unreleased = [(c, offset) for c, offset in self._lines.offsets().items()
+                      if c in unreleased] if unreleased else []
         self._unreleased: dict[str, AnnotatedChunk] = {  # in log order
             chunk.chunk_id: chunk
             for chunk in read_jsonl_at(self._chunks_path, unreleased, "chunk_id", chunk_from_dict)
         }
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._lines)
 
     def has_chunk(self, chunk_id: str) -> bool:
-        return chunk_id in self._offsets
+        return chunk_id in self._lines
 
     def _read(self, chunk_ids) -> list[AnnotatedChunk]:
-        lines = [(chunk_id, self._offsets[chunk_id]) for chunk_id in chunk_ids]
+        offsets = self._lines.offsets()
+        lines = [(chunk_id, offsets[chunk_id]) for chunk_id in chunk_ids]
         return list(read_jsonl_at(self._chunks_path, lines, "chunk_id", chunk_from_dict))
 
     def get_chunk(self, chunk_id: str) -> AnnotatedChunk | None:
         chunk = self._unreleased.get(chunk_id)
-        if chunk is None and chunk_id in self._offsets:
+        if chunk is None and chunk_id in self._lines:
             [chunk] = self._read([chunk_id])
         return chunk
 
     def chunks(self) -> list[AnnotatedChunk]:
         """Every stored chunk, in log order: the unreleased ones as held, the
         rest each decoded from its line."""
-        read = iter(self._read(c for c in self._offsets if c not in self._unreleased))
-        return [self._unreleased.get(chunk_id) or next(read) for chunk_id in self._offsets]
+        offsets = self._lines.offsets()
+        read = iter(self._read(c for c in offsets if c not in self._unreleased))
+        return [self._unreleased.get(chunk_id) or next(read) for chunk_id in offsets]
 
     def unreleased(self) -> int:
         """How many stored chunks no released line names."""
@@ -352,15 +358,14 @@ class OrganizerStore:
     def add_chunks(self, chunks: Sequence[AnnotatedChunk]) -> int:
         """Append chunks not seen before; returns how many were new. A chunk
         its line cannot rebuild raises ``ValueError`` before anything is appended."""
-        new = [c for c in chunks if c.chunk_id not in self._offsets]
+        new = [c for c in chunks if c.chunk_id not in self._lines]
         if not new:
             return 0
         for chunk in new:
             _check_storable(chunk)
         offsets = append_jsonl(self._chunks_path, map(_stored_chunk, new))
-        for chunk, offset in zip(new, offsets):
-            self._offsets[chunk.chunk_id] = offset
-            self._unreleased[chunk.chunk_id] = chunk
+        self._lines.add((chunk.chunk_id for chunk in new), offsets)
+        self._unreleased.update((chunk.chunk_id, chunk) for chunk in new)
         return len(new)
 
     def close_window(self, now: datetime) -> list[ChunkGroup]:
@@ -378,12 +383,13 @@ class OrganizerStore:
             chunk_id
             for group in groups
             for chunk_id in self._released.get(group.key, ())
-            if chunk_id in self._offsets
+            if chunk_id in self._lines
         ]
         if released_ids:
             # Each touched key with the chunks released under it, in log order as stored.
             chunks = [*self._unreleased.values(), *self._read(released_ids)]
-            chunks.sort(key=lambda chunk: self._offsets[chunk.chunk_id])
+            offsets = self._lines.offsets()
+            chunks.sort(key=lambda chunk: offsets[chunk.chunk_id])
             groups = assign_windows(chunks, self.window_length)
         released_now: list[ChunkGroup] = []
         for group in groups:

@@ -21,8 +21,10 @@ for the chunks it releases that the open read from their lines, and
 committed before it kept one needs only once a line holds no annotations.
 
 One commit rule: the last write of ``run`` and of ``ingest``, the maker's
-save, syncs every log and records its length. Every command reads each
-log only up to it (:func:`read_commit`); ``run`` and ``ingest`` first
+save, syncs every log it grew and records each log's length and the
+sha256 of its bytes. Every command reads each log only up to it
+(:func:`read_commit`), checking the bytes against the digest as it reads
+them (:class:`notecards.encoding.Log`); ``run`` and ``ingest`` first
 cut each log back to it (:func:`cut_to_commit`) and open from that same
 read: ``run`` through the writer's :class:`Stores`. Both check that each
 corpus is a file and read the mask key before the lock, so an input they
@@ -30,18 +32,20 @@ cannot read leaves no store behind. A run's save also moves
 ``annotated`` to the end of the documents log; an ingest's leaves it, and
 both record what they consumed of each corpus, so the next skips it.
 
-A rerun costs what its new input costs. Opening the stores keeps what a
-writer needs: ids with the offsets of their lines, the processed note ids,
-the released chunk ids and the chunks not yet released. It reads each id
-out of its canonical line without decoding the line, and decodes only the
-released lines, the ledger, the chunks not yet released and the lines
-whose id does not read. Everything else, drill-down included, decodes a
-record from its line when asked, and organizing regroups only the keys
-that hold an unreleased chunk. So ``run`` and the readers notice damage
-inside a committed line whose id still reads only when they decode that
-line; ``store check`` decodes every line. The documents a run ingests
-itself it annotates from memory, and it decodes only those pending
-documents that an earlier command logged.
+A rerun costs what its new input costs, but for hashing the store.
+Opening the stores reads each log once and keeps what a writer needs: the
+document and chunk ids, the processed note ids, the released chunk ids
+and the chunks not yet released. It takes the ids out of the canonical
+lines the digest vouches for, one regex pass a block, and decodes only
+the released lines, the ledger, the chunks not yet released and the
+merged refined lines; it indexes the note and refined logs, and reads the
+offsets of any line, only when first asked. Everything else, drill-down
+included, decodes a record from its line when asked, and organizing
+regroups only the keys that hold an unreleased chunk. So ``run`` and the
+readers refuse any committed byte that differs from what the commit
+hashed, and ``store check`` also decodes every line. The documents a run
+ingests itself it annotates from memory, and it decodes only those
+pending documents that an earlier command logged.
 
 This module imports every stage. ``run``, ``ingest``, ``card show``,
 ``store check`` and readers given ``--config`` load it; ``cards list``,
@@ -72,7 +76,7 @@ from .cards import (
 )
 from .clock import Clock, parse_instant
 from .durations import format_duration, parse_duration
-from .encoding import PipelineError, StoreFormatError, cut_to_length, write_json
+from .encoding import Log, PipelineError, StoreFormatError, cut_to_length, write_json
 from .ingest import Document, TextStore, check_sources, ingest_corpus
 from .notes import NoteStore, SynthesisConfig, synthesize_notes
 from .ontology import OntologyError, OntologySpec, load_ontology, merged_or_single, spec_to_dict
@@ -278,16 +282,18 @@ class StoreLock:
 
 
 class Stores:
-    """All six stores under one root, each indexing its logs up to the last commit
-    (``ends``, each log's committed length).
+    """All six stores under one root, each reading its logs once as the last
+    commit left them (``logs``, by name) and checking them against their digests.
 
     A reader passes no *manifest*, and nothing is written. ``run`` passes
     its own under the lock, with the merged ontology *spec*, and opens as a
     writer: every log is first cut back to the commit it then opens from
     (:func:`cut_to_commit`), and ``repaired`` names the logs that were cut.
-    The maker then holds the manifest the run's commit pins: the store's,
-    or the run's own, adopted with the store's copy of *spec*, which the
-    run that first pins a store writes and none rewrites.
+    The writer indexes only what it writes from, and the rest when first
+    asked (each store's *index*). The maker then holds the manifest the
+    run's commit pins: the store's, or the run's own, adopted with the
+    store's copy of *spec*, which the run that first pins a store writes
+    and none rewrites; its save continues the digests the open checked.
     """
 
     def __init__(
@@ -299,24 +305,27 @@ class Stores:
         self.root = root = Path(config.store_root)
         self.repaired: list[Path] = []
         if manifest is None:
-            state, self.ends = read_commit(root)
+            state, self.logs = read_commit(root)
         else:
-            state, self.ends, self.repaired = cut_to_commit(root, manifest)
-        self.text = TextStore(root / "documents", self.ends["documents/documents.jsonl"])
+            state, self.logs, self.repaired = cut_to_commit(root, manifest)
+        logs = self.logs
+        index = manifest is None  # a reader indexes each log as it reads it
+        self.text = TextStore(root / "documents", logs["documents/documents.jsonl"], index)
         self.organizer = OrganizerStore(
             root / "chunks",
             window_length=config.window,
             epsilon=config.epsilon,
             watermark=config.watermark,
-            chunks_end=self.ends["chunks/chunks.jsonl"],
-            released_end=self.ends["chunks/released.jsonl"],
+            chunks_log=logs["chunks/chunks.jsonl"],
+            released_log=logs["chunks/released.jsonl"],
+            index=index,
         )
-        self.notes = NoteStore(root / "notes", self.ends["notes/notes.jsonl"])
+        self.notes = NoteStore(root / "notes", logs["notes/notes.jsonl"], index)
         self.refined = RefinedNoteStore(
-            root / "refined", self.notes, self.ends["refined/refined.jsonl"]
+            root / "refined", self.notes, logs["refined/refined.jsonl"], index
         )
-        self.ledger = CardLedger(root / "cards", self.ends["cards/log.jsonl"])
-        self.maker = CardMaker(root / "cards", state)
+        self.ledger = CardLedger(root / "cards", logs["cards/log.jsonl"])
+        self.maker = CardMaker(root / "cards", state, logs)
         self.manager = CardManager(self.ledger, self.maker)
         if manifest is not None:
             kept = (self.maker.manifest or {}).get("stored_ontology_sha256")
@@ -353,7 +362,7 @@ class Stores:
 
 def cut_to_commit(
     root: Path, manifest: dict[str, Any] | None = None
-) -> tuple[dict[str, Any], dict[str, int], list[Path]]:
+) -> tuple[dict[str, Any], dict[str, Log], list[Path]]:
     """Cut every log back to the length the last commit recorded.
 
     ``run`` and ``ingest`` call it under the lock, before they open the
@@ -365,7 +374,7 @@ def cut_to_commit(
     the logs it cut.
     """
     root = Path(root)
-    state, lengths = read_commit(root)
+    state, logs = read_commit(root)
     pinned = state.get("manifest")
     if not pinned and (root / "store.json").exists():
         raise StoreFormatError(f"{root / 'store.json'}: predates this store format; build a new store")
@@ -379,10 +388,10 @@ def cut_to_commit(
                     f"this run has {name}={value!r}; use a new store"
                 )
     if not state:
-        CardMaker(root / "cards", state).save()  # commits what was read: nothing
-        return state, lengths, []
-    repaired = [root / name for name in LOGS if cut_to_length(root / name, lengths[name])]
-    return state, lengths, repaired
+        CardMaker(root / "cards", state, logs).save()  # commits what was read: nothing
+        return state, logs, []
+    repaired = [root / name for name in LOGS if cut_to_length(root / name, logs[name].end)]
+    return state, logs, repaired
 
 
 def load_specs(config: PipelineConfig) -> OntologySpec:

@@ -29,6 +29,8 @@ does. A line that holds one reads as before.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -38,8 +40,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
-from .encoding import append_jsonl, content_hash, id_string, read_jsonl_at, read_jsonl_index
-from .encoding import record_id
+from .encoding import LineIndex, Log, append_jsonl, content_hash, plain, read_jsonl_at, record_id
 from .notes import Note, NoteStore, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
@@ -499,16 +500,37 @@ def _index_refined(raw: dict) -> tuple[str, tuple[str, ...]]:
     return record_id(raw, "refined_id"), (record_id(raw, "note_id"),)
 
 
-_PASSTHROUGH = b'{"applied_rules":[],"note_id":"'
+# At each line break, the refined line that follows: a passthrough line,
+# whose note id and own id it takes, or any other line, whole, to decode.
+# A passthrough line holds no object.
+_REFINED_LINE = re.compile(
+    r'\n(?:\{"applied_rules":\[\],"note_id":"([^"\\\n]*)","passthrough":true,'
+    r'"refined_id":"([^"\\\n]*)"\}(?=\n)|([^\n]+)|)'
+)
 
 
-def _scan_refined(line: bytes) -> tuple[str, tuple[str, ...]] | None:
-    """:func:`_index_refined` of a passthrough line, read without decoding it;
-    None for any other line. A passthrough line holds no object, and its two
-    ids are the strings after its only ``"note_id":"`` and ``"refined_id":"``."""
-    note_id = id_string(line, _PASSTHROUGH, len(_PASSTHROUGH))
-    refined_id = None if note_id is None else id_string(line, b'"passthrough":true,"refined_id":"')
-    return None if refined_id is None else (refined_id, (note_id,))
+def _scan_refined(text: str) -> list[tuple[str, tuple[str, ...]]]:
+    """:func:`_index_refined` of each line of *text*, whole lines of a refined
+    log; only the lines that are not passthrough lines are decoded."""
+    lines = _REFINED_LINE.findall("\n" + text)
+    lines.pop()  # the break that ends the last line, which starts none
+    return [(refined_id, (note_id,)) if refined_id else _index_refined(json.loads(line))
+            for note_id, refined_id, line in lines]
+
+
+# The note id of a passthrough line, and a whole line that is not one.
+_PASSTHROUGH_NOTE = re.compile(r'\n\{"applied_rules":\[\],"note_id":"([^"]*)"')
+_MERGED_LINE = re.compile(r'\n(\{"applied_rules":\[\{[^\n]*)')
+
+
+def _scan_inputs(text: str) -> list[tuple[str, ...]] | None:
+    """The note ids each line of *text*, whole lines of a refined log,
+    accounts for, the passthrough lines' first; None if a line is of neither kind."""
+    text = "\n" + text
+    note_ids = _PASSTHROUGH_NOTE.findall(text)
+    inputs = [(note_id,) for note_id in note_ids]
+    inputs += [_index_refined(json.loads(line))[1] for line in _MERGED_LINE.findall(text)]
+    return inputs if len(inputs) == text.count("\n") - 1 and plain(note_ids) else None
 
 
 class DanglingNote(LookupError):
@@ -522,26 +544,47 @@ class DanglingNote(LookupError):
 
 
 class RefinedNoteStore:
-    """Append-only refined-note log, indexed at open up to byte *end*. Records
-    are decoded from their lines on demand, a passthrough line's note from
-    *notes*, the store of the note log."""
+    """Append-only refined-note log as committed (*log*; the whole file
+    without one), indexed by refined_id; records are decoded from their
+    lines on demand, a passthrough line's note from *notes*, the store of
+    the note log. The open reads the note ids the lines account for.
 
-    def __init__(self, root: Path, notes: NoteStore, end: int | None = None):
+    With *index* false, that is all it reads, and the first get, membership
+    test or read of every record indexes the log: ``run`` appends refined
+    notes and reads none.
+    """
+
+    def __init__(
+        self, root: Path, notes: NoteStore, log: Log | None = None, index: bool = True
+    ):
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
         self._notes = notes
-        self._offsets: dict[str, int] = {}  # refined_id -> its line; in log order
-        self._processed: set[str] = set()
-        lines = read_jsonl_index(self._path, end, scan=_scan_refined, build=_index_refined)
-        for offset, (refined_id, inputs) in lines:
-            self._offsets[refined_id] = offset
-            self._processed.update(inputs)
+        self._log = log or Log(self._path)
+        self._appended: dict[str, int] = {}  # refined_id -> its line, for the records added here
+        self._lines: LineIndex | None = None
+        if index:
+            inputs = [note_ids for _, note_ids in self._read_index()]
+        else:
+            inputs = self._log.index(_scan_inputs, lambda raw: _index_refined(raw)[1])
+        self._processed: set[str] = set().union(*inputs)
+
+    def _read_index(self) -> list[tuple[str, tuple[str, ...]]]:
+        lines = self._log.index(_scan_refined, _index_refined, offsets=True)
+        self._lines = LineIndex(self._log, [refined_id for refined_id, _ in lines])
+        self._lines.add(self._appended, self._appended.values())
+        return lines
+
+    def _index(self) -> LineIndex:
+        if self._lines is None:
+            self._read_index()
+        return self._lines
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return self._log.lines + len(self._appended)
 
     def __contains__(self, refined_id: str) -> bool:
-        return refined_id in self._offsets
+        return refined_id in self._index()
 
     @staticmethod
     def _record(
@@ -558,11 +601,11 @@ class RefinedNoteStore:
     def get(self, refined_id: str) -> RefinedNote | None:
         """The refined note of *refined_id*, None if no line holds it; a
         passthrough line whose note is missing raises :class:`DanglingNote`."""
-        if refined_id not in self._offsets:
+        offset = self._index().offsets().get(refined_id)
+        if offset is None:
             return None
         [record] = read_jsonl_at(
-            self._path, [(refined_id, self._offsets[refined_id])], "refined_id",
-            partial(self._record, self._notes.get),
+            self._path, [(refined_id, offset)], "refined_id", partial(self._record, self._notes.get)
         )
         if isinstance(record, DanglingNote):
             raise record
@@ -573,14 +616,16 @@ class RefinedNoteStore:
         return set(self._processed)
 
     def add_all(self, records: Iterable[RefinedNote]) -> int:
-        """Append the records not stored yet, each id once (as :meth:`NoteStore.add_all`)."""
-        new = {r.refined_id: r for r in records if r.refined_id not in self._offsets}
+        """Append the records, each id once and none this store appended
+        before (as :meth:`NoteStore.add_all`); returns how many."""
+        new = {r.refined_id: r for r in records if r.refined_id not in self._appended}
         if not new:
             return 0
-        offsets = append_jsonl(self._path, map(_stored_line, new.values()))
-        for record, offset in zip(new.values(), offsets):
-            self._offsets[record.refined_id] = offset
-            self._processed.update(record.input_note_ids())
+        appended = dict(zip(new, append_jsonl(self._path, map(_stored_line, new.values()))))
+        self._appended.update(appended)
+        if self._lines is not None:
+            self._lines.add(appended, appended.values())
+        self._processed.update(*(record.input_note_ids() for record in new.values()))
         return len(new)
 
     def read_all(self) -> list[RefinedNote | DanglingNote]:
@@ -588,4 +633,4 @@ class RefinedNoteStore:
         log; a passthrough line whose note is missing gives its :class:`DanglingNote`."""
         notes = {note.note_id: note for note in self._notes.list()}
         build = partial(self._record, notes.get)
-        return list(read_jsonl_at(self._path, self._offsets.items(), "refined_id", build))
+        return list(read_jsonl_at(self._path, self._index().offsets().items(), "refined_id", build))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -47,6 +48,23 @@ def store_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def commit_as_it_stands(root: Path, digests: bool = True) -> None:
+    """Rewrite ``cards/maker.json`` of store *root* so that its commit holds
+    every log as it stands, as a save would: its length and the sha256 of its
+    bytes, or no digest, as a store committed before digests (*digests* false).
+    For tests whose store holds lines a writer could have committed."""
+    from notecards.cards import LOGS
+
+    maker = root / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    logs = {name: (root / name).read_bytes() if (root / name).exists() else b"" for name in LOGS}
+    state["logs"] = {name: len(data) for name, data in logs.items()}
+    state.pop("digests", None)
+    if digests:
+        state["digests"] = {name: hashlib.sha256(data).hexdigest() for name, data in logs.items()}
+    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def assert_card_index_follows_the_log(root: Path) -> None:
     """``cards/index.json`` under store *root* maps exactly the ids of the
     ledger replayed up to its commit, each to the offset of that card's last
@@ -55,7 +73,7 @@ def assert_card_index_follows_the_log(root: Path) -> None:
     from notecards.cards import CardLedger, card_to_dict, read_commit
 
     log = root / "cards" / "log.jsonl"
-    committed = log.read_bytes()[: read_commit(root)[1]["cards/log.jsonl"]]
+    committed = log.read_bytes()[: read_commit(root)[1]["cards/log.jsonl"].end]
     replayed = CardLedger.replay(log, len(committed))
     last: dict[str, int] = {}  # card id -> offset of its last snapshot line, read here
     offset = 0

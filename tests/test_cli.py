@@ -16,7 +16,7 @@ from notecards.organize import OrganizerStore
 from notecards.pipeline import StoreLock
 from notecards.refine import RefinedNoteStore
 
-from conftest import FIXTURES, store_bytes
+from conftest import FIXTURES, commit_as_it_stands, store_bytes
 
 
 def run_cli(*args) -> int:
@@ -207,7 +207,8 @@ def test_card_show_audit_covers_a_held_card(tmp_path, capsys):
 
 
 def test_card_show_audit_reports_a_missing_refined_line(fixture_store, capsys):
-    # A committed refined id rewritten in place: the log keeps its committed length.
+    # A committed refined id rewritten in place and committed, as a writer
+    # that wrote it would have: the log keeps its committed length.
     path = fixture_store / "refined" / "refined.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     missing = json.loads(lines[0])["refined_id"]
@@ -216,6 +217,7 @@ def test_card_show_audit_reports_a_missing_refined_line(fixture_store, capsys):
     lines[0] = lines[0].replace(field(missing).encode(), field(renamed).encode())
     assert json.loads(lines[0])["refined_id"] == renamed
     path.write_bytes(b"".join(lines))
+    commit_as_it_stands(fixture_store)
     finding = f"card {CARD} -> missing refined note {missing}"
     capsys.readouterr()
     assert run_cli("card", "show", CARD, "--store", fixture_store, "--audit", "--json") == 1
@@ -246,7 +248,8 @@ def test_store_check_of_a_sound_store_exits_zero(fixture_store, tmp_path, capsys
 
 
 def rename_document(store: Path, line: int) -> str:
-    """Rewrite one document's doc_id in place, so the log keeps its committed length."""
+    """Rewrite one document's doc_id in place, so the log keeps its committed
+    length, and commit it, as a writer that wrote it would have."""
     path = store / "documents" / "documents.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     doc_id = json.loads(lines[line])["doc_id"]
@@ -254,6 +257,7 @@ def rename_document(store: Path, line: int) -> str:
     renamed = doc_id[:-1] + ("1" if doc_id.endswith("0") else "0")
     lines[line] = lines[line].replace(field(doc_id).encode(), field(renamed).encode())
     path.write_bytes(b"".join(lines))
+    commit_as_it_stands(store)
     return doc_id
 
 
@@ -263,10 +267,7 @@ def repeat_first_line(store: Path, log: str) -> bytes:
     first = path.read_bytes().splitlines(keepends=True)[0]
     with path.open("ab") as handle:
         handle.write(first)
-    maker = store / "cards" / "maker.json"
-    state = json.loads(maker.read_text(encoding="utf-8"))
-    state["logs"][log] = path.stat().st_size
-    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    commit_as_it_stands(store)
     return first
 
 
@@ -318,7 +319,8 @@ def test_store_check_reports_a_card_index_that_the_ledger_does_not_give(fixture_
 
 
 def test_a_passthrough_line_whose_note_is_missing_dangles(fixture_store, capsys):
-    # A passthrough line's note id rewritten in place: the log keeps its committed length.
+    # A passthrough line's note id rewritten in place and committed, as a
+    # writer that wrote it would have: the log keeps its committed length.
     path = fixture_store / "refined" / "refined.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     record = json.loads(lines[0])
@@ -327,6 +329,7 @@ def test_a_passthrough_line_whose_note_is_missing_dangles(fixture_store, capsys)
     field = '"note_id":"{}"'.format
     lines[0] = lines[0].replace(field(note_id).encode(), field(missing).encode())
     path.write_bytes(b"".join(lines))
+    commit_as_it_stands(fixture_store)
     finding = f"refined {refined_id} -> missing note {missing}"
     capsys.readouterr()
     assert run_cli("card", "show", CARD, "--store", fixture_store, "--audit") == 1
@@ -347,10 +350,7 @@ def test_passthrough_lines_that_hold_their_notes_exit_two_naming_the_line(fixtur
     for record in records:
         record["note"] = notes_by_id[record.pop("note_id")]
     path.write_text("".join(encoding.canonical_json(r) + "\n" for r in records), encoding="utf-8")
-    maker = fixture_store / "cards" / "maker.json"
-    state = json.loads(maker.read_text(encoding="utf-8"))
-    state["logs"]["refined/refined.jsonl"] = path.stat().st_size
-    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    commit_as_it_stands(fixture_store, digests=False)  # committed before digests too
     before = store_bytes(fixture_store)
     capsys.readouterr()
     for command in (("card", "show", CARD), ("card", "show", CARD, "--audit"), ("store", "check"),
@@ -386,24 +386,24 @@ def test_chunk_and_refined_lines_in_the_earlier_shape_read_as_before(
     }
     assert "annotations" in earlier[chunks_log][0] and "signature" not in earlier[chunks_log][0]
     assert (held_keys <= set(earlier[chunks_log][0])) == id_parts
+    for path, records in earlier.items():
+        path.write_text("".join(encoding.canonical_json(r) + "\n" for r in records), encoding="utf-8")
+    # Committed before the store kept its ontology (no copy, and no annotator
+    # version) and before a commit held digests.
     maker = fixture_store / "cards" / "maker.json"
     state = json.loads(maker.read_text(encoding="utf-8"))
-    for path, records in earlier.items():
-        lines = "".join(encoding.canonical_json(r) + "\n" for r in records)
-        path.write_text(lines, encoding="utf-8")
-        state["logs"][f"{path.parent.name}/{path.name}"] = path.stat().st_size
-    # Committed before the store kept its ontology: no copy, and no annotator version.
     kept = fixture_store / "ontology.json"
     kept.unlink()
     for key in ("annotator", "stored_ontology_sha256"):
         del state["manifest"][key]
     maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    commit_as_it_stands(fixture_store, digests=False)
     assert run_cli("card", "show", CARD, "--audit", "--json", "--store", fixture_store) == 0
     assert capsys.readouterr().out == shown
     assert run_cli("store", "check", "--store", fixture_store) == 0
     assert capsys.readouterr().out == "(1 cards, 0 dangling)\n"
-    # A run on top keeps the ontology once, adopts the annotator version, and
-    # appends lines in the current shape after the earlier ones.
+    # A run on top keeps the ontology once, adopts the annotator version and
+    # the digests, and appends lines in the current shape after the earlier ones.
     written = []
     write_json = pipeline.write_json
     monkeypatch.setattr(pipeline, "write_json", lambda path, value: (written.append(path),
@@ -417,7 +417,11 @@ def test_chunk_and_refined_lines_in_the_earlier_shape_read_as_before(
         assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", corpus,
                        "--store", fixture_store) == 0
     assert written == [kept]
-    manifest = json.loads(maker.read_text(encoding="utf-8"))["manifest"]
+    committed = json.loads(maker.read_text(encoding="utf-8"))
+    assert committed["digests"] == {
+        name: hashlib.sha256((fixture_store / name).read_bytes()).hexdigest() for name in LOGS
+    }
+    manifest = committed["manifest"]
     assert manifest["annotator"] == 1
     assert manifest["stored_ontology_sha256"] == hashlib.sha256(kept.read_bytes()).hexdigest()
     appended = {path: path.read_bytes()[len(held[path]):].splitlines() for path in earlier}
@@ -439,7 +443,7 @@ def test_store_check_reports_a_chunk_line_that_annotating_its_document_again_doe
     fixture_store, capsys
 ):
     # One canonical id in the first line's signature rewritten in place, as
-    # valid JSON: the log keeps its committed length.
+    # valid JSON, and committed: the log keeps its committed length.
     path = fixture_store / "chunks" / "chunks.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     record = json.loads(lines[0])
@@ -448,6 +452,7 @@ def test_store_check_reports_a_chunk_line_that_annotating_its_document_again_doe
     lines[0] = lines[0].replace(f'[["{canonical_id}",'.encode(), f'[["{changed}",'.encode())
     assert json.loads(lines[0])["signature"][0][0] == changed
     path.write_bytes(b"".join(lines))
+    commit_as_it_stands(fixture_store)
     doc_id = record["chunk_id"].rpartition("#")[0]
     finding = f"chunk {record['chunk_id']}: annotating document {doc_id} again gives another signature"
     capsys.readouterr()
@@ -879,10 +884,20 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
 
         return read
 
+    def recording_log(read_log):
+        def read(log, *args, **kwargs):
+            decoded.append((str(log.path.relative_to(fixture_store)), log.end))
+            return read_log(log, *args, **kwargs)
+
+        return read
+
     for module in (ingest, organize, notes, refine, cards, pipeline, cli):
-        for name in ("read_json", "read_jsonl", "read_jsonl_index"):
+        for name in ("read_json", "read_jsonl"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
+    # A store reads a log through one of these once; a fallback to decoding reads it again.
+    for name in ("index", "records"):
+        monkeypatch.setattr(encoding.Log, name, recording_log(getattr(encoding.Log, name)))
     assert run_cli(*command, "--store", fixture_store) == 0
     expected = [("cards/maker.json",)]
     expected += [(name, committed[name]) if name in committed else (name,) for name in logs]
@@ -949,6 +964,80 @@ def test_undecodable_log_line_exits_two_naming_file_and_line(fixture_store, caps
         assert f"{path}: line {number} does not decode" in capsys.readouterr().err
 
 
+def change_a_byte_near_the_end(path: Path) -> bytes:
+    """Change the last lowercase letter or digit of the first line of *path*,
+    one inside a string near the line's end, to another of its kind: the line
+    keeps its length, its id prefix and its decoding. Returns the new line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    first = bytearray(lines[0])
+    at = max(i for i, byte in enumerate(first) if chr(byte).isdigit() or chr(byte).islower())
+    assert at > len(first) - 12
+    first[at] = ord("0" if first[at] == ord("1") else "1") if chr(first[at]).isdigit() else (
+        ord("a" if first[at] == ord("b") else "b"))
+    lines[0] = bytes(first)
+    json.loads(lines[0])  # still decodes
+    path.write_bytes(b"".join(lines))
+    return lines[0]
+
+
+@pytest.mark.parametrize("log", LOGS)
+def test_a_changed_byte_in_a_committed_line_that_still_decodes_exits_two_naming_the_log(
+    fixture_store, capsys, log
+):
+    path = fixture_store / log
+    change_a_byte_near_the_end(path)
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    message = f"error: {path}: its committed bytes differ from the sha256 the last commit recorded\n"
+    commands = [["run", "--config", FIXTURES / "jobs_config.json"], ["store", "check"],
+                ["card", "show", CARD], ["card", "show", CARD, "--audit"]]
+    if log == "documents/documents.jsonl":  # the one log ingest reads
+        commands.append(["ingest", "--config", FIXTURES / "jobs_config.json"])
+    for command in commands:
+        assert run_cli(*command, "--store", fixture_store) == 2
+        assert capsys.readouterr().err == message
+    assert store_bytes(fixture_store) == before
+
+
+def without_digests(store: Path) -> None:
+    """Drop the digests from the commit of *store*, as a store committed before them has none."""
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    del state["digests"]
+    maker.write_text(json.dumps(state, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_a_store_committed_without_digests_adopts_them_and_reruns_as_one_that_has_them(
+    tmp_path, capsys
+):
+    head, tail = tmp_path / "head.jsonl", tmp_path / "tail.jsonl"
+    lines = (FIXTURES / "jobs_corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    head.write_text("".join(lines[:12]), encoding="utf-8")
+    tail.write_text("".join(lines[12:]), encoding="utf-8")
+    stores = {name: tmp_path / name for name in ("with", "without")}
+    for store in stores.values():
+        assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", head,
+                       "--store", store) == 0
+    without_digests(stores["without"])
+    capsys.readouterr()
+    assert run_cli("store", "check", "--store", stores["without"]) == 0
+    for store in stores.values():
+        assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--corpus", head,
+                       "--corpus", tail, "--store", store) == 0
+    assert store_bytes(stores["without"]) == store_bytes(stores["with"])
+    digests = json.loads((stores["with"] / "cards" / "maker.json").read_text())["digests"]
+    assert digests == {
+        name: hashlib.sha256((stores["with"] / name).read_bytes()).hexdigest() for name in LOGS
+    }
+    # Such a store is trusted only once every committed line decodes.
+    without_digests(stores["without"])
+    damage_in_place(stores["without"] / "notes" / "notes.jsonl")
+    capsys.readouterr()
+    assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store",
+                   stores["without"]) == 2
+    assert "notes.jsonl: line 20 does not decode" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("log", LOGS)
 def test_writer_cuts_an_undecodable_line_past_the_commit(fixture_store, capsys, log):
     path = fixture_store / log
@@ -992,6 +1081,7 @@ def test_a_line_that_is_not_a_record_exits_two_naming_file_and_line(
         outputs[command] = capsys.readouterr().out
     path = fixture_store / log
     drop_field(path, field)
+    commit_as_it_stands(fixture_store)  # as a writer that wrote the line would have
     before = store_bytes(fixture_store)
     for command in READ_ONLY_COMMANDS:
         # A command that decodes the line exits 2; one that does not is unchanged.
@@ -1011,6 +1101,7 @@ def test_a_line_that_is_not_a_record_exits_two_naming_file_and_line(
 def test_a_chunk_without_its_subject_fails_drill_down_and_store_check(fixture_store, capsys):
     path = fixture_store / "chunks" / "chunks.jsonl"
     drop_field(path, "subject")
+    commit_as_it_stands(fixture_store)  # as a writer that wrote the line would have
     capsys.readouterr()
     for command in (("store", "check"), ("card", "show", CARD), ("card", "show", CARD, "--audit")):
         assert run_cli(*command, "--store", fixture_store) == 2
@@ -1064,7 +1155,7 @@ def test_damage_in_a_store_a_command_does_not_read_is_left_to_store_check(
 def test_store_check_exits_two_on_a_line_that_holds_another_id_than_it_reads(
     fixture_store, capsys
 ):
-    # The scan reads the first doc_id of the line, json.loads keeps the last,
+    # The index takes the first doc_id of the line, json.loads keeps the last,
     # so only a command that decodes the line can tell.
     path = fixture_store / "documents" / "documents.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
@@ -1074,6 +1165,7 @@ def test_store_check_exits_two_on_a_line_that_holds_another_id_than_it_reads(
     line = (encoding.canonical_json(record)[:-1] + second + "\n").encode("ascii")
     assert line.startswith(b'{"doc_id":"' + doc_id.encode("ascii")) and len(line) == len(lines[0])
     path.write_bytes(b"".join([line, *lines[1:]]))
+    commit_as_it_stands(fixture_store)  # as a writer that wrote the line would have
     before = store_bytes(fixture_store)
     assert run_cli("run", "--config", FIXTURES / "jobs_config.json", "--store", fixture_store) == 0
     capsys.readouterr()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -124,7 +125,12 @@ def store(tmp_path):
 def test_a_run_commits_the_length_of_every_log(store):
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
     assert maker["logs"] == {name: (store / name).stat().st_size for name in LOGS}
+    assert maker["digests"] == {name: sha256_of(store / name) for name in LOGS}
     assert cut_to_commit(store)[2] == []
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes() if path.exists() else b"").hexdigest()
 
 
 def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
@@ -132,8 +138,9 @@ def test_a_new_store_commits_its_empty_logs_before_any_append(tmp_path):
     assert cut_to_commit(store)[2] == []
     maker = json.loads((store / "cards" / "maker.json").read_text(encoding="utf-8"))
     assert maker == {
-        "annotated": 0, "cards": {}, "closed": [], "corpora": {}, "logs": dict.fromkeys(LOGS, 0),
-        "manifest": None,
+        "annotated": 0, "cards": {}, "closed": [], "corpora": {},
+        "digests": dict.fromkeys(LOGS, sha256_of(store / "nothing")),
+        "logs": dict.fromkeys(LOGS, 0), "manifest": None,
     }
     assert not any((store / name).exists() for name in LOGS)
 
@@ -149,8 +156,10 @@ def test_ingest_commits_the_documents_and_leaves_annotation_where_it_was(tmp_pat
     consumed = {"length": corpus.stat().st_size, "accepted": 20, "rejected": 0, "mask": None,
                 "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
     corpora = {os.path.abspath(corpus): consumed}
+    digests = {name: sha256_of(store / name) for name in LOGS}
     assert maker == {
-        "annotated": 0, "cards": {}, "closed": [], "corpora": corpora, "logs": logs, "manifest": None
+        "annotated": 0, "cards": {}, "closed": [], "corpora": corpora, "digests": digests,
+        "logs": logs, "manifest": None,
     }
     assert sorted(path.name for path in documents.parent.iterdir()) == ["documents.jsonl"]
     assert run_cli(*WRITERS[0], "--store", store) == 0

@@ -1,23 +1,29 @@
-"""Opening a store reads each line's id from its canonical bytes.
+"""Opening a store takes each line's id from its canonical bytes.
 
-The scan must give exactly the index that decoding every line gives, and
-it must read ids only where the store format lets it: the tests below
-pin both, so a schema change that breaks the scan fails here instead of
-indexing the wrong id.
+A store reads each log once, checking it against the digest its commit
+recorded, and takes what it indexes from bytes the digest vouches for with
+one regex pass per block. That pass must give exactly the index that
+decoding every line gives, and read ids only where the store format lets it:
+the tests below pin both, so a schema change that breaks a scan fails here
+instead of indexing the wrong id.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from notecards import encoding, ingest, notes, organize, refine
+from notecards.cards import read_commit
 from notecards.cli import main as cli_main
-from notecards.encoding import canonical_json, id_string
+from notecards.encoding import Log, canonical_json, scan_ids
 from notecards.notes import NoteStore
 from notecards.pipeline import PipelineConfig, Stores, run_pipeline
 from notecards.refine import RefinedNoteStore, refine_notes
@@ -25,64 +31,89 @@ from notecards.refine import RefinedNoteStore, refine_notes
 from conftest import FIXTURES, make_note, passthrough, utc
 from test_pipeline import NOWS, PINNED, Corpora, many_subjects_corpus, record_pool
 
-INDEXED = (ingest, notes, organize, refine)
+
+def vouched(path: Path) -> Log:
+    """*path* as a commit that recorded its whole length and digest opens it."""
+    data = path.read_bytes()
+    return Log(path, len(data), hashlib.sha256(data).hexdigest())
 
 
-def test_id_string_reads_the_last_plain_string_of_a_key():
-    key = b'"note_id":"'
-    assert id_string(b'{"a":{"note_id":"x"},"note_id":"n-1","z":[1]}\n', key) == "n-1"
-    assert id_string(b'{"a":{"note_id":"x"},"note_id":"n-1"}\n', key, end=20) == "x"
-    assert id_string(b'{"note_id":"n-1"}\n', b'{"doc_id":"') is None
-    assert id_string(b'{"note_id":7}\n', key) is None  # not a string
-    assert id_string(b'{"note_id":"n\\u00e9"}\n', key) is None  # an escape
-    assert id_string('{"note_id":"né"}\n'.encode("utf-8"), key) is None  # not canonical
-    assert id_string(b'{"note_id":"n-1\n', key) is None  # no closing quote
+def scan_of(pattern, lines: list[bytes]) -> list | None:
+    return scan_ids(pattern, b"".join(lines).decode("latin-1"))
 
 
-def test_a_line_whose_scan_fails_is_decoded_and_named(tmp_path):
-    log = tmp_path / "log.jsonl"
-    log.write_bytes(b'{"id":"a"}\n{"id":7}\n')
-    scan = lambda line: id_string(line, b'"id":"')  # noqa: E731
-    index = encoding.read_jsonl_index(log, None, scan=scan, build=lambda raw: raw["id"])
-    assert list(index) == [(0, "a"), (11, 7)]
+def test_each_scan_reads_the_top_level_id_of_each_line():
+    document = canonical_json({"doc_id": "d-1", "meta": {"doc_id": "z"}, "text": '{"doc_id":"q"'})
+    chunk = canonical_json({"annotations": [{"kind": "k"}], "chunk_id": "c#0", "subject": "s"})
+    note = canonical_json({"attributes": {"note_id": "x"}, "note_id": "n-1", "place": None})
+    lines = [line.encode("ascii") + b"\n" for line in (document, chunk, note)]
+    assert scan_of(ingest._DOCUMENT_ID, lines[:1] * 2) == ["d-1", "d-1"]
+    assert scan_of(organize._CHUNK_ID, lines[1:2]) == ["c#0"]
+    assert scan_of(notes._NOTE_ID, lines[2:] * 2) == ["n-1", "n-1"]
+    # A line that holds no plain id sends the log to decoding.
+    assert scan_of(notes._NOTE_ID, lines[2:] + [b'{"note_id":7}\n']) is None
+    assert scan_of(notes._NOTE_ID, [b'{"note_id":"n\\u00e9"}\n'] + lines[2:]) is None
+
+
+def test_a_log_whose_scan_or_digest_does_not_hold_is_decoded_and_named(tmp_path):
+    log = tmp_path / "notes.jsonl"
+    log.write_bytes(b'{"note_id":"a"}\n{"note_id":7}\n')
+    build = lambda raw: raw["note_id"]  # noqa: E731
+    scan = partial(scan_ids, notes._NOTE_ID)
+    # The scan misses the second line, so every line is decoded instead.
+    read = vouched(log)
+    assert read.index(scan, build) == ["a", 7] and read.offsets() == [0, 16]
+    good = vouched(log)
+    log.write_bytes(b'{"note_id":"b"}\n{"note_id":7}\n')  # same length, other bytes
+    with pytest.raises(encoding.StoreFormatError, match="its committed bytes differ from the sha256"):
+        good.index(scan, build)
+    log.write_bytes(b'{"note_id":"a"}\n{"note_id":\n\n')
     with pytest.raises(encoding.StoreFormatError, match="line 2 does not decode"):
-        log.write_bytes(b'{"id":"a"}\n{"id":\n')
-        list(encoding.read_jsonl_index(log, None, scan=scan, build=None))
+        good.index(scan, build)
 
 
 def decoding_every_line(patch) -> None:
-    """Make every store index its logs by decoding each line, as before the scan."""
-
-    def decoded(path, end, scan, build):
-        return encoding.read_jsonl_index(path, end, scan=lambda line: None, build=build)
-
-    for module in INDEXED:
-        patch.setattr(module, "read_jsonl_index", decoded)
+    """Make every store index its logs by decoding each line, as without a digest."""
+    patch.setattr(Log, "index", lambda self, scan, build, offsets=False: self.records(build))
 
 
-def index_of(stores: Stores) -> dict:
-    """What a writer keeps of each log at open, in log order."""
+def index_of(stores) -> dict:
+    """What the stores keep of each log, in log order."""
     return {
-        "documents": list(stores.text._offsets.items()),
-        "chunks": list(stores.organizer._offsets.items()),
+        "documents": list(stores.text._lines.offsets().items()),
+        "chunks": list(stores.organizer._lines.offsets().items()),
         "unreleased": list(stores.organizer._unreleased.items()),
-        "notes": list(stores.notes._offsets.items()),
-        "refined": list(stores.refined._offsets.items()),
+        "notes": list(stores.notes._index().offsets().items()),
+        "refined": list(stores.refined._index().offsets().items()),
         "processed": stores.refined.processed_note_ids(),
     }
 
 
-def counting_scan_misses(patch, misses: Counter) -> None:
-    def counted(path, end, scan, build):
-        def scanning(line):
-            value = scan(line)
-            misses[Path(path).name] += value is None
-            return value
+def opened_to_write(root: Path) -> SimpleNamespace:
+    """The stores as ``run`` opens them, which read their offsets when first needed."""
+    _, logs = read_commit(root)
+    notes_store = NoteStore(root / "notes", logs["notes/notes.jsonl"], index=False)
+    return SimpleNamespace(
+        text=ingest.TextStore(root / "documents", logs["documents/documents.jsonl"], index=False),
+        organizer=organize.OrganizerStore(
+            root / "chunks", chunks_log=logs["chunks/chunks.jsonl"],
+            released_log=logs["chunks/released.jsonl"], index=False,
+        ),
+        notes=notes_store,
+        refined=RefinedNoteStore(root / "refined", notes_store, logs["refined/refined.jsonl"],
+                                 index=False),
+    )
 
-        return encoding.read_jsonl_index(path, end, scan=scanning, build=build)
 
-    for module in INDEXED:
-        patch.setattr(module, "read_jsonl_index", counted)
+def counting_decoded_logs(patch, decoded: Counter) -> None:
+    """Count the logs each store indexes by decoding every line."""
+    records = Log.records
+
+    def counted(self, build):
+        decoded[self.path.name] += 1
+        return records(self, build)
+
+    patch.setattr(Log, "records", counted)
 
 
 def alcohol_with_a_total(root: Path) -> tuple[Path, list[str]]:
@@ -123,7 +154,7 @@ def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
     for name in ("a", "b"):
         keys.append(tmp_path / f"{name}.key")
         keys[-1].write_bytes(name.encode("ascii") * 32)
-    misses: Counter = Counter()
+    decoded_logs: Counter = Counter()
     merged = 0  # refined lines that are not passthrough lines, over every scanned open
     for seed in range(16):
         rng = random.Random(seed)
@@ -141,19 +172,20 @@ def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
             argv += ["--mask-key-file", str(key)] if key else []
             assert cli_main(argv) == 0
             with monkeypatch.context() as patch:
-                counting_scan_misses(patch, misses)
+                counting_decoded_logs(patch, decoded_logs)
                 scanned = index_of(Stores(config))
+                assert index_of(opened_to_write(config.store_root)) == scanned
             refined = config.store_root / "refined" / "refined.jsonl"
             lines = refined.read_bytes().splitlines() if refined.exists() else []
-            merged += sum(not line.startswith(refine._PASSTHROUGH) for line in lines)
+            merged += sum(b'"passthrough":false' in line for line in lines)
             with monkeypatch.context() as patch:
                 decoding_every_line(patch)
                 decoded = index_of(Stores(config))
             assert scanned == decoded, (seed, now)
     capsys.readouterr()
-    # Every document, chunk, note and passthrough line scans; a merged refined line does not.
-    assert set(+misses) <= {"refined.jsonl"}
-    assert misses["refined.jsonl"] == merged
+    # Every document, chunk, note and refined log scans; only the logs that
+    # are always decoded are, and the scan decodes the merged refined lines.
+    assert set(decoded_logs) <= {"released.jsonl", "log.jsonl"}
     assert (merged > 0) == (domain == "alcohol")
 
 
@@ -169,9 +201,10 @@ def test_an_attribute_named_like_an_id_key_is_not_read_as_the_id(tmp_path):
         "applied_rules": [], "note_id": decoy.note_id, "passthrough": True,
         "refined_id": passthrough(decoy).refined_id,
     }).encode("ascii") + b"\n"
-    assert NoteStore(notes_root)._offsets == {decoy.note_id: 0}
-    reopened = RefinedNoteStore(refined_root, NoteStore(notes_root))
-    assert reopened._offsets == {passthrough(decoy).refined_id: 0}
+    reopened_notes = NoteStore(notes_root, vouched(notes_root / "notes.jsonl"))
+    assert reopened_notes._index().offsets() == {decoy.note_id: 0}
+    reopened = RefinedNoteStore(refined_root, reopened_notes, vouched(refined_root / "refined.jsonl"))
+    assert reopened._index().offsets() == {passthrough(decoy).refined_id: 0}
     assert reopened.processed_note_ids() == {decoy.note_id}
     assert reopened.get(passthrough(decoy).refined_id) == passthrough(decoy)
 
@@ -186,13 +219,15 @@ def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec)
     assert not merged.passthrough
     RefinedNoteStore(tmp_path, NoteStore(tmp_path)).add_all([merged])
     line = (tmp_path / "refined.jsonl").read_bytes()
-    assert refine._scan_refined(line) is None
+    inputs = tuple(sorted(note.note_id for note in notes_in))
+    assert refine._scan_refined(line.decode("ascii")) == [(merged.refined_id, inputs)]
+    assert refine._scan_inputs(line.decode("ascii")) == [inputs]
     # It holds its merged note, and all refined_to_dict gives but the unread schema_version.
     expected = refine.refined_to_dict(merged)
     assert expected.pop("schema_version") == 1
     assert json.loads(line) == expected
-    reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
-    assert reopened._offsets == {merged.refined_id: 0}
+    reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path), vouched(tmp_path / "refined.jsonl"))
+    assert reopened._index().offsets() == {merged.refined_id: 0}
     assert reopened.processed_note_ids() == {note.note_id for note in notes_in}
 
 
@@ -271,11 +306,13 @@ def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
                 elif record["passthrough"]:  # the scan reads the whole line
                     assert list(record) == ["applied_rules", "note_id", "passthrough", "refined_id"]
                     assert record["applied_rules"] == [] and not holds_object(list(record.values()))
-                    assert line.startswith(refine._PASSTHROUGH)
+                    found = refine._REFINED_LINE.findall("\n" + line.decode("ascii") + "\n")
+                    assert found[0] == (record["note_id"], record["refined_id"], "")
                     seen["passthrough"] += 1
-                else:  # decoded, never scanned
+                else:  # the scan decodes it
                     assert record["applied_rules"] and "note" in record
-                    assert refine._scan_refined(line + b"\n") is None
+                    found = refine._REFINED_LINE.findall("\n" + line.decode("ascii") + "\n")
+                    assert found[0] == ("", "", line.decode("ascii"))
                     seen["merged"] += 1
                 seen[name] += 1
     assert seen["merged"] and seen["passthrough"] and len(seen) == 6

@@ -304,7 +304,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
     # the announced card ids, neither of which decides anything.
     older = tmp_path / "older" / "cards" / "maker.json"
     state = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(state) == ["annotated", "cards", "closed", "corpora", "logs", "manifest"]
+    assert sorted(state) == ["annotated", "cards", "closed", "corpora", "digests", "logs", "manifest"]
     [slot] = state["cards"]
     encoding.write_json(older, dict(state, generations={slot: 1}, announced=[]))
 
@@ -312,7 +312,7 @@ def test_maker_state_with_older_keys_reruns_to_the_same_store(tmp_path):
         assert run_pipeline(jobs_config(tmp_path / name)).cards_committed == 1
     assert store_bytes(tmp_path / "older") == store_bytes(tmp_path / "current")
     rewritten = json.loads(older.read_text(encoding="utf-8"))
-    assert sorted(rewritten) == ["annotated", "cards", "closed", "corpora", "logs", "manifest"]
+    assert sorted(rewritten) == ["annotated", "cards", "closed", "corpora", "digests", "logs", "manifest"]
     assert rewritten["closed"] == [slot]
 
 
