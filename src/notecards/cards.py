@@ -461,8 +461,7 @@ class CardLedger:
         self.index_path = self.root / "index.json"
         self._cards: dict[str, Card] = {}
         self._offsets: dict[str, int] = {}  # card id -> offset of its latest snapshot line
-        log = log or Log(self.log_path)
-        for card, offset in zip(log.records(_snapshot), log.offsets()):
+        for card, offset in zip(*(log or Log(self.log_path)).index(None, _snapshot)):
             if card is not None:
                 self._cards[card.card_id] = card
                 self._offsets[card.card_id] = offset

@@ -244,7 +244,7 @@ def cmd_ingest(args) -> int:
         maker = CardMaker(root / "cards", state, logs)
         summary = ingest_corpus(
             config.corpus_paths,
-            TextStore(root / "documents", logs["documents/documents.jsonl"], index=False),
+            TextStore(root / "documents", logs["documents/documents.jsonl"]),
             clock,
             mask_key=mask_key,
             mask_aliases=config.mask_aliases or None,

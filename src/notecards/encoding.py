@@ -30,9 +30,9 @@ import hashlib
 import json
 import os
 import re
-from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class PipelineError(Exception):
@@ -171,60 +171,64 @@ class Log:
         self.lines = 0  # committed lines, once read
         # sha256 of the committed bytes, once checked; an empty log needs no read.
         self._hasher = hashlib.sha256() if end == 0 else None
-        self._offsets: list[int] | None = None  # of each committed line, once read
 
     def check(self) -> None:
         """Read the committed bytes and check them; what they hold is not kept."""
-        self.index(None, _nothing)
-        self._offsets = None
+        if self.digest is None or self._scan(None) is None:
+            self._decoded(_nothing)
 
     def index(
-        self,
-        scan: Callable[[str], list | None] | None,
+        self, scan: Callable[[str], tuple[list, list[int]] | None] | None,
         build: Callable[[Any], Any],
-        offsets: bool = False,
-    ) -> list:
-        """A value for each committed line, and with *offsets*, each line's
-        offset (:meth:`offsets`) from the same read.
+    ) -> tuple[list, list[int]]:
+        """A value for each committed line, and the offset of each line, from one read.
 
-        When the digest vouches for the bytes, ``scan(text)`` gives the values
-        of the lines of each block, *text*: one for each line, in log order
-        unless the scan says otherwise, or None if a line is not one it reads.
-        A scan is a regex pass that decodes no line but those it decodes
-        itself. Otherwise, or if a scan fails, every line is decoded instead,
-        and its value is ``build(record)``, as :meth:`records`.
+        When the digest vouches for the bytes, ``scan(text)`` reads the lines
+        of each block, *text*: it gives the value of each line, in log order
+        unless the scan says otherwise, and the offset in *text* at which
+        each line starts, or None if a line is not one it reads. A scan is a
+        regex pass that decodes no line but those it decodes itself. Without
+        a scan or a digest, or if a scan fails, every line is decoded
+        instead, and its value is ``build(record)``, as :meth:`records`.
         """
-        found = None if self.digest is None else self._scan(scan, offsets)
-        return self.records(build) if found is None else found
+        found = None if scan is None or self.digest is None else self._scan(scan)
+        return self._decoded(build) if found is None else found
 
-    def _scan(self, scan: Callable[[str], list | None] | None, offsets: bool) -> list | None:
+    def _scan(
+        self, scan: Callable[[str], tuple[list, list[int]] | None] | None
+    ) -> tuple[list, list[int]] | None:
+        """What :meth:`index` gives from bytes the digest vouches for, or None;
+        without a scan, only a check, which counts the lines and keeps nothing."""
         hasher, found, starts, lines, length = hashlib.sha256(), [], [], 0, 0
         for offset, block in self._blocks():
             hasher.update(block)
             if scan is None:
                 lines += block.count(b"\n")
             else:
-                try:
-                    values = scan(block.decode("latin-1"))
+                try:  # no canonical line holds a byte that is not ASCII
+                    read = scan(block.decode("ascii"))
                 except (KeyError, IndexError, TypeError, ValueError, AttributeError):
-                    values = None  # a line it decodes is not a record: decoding names it
-                if values is None:
+                    # Not ASCII, or a line the scan decodes is not a record:
+                    # decoding reads the one, and names the other.
+                    read = None
+                if read is None or len(read[1]) != block.count(b"\n"):
                     return None
-                found += values
-            if offsets:
-                starts += _starts(block, offset)
+                found += read[0]
+                starts += map(offset.__add__, read[1])
             length = offset + len(block)
         if hasher.hexdigest() != self.digest:
             return None
         self._hasher, self.end = hasher, length
-        self.lines = lines if scan is None else len(found)
-        self._offsets = starts if offsets else None
-        return found
+        self.lines = lines if scan is None else len(starts)
+        return found, starts
 
     def records(self, build: Callable[[Any], Any]) -> list:
         """``build(record)`` of each committed line, in log order, every line
         decoded; a line that does not decode or build raises, naming the file
         and the line, as do bytes that differ from the digest."""
+        return self._decoded(build)[0]
+
+    def _decoded(self, build: Callable[[Any], Any]) -> tuple[list, list[int]]:
         hasher, found, starts, length = hashlib.sha256(), [], [], 0
         for number, offset, line in _lines(self.path, self.end):
             hasher.update(line)
@@ -235,17 +239,8 @@ class Log:
             raise StoreFormatError(
                 f"{self.path}: its committed bytes differ from the sha256 the last commit recorded"
             )
-        self._hasher, self.lines, self.end, self._offsets = hasher, len(found), length, starts
-        return found
-
-    def offsets(self) -> list[int]:
-        """The offset of each committed line, in log order: those the read
-        kept, which it hands over once, or else from reading the bytes it
-        checked again."""
-        offsets, self._offsets = self._offsets, None
-        if offsets is None:
-            offsets = [o for offset, block in self._blocks() for o in _starts(block, offset)]
-        return offsets
+        self._hasher, self.lines, self.end = hasher, len(found), length
+        return found, starts
 
     def _blocks(self) -> Iterator[tuple[int, bytes]]:
         """The committed bytes in blocks that each end a line, with their
@@ -293,73 +288,28 @@ class Log:
         return size, hasher.hexdigest()
 
 
-class LineIndex:
-    """Where the line of each id is in a log: for the committed lines, whose
-    ids (*ids*, in log order) a read of *log* gave, the offsets that read
-    kept, or a second read gives when first asked for; then the lines
-    appended since, in log order."""
-
-    def __init__(self, log: Log, ids: list[str]):
-        self._log = log
-        self._ids: list[str] | None = ids  # until paired with their offsets
-        self._members: set[str] | None = None
-        self._appended: dict[str, int] = {}
-        self._offsets: dict[str, int] | None = None
-        if log._offsets is None:
-            self._members = set(ids)
-        else:  # the read kept them
-            self.offsets()
-
-    def __contains__(self, ident: str) -> bool:
-        return ident in (self._members if self._offsets is None else self._offsets)
-
-    def __len__(self) -> int:
-        return len(self._members if self._offsets is None else self._offsets)
-
-    def offsets(self) -> dict[str, int]:
-        """Each id and the offset of its line, in log order; of two lines
-        that hold one id, the later."""
-        if self._offsets is None:
-            self._offsets = dict(zip(self._ids, self._log.offsets()))
-            self._offsets.update(self._appended)
-            self._ids = self._members = None
-        return self._offsets
-
-    def add(self, ids: Iterable[str], offsets: Iterable[int]) -> None:
-        """Index lines appended past the commit."""
-        added = dict(zip(ids, offsets))
-        if self._offsets is None:
-            self._members.update(added)
-            self._appended.update(added)
-        else:
-            self._offsets.update(added)
-
-
 def _nothing(record: Any) -> None:
     return None
 
 
-def scan_ids(pattern: re.Pattern, text: str) -> list[str] | None:
-    """The id *pattern* reads in each line of *text*, whole lines, or None if
-    a line does not give one. *pattern* matches at each line break, and its
-    one group is the id in the line that follows, read up to its closing quote."""
-    ids = pattern.findall("\n" + text)
-    ids.pop()  # the break that ends the last line, which starts none
-    return ids if "" not in ids and plain(ids) else None
+def scan_ids(pattern: re.Pattern, text: str) -> tuple[list[str], list[int]] | None:
+    """The id *pattern* reads in each line of *text*, whole lines, and where
+    each line starts, or None if an id is not plain. *pattern* matches at
+    the line break before a line whose id it reads, and its one group is
+    that id, read up to its closing quote. A line it does not match gives
+    no id, which :meth:`Log.index` finds as fewer ids than lines."""
+    matches = list(pattern.finditer("\n" + text))
+    ids = list(map(itemgetter(1), matches))
+    # The place of the break in "\n" + text is that of the line in *text*.
+    return (ids, list(map(re.Match.start, matches))) if plain(ids) else None
 
 
-def plain(ids: list[str]) -> bool:
+def plain(ids: Sequence[str]) -> bool:
     """Whether each of *ids*, each read from a canonical line up to the next
     quote, is the whole string: none holds an escape, or a line break, which
     a read past a line's end would."""
     read = "".join(ids)
     return "\\" not in read and "\n" not in read
-
-
-def _starts(block: bytes, offset: int) -> list[int]:
-    """The offset of each line of *block*, whole lines starting at *offset*."""
-    lengths = map((1).__add__, map(len, block.split(b"\n")[:-1]))
-    return list(accumulate(lengths, initial=offset))[:-1]
 
 
 def commit_logs(logs: Iterable[Log]) -> list[tuple[int, str | None]]:

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 
 from .clock import Clock, format_instant, parse_instant
 from .encoding import PipelineError, append_jsonl, canonical_json
-from .encoding import LineIndex, Log, read_jsonl_at, record_id, scan_ids
+from .encoding import Log, read_jsonl_at, record_id, scan_ids
 
 MIN_MASK_KEY_BYTES = 16
 _MASK_TOKEN_HEX = 32  # fixed token length; 128 bits of keyed hash
@@ -196,9 +196,9 @@ def _document_to_dict(doc: Document) -> dict:
     }
 
 
-# At each line break, the id of the document line that follows, if one does:
-# doc_id is the first key of a document line.
-_DOCUMENT_ID = re.compile(r'\n(?:\{"doc_id":"([^"]*)"|)')
+# At the break before a document line, its id: doc_id is the first key of a
+# document line.
+_DOCUMENT_ID = re.compile(r'\n\{"doc_id":"([^"]*)"')
 
 
 def _document_from_dict(raw: dict) -> Document:
@@ -213,21 +213,19 @@ def _document_from_dict(raw: dict) -> Document:
 
 class TextStore:
     """Append-only document log, indexed by doc_id at open as committed
-    (*log*; the whole file without one). With *index* false, the offsets of
-    the committed lines are read only when first needed: ``run`` decodes
-    few committed documents, often none.
+    (*log*; the whole file without one).
 
     It keeps the documents it appends, so the run that ingested them reads
     them back from memory; only lines logged before the open are decoded.
     """
 
-    def __init__(self, root: Path, log: Log | None = None, index: bool = True):
+    def __init__(self, root: Path, log: Log | None = None):
         self.root = Path(root)
         self._path = self.root / "documents.jsonl"
         self._log = log or Log(self._path)
         scan = partial(scan_ids, _DOCUMENT_ID)
-        ids = self._log.index(scan, partial(record_id, name="doc_id"), offsets=index)
-        self._lines = LineIndex(self._log, ids)
+        ids, offsets = self._log.index(scan, partial(record_id, name="doc_id"))
+        self._lines = dict(zip(ids, offsets))  # doc_id -> the offset of its line
         self._appended: dict[str, Document] = {}  # since the open, in log order
 
     def __contains__(self, doc_id: str) -> bool:
@@ -250,12 +248,13 @@ class TextStore:
             else:
                 new[doc.doc_id] = doc
         if new:
-            self._lines.add(new, append_jsonl(self._path, map(_document_to_dict, new.values())))
+            offsets = append_jsonl(self._path, map(_document_to_dict, new.values()))
+            self._lines.update(zip(new, offsets))
             self._appended.update(new)
         return len(new), duplicates
 
     def get(self, doc_id: str) -> Document:
-        offset = self._lines.offsets().get(doc_id)
+        offset = self._lines.get(doc_id)
         if offset is None:
             raise IngestError(f"unknown doc_id {doc_id!r}")
         [document] = read_jsonl_at(self._path, [(doc_id, offset)], "doc_id", _document_from_dict)
@@ -265,14 +264,14 @@ class TextStore:
         """The documents from byte offset *start* of the log on, in ingestion order."""
         lines = []
         if start < self._log.end:  # some committed lines start past it
-            lines = [(doc_id, offset) for doc_id, offset in self._lines.offsets().items()
+            lines = [(doc_id, offset) for doc_id, offset in self._lines.items()
                      if offset >= start and doc_id not in self._appended]
         documents = list(read_jsonl_at(self._path, lines, "doc_id", _document_from_dict))
         # Appended past the commit, so after every committed line.
         if start <= self._log.end:
             return documents + list(self._appended.values())
-        offsets = self._lines.offsets()
-        return documents + [doc for doc_id, doc in self._appended.items() if offsets[doc_id] >= start]
+        return documents + [doc for doc_id, doc in self._appended.items()
+                            if self._lines[doc_id] >= start]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import chain
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Container, Iterable, Sequence
@@ -45,7 +46,7 @@ from typing import Container, Iterable, Sequence
 from .annotate import AnnotatedChunk, Annotation
 from .clock import format_instant, parse_instant
 from .durations import DEFAULT_WINDOW
-from .encoding import LineIndex, Log, append_jsonl, canonical_json, read_jsonl_at, record_id
+from .encoding import Log, append_jsonl, canonical_json, read_jsonl_at, record_id
 from .encoding import scan_ids
 
 WILDCARD_PLACE = "*"
@@ -268,15 +269,17 @@ def _check_storable(chunk: AnnotatedChunk) -> None:
         )
 
 
-# At each line break, the id of the chunk line that follows, if one does: the
-# first "chunk_id" key in it, which starts it or follows the annotations
-# that earlier lines held, none of which holds one.
-_CHUNK_ID = re.compile(r'\n(?:\{(?:"annotations":[^\n]*?)?"chunk_id":"([^"]*)"|)')
+# At the break before a chunk line, its id: the first "chunk_id" key in it,
+# which starts it or follows the annotations that earlier lines held, none
+# of which holds one.
+_CHUNK_ID = re.compile(r'\n\{(?:"annotations":[^\n]*?)?"chunk_id":"([^"]*)"')
 
 
 def _released_from_dict(raw: dict) -> dict[str, list[str]]:
-    if not isinstance(raw, dict) or not all(
-        isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in raw.values()
+    if not (
+        isinstance(raw, dict)
+        and {list}.issuperset(map(type, raw.values()))
+        and {str}.issuperset(map(type, chain.from_iterable(raw.values())))
     ):
         raise TypeError("not a map from group keys to released chunk ids")
     return raw
@@ -289,8 +292,6 @@ class OrganizerStore:
     mapping each released key to the chunk ids it released; replaying it
     gives every key's released chunk ids. Chunks are indexed by offset,
     and only the unreleased ones are kept decoded (see the module docstring).
-    With *index* false, the offsets of the committed chunk lines are read
-    only when first needed, as :class:`notecards.ingest.TextStore`'s.
     """
 
     def __init__(
@@ -301,7 +302,6 @@ class OrganizerStore:
         watermark: timedelta = DEFAULT_WATERMARK,
         chunks_log: Log | None = None,
         released_log: Log | None = None,
-        index: bool = True,
     ):
         self.root = Path(root)
         self.window_length = window_length
@@ -317,10 +317,10 @@ class OrganizerStore:
                 self._released[key] = sorted(seen + chunk_ids) if seen else chunk_ids
         chunks_log = chunks_log or Log(self._chunks_path)
         scan = partial(scan_ids, _CHUNK_ID)
-        ids = chunks_log.index(scan, partial(record_id, name="chunk_id"), offsets=index)
-        self._lines = LineIndex(chunks_log, ids)
+        ids, offsets = chunks_log.index(scan, partial(record_id, name="chunk_id"))
+        self._lines = dict(zip(ids, offsets))  # chunk_id -> the offset of its line
         unreleased = set(ids).difference(*self._released.values())
-        unreleased = [(c, offset) for c, offset in self._lines.offsets().items()
+        unreleased = [(c, offset) for c, offset in self._lines.items()
                       if c in unreleased] if unreleased else []
         self._unreleased: dict[str, AnnotatedChunk] = {  # in log order
             chunk.chunk_id: chunk
@@ -334,8 +334,7 @@ class OrganizerStore:
         return chunk_id in self._lines
 
     def _read(self, chunk_ids) -> list[AnnotatedChunk]:
-        offsets = self._lines.offsets()
-        lines = [(chunk_id, offsets[chunk_id]) for chunk_id in chunk_ids]
+        lines = [(chunk_id, self._lines[chunk_id]) for chunk_id in chunk_ids]
         return list(read_jsonl_at(self._chunks_path, lines, "chunk_id", chunk_from_dict))
 
     def get_chunk(self, chunk_id: str) -> AnnotatedChunk | None:
@@ -347,9 +346,8 @@ class OrganizerStore:
     def chunks(self) -> list[AnnotatedChunk]:
         """Every stored chunk, in log order: the unreleased ones as held, the
         rest each decoded from its line."""
-        offsets = self._lines.offsets()
-        read = iter(self._read(c for c in offsets if c not in self._unreleased))
-        return [self._unreleased.get(chunk_id) or next(read) for chunk_id in offsets]
+        read = iter(self._read(c for c in self._lines if c not in self._unreleased))
+        return [self._unreleased.get(chunk_id) or next(read) for chunk_id in self._lines]
 
     def unreleased(self) -> int:
         """How many stored chunks no released line names."""
@@ -364,7 +362,7 @@ class OrganizerStore:
         for chunk in new:
             _check_storable(chunk)
         offsets = append_jsonl(self._chunks_path, map(_stored_chunk, new))
-        self._lines.add((chunk.chunk_id for chunk in new), offsets)
+        self._lines.update(zip((chunk.chunk_id for chunk in new), offsets))
         self._unreleased.update((chunk.chunk_id, chunk) for chunk in new)
         return len(new)
 
@@ -388,8 +386,7 @@ class OrganizerStore:
         if released_ids:
             # Each touched key with the chunks released under it, in log order as stored.
             chunks = [*self._unreleased.values(), *self._read(released_ids)]
-            offsets = self._lines.offsets()
-            chunks.sort(key=lambda chunk: offsets[chunk.chunk_id])
+            chunks.sort(key=lambda chunk: self._lines[chunk.chunk_id])
             groups = assign_windows(chunks, self.window_length)
         released_now: list[ChunkGroup] = []
         for group in groups:

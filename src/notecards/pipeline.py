@@ -32,16 +32,17 @@ cannot read leaves no store behind. A run's save also moves
 ``annotated`` to the end of the documents log; an ingest's leaves it, and
 both record what they consumed of each corpus, so the next skips it.
 
-A rerun costs what its new input costs, but for hashing the store.
-Opening the stores reads each log once and keeps what a writer needs: the
-document and chunk ids, the processed note ids, the released chunk ids
-and the chunks not yet released. It takes the ids out of the canonical
+A rerun costs what its new input costs, but for hashing the store and
+indexing it. Opening the stores reads each log once and keeps what a
+writer needs: where each document, chunk and refined line is, the
+processed note ids, the released chunk ids and the chunks not yet
+released. It takes the ids and the line offsets out of the canonical
 lines the digest vouches for, one regex pass a block, and decodes only
 the released lines, the ledger, the chunks not yet released and the
-merged refined lines; it indexes the note and refined logs, and reads the
-offsets of any line, only when first asked. Everything else, drill-down
-included, decodes a record from its line when asked, and organizing
-regroups only the keys that hold an unreleased chunk. So ``run`` and the
+merged refined lines; the note log, which ``run`` appends to and never
+reads, it only checks. Everything else, drill-down included, decodes a
+record from its line when asked, and organizing regroups only the keys
+that hold an unreleased chunk. So ``run`` and the
 readers refuse any committed byte that differs from what the commit
 hashed, and ``store check`` also decodes every line. The documents a run
 ingests itself it annotates from memory, and it decodes only those
@@ -289,11 +290,11 @@ class Stores:
     its own under the lock, with the merged ontology *spec*, and opens as a
     writer: every log is first cut back to the commit it then opens from
     (:func:`cut_to_commit`), and ``repaired`` names the logs that were cut.
-    The writer indexes only what it writes from, and the rest when first
-    asked (each store's *index*). The maker then holds the manifest the
-    run's commit pins: the store's, or the run's own, adopted with the
-    store's copy of *spec*, which the run that first pins a store writes
-    and none rewrites; its save continues the digests the open checked.
+    The writer indexes only what it writes from: its note store is append
+    only (:class:`notecards.notes.NoteStore`). The maker then holds the
+    manifest the run's commit pins: the store's, or the run's own, adopted
+    with the store's copy of *spec*, which the run that first pins a store
+    writes and none rewrites; its save continues the digests the open checked.
     """
 
     def __init__(
@@ -309,8 +310,7 @@ class Stores:
         else:
             state, self.logs, self.repaired = cut_to_commit(root, manifest)
         logs = self.logs
-        index = manifest is None  # a reader indexes each log as it reads it
-        self.text = TextStore(root / "documents", logs["documents/documents.jsonl"], index)
+        self.text = TextStore(root / "documents", logs["documents/documents.jsonl"])
         self.organizer = OrganizerStore(
             root / "chunks",
             window_length=config.window,
@@ -318,12 +318,11 @@ class Stores:
             watermark=config.watermark,
             chunks_log=logs["chunks/chunks.jsonl"],
             released_log=logs["chunks/released.jsonl"],
-            index=index,
         )
-        self.notes = NoteStore(root / "notes", logs["notes/notes.jsonl"], index)
-        self.refined = RefinedNoteStore(
-            root / "refined", self.notes, logs["refined/refined.jsonl"], index
+        self.notes = NoteStore(
+            root / "notes", logs["notes/notes.jsonl"], append_only=manifest is not None
         )
+        self.refined = RefinedNoteStore(root / "refined", self.notes, logs["refined/refined.jsonl"])
         self.ledger = CardLedger(root / "cards", logs["cards/log.jsonl"])
         self.maker = CardMaker(root / "cards", state, logs)
         self.manager = CardManager(self.ledger, self.maker)

@@ -35,12 +35,14 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
-from .encoding import LineIndex, Log, append_jsonl, content_hash, plain, read_jsonl_at, record_id
+from .encoding import Log, append_jsonl, content_hash, plain, read_jsonl_at, record_id
 from .notes import Note, NoteStore, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
@@ -500,37 +502,32 @@ def _index_refined(raw: dict) -> tuple[str, tuple[str, ...]]:
     return record_id(raw, "refined_id"), (record_id(raw, "note_id"),)
 
 
-# At each line break, the refined line that follows: a passthrough line,
-# whose note id and own id it takes, or any other line, whole, to decode.
-# A passthrough line holds no object.
+# Each refined line: a passthrough line, whose note id and own id it takes,
+# or any other line, whole, to decode. A passthrough line holds no object.
 _REFINED_LINE = re.compile(
-    r'\n(?:\{"applied_rules":\[\],"note_id":"([^"\\\n]*)","passthrough":true,'
-    r'"refined_id":"([^"\\\n]*)"\}(?=\n)|([^\n]+)|)'
+    r'(?:\{"applied_rules":\[\],"note_id":"([^"]*)","passthrough":true,'
+    r'"refined_id":"([^"]*)"\}|([^\n]*))\n'
 )
 
 
-def _scan_refined(text: str) -> list[tuple[str, tuple[str, ...]]]:
+def _scan_refined(text: str) -> tuple[list[tuple[str, tuple[str, ...]]], list[int]] | None:
     """:func:`_index_refined` of each line of *text*, whole lines of a refined
-    log; only the lines that are not passthrough lines are decoded."""
-    lines = _REFINED_LINE.findall("\n" + text)
-    lines.pop()  # the break that ends the last line, which starts none
-    return [(refined_id, (note_id,)) if refined_id else _index_refined(json.loads(line))
-            for note_id, refined_id, line in lines]
-
-
-# The note id of a passthrough line, and a whole line that is not one.
-_PASSTHROUGH_NOTE = re.compile(r'\n\{"applied_rules":\[\],"note_id":"([^"]*)"')
-_MERGED_LINE = re.compile(r'\n(\{"applied_rules":\[\{[^\n]*)')
-
-
-def _scan_inputs(text: str) -> list[tuple[str, ...]] | None:
-    """The note ids each line of *text*, whole lines of a refined log,
-    accounts for, the passthrough lines' first; None if a line is of neither kind."""
-    text = "\n" + text
-    note_ids = _PASSTHROUGH_NOTE.findall(text)
-    inputs = [(note_id,) for note_id in note_ids]
-    inputs += [_index_refined(json.loads(line))[1] for line in _MERGED_LINE.findall(text)]
-    return inputs if len(inputs) == text.count("\n") - 1 and plain(note_ids) else None
+    log, and where each line starts; only the lines that are not passthrough
+    lines are decoded. None if an id it reads is not the whole string, which
+    decoding reads."""
+    matches = list(_REFINED_LINE.finditer(text))
+    lines = list(map(re.Match.groups, matches))
+    note_ids, refined_ids, others = zip(*lines) if lines else ((), (), ())
+    if None in refined_ids:  # a line that is not a passthrough line; an empty one is named
+        if not plain([i for i in note_ids + refined_ids if i is not None]):
+            return None
+        values = [(refined_id, (note_id,)) if line is None else _index_refined(json.loads(line))
+                  for note_id, refined_id, line in lines]
+    elif plain(note_ids + refined_ids):
+        values = list(zip(refined_ids, zip(note_ids)))
+    else:
+        return None
+    return values, list(map(re.Match.start, matches))
 
 
 class DanglingNote(LookupError):
@@ -545,46 +542,25 @@ class DanglingNote(LookupError):
 
 class RefinedNoteStore:
     """Append-only refined-note log as committed (*log*; the whole file
-    without one), indexed by refined_id; records are decoded from their
-    lines on demand, a passthrough line's note from *notes*, the store of
-    the note log. The open reads the note ids the lines account for.
+    without one), indexed by refined_id at open; records are decoded from
+    their lines on demand, a passthrough line's note from *notes*, the
+    store of the note log. The open also reads the note ids the lines
+    account for."""
 
-    With *index* false, that is all it reads, and the first get, membership
-    test or read of every record indexes the log: ``run`` appends refined
-    notes and reads none.
-    """
-
-    def __init__(
-        self, root: Path, notes: NoteStore, log: Log | None = None, index: bool = True
-    ):
+    def __init__(self, root: Path, notes: NoteStore, log: Log | None = None):
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
         self._notes = notes
-        self._log = log or Log(self._path)
-        self._appended: dict[str, int] = {}  # refined_id -> its line, for the records added here
-        self._lines: LineIndex | None = None
-        if index:
-            inputs = [note_ids for _, note_ids in self._read_index()]
-        else:
-            inputs = self._log.index(_scan_inputs, lambda raw: _index_refined(raw)[1])
-        self._processed: set[str] = set().union(*inputs)
-
-    def _read_index(self) -> list[tuple[str, tuple[str, ...]]]:
-        lines = self._log.index(_scan_refined, _index_refined, offsets=True)
-        self._lines = LineIndex(self._log, [refined_id for refined_id, _ in lines])
-        self._lines.add(self._appended, self._appended.values())
-        return lines
-
-    def _index(self) -> LineIndex:
-        if self._lines is None:
-            self._read_index()
-        return self._lines
+        lines, offsets = (log or Log(self._path)).index(_scan_refined, _index_refined)
+        # refined_id -> the offset of its line
+        self._lines = dict(zip(map(itemgetter(0), lines), offsets))
+        self._processed = set(chain.from_iterable(map(itemgetter(1), lines)))
 
     def __len__(self) -> int:
-        return self._log.lines + len(self._appended)
+        return len(self._lines)
 
     def __contains__(self, refined_id: str) -> bool:
-        return refined_id in self._index()
+        return refined_id in self._lines
 
     @staticmethod
     def _record(
@@ -601,7 +577,7 @@ class RefinedNoteStore:
     def get(self, refined_id: str) -> RefinedNote | None:
         """The refined note of *refined_id*, None if no line holds it; a
         passthrough line whose note is missing raises :class:`DanglingNote`."""
-        offset = self._index().offsets().get(refined_id)
+        offset = self._lines.get(refined_id)
         if offset is None:
             return None
         [record] = read_jsonl_at(
@@ -616,15 +592,11 @@ class RefinedNoteStore:
         return set(self._processed)
 
     def add_all(self, records: Iterable[RefinedNote]) -> int:
-        """Append the records, each id once and none this store appended
-        before (as :meth:`NoteStore.add_all`); returns how many."""
-        new = {r.refined_id: r for r in records if r.refined_id not in self._appended}
+        """Append the records not stored yet, each id once; returns how many."""
+        new = {r.refined_id: r for r in records if r.refined_id not in self._lines}
         if not new:
             return 0
-        appended = dict(zip(new, append_jsonl(self._path, map(_stored_line, new.values()))))
-        self._appended.update(appended)
-        if self._lines is not None:
-            self._lines.add(appended, appended.values())
+        self._lines.update(zip(new, append_jsonl(self._path, map(_stored_line, new.values()))))
         self._processed.update(*(record.input_note_ids() for record in new.values()))
         return len(new)
 
@@ -633,4 +605,4 @@ class RefinedNoteStore:
         log; a passthrough line whose note is missing gives its :class:`DanglingNote`."""
         notes = {note.note_id: note for note in self._notes.list()}
         build = partial(self._record, notes.get)
-        return list(read_jsonl_at(self._path, self._index().offsets().items(), "refined_id", build))
+        return list(read_jsonl_at(self._path, self._lines.items(), "refined_id", build))

@@ -15,8 +15,8 @@ import json
 import random
 from collections import Counter
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +39,15 @@ def vouched(path: Path) -> Log:
 
 
 def scan_of(pattern, lines: list[bytes]) -> list | None:
-    return scan_ids(pattern, b"".join(lines).decode("latin-1"))
+    """The id the scan reads in each of *lines*, None if it does not read
+    one in each, as a log takes it; each line starts where the scan says."""
+    text = b"".join(lines).decode("latin-1")
+    read = scan_ids(pattern, text)
+    if read is None or len(read[0]) != len(lines):
+        return None
+    ids, starts = read
+    assert starts == [0, *accumulate(map(len, lines[:-1]))]
+    return ids
 
 
 def test_each_scan_reads_the_top_level_id_of_each_line():
@@ -55,14 +63,25 @@ def test_each_scan_reads_the_top_level_id_of_each_line():
     assert scan_of(notes._NOTE_ID, [b'{"note_id":"n\\u00e9"}\n'] + lines[2:]) is None
 
 
+def test_a_log_that_holds_a_byte_no_canonical_line_holds_is_decoded(tmp_path):
+    """A line that holds raw UTF-8, which a hand edit may leave and a commit
+    then vouch for, reads as the id it decodes to, not as its bytes."""
+    log = tmp_path / "notes.jsonl"
+    log.write_bytes('{"note_id":"a"}\n{"note_id":"n\u00e9"}\n'.encode("utf-8"))
+    scan = partial(scan_ids, notes._NOTE_ID)
+    assert vouched(log).index(scan, partial(encoding.record_id, name="note_id")) == (
+        ["a", "n\u00e9"], [0, 16]
+    )
+    assert NoteStore(tmp_path, vouched(log))._lines == {"a": 0, "n\u00e9": 16}
+
+
 def test_a_log_whose_scan_or_digest_does_not_hold_is_decoded_and_named(tmp_path):
     log = tmp_path / "notes.jsonl"
     log.write_bytes(b'{"note_id":"a"}\n{"note_id":7}\n')
     build = lambda raw: raw["note_id"]  # noqa: E731
     scan = partial(scan_ids, notes._NOTE_ID)
     # The scan misses the second line, so every line is decoded instead.
-    read = vouched(log)
-    assert read.index(scan, build) == ["a", 7] and read.offsets() == [0, 16]
+    assert vouched(log).index(scan, build) == (["a", 7], [0, 16])
     good = vouched(log)
     log.write_bytes(b'{"note_id":"b"}\n{"note_id":7}\n')  # same length, other bytes
     with pytest.raises(encoding.StoreFormatError, match="its committed bytes differ from the sha256"):
@@ -74,46 +93,36 @@ def test_a_log_whose_scan_or_digest_does_not_hold_is_decoded_and_named(tmp_path)
 
 def decoding_every_line(patch) -> None:
     """Make every store index its logs by decoding each line, as without a digest."""
-    patch.setattr(Log, "index", lambda self, scan, build, offsets=False: self.records(build))
+    index = Log.index
+    patch.setattr(Log, "index", lambda self, scan, build: index(self, None, build))
 
 
 def index_of(stores) -> dict:
     """What the stores keep of each log, in log order."""
     return {
-        "documents": list(stores.text._lines.offsets().items()),
-        "chunks": list(stores.organizer._lines.offsets().items()),
+        "documents": list(stores.text._lines.items()),
+        "chunks": list(stores.organizer._lines.items()),
         "unreleased": list(stores.organizer._unreleased.items()),
-        "notes": list(stores.notes._index().offsets().items()),
-        "refined": list(stores.refined._index().offsets().items()),
+        "notes": list(stores.notes._lines.items()),
+        "refined": list(stores.refined._lines.items()),
         "processed": stores.refined.processed_note_ids(),
     }
 
 
-def opened_to_write(root: Path) -> SimpleNamespace:
-    """The stores as ``run`` opens them, which read their offsets when first needed."""
-    _, logs = read_commit(root)
-    notes_store = NoteStore(root / "notes", logs["notes/notes.jsonl"], index=False)
-    return SimpleNamespace(
-        text=ingest.TextStore(root / "documents", logs["documents/documents.jsonl"], index=False),
-        organizer=organize.OrganizerStore(
-            root / "chunks", chunks_log=logs["chunks/chunks.jsonl"],
-            released_log=logs["chunks/released.jsonl"], index=False,
-        ),
-        notes=notes_store,
-        refined=RefinedNoteStore(root / "refined", notes_store, logs["refined/refined.jsonl"],
-                                 index=False),
-    )
+def appended_to(root: Path) -> NoteStore:
+    """The note store as ``run`` opens it: append only, it checks the log and indexes nothing."""
+    return NoteStore(root / "notes", read_commit(root)[1]["notes/notes.jsonl"], append_only=True)
 
 
 def counting_decoded_logs(patch, decoded: Counter) -> None:
     """Count the logs each store indexes by decoding every line."""
-    records = Log.records
+    decoded_lines = Log._decoded
 
     def counted(self, build):
         decoded[self.path.name] += 1
-        return records(self, build)
+        return decoded_lines(self, build)
 
-    patch.setattr(Log, "records", counted)
+    patch.setattr(Log, "_decoded", counted)
 
 
 def alcohol_with_a_total(root: Path) -> tuple[Path, list[str]]:
@@ -174,7 +183,7 @@ def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
             with monkeypatch.context() as patch:
                 counting_decoded_logs(patch, decoded_logs)
                 scanned = index_of(Stores(config))
-                assert index_of(opened_to_write(config.store_root)) == scanned
+                assert len(appended_to(config.store_root)) == len(scanned["notes"])
             refined = config.store_root / "refined" / "refined.jsonl"
             lines = refined.read_bytes().splitlines() if refined.exists() else []
             merged += sum(b'"passthrough":false' in line for line in lines)
@@ -202,9 +211,9 @@ def test_an_attribute_named_like_an_id_key_is_not_read_as_the_id(tmp_path):
         "refined_id": passthrough(decoy).refined_id,
     }).encode("ascii") + b"\n"
     reopened_notes = NoteStore(notes_root, vouched(notes_root / "notes.jsonl"))
-    assert reopened_notes._index().offsets() == {decoy.note_id: 0}
+    assert reopened_notes._lines == {decoy.note_id: 0}
     reopened = RefinedNoteStore(refined_root, reopened_notes, vouched(refined_root / "refined.jsonl"))
-    assert reopened._index().offsets() == {passthrough(decoy).refined_id: 0}
+    assert reopened._lines == {passthrough(decoy).refined_id: 0}
     assert reopened.processed_note_ids() == {decoy.note_id}
     assert reopened.get(passthrough(decoy).refined_id) == passthrough(decoy)
 
@@ -220,14 +229,13 @@ def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec)
     RefinedNoteStore(tmp_path, NoteStore(tmp_path)).add_all([merged])
     line = (tmp_path / "refined.jsonl").read_bytes()
     inputs = tuple(sorted(note.note_id for note in notes_in))
-    assert refine._scan_refined(line.decode("ascii")) == [(merged.refined_id, inputs)]
-    assert refine._scan_inputs(line.decode("ascii")) == [inputs]
+    assert refine._scan_refined(line.decode("ascii")) == ([(merged.refined_id, inputs)], [0])
     # It holds its merged note, and all refined_to_dict gives but the unread schema_version.
     expected = refine.refined_to_dict(merged)
     assert expected.pop("schema_version") == 1
     assert json.loads(line) == expected
     reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path), vouched(tmp_path / "refined.jsonl"))
-    assert reopened._index().offsets() == {merged.refined_id: 0}
+    assert reopened._lines == {merged.refined_id: 0}
     assert reopened.processed_note_ids() == {note.note_id for note in notes_in}
 
 
@@ -306,12 +314,12 @@ def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
                 elif record["passthrough"]:  # the scan reads the whole line
                     assert list(record) == ["applied_rules", "note_id", "passthrough", "refined_id"]
                     assert record["applied_rules"] == [] and not holds_object(list(record.values()))
-                    found = refine._REFINED_LINE.findall("\n" + line.decode("ascii") + "\n")
+                    found = refine._REFINED_LINE.findall(line.decode("ascii") + "\n")
                     assert found[0] == (record["note_id"], record["refined_id"], "")
                     seen["passthrough"] += 1
                 else:  # the scan decodes it
                     assert record["applied_rules"] and "note" in record
-                    found = refine._REFINED_LINE.findall("\n" + line.decode("ascii") + "\n")
+                    found = refine._REFINED_LINE.findall(line.decode("ascii") + "\n")
                     assert found[0] == ("", "", line.decode("ascii"))
                     seen["merged"] += 1
                 seen[name] += 1

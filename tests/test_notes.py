@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from datetime import timedelta
 
+import pytest
+
 from notecards.annotate import annotate_document
 from notecards.ingest import SourceMeta, make_document
 from notecards.notes import (
@@ -253,3 +255,22 @@ def test_note_store_roundtrip_and_dedupe(tmp_path):
     assert reloaded.get(notes[0].note_id) == notes[0]
     assert reloaded.list(subject="a") == notes
     assert reloaded.list(subject="nobody") == []
+
+
+def test_a_note_store_opened_to_append_reads_no_note_and_counts_every_line(tmp_path):
+    spec = drinking_spec()
+    first, second = (
+        synthesize_notes(released_groups(spec, [HORIZON_START + timedelta(days=d)]), spec, CONFIG)
+        for d in (1, 9)
+    )
+    NoteStore(tmp_path).add_all(first)
+    store = NoteStore(tmp_path, append_only=True)
+    assert len(store) == 1
+    assert store.add_all(second + second) == 1  # each id once in a batch
+    assert store.add_all(second) == 0  # and none it appended before
+    assert len(store) == 2
+    for read in (lambda: store.get(first[0].note_id), lambda: first[0].note_id in store,
+                 lambda: store.list()):
+        with pytest.raises(RuntimeError, match="opened to append only"):
+            read()
+    assert NoteStore(tmp_path).list() == first + second
