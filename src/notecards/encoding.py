@@ -184,12 +184,12 @@ class Log:
         """A value for each committed line, and the offset of each line, from one read.
 
         When the digest vouches for the bytes, ``scan(text)`` reads the lines
-        of each block, *text*: it gives the value of each line, in log order
-        unless the scan says otherwise, and the offset in *text* at which
-        each line starts, or None if a line is not one it reads. A scan is a
-        regex pass that decodes no line but those it decodes itself. Without
-        a scan or a digest, or if a scan fails, every line is decoded
-        instead, and its value is ``build(record)``, as :meth:`records`.
+        of each block, *text*: it gives the value of each line and the
+        offset in *text* at which each line starts, in log order, or None if
+        a line is not one it reads. A scan is a regex pass that decodes no
+        line but those it decodes itself. Without a scan or a digest, or if
+        a scan fails, every line is decoded instead, and its value is
+        ``build(record)``, as :meth:`records`.
         """
         found = None if scan is None or self.digest is None else self._scan(scan)
         return self._decoded(build) if found is None else found
@@ -211,7 +211,7 @@ class Log:
                     # Not ASCII, or a line the scan decodes is not a record:
                     # decoding reads the one, and names the other.
                     read = None
-                if read is None or len(read[1]) != block.count(b"\n"):
+                if read is None:
                     return None
                 found += read[0]
                 starts += map(offset.__add__, read[1])
@@ -294,14 +294,16 @@ def _nothing(record: Any) -> None:
 
 def scan_ids(pattern: re.Pattern, text: str) -> tuple[list[str], list[int]] | None:
     """The id *pattern* reads in each line of *text*, whole lines, and where
-    each line starts, or None if an id is not plain. *pattern* matches at
-    the line break before a line whose id it reads, and its one group is
-    that id, read up to its closing quote. A line it does not match gives
-    no id, which :meth:`Log.index` finds as fewer ids than lines."""
+    each line starts, or None if a line does not give one. *pattern* matches
+    at each line break, and its one group is the id in the line that
+    follows, read up to its closing quote; so, unless an id runs past its
+    line, which :func:`plain` finds, it matches once a line."""
     matches = list(pattern.finditer("\n" + text))
+    matches.pop()  # the break that ends the last line, which starts none
     ids = list(map(itemgetter(1), matches))
-    # The place of the break in "\n" + text is that of the line in *text*.
-    return (ids, list(map(re.Match.start, matches))) if plain(ids) else None
+    if None in ids or not plain(ids):
+        return None
+    return ids, list(map(re.Match.start, matches))  # a break's place in "\n" + text
 
 
 def plain(ids: Sequence[str]) -> bool:

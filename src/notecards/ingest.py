@@ -196,9 +196,9 @@ def _document_to_dict(doc: Document) -> dict:
     }
 
 
-# At the break before a document line, its id: doc_id is the first key of a
-# document line.
-_DOCUMENT_ID = re.compile(r'\n\{"doc_id":"([^"]*)"')
+# At each line break, the id of the document line that follows, if one does:
+# doc_id is the first key of a document line.
+_DOCUMENT_ID = re.compile(r'\n(?:\{"doc_id":"([^"]*)"|)')
 
 
 def _document_from_dict(raw: dict) -> Document:

@@ -291,9 +291,10 @@ def note_to_dict(note: Note) -> dict:
     }
 
 
-# At the break before a note line, its id: the last "note_id" key in it, the
-# top-level one, since no key sorted after note_id holds an object.
-_NOTE_ID = re.compile(r'\n[^\n]*"note_id":"([^"]*)"')
+# At each line break, the id of the note line that follows, if one does: the
+# last "note_id" key in it, the top-level one, since no key sorted after
+# note_id holds an object.
+_NOTE_ID = re.compile(r'\n(?:[^\n]*"note_id":"([^"]*)"|)')
 
 
 def note_from_dict(raw: dict) -> Note:

@@ -269,10 +269,10 @@ def _check_storable(chunk: AnnotatedChunk) -> None:
         )
 
 
-# At the break before a chunk line, its id: the first "chunk_id" key in it,
-# which starts it or follows the annotations that earlier lines held, none
-# of which holds one.
-_CHUNK_ID = re.compile(r'\n\{(?:"annotations":[^\n]*?)?"chunk_id":"([^"]*)"')
+# At each line break, the id of the chunk line that follows, if one does: the
+# first "chunk_id" key in it, which starts it or follows the annotations
+# that earlier lines held, none of which holds one.
+_CHUNK_ID = re.compile(r'\n(?:\{(?:"annotations":[^\n]*?)?"chunk_id":"([^"]*)"|)')
 
 
 def _released_from_dict(raw: dict) -> dict[str, list[str]]:
