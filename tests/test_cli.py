@@ -895,8 +895,9 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
         for name in ("read_json", "read_jsonl"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
-    # A store reads a log through one of these once; a fallback to decoding reads it again.
-    for name in ("index", "records"):
+    # Every read of a log's bytes is one of these: a store makes one, and a
+    # fallback to decoding makes a second.
+    for name in ("_scan", "_decoded"):
         monkeypatch.setattr(encoding.Log, name, recording_log(getattr(encoding.Log, name)))
     assert run_cli(*command, "--store", fixture_store) == 0
     expected = [("cards/maker.json",)]
