@@ -481,14 +481,17 @@ def cmd_store_stats(args) -> int:
 
     root = _store_root(args)
     _, committed = read_commit(root)
-    logs = {}
-    for name, log in committed.items():
-        path = root / name
-        data = path.read_bytes()[: log.end] if log.end else b""
-        logs[name] = {"records": data.count(b"\n"), "committed_bytes": log.end,
-                      "disk_bytes": path.stat().st_size if path.exists() else 0}
+    # The organizer's open reads and checks the two chunk logs; every other
+    # log is checked here. Either read counts the log's lines.
     organizer = OrganizerStore(root / "chunks", chunks_log=committed["chunks/chunks.jsonl"],
                                released_log=committed["chunks/released.jsonl"])
+    logs = {}
+    for name, log in committed.items():
+        if not name.startswith("chunks/"):
+            log.check()
+        path = root / name
+        logs[name] = {"records": log.lines, "committed_bytes": log.end,
+                      "disk_bytes": path.stat().st_size if path.exists() else 0}
     report = {"logs": logs, "unreleased_chunks": organizer.unreleased()}
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

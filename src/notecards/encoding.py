@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import re
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -44,13 +45,26 @@ class StoreFormatError(ValueError):
     """A store file that does not decode; the message names the file."""
 
 
+def _canonical_encoder() -> Callable[[Any], str]:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)``
+    as a function. ``json.dumps`` builds the C encoder anew on each call; this
+    builds it once, with no circular-reference check, which would keep state
+    between calls. Without the C encoder, it is the pure Python one's."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    if c_make_encoder is None:
+        return encoder.encode
+    encode = c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+_CANONICAL = _canonical_encoder()
+
+
 def canonical_json(value: Any) -> str:
     """Stable, whitespace-free JSON with sorted keys."""
-    return _CANONICAL.encode(value)
-
-
-# What json.dumps builds on each call with these arguments; it holds no state.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _CANONICAL(value)
 
 
 def content_hash(value: Any, length: int = 16) -> str:
@@ -150,6 +164,10 @@ def _lines(path: Path, end: int | None) -> Iterator[tuple[int, int, bytes]]:
 BLOCK = 1 << 16
 
 
+def _nothing(record: Any) -> None:
+    return None
+
+
 class Log:
     """A log as the last commit left it: its bytes up to *end* (None: the
     whole file), which *digest*, the sha256 of them the commit recorded,
@@ -172,10 +190,12 @@ class Log:
         # sha256 of the committed bytes, once checked; an empty log needs no read.
         self._hasher = hashlib.sha256() if end == 0 else None
 
-    def check(self) -> None:
-        """Read the committed bytes and check them; what they hold is not kept."""
+    def check(self, build: Callable[[Any], Any] = _nothing) -> None:
+        """Read the committed bytes and check them, counting the lines; what
+        they hold is not kept. Without a digest, or if they differ from it,
+        every line is decoded, and ``build(record)`` of each may refuse it."""
         if self.digest is None or self._scan(None) is None:
-            self._decoded(_nothing)
+            self._decoded(build)
 
     def index(
         self, scan: Callable[[str], tuple[list, list[int]] | None] | None,
@@ -286,10 +306,6 @@ class Log:
             for start in range(committed, size, BLOCK):
                 hasher.update(handle.read(min(BLOCK, size - start)))
         return size, hasher.hexdigest()
-
-
-def _nothing(record: Any) -> None:
-    return None
 
 
 def scan_ids(pattern: re.Pattern, text: str) -> tuple[list[str], list[int]] | None:

@@ -54,8 +54,14 @@ class IngestError(PipelineError):
 
 
 def name_uuid(*parts: str) -> str:
-    """Deterministic name-based UUID over the given parts."""
-    return str(uuid.uuid5(ID_NAMESPACE, "\x1f".join(parts)))
+    """Deterministic name-based UUID over the given parts: ``str(uuid.uuid5(
+    ID_NAMESPACE, name))``, minted from its sha1 without building a UUID."""
+    name = "\x1f".join(parts).encode("utf-8")
+    digest = bytearray(hashlib.sha1(ID_NAMESPACE.bytes + name).digest()[:16])
+    digest[6] = digest[6] & 0x0F | 0x50  # version 5
+    digest[8] = digest[8] & 0x3F | 0x80  # the RFC 4122 variant
+    text = digest.hex()
+    return f"{text[:8]}-{text[8:12]}-{text[12:16]}-{text[16:20]}-{text[20:]}"
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,16 @@ both record what they consumed of each corpus, so the next skips it.
 
 A rerun costs what its new input costs, but for hashing the store and
 indexing it. Opening the stores reads each log once and keeps what a
-writer needs: where each document, chunk and refined line is, the
-processed note ids, the released chunk ids and the chunks not yet
-released. It takes the ids and the line offsets out of the canonical
-lines the digest vouches for, one regex pass a block, and decodes only
-the released lines, the ledger, the chunks not yet released and the
-merged refined lines; the note log, which ``run`` appends to and never
-reads, it only checks. Everything else, drill-down included, decodes a
-record from its line when asked, and organizing regroups only the keys
-that hold an unreleased chunk. So ``run`` and the
-readers refuse any committed byte that differs from what the commit
-hashed, and ``store check`` also decodes every line. The documents a run
+writer needs: where each document and chunk line is, the released chunk
+ids, the chunks not yet released and the cards. It takes the ids and the
+line offsets out of the canonical lines the digest vouches for, one
+regex pass a block, and decodes only the released lines, the ledger and
+the chunks not yet released; the note and refined logs, which ``run``
+appends to and never reads, it only checks. Everything else, drill-down
+included, decodes a record from its line when asked, and organizing
+regroups only the keys that hold an unreleased chunk. So
+``run`` and the readers refuse any committed byte that differs from what
+the commit hashed, and ``store check`` also decodes every line. The documents a run
 ingests itself it annotates from memory, and it decodes only those
 pending documents that an earlier command logged.
 
@@ -290,8 +289,10 @@ class Stores:
     its own under the lock, with the merged ontology *spec*, and opens as a
     writer: every log is first cut back to the commit it then opens from
     (:func:`cut_to_commit`), and ``repaired`` names the logs that were cut.
-    The writer indexes only what it writes from: its note store is append
-    only (:class:`notecards.notes.NoteStore`). The maker then holds the
+    The writer indexes only what it writes from: its note and refined
+    stores are append only (:class:`notecards.notes.NoteStore`,
+    :class:`notecards.refine.RefinedNoteStore`), checking their logs and
+    indexing nothing. The maker then holds the
     manifest the run's commit pins: the store's, or the run's own, adopted
     with the store's copy of *spec*, which the run that first pins a store
     writes and none rewrites; its save continues the digests the open checked.
@@ -322,7 +323,10 @@ class Stores:
         self.notes = NoteStore(
             root / "notes", logs["notes/notes.jsonl"], append_only=manifest is not None
         )
-        self.refined = RefinedNoteStore(root / "refined", self.notes, logs["refined/refined.jsonl"])
+        self.refined = RefinedNoteStore(
+            root / "refined", self.notes, logs["refined/refined.jsonl"],
+            append_only=manifest is not None,
+        )
         self.ledger = CardLedger(root / "cards", logs["cards/log.jsonl"])
         self.maker = CardMaker(root / "cards", state, logs)
         self.manager = CardManager(self.ledger, self.maker)
@@ -506,6 +510,9 @@ def run_pipeline(config: PipelineConfig, clock: Clock | None = None) -> RunSumma
         synthesized = synthesize_notes(released, spec, config.synthesis())
         summary.notes_synthesized = stores.notes.add_all(synthesized)
 
+        # Append only, the refined store has refined none of this run's notes
+        # yet, so no note is a duplicate: each comes from chunks released for
+        # the first time. The gate still checks format and provenance.
         processed = stores.refined.processed_note_ids()
         batch = []
         for note in synthesized:

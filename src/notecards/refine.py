@@ -545,22 +545,44 @@ class RefinedNoteStore:
     without one), indexed by refined_id at open; records are decoded from
     their lines on demand, a passthrough line's note from *notes*, the
     store of the note log. The open also reads the note ids the lines
-    account for."""
+    account for.
 
-    def __init__(self, root: Path, notes: NoteStore, log: Log | None = None):
+    Opened *append_only*, as ``run`` opens it, it reads no refined note:
+    the open checks the log against its digest and indexes nothing, and
+    get, membership and read_all raise. A log without a digest, or whose
+    bytes differ from it, is still decoded line by line, so a line in a
+    format this store no longer reads exits as it does for a reader.
+    ``run`` refines only notes of chunks released for the first time, so
+    no refined note it appends is committed already.
+    """
+
+    def __init__(
+        self, root: Path, notes: NoteStore, log: Log | None = None, append_only: bool = False
+    ):
         self.root = Path(root)
         self._path = self.root / "refined.jsonl"
         self._notes = notes
-        lines, offsets = (log or Log(self._path)).index(_scan_refined, _index_refined)
-        # refined_id -> the offset of its line
-        self._lines = dict(zip(map(itemgetter(0), lines), offsets))
-        self._processed = set(chain.from_iterable(map(itemgetter(1), lines)))
+        self._log = log or Log(self._path)
+        self._lines: dict[str, int] | None = None  # refined_id -> the offset of its line
+        self._appended: set[str] = set()  # the refined ids appended here, when append only
+        self._processed: set[str] = set()  # the note ids the indexed or appended lines account for
+        if append_only:
+            self._log.check(_index_refined)
+        else:
+            lines, offsets = self._log.index(_scan_refined, _index_refined)
+            self._lines = dict(zip(map(itemgetter(0), lines), offsets))
+            self._processed = set(chain.from_iterable(map(itemgetter(1), lines)))
+
+    def _index(self) -> dict[str, int]:
+        if self._lines is None:
+            raise RuntimeError(f"{self._path}: opened to append only, so it reads no refined note")
+        return self._lines
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return self._log.lines + len(self._appended) if self._lines is None else len(self._lines)
 
     def __contains__(self, refined_id: str) -> bool:
-        return refined_id in self._lines
+        return refined_id in self._index()
 
     @staticmethod
     def _record(
@@ -577,7 +599,7 @@ class RefinedNoteStore:
     def get(self, refined_id: str) -> RefinedNote | None:
         """The refined note of *refined_id*, None if no line holds it; a
         passthrough line whose note is missing raises :class:`DanglingNote`."""
-        offset = self._lines.get(refined_id)
+        offset = self._index().get(refined_id)
         if offset is None:
             return None
         [record] = read_jsonl_at(
@@ -588,21 +610,29 @@ class RefinedNoteStore:
         return record
 
     def processed_note_ids(self) -> set[str]:
-        """Source note ids already accounted for by stored refinements."""
+        """Source note ids accounted for by stored refinements; append only,
+        by the refinements appended here."""
         return set(self._processed)
 
     def add_all(self, records: Iterable[RefinedNote]) -> int:
-        """Append the records not stored yet, each id once; returns how many."""
-        new = {r.refined_id: r for r in records if r.refined_id not in self._lines}
+        """Append the records not stored yet, each id once; returns how many.
+        Append only, it skips only the ids it appended before."""
+        held = self._appended if self._lines is None else self._lines
+        new = {r.refined_id: r for r in records if r.refined_id not in held}
         if not new:
             return 0
-        self._lines.update(zip(new, append_jsonl(self._path, map(_stored_line, new.values()))))
+        offsets = append_jsonl(self._path, map(_stored_line, new.values()))
+        if self._lines is None:
+            self._appended.update(new)
+        else:
+            self._lines.update(zip(new, offsets))
         self._processed.update(*(record.input_note_ids() for record in new.values()))
         return len(new)
 
     def read_all(self) -> list[RefinedNote | DanglingNote]:
         """Every stored refined note, in log order, read in one pass over each
         log; a passthrough line whose note is missing gives its :class:`DanglingNote`."""
+        lines = self._index().items()
         notes = {note.note_id: note for note in self._notes.list()}
         build = partial(self._record, notes.get)
-        return list(read_jsonl_at(self._path, self._lines.items(), "refined_id", build))
+        return list(read_jsonl_at(self._path, lines, "refined_id", build))

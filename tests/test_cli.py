@@ -1000,6 +1000,18 @@ def test_a_changed_byte_in_a_committed_line_that_still_decodes_exits_two_naming_
     assert store_bytes(fixture_store) == before
 
 
+@pytest.mark.parametrize("log", LOGS)
+def test_store_stats_exits_two_naming_a_log_whose_committed_bytes_changed(fixture_store, capsys, log):
+    path = fixture_store / log
+    change_a_byte_near_the_end(path)
+    before = store_bytes(fixture_store)
+    capsys.readouterr()
+    assert run_cli("store", "stats", "--store", fixture_store) == 2
+    message = f"error: {path}: its committed bytes differ from the sha256 the last commit recorded\n"
+    assert capsys.readouterr().err == message
+    assert store_bytes(fixture_store) == before
+
+
 def without_digests(store: Path) -> None:
     """Drop the digests from the commit of *store*, as a store committed before them has none."""
     maker = store / "cards" / "maker.json"

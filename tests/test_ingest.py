@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import uuid
 from pathlib import Path
 
 import pytest
@@ -450,3 +451,13 @@ def test_the_mask_fingerprint_keys_the_settings_without_revealing_the_key():
     assert fingerprint == mask_fingerprint(key, {})
     assert fingerprint != mask_fingerprint(b"fedcba9876543210", None)
     assert fingerprint != mask_fingerprint(key, {"steve": ("Steve",)})
+
+
+def test_name_uuid_equals_uuid5_of_the_joined_parts():
+    rng = random.Random(23)
+    alphabet = 'aZ0 "\\\n\x00\x1fé☕\U0001F600/'
+    for _ in range(2000):
+        parts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+                 for _ in range(rng.randint(1, 4))]
+        expected = str(uuid.uuid5(ingest.ID_NAMESPACE, "\x1f".join(parts)))
+        assert ingest.name_uuid(*parts) == expected

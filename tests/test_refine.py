@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from datetime import timedelta
 
 import pytest
 
+from notecards.encoding import Log
 from notecards.notes import NoteStore
 from notecards.ontology import parse_ontology
 from notecards.refine import (
@@ -362,3 +364,30 @@ def test_refined_store_tracks_processed_ids(tmp_path):
     reloaded = RefinedNoteStore(tmp_path, NoteStore(tmp_path))
     assert reloaded.get(refined[0].refined_id) == refined[0]
     assert reloaded.read_all() == [refined[0]]
+
+
+@pytest.mark.parametrize("digest", [True, False], ids=["vouched", "without-digest"])
+def test_a_refined_store_opened_to_append_reads_no_refined_note_and_counts_every_line(
+    tmp_path, digest
+):
+    committed = refine_notes(same_event_notes([3, 5]), policy_spec("max"), WINDOW)
+    late = [make_note(subject="b", provenance=(f"late-{i}",), note_id=f"n-late-{i}")
+            for i in range(2)]
+    RefinedNoteStore(tmp_path, NoteStore(tmp_path)).add_all(committed)
+    NoteStore(tmp_path).add_all(late)
+    path = tmp_path / "refined.jsonl"
+    data = path.read_bytes()
+    log = Log(path, len(data), hashlib.sha256(data).hexdigest() if digest else None)
+    store = RefinedNoteStore(tmp_path, NoteStore(tmp_path), log, append_only=True)
+    assert len(store) == 1  # the committed line, counted, not indexed
+    assert store.processed_note_ids() == set()
+    appended = [passthrough(note) for note in late]
+    assert store.add_all(appended + appended) == 2  # each id once in a batch
+    assert store.add_all(appended) == 0  # and none it appended before
+    assert len(store) == 3
+    assert store.processed_note_ids() == {"n-late-0", "n-late-1"}
+    for read in (lambda: store.get(committed[0].refined_id),
+                 lambda: committed[0].refined_id in store, store.read_all):
+        with pytest.raises(RuntimeError, match="opened to append only"):
+            read()
+    assert RefinedNoteStore(tmp_path, NoteStore(tmp_path)).read_all() == committed + appended
