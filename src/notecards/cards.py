@@ -354,10 +354,13 @@ class CardMaker:
             self._path, "the value of cards",
             lambda cards: {k: card_from_dict(v) for k, v in cards.items()}, state.get("cards", {}),
         )
-        self._closed: set[str] = set(state.get("closed", ()))
+        closed = state.get("closed", [])
         self.annotated: int = state.get("annotated", 0)
         self.corpora: dict[str, dict] = state.get("corpora", {})
         self.manifest: dict | None = state.get("manifest")
+        if not isinstance(closed, list) or not all(isinstance(key, str) for key in closed):
+            raise StoreFormatError(f"{self._path}: closed is not a JSON list of strings")
+        self._closed: set[str] = set(closed)
         if not isinstance(self.corpora, dict):
             raise StoreFormatError(f"{self._path}: corpora is not a JSON object")
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from .cards import Card, CardError, CardLedger, CardMaker, audit_card, card_to_dict, drill_down
 from .cards import LOGS, read_commit
 from .clock import parse_instant
-from .encoding import PipelineError, read_jsonl, record_id
+from .encoding import Log, PipelineError, record_id
 from .graph import GraphError, GraphFilter, build_graph, export_graph, find_routes, query_cards
 
 if TYPE_CHECKING:
@@ -419,7 +419,7 @@ def cmd_store_check(args) -> int:
         f"{name}: {key} {ident} is held by {count} committed lines"
         for name, key in _KEYED_LOGS.items()
         for ident, count in Counter(
-            read_jsonl(stores.root / name, stores.logs[name].end, build=partial(record_id, name=key))
+            Log(stores.root / name, stores.logs[name].end).records(partial(record_id, name=key))
         ).items()
         if count > 1
     ]

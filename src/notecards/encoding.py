@@ -4,7 +4,7 @@
 makes whole-store byte determinism achievable. Every store file is read
 and written here, in one of two formats:
 
-- Logs are JSON Lines, one canonical record per line (:func:`read_jsonl`,
+- Logs are JSON Lines, one canonical record per line (:class:`Log`,
   :func:`read_jsonl_at`, :func:`append_jsonl`).
   A commit record names a log's length and the sha256 of its bytes only
   once the log is on disk (:func:`commit_logs`). Every command reads a log
@@ -33,7 +33,7 @@ import re
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 
 class PipelineError(Exception):
@@ -127,18 +127,6 @@ def _decode(path: Path, where: str, line: bytes, build: Callable[[Any], Any] | N
     return record if build is None else build_record(path, where, build, record)
 
 
-def read_jsonl(
-    path: Path, end: int | None = None, build: Callable[[Any], Any] | None = None
-) -> Iterator[Any]:
-    """A log's records in order, up to byte *end* (a line end) if given; a torn line raises.
-
-    With *build*, each record is ``build(record)``; a record it cannot
-    build raises :class:`StoreFormatError`, naming the file and the line.
-    """
-    for number, _offset, line in _lines(path, end):
-        yield _decode(path, f"line {number}", line, build)
-
-
 def _lines(path: Path, end: int | None) -> Iterator[tuple[int, int, bytes]]:
     """The number, offset and bytes of each line of a log up to byte *end*;
     a line without its newline raises."""
@@ -207,9 +195,8 @@ class Log:
         of each block, *text*: it gives the value of each line and the
         offset in *text* at which each line starts, in log order, or None if
         a line is not one it reads. A scan is a regex pass that decodes no
-        line but those it decodes itself. Without a scan or a digest, or if
-        a scan fails, every line is decoded instead, and its value is
-        ``build(record)``, as :meth:`records`.
+        line. Without a scan or a digest, or if a scan fails, every line is
+        decoded instead, and its value is ``build(record)``, as :meth:`records`.
         """
         found = None if scan is None or self.digest is None else self._scan(scan)
         return self._decoded(build) if found is None else found
@@ -225,12 +212,10 @@ class Log:
             if scan is None:
                 lines += block.count(b"\n")
             else:
-                try:  # no canonical line holds a byte that is not ASCII
+                try:  # no canonical line holds a byte that is not ASCII; decoding reads it
                     read = scan(block.decode("ascii"))
-                except (KeyError, IndexError, TypeError, ValueError, AttributeError):
-                    # Not ASCII, or a line the scan decodes is not a record:
-                    # decoding reads the one, and names the other.
-                    read = None
+                except UnicodeDecodeError:
+                    return None
                 if read is None:
                     return None
                 found += read[0]
@@ -312,22 +297,18 @@ def scan_ids(pattern: re.Pattern, text: str) -> tuple[list[str], list[int]] | No
     """The id *pattern* reads in each line of *text*, whole lines, and where
     each line starts, or None if a line does not give one. *pattern* matches
     at each line break, and its one group is the id in the line that
-    follows, read up to its closing quote; so, unless an id runs past its
-    line, which :func:`plain` finds, it matches once a line."""
+    follows, read up to the next quote. A read that holds an escape, or a
+    line break, which a read past a line's end would, may not be the whole
+    id, so it gives None too."""
     matches = list(pattern.finditer("\n" + text))
     matches.pop()  # the break that ends the last line, which starts none
     ids = list(map(itemgetter(1), matches))
-    if None in ids or not plain(ids):
+    if None in ids:
+        return None
+    read = "".join(ids)
+    if "\\" in read or "\n" in read:
         return None
     return ids, list(map(re.Match.start, matches))  # a break's place in "\n" + text
-
-
-def plain(ids: Sequence[str]) -> bool:
-    """Whether each of *ids*, each read from a canonical line up to the next
-    quote, is the whole string: none holds an escape, or a line break, which
-    a read past a line's end would."""
-    read = "".join(ids)
-    return "\\" not in read and "\n" not in read
 
 
 def commit_logs(logs: Iterable[Log]) -> list[tuple[int, str | None]]:

@@ -709,10 +709,6 @@ def spec_to_dict(spec: OntologySpec) -> dict[str, Any]:
     }
 
 
-def serialize_ontology(spec: OntologySpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=False) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Structural validation
 # ---------------------------------------------------------------------------

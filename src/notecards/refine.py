@@ -24,25 +24,24 @@ note by id, and the note is read back from the note log; a merged note
 is stored nowhere else, so its refined line holds it whole. No refined
 line stores the ``schema_version`` of :func:`refined_to_dict`, which no
 reader reads; a merged line's note keeps its own, as every stored note
-does. A line that holds one reads as before.
+does. A line that holds one reads as before. The store indexes the log as
+the other keyed logs are indexed: each line's id is its last
+``"refined_id":"`` key, and the open decodes no line to find it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from functools import partial
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .clock import format_instant
 from .durations import parse_duration
-from .encoding import Log, append_jsonl, content_hash, plain, read_jsonl_at, record_id
+from .encoding import Log, append_jsonl, content_hash, read_jsonl_at, record_id, scan_ids
 from .notes import Note, NoteStore, new_note, note_from_dict, note_to_dict, NOTE_SCHEMA_VERSION
 from .ontology import OntologySpec, RefinementPolicy
 from .organize import normalize_place, window_index
@@ -102,15 +101,11 @@ class RefinedNote:
         return self.note.action
 
     def input_note_ids(self) -> tuple[str, ...]:
-        """Every source note this refined note accounts for."""
+        """Every source note this refined note accounts for: a merged note
+        its rules' inputs, once each."""
         if self.passthrough:
             return (self.note.note_id,)
-        return _rule_inputs(a.input_note_ids for a in self.applied_rules)
-
-
-def _rule_inputs(rule_inputs: Iterable[Iterable[str]]) -> tuple[str, ...]:
-    """A merged note accounts for its rules' inputs, once each."""
-    return tuple(dict.fromkeys(i for inputs in rule_inputs for i in inputs))
+        return tuple(dict.fromkeys(i for a in self.applied_rules for i in a.input_note_ids))
 
 
 @dataclass(frozen=True)
@@ -490,44 +485,19 @@ def _stored_line(refined: RefinedNote) -> dict:
     }
 
 
-def _index_refined(raw: dict) -> tuple[str, tuple[str, ...]]:
-    """A refined line's id and the note ids it accounts for, without building it."""
-    if not raw.get("passthrough", False):
-        return record_id(raw, "refined_id"), _rule_inputs(
-            a["input_note_ids"] for a in raw.get("applied_rules", ())
-        )
-    if "note" in raw:
+def _refined_id(raw: dict) -> str:
+    """A refined line's id, without building it; a passthrough line that
+    holds its note is of a format this store no longer reads."""
+    if raw.get("passthrough", False) and "note" in raw:
         raise ValueError("a passthrough line that holds its note predates this store format; "
                          "build a new store")
-    return record_id(raw, "refined_id"), (record_id(raw, "note_id"),)
+    return record_id(raw, "refined_id")
 
 
-# Each refined line: a passthrough line, whose note id and own id it takes,
-# or any other line, whole, to decode. A passthrough line holds no object.
-_REFINED_LINE = re.compile(
-    r'(?:\{"applied_rules":\[\],"note_id":"([^"]*)","passthrough":true,'
-    r'"refined_id":"([^"]*)"\}|([^\n]*))\n'
-)
-
-
-def _scan_refined(text: str) -> tuple[list[tuple[str, tuple[str, ...]]], list[int]] | None:
-    """:func:`_index_refined` of each line of *text*, whole lines of a refined
-    log, and where each line starts; only the lines that are not passthrough
-    lines are decoded. None if an id it reads is not the whole string, which
-    decoding reads."""
-    matches = list(_REFINED_LINE.finditer(text))
-    lines = list(map(re.Match.groups, matches))
-    note_ids, refined_ids, others = zip(*lines) if lines else ((), (), ())
-    if None in refined_ids:  # a line that is not a passthrough line; an empty one is named
-        if not plain([i for i in note_ids + refined_ids if i is not None]):
-            return None
-        values = [(refined_id, (note_id,)) if line is None else _index_refined(json.loads(line))
-                  for note_id, refined_id, line in lines]
-    elif plain(note_ids + refined_ids):
-        values = list(zip(refined_ids, zip(note_ids)))
-    else:
-        return None
-    return values, list(map(re.Match.start, matches))
+# At each line break, the id of the refined line that follows, if one does:
+# the last "refined_id" key in it, the top-level one, since no key sorted
+# after refined_id holds an object.
+_REFINED_ID = re.compile(r'\n(?:[^\n]*"refined_id":"([^"]*)"|)')
 
 
 class DanglingNote(LookupError):
@@ -544,14 +514,13 @@ class RefinedNoteStore:
     """Append-only refined-note log as committed (*log*; the whole file
     without one), indexed by refined_id at open; records are decoded from
     their lines on demand, a passthrough line's note from *notes*, the
-    store of the note log. The open also reads the note ids the lines
-    account for.
+    store of the note log. The open decodes no line the digest vouches for.
 
     Opened *append_only*, as ``run`` opens it, it reads no refined note:
     the open checks the log against its digest and indexes nothing, and
     get, membership and read_all raise. A log without a digest, or whose
-    bytes differ from it, is still decoded line by line, so a line in a
-    format this store no longer reads exits as it does for a reader.
+    bytes differ from it, is decoded line by line in either mode, so a line
+    in a format this store no longer reads exits as it does for a reader.
     ``run`` refines only notes of chunks released for the first time, so
     no refined note it appends is committed already.
     """
@@ -565,13 +534,12 @@ class RefinedNoteStore:
         self._log = log or Log(self._path)
         self._lines: dict[str, int] | None = None  # refined_id -> the offset of its line
         self._appended: set[str] = set()  # the refined ids appended here, when append only
-        self._processed: set[str] = set()  # the note ids the indexed or appended lines account for
+        self._processed: set[str] = set()  # the note ids the lines appended here account for
         if append_only:
-            self._log.check(_index_refined)
+            self._log.check(_refined_id)
         else:
-            lines, offsets = self._log.index(_scan_refined, _index_refined)
-            self._lines = dict(zip(map(itemgetter(0), lines), offsets))
-            self._processed = set(chain.from_iterable(map(itemgetter(1), lines)))
+            ids, offsets = self._log.index(partial(scan_ids, _REFINED_ID), _refined_id)
+            self._lines = dict(zip(ids, offsets))
 
     def _index(self) -> dict[str, int]:
         if self._lines is None:
@@ -610,8 +578,8 @@ class RefinedNoteStore:
         return record
 
     def processed_note_ids(self) -> set[str]:
-        """Source note ids accounted for by stored refinements; append only,
-        by the refinements appended here."""
+        """Source note ids accounted for by the refinements appended here,
+        which are all ``run`` refines; committed lines are not read for them."""
         return set(self._processed)
 
     def add_all(self, records: Iterable[RefinedNote]) -> int:

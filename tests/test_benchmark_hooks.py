@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import builtins
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +77,44 @@ def test_every_run_wrapper_fires_on_a_cold_run_and_a_rerun_with_new_input(tmp_pa
         assert unspanned == [], config_file.name
     assert tracer.counts["ingest.docs_new"] == inputs.docs + inputs.new_docs
     assert store_bytes(tmp_path / "traced") == store_bytes(tmp_path / "untraced")
+
+
+def test_counting_what_an_open_holds_reads_no_file_and_decodes_no_line(tmp_path, monkeypatch):
+    # The traced workloads count pipeline.open_records after the open returns,
+    # outside every span, and fail when top-level spans cover under 90% of
+    # run_s; a count that reads the store back is time no layer accounts for.
+    layers = load("layers")
+    inputs = load("gen").generate(tmp_path / "inputs", FIXTURES, 7, 3, 2, 1)
+    opened = []
+    open_stores = pipeline.Stores.__init__
+
+    def keeping(self, *args, **kwargs):
+        open_stores(self, *args, **kwargs)
+        opened.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline.Stores, "__init__", keeping)
+        for config_file in (inputs.config, inputs.config_plus):
+            config = load_config(config_file)
+            config.store_root = tmp_path / "store"
+            run_pipeline(config)
+    writer, reader = opened[-1], pipeline.Stores(config)  # the rerun's, and one after it
+    touched = []
+
+    def recording(function):
+        def call(*args, **kwargs):
+            touched.append((function.__name__, args[0]))
+            return function(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as patch:
+        for owner, name in ((builtins, "open"), (io, "open"), (os, "open"), (json, "loads"),
+                            (encoding, "_decode")):
+            patch.setattr(owner, name, recording(getattr(owner, name)))
+        counts = [layers._open_records(None, (stores,)) for stores in (writer, reader)]
+    assert touched == []
+    assert counts[0] == counts[1] and counts[0]["pipeline.open_records"] > 0
 
 
 def test_every_cli_wrapper_fires_on_one_pass_of_the_query_mix(tmp_path, monkeypatch, capsys):

@@ -344,9 +344,9 @@ def test_a_passthrough_line_whose_note_is_missing_dangles(fixture_store, capsys)
 def test_passthrough_lines_that_hold_their_notes_exit_two_naming_the_line(fixture_store, capsys):
     # Refined lines as they were before each note was stored once; there is no migration.
     notes_log = fixture_store / "notes" / "notes.jsonl"
-    notes_by_id = {record["note_id"]: record for record in encoding.read_jsonl(notes_log)}
+    notes_by_id = {record["note_id"]: record for record in encoding.Log(notes_log).records(dict)}
     path = fixture_store / "refined" / "refined.jsonl"
-    records = list(encoding.read_jsonl(path))
+    records = encoding.Log(path).records(dict)
     for record in records:
         record["note"] = notes_by_id[record.pop("note_id")]
     path.write_text("".join(encoding.canonical_json(r) + "\n" for r in records), encoding="utf-8")
@@ -382,7 +382,7 @@ def test_chunk_and_refined_lines_in_the_earlier_shape_read_as_before(
         chunks_log: [r if id_parts else {k: v for k, v in r.items() if k not in held_keys}
                      for r in whole],
         refined_log: [{**record, "schema_version": 1}
-                      for record in encoding.read_jsonl(refined_log)],
+                      for record in encoding.Log(refined_log).records(dict)],
     }
     assert "annotations" in earlier[chunks_log][0] and "signature" not in earlier[chunks_log][0]
     assert (held_keys <= set(earlier[chunks_log][0])) == id_parts
@@ -892,9 +892,8 @@ def test_read_only_command_decodes_the_commit_and_each_log_it_reads_once(
         return read
 
     for module in (ingest, organize, notes, refine, cards, pipeline, cli):
-        for name in ("read_json", "read_jsonl"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recording(getattr(encoding, name)))
+        if hasattr(module, "read_json"):
+            monkeypatch.setattr(module, "read_json", recording(encoding.read_json))
     # Every read of a log's bytes is one of these: a store makes one, and a
     # fallback to decoding makes a second.
     for name in ("_scan", "_decoded"):

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from notecards.cli import main as cli_main
-from notecards.encoding import StoreFormatError, append_jsonl, canonical_json, cut_to_length
-from notecards.encoding import read_jsonl
+from notecards.encoding import Log, StoreFormatError, append_jsonl, canonical_json, cut_to_length
 from notecards.pipeline import LOGS, cut_to_commit
 
 from conftest import FIXTURES, store_bytes
@@ -74,10 +73,10 @@ def test_torn_tail_is_cut_back_to_the_last_whole_line(tmp_path, tail):
     intact = log.read_bytes()
     log.write_bytes(intact + tail)
     with pytest.raises(StoreFormatError, match="line 3 is the torn end"):
-        list(read_jsonl(log))
+        Log(log).records(dict)
     assert cut_to_length(log, len(intact)) is True
     assert log.read_bytes() == intact
-    assert list(read_jsonl(log)) == [{"a": 1}, {"b": 2}]
+    assert Log(log).records(dict) == [{"a": 1}, {"b": 2}]
 
 
 def test_log_without_any_whole_line_is_cut_to_nothing(tmp_path):
@@ -279,6 +278,24 @@ def test_annotation_past_the_committed_documents_exits_two_naming_the_maker_stat
     assert run_cli(*command, "--store", store) == 2
     err = capsys.readouterr().err
     assert f"error: {maker}: annotated is past the committed documents log" in err
+    assert store_bytes(store) == before
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+@pytest.mark.parametrize("closed", [5, "ab", [1], {"slot": True}], ids=["number", "string",
+                                                                        "number-member", "object"])
+def test_closed_slots_that_are_not_a_list_of_strings_exit_two_naming_the_maker_state(
+    store, capsys, command, closed
+):
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    state["closed"] = closed
+    maker.write_text(json.dumps(state), encoding="utf-8")
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*command, "--store", store) == 2
+    err = capsys.readouterr().err
+    assert f"error: {maker}: closed is not a JSON list of strings" in err
     assert store_bytes(store) == before
 
 

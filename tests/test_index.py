@@ -54,13 +54,20 @@ def test_each_scan_reads_the_top_level_id_of_each_line():
     document = canonical_json({"doc_id": "d-1", "meta": {"doc_id": "z"}, "text": '{"doc_id":"q"'})
     chunk = canonical_json({"annotations": [{"kind": "k"}], "chunk_id": "c#0", "subject": "s"})
     note = canonical_json({"attributes": {"note_id": "x"}, "note_id": "n-1", "place": None})
-    lines = [line.encode("ascii") + b"\n" for line in (document, chunk, note)]
+    merged = canonical_json({"applied_rules": [{"input_note_ids": ["n-1"]}],
+                             "note": {"attributes": {"refined_id": "y"}, "note_id": "n-2"},
+                             "passthrough": False, "refined_id": "rn-1"})
+    passed = canonical_json({"applied_rules": [], "note_id": "n-1", "passthrough": True,
+                             "refined_id": "rn-2"})
+    lines = [line.encode("ascii") + b"\n" for line in (document, chunk, note, merged, passed)]
     assert scan_of(ingest._DOCUMENT_ID, lines[:1] * 2) == ["d-1", "d-1"]
     assert scan_of(organize._CHUNK_ID, lines[1:2]) == ["c#0"]
-    assert scan_of(notes._NOTE_ID, lines[2:] * 2) == ["n-1", "n-1"]
+    assert scan_of(notes._NOTE_ID, lines[2:3] * 2) == ["n-1", "n-1"]
+    assert scan_of(refine._REFINED_ID, lines[3:]) == ["rn-1", "rn-2"]
     # A line that holds no plain id sends the log to decoding.
-    assert scan_of(notes._NOTE_ID, lines[2:] + [b'{"note_id":7}\n']) is None
-    assert scan_of(notes._NOTE_ID, [b'{"note_id":"n\\u00e9"}\n'] + lines[2:]) is None
+    assert scan_of(notes._NOTE_ID, lines[2:3] + [b'{"note_id":7}\n']) is None
+    assert scan_of(notes._NOTE_ID, [b'{"note_id":"n\\u00e9"}\n'] + lines[2:3]) is None
+    assert scan_of(refine._REFINED_ID, lines[3:] + [b'{"note_id":"n-1"}\n']) is None
 
 
 def test_a_log_that_holds_a_byte_no_canonical_line_holds_is_decoded(tmp_path):
@@ -105,7 +112,6 @@ def index_of(stores) -> dict:
         "unreleased": list(stores.organizer._unreleased.items()),
         "notes": list(stores.notes._lines.items()),
         "refined": list(stores.refined._lines.items()),
-        "processed": stores.refined.processed_note_ids(),
     }
 
 
@@ -192,8 +198,9 @@ def test_scanned_index_equals_the_decoded_one_over_random_run_sequences(
                 decoded = index_of(Stores(config))
             assert scanned == decoded, (seed, now)
     capsys.readouterr()
-    # Every document, chunk, note and refined log scans; only the logs that
-    # are always decoded are, and the scan decodes the merged refined lines.
+    # Every document, chunk, note and refined log scans, merged refined lines
+    # and all, which the alcohol sequences hold; only the logs that are always
+    # decoded are.
     assert set(decoded_logs) <= {"released.jsonl", "log.jsonl"}
     assert (merged > 0) == (domain == "alcohol")
 
@@ -214,29 +221,32 @@ def test_an_attribute_named_like_an_id_key_is_not_read_as_the_id(tmp_path):
     assert reopened_notes._lines == {decoy.note_id: 0}
     reopened = RefinedNoteStore(refined_root, reopened_notes, vouched(refined_root / "refined.jsonl"))
     assert reopened._lines == {passthrough(decoy).refined_id: 0}
-    assert reopened.processed_note_ids() == {decoy.note_id}
     assert reopened.get(passthrough(decoy).refined_id) == passthrough(decoy)
 
 
-def test_a_merged_refined_line_is_indexed_by_decoding_it(tmp_path, alcohol_spec):
+def test_a_merged_refined_line_is_indexed_by_its_top_level_id(tmp_path, alcohol_spec, monkeypatch):
+    """A merged line holds its note, whose attributes may name a refined_id;
+    the line is indexed under its own, the last one, and not decoded."""
     notes_in = [
-        make_note(subject="a", attributes={"amount": amount}, start=utc(2011, 10, 14),
-                  end=utc(2011, 10, 14), provenance=(f"c{amount}",))
+        make_note(subject="a", attributes={"amount": amount, "refined_id": "rn-decoy"},
+                  start=utc(2011, 10, 14), end=utc(2011, 10, 14), provenance=(f"c{amount}",))
         for amount in (2.0, 5.0)
     ]
     [merged] = refine_notes(notes_in, alcohol_spec)
     assert not merged.passthrough
     RefinedNoteStore(tmp_path, NoteStore(tmp_path)).add_all([merged])
     line = (tmp_path / "refined.jsonl").read_bytes()
-    inputs = tuple(sorted(note.note_id for note in notes_in))
-    assert refine._scan_refined(line.decode("ascii")) == ([(merged.refined_id, inputs)], [0])
+    assert b'"refined_id":"rn-decoy"' in line
+    assert scan_of(refine._REFINED_ID, [line]) == [merged.refined_id]
     # It holds its merged note, and all refined_to_dict gives but the unread schema_version.
     expected = refine.refined_to_dict(merged)
     assert expected.pop("schema_version") == 1
     assert json.loads(line) == expected
-    reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path), vouched(tmp_path / "refined.jsonl"))
-    assert reopened._lines == {merged.refined_id: 0}
-    assert reopened.processed_note_ids() == {note.note_id for note in notes_in}
+    with monkeypatch.context() as patch:
+        counts = decodes(patch)
+        reopened = RefinedNoteStore(tmp_path, NoteStore(tmp_path), vouched(tmp_path / "refined.jsonl"))
+    assert reopened._lines == {merged.refined_id: 0} and counts == Counter()
+    assert reopened.get(merged.refined_id) == merged
 
 
 def test_refined_lines_read_back_as_the_records_the_run_built(tmp_path, monkeypatch):
@@ -263,6 +273,36 @@ def test_refined_lines_read_back_as_the_records_the_run_built(tmp_path, monkeypa
     stores = Stores(config)
     assert stores.refined.read_all() == built
     assert [stores.refined.get(record.refined_id) for record in built] == built
+
+
+def test_a_readers_open_decodes_no_refined_line(tmp_path, monkeypatch):
+    """Merged lines, each holding a whole note, are indexed as passthrough
+    lines are: by the id each line ends with, with no line given to json.loads."""
+    ontology, pool = alcohol_with_a_total(tmp_path / "alcohol")
+    corpus = tmp_path / "alcohol.jsonl"
+    corpus.write_text("\n".join(pool[:-2]) + "\n", encoding="utf-8")
+    config = PipelineConfig(
+        ontology_paths=[ontology], corpus_paths=[corpus], store_root=tmp_path / "store",
+        now_override="2011-11-20T00:00:00Z",
+    )
+    run_pipeline(config)
+    lines = (config.store_root / "refined/refined.jsonl").read_bytes().splitlines()
+    assert any(b'"passthrough":false' in line for line in lines)
+    refined_lines = {line.decode("ascii") for line in lines}
+    decoded = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
+        decoded.extend([text] if text.rstrip("\n") in refined_lines else [])
+        return loads(text, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", counting)
+        stores = Stores(config)
+    assert decoded == []
+    assert len(stores.refined) == len(lines)
 
 
 def holds_object(value) -> bool:
@@ -311,17 +351,16 @@ def test_no_key_sorted_after_an_id_key_holds_an_object(tmp_path):
                     ]
                 elif name.startswith("notes"):
                     assert objects_after(record, "note_id") == []
-                elif record["passthrough"]:  # the scan reads the whole line
-                    assert list(record) == ["applied_rules", "note_id", "passthrough", "refined_id"]
-                    assert record["applied_rules"] == [] and not holds_object(list(record.values()))
-                    found = refine._REFINED_LINE.findall(line.decode("ascii") + "\n")
-                    assert found[0] == (record["note_id"], record["refined_id"], "")
-                    seen["passthrough"] += 1
-                else:  # the scan decodes it
-                    assert record["applied_rules"] and "note" in record
-                    found = refine._REFINED_LINE.findall(line.decode("ascii") + "\n")
-                    assert found[0] == ("", "", line.decode("ascii"))
-                    seen["merged"] += 1
+                else:
+                    assert objects_after(record, "refined_id") == []
+                    if record["passthrough"]:  # it names its note, and holds none
+                        assert list(record) == [
+                            "applied_rules", "note_id", "passthrough", "refined_id"
+                        ]
+                        seen["passthrough"] += 1
+                    else:  # it holds its merged note, before its own id
+                        assert record["applied_rules"] and "note" in record
+                        seen["merged"] += 1
                 seen[name] += 1
     assert seen["merged"] and seen["passthrough"] and len(seen) == 6
 

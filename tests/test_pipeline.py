@@ -8,6 +8,7 @@ import random
 import shutil
 from dataclasses import replace
 from datetime import timedelta
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -180,8 +181,8 @@ def test_an_id_repeated_within_one_batch_is_stored_once(tmp_path):
         ontology_paths=[ontology], corpus_paths=[FIXTURES / "alcohol_corpus.jsonl"],
         store_root=store, now_override=PINNED,
     ))
-    notes = [record["note_id"] for record in encoding.read_jsonl(store / "notes/notes.jsonl")]
-    refined = [r["refined_id"] for r in encoding.read_jsonl(store / "refined/refined.jsonl")]
+    notes = encoding.Log(store / "notes/notes.jsonl").records(itemgetter("note_id"))
+    refined = encoding.Log(store / "refined/refined.jsonl").records(itemgetter("refined_id"))
     assert "n-779c38c31edb2250" in notes and "rn-33be81da207f9045" in refined
     assert len(notes) == len(set(notes)) == summary.notes_synthesized
     assert len(refined) == len(set(refined)) == summary.notes_refined
@@ -790,8 +791,8 @@ def full_recompute(patch) -> None:
     chunk regrouped."""
 
     def every_document(self, start=0):
-        lines = encoding.read_jsonl(self.root / "documents.jsonl")
-        return [self.get(record["doc_id"]) for record in lines]
+        ids = encoding.Log(self.root / "documents.jsonl").records(itemgetter("doc_id"))
+        return list(map(self.get, ids))
 
     patch.setattr(TextStore, "list", every_document)
     patch.setattr(pipeline, "ingest_corpus", reference_ingest)
