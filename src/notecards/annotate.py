@@ -30,9 +30,13 @@ from .ontology import PERSON_CLASS_ID, OntologySpec
 # again: raise it with any change to this module that changes that output.
 ANNOTATOR_VERSION = 1
 
+# ``\d`` is exactly ``str.isdecimal``, so a token can match only if its
+# first character is decimal.
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
 # A maximal run of non-whitespace; ``\s`` is exactly ``str.isspace``.
 _RUN_RE = re.compile(r"\S+")
+# A sentence terminator followed by whitespace or the end of the text.
+_SENTENCE_END_RE = re.compile(r"[.!?](?=\s|\Z)")
 
 
 class Token(NamedTuple):
@@ -98,11 +102,16 @@ def tokenize(text: str, offset: int = 0) -> list[Token]:
 
     Case is preserved in the token text; spans index into the original
     string shifted by *offset* (the text's own start in a larger string),
-    so collapsed whitespace never shifts them.
+    so collapsed whitespace never shifts them. A run whose end characters
+    are both not punctuation is one token as it stands; only a run with
+    punctuation at an end is walked a character at a time.
     """
     tokens: list[Token] = []
     for run in _RUN_RE.finditer(text):
         lo, hi = run.span()
+        if not _is_punct(text[lo]) and not _is_punct(text[hi - 1]):
+            tokens.append(Token(run.group(), lo + offset, hi + offset))
+            continue
         while lo < hi and _is_punct(text[lo]):
             tokens.append(Token(text[lo], lo + offset, lo + offset + 1))
             lo += 1
@@ -118,15 +127,10 @@ def tokenize(text: str, offset: int = 0) -> list[Token]:
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
     """Half-open sentence spans, split on . ! ? followed by space or end."""
-    spans = []
-    start = 0
-    for i, char in enumerate(text):
-        if char in ".!?" and (i + 1 == len(text) or text[i + 1].isspace()):
-            spans.append((start, i + 1))
-            start = i + 1
-    if start < len(text):
-        spans.append((start, len(text)))
-    return [(a, b) for a, b in spans if text[a:b].strip()]
+    ends = [match.end() for match in _SENTENCE_END_RE.finditer(text)]
+    if not ends or ends[-1] < len(text):
+        ends.append(len(text))
+    return [(a, b) for a, b in zip([0, *ends], ends) if text[a:b].strip()]
 
 
 class GazetteerMatcher:
@@ -134,7 +138,8 @@ class GazetteerMatcher:
 
     Besides the keys it holds every key prefix, so a scan walks forward
     from each start position only while the tokens so far can still
-    become a key, and folds each token once.
+    become a key, and folds each token once. A position whose token
+    starts no key is passed over with one set lookup.
     """
 
     def __init__(self, spec: OntologySpec):
@@ -146,6 +151,7 @@ class GazetteerMatcher:
                 continue
             self._entries.setdefault(key, {})[entry.kind] = entry.canonical_id
             self._prefixes.update(key[:n] for n in range(1, len(key) + 1))
+        self._starts = {key[0] for key in self._entries}
 
     def lookup(self, key: tuple[str, ...]) -> tuple[str, str] | None:
         """Resolve a folded token sequence to (canonical_id, kind)."""
@@ -158,10 +164,13 @@ class GazetteerMatcher:
 
     def scan(self, text: str, tokens: list[Token]) -> list[Annotation]:
         folded = [t.text.casefold() for t in tokens]
-        prefixes, entries = self._prefixes, self._entries
+        prefixes, entries, starts = self._prefixes, self._entries, self._starts
         annotations = []
         i, n = 0, len(tokens)
         while i < n:
+            if folded[i] not in starts:
+                i += 1
+                continue
             key: tuple[str, ...] = ()
             match = key
             for j in range(i, n):
@@ -218,7 +227,7 @@ def annotate_with_matcher(doc: Document, matcher: GazetteerMatcher) -> AnnotateO
         quantities = tuple(
             (idx, float(tok.text))
             for idx, tok in enumerate(tokens)
-            if _NUMBER_RE.match(tok.text)
+            if tok.text[0].isdecimal() and _NUMBER_RE.match(tok.text)
         )
         chunk_id = f"{doc.doc_id}#{sentence_index}"
         outcome.chunks.append(

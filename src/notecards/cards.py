@@ -160,26 +160,17 @@ def map_note_to_criteria(
 ) -> list[tuple[str, int]]:
     """Every (concept, criterion) whose patterns accept the note, in spec order.
 
-    Only criteria with a pattern on the note's action, or on a wildcard
-    part of it, are tested; a note may hit several concepts.
+    Only the patterns on the note's action, or on a wildcard part of it,
+    are tested; :meth:`OntologySpec.criteria_on` finds them once per
+    action. A note may hit several concepts.
     """
     note = refined.note
-    entity, relationship = note.action
-    index = spec.criteria_by_action
-    candidates = {}
-    for action in ((entity, relationship), (entity, None), (None, relationship), (None, None)):
-        for position, concept_id, criterion in index.get(action, ()):
-            candidates[position] = (concept_id, criterion)
     attributes = note.attribute_map()
-    hits = []
-    for position in sorted(candidates):
-        concept_id, criterion = candidates[position]
-        if any(
-            pattern.matches(note.action, note.intensity, attributes)
-            for pattern in criterion.match_patterns
-        ):
-            hits.append((concept_id, criterion.index))
-    return hits
+    return [
+        (concept_id, index)
+        for concept_id, index, patterns in spec.criteria_on(note.action)
+        if any(pattern.matches(note.action, note.intensity, attributes) for pattern in patterns)
+    ]
 
 
 def make_card_id(concept_id: str, subject: str, generation: int) -> str:
@@ -416,11 +407,14 @@ class CardMaker:
         after admit.
         """
         concepts = {concept.concept_id: concept for concept in spec.concepts}
+        keys: dict[tuple[str, str], str] = {}  # (subject, concept id) -> its slot key
         before: dict[str, Card] = {}  # slot key -> its card before this batch
         evidence: dict[str, dict[int, dict[str, None]]] = {}  # slot key -> criterion -> ids
         for refined in sorted(notes, key=lambda r: r.refined_id):
             for concept_id, criterion_index in map_note_to_criteria(refined, spec):
-                key = self.slot_key(refined.subject, concept_id)
+                key = keys.get((refined.subject, concept_id))
+                if key is None:
+                    key = keys[refined.subject, concept_id] = self.slot_key(refined.subject, concept_id)
                 if key in self._closed:
                     continue  # committed or expired: closed for good
                 if key not in before:

@@ -240,8 +240,7 @@ def cmd_ingest(args) -> int:
     mask_key = config.mask_key()
     check_sources(config.corpus_paths, mask_key)  # before the lock makes the store
     with StoreLock(root):
-        state, logs, repaired = cut_to_commit(root)
-        maker = CardMaker(root / "cards", state, logs)
+        maker, logs, repaired = cut_to_commit(root)
         summary = ingest_corpus(
             config.corpus_paths,
             TextStore(root / "documents", logs["documents/documents.jsonl"]),
@@ -526,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
     # DurationError and StoreFormatError.
     except (PipelineError, GraphError, CardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the store's writers name the file a failed write or fsync was on
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import re
+from contextlib import contextmanager
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -85,12 +86,24 @@ def read_json(path: Path, default: Any = None) -> Any:
         raise StoreFormatError(f"{path}: not valid JSON: {exc}") from None
 
 
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise an :class:`OSError` that names no file, as a failed write or
+    fsync gives, as one that names *path*."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def write_json(path: Path, value: Any) -> None:
     """Replace a whole-file JSON store file with *value*, through a synced temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as handle:
+        with _naming(tmp), tmp.open("w", encoding="utf-8", newline="\n") as handle:
             handle.write(json.dumps(value, indent=0, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -327,7 +340,8 @@ def commit_logs(logs: Iterable[Log]) -> list[tuple[int, str | None]]:
 def _fsync(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
-        os.fsync(fd)
+        with _naming(path):
+            os.fsync(fd)
     finally:
         os.close(fd)
 
@@ -385,7 +399,7 @@ def append_jsonl(path: Path, records: Iterable[Any]) -> list[int]:
     """Append one canonical line per record; returns each line's byte offset."""
     offsets = []
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("ab") as handle:
+    with _naming(path), path.open("ab") as handle:
         position = handle.tell()
         for record in records:
             line = canonical_json(record).encode("ascii") + b"\n"

@@ -182,21 +182,26 @@ def synthesize_notes(
     spec: OntologySpec,
     config: SynthesisConfig | None = None,
 ) -> list[Note]:
-    """One note per (subject, trigger, horizon) with enough events."""
+    """One note per (subject, trigger, horizon) with enough events.
+
+    A chunk is an event of each template triggered by one of its entities
+    and one of its relationships, which are looked up as pairs in
+    :attr:`OntologySpec.templates_by_trigger`, not tested template by
+    template.
+    """
     config = config or SynthesisConfig()
+    by_trigger = spec.templates_by_trigger
     events: dict[tuple[str, str, int | None], dict[str, AnnotatedChunk]] = {}
     for group in groups:
         for chunk in group.chunks:
             bucket = _horizon_bucket(chunk, config)
             entities = {a.canonical_id for a in chunk.annotations if a.kind == "entity"}
             relationships = {a.canonical_id for a in chunk.annotations if a.kind == "relationship"}
-            for template in spec.note_templates:
-                if (
-                    template.trigger_entity in entities
-                    and template.trigger_relationship in relationships
-                ):
-                    key = (chunk.subject, template.template_id, bucket)
-                    events.setdefault(key, {})[chunk.chunk_id] = chunk
+            for entity in entities:
+                for relationship in relationships:
+                    for template in by_trigger.get((entity, relationship), ()):
+                        key = (chunk.subject, template.template_id, bucket)
+                        events.setdefault(key, {})[chunk.chunk_id] = chunk
 
     templates = {t.template_id: t for t in spec.note_templates}
     notes = []

@@ -148,6 +148,10 @@ class CriterionDef:
     match_patterns: tuple[NotePattern, ...]
 
 
+# (concept id, criterion index, the criterion's patterns on one action)
+CriterionOnAction = tuple[str, int, tuple[NotePattern, ...]]
+
+
 @dataclass(frozen=True)
 class ConceptDef:
     concept_id: str
@@ -216,21 +220,47 @@ class OntologySpec:
     exclusion_rules: tuple[ExclusionRule, ...] = ()
 
     @cached_property
-    def criteria_by_action(
-        self,
-    ) -> dict[tuple[str | None, str | None], list[tuple[int, str, CriterionDef]]]:
-        """Each criterion, as (spec-order position, concept id, criterion), under
-        the (entity, relationship) of each of its patterns; None is a wildcard."""
-        index: dict[tuple[str | None, str | None], list[tuple[int, str, CriterionDef]]] = {}
-        position = 0
-        for concept in self.concepts:
-            for criterion in concept.criteria:
-                for pattern in criterion.match_patterns:
-                    index.setdefault((pattern.action_entity, pattern.action_relationship), []).append(
-                        (position, concept.concept_id, criterion)
-                    )
-                position += 1
+    def templates_by_trigger(self) -> dict[tuple[str, str], list[NoteTemplate]]:
+        """Each note template, in spec order, under its (entity, relationship) trigger."""
+        index: dict[tuple[str, str], list[NoteTemplate]] = {}
+        for template in self.note_templates:
+            index.setdefault(template.trigger, []).append(template)
         return index
+
+    @cached_property
+    def policies_by_action(self) -> dict[tuple[str, str], dict[str, RefinementPolicy]]:
+        """Each refinement policy under its (entity, relationship), keyed by
+        its attribute; of two on one attribute, the later in spec order."""
+        index: dict[tuple[str, str], dict[str, RefinementPolicy]] = {}
+        for policy in self.refinement_policies:
+            action = (policy.entity_class, policy.relationship_class)
+            index.setdefault(action, {})[policy.attribute] = policy
+        return index
+
+    @cached_property
+    def _criteria_on(self) -> dict[tuple[str, str], tuple[CriterionOnAction, ...]]:
+        return {}  # what criteria_on found, by action
+
+    def criteria_on(self, action: tuple[str, str]) -> tuple[CriterionOnAction, ...]:
+        """Each criterion with a pattern on *action*, or on a wildcard (None)
+        part of it, as (concept id, criterion index, those patterns), in spec
+        order. Worked out once per action."""
+        found = self._criteria_on.get(action)
+        if found is None:
+            entity, relationship = action
+            found = []
+            for concept in self.concepts:
+                for criterion in concept.criteria:
+                    patterns = tuple(
+                        pattern
+                        for pattern in criterion.match_patterns
+                        if pattern.action_entity in (None, entity)
+                        and pattern.action_relationship in (None, relationship)
+                    )
+                    if patterns:
+                        found.append((concept.concept_id, criterion.index, patterns))
+            found = self._criteria_on[action] = tuple(found)
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,9 @@ class Stores:
         self.repaired: list[Path] = []
         if manifest is None:
             state, self.logs = read_commit(root)
+            maker = CardMaker(root / "cards", state, self.logs)
         else:
-            state, self.logs, self.repaired = cut_to_commit(root, manifest)
+            maker, self.logs, self.repaired = cut_to_commit(root, manifest)
         logs = self.logs
         self.text = TextStore(root / "documents", logs["documents/documents.jsonl"])
         self.organizer = OrganizerStore(
@@ -328,7 +329,7 @@ class Stores:
             append_only=manifest is not None,
         )
         self.ledger = CardLedger(root / "cards", logs["cards/log.jsonl"])
-        self.maker = CardMaker(root / "cards", state, logs)
+        self.maker = maker
         self.manager = CardManager(self.ledger, self.maker)
         if manifest is not None:
             kept = (self.maker.manifest or {}).get("stored_ontology_sha256")
@@ -365,20 +366,21 @@ class Stores:
 
 def cut_to_commit(
     root: Path, manifest: dict[str, Any] | None = None
-) -> tuple[dict[str, Any], dict[str, Log], list[Path]]:
+) -> tuple[CardMaker, dict[str, Log], list[Path]]:
     """Cut every log back to the length the last commit recorded.
 
     ``run`` and ``ingest`` call it under the lock, before they open the
-    stores. A store whose commit does not hold, or whose pinned manifest
-    differs from a run's *manifest*, is left untouched. A new store first
-    gets the empty maker's save, which commits its logs empty and pins
-    nothing, so a crash in its first run is cut back like any other.
-    Returns what :func:`read_commit` read, which the stores open from, and
-    the logs it cut.
+    stores. A store whose commit does not hold, whose maker state does not
+    build, or whose pinned manifest differs from a run's *manifest*, is left
+    untouched. A new store first gets the empty maker's save, which commits
+    its logs empty and pins nothing, so a crash in its first run is cut back
+    like any other. Returns the maker of the commit :func:`read_commit` read,
+    the logs as it read them, which the stores open from, and the logs it cut.
     """
     root = Path(root)
     state, logs = read_commit(root)
-    pinned = state.get("manifest")
+    maker = CardMaker(root / "cards", state, logs)
+    pinned = maker.manifest
     if not pinned and (root / "store.json").exists():
         raise StoreFormatError(f"{root / 'store.json'}: predates this store format; build a new store")
     if manifest and pinned:
@@ -391,10 +393,10 @@ def cut_to_commit(
                     f"this run has {name}={value!r}; use a new store"
                 )
     if not state:
-        CardMaker(root / "cards", state, logs).save()  # commits what was read: nothing
-        return state, logs, []
+        maker.save()  # commits what was read: nothing
+        return maker, logs, []
     repaired = [root / name for name in LOGS if cut_to_length(root / name, logs[name].end)]
-    return state, logs, repaired
+    return maker, logs, repaired
 
 
 def load_specs(config: PipelineConfig) -> OntologySpec:

@@ -321,11 +321,12 @@ def refine_notes(
     refined: list[RefinedNote] = []
     for (subject, action) in sorted(by_action):
         notes = by_action[(subject, action)]
-        policies = {
-            p.attribute: p
-            for p in spec.refinement_policies
-            if (p.entity_class, p.relationship_class) == action
-        }
+        policies = spec.policies_by_action.get(action, {})
+        combine_attrs = sorted(a for a, p in policies.items() if p.rule == "combine")
+        if len(notes) == 1 and not combine_attrs:
+            # Only combine changes a lone note; every other stage passes it as it is.
+            refined.append(new_refined(notes[0], ()))
+            continue
         trails: dict[str, list[RuleApplication]] = {}
 
         # Stage 1: same event (window, place) reconciliation.
@@ -367,7 +368,6 @@ def refine_notes(
         # anchored at the earliest note of each run, not at the epoch, so a
         # month's worth of weekly notes folds into one note wherever the
         # weeks happen to fall.
-        combine_attrs = sorted(a for a, p in policies.items() if p.rule == "combine")
         stage3: list[Note] = []
         if combine_attrs:
             period = parse_duration(policies[combine_attrs[0]].period or "30d")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 import unicodedata
 
 from notecards.annotate import (
     GazetteerMatcher,
     annotate_document,
+    annotate_with_matcher,
     split_sentences,
     tokenize,
 )
@@ -348,8 +350,11 @@ def char_loop_tokenize(text: str) -> list[tuple[str, int, int]]:
 
 def test_tokenize_equals_the_per_character_oracle():
     rng = random.Random(9)
-    words = ["ale", "Bottom", "trade-offs", "12.5", "café", "ÉTÉ", "x"]
-    punctuation = list(".,!?;:()\"'-¿«»…")
+    # Symbols are not punctuation, so they stay on a token's ends, and a
+    # run with non-ASCII punctuation at an end leaves the fast path.
+    words = ["ale", "Bottom", "trade-offs", "12.5", "café", "ÉTÉ", "x", "$5", "a+b=c", "x^2",
+             "|x|", "~1", "€20", "5€"]
+    punctuation = list(".,!?;:()\"'-¿«»…、。・‐〈〉")
     # ASCII, no-break, em and ideographic spaces, the file separator and NEL.
     spaces = [" ", "  ", "\t", "\n", " ", " ", "　", "\x1c", "\x85"]
     for _ in range(500):
@@ -377,3 +382,56 @@ def test_tokenize_equals_the_per_character_oracle():
         assert [(t.text, t.start, t.end) for t in tokenize(text, offset)] == [
             (token, start + offset, end + offset) for token, start, end in expected
         ], repr(text)
+
+
+def char_loop_split_sentences(text: str) -> list[tuple[int, int]]:
+    """The sentence splitter as first written: one character at a time."""
+    spans = []
+    start = 0
+    for i, char in enumerate(text):
+        if char in ".!?" and (i + 1 == len(text) or text[i + 1].isspace()):
+            spans.append((start, i + 1))
+            start = i + 1
+    if start < len(text):
+        spans.append((start, len(text)))
+    return [(a, b) for a, b in spans if text[a:b].strip()]
+
+
+def test_split_sentences_equals_the_per_character_oracle():
+    rng = random.Random(10)
+    words = ["He", "ale", "12.5", "v1.5", "e.g.", "café", "x"]
+    terminators = [".", "!", "?", "...", "?!", "!!"]
+    # ASCII, no-break, ideographic and em spaces, the file separator and NEL.
+    spaces = [" ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2003", "\x1c", "\x85"]
+    for _ in range(2000):
+        parts = []
+        for _ in range(rng.randint(0, 10)):
+            shape = rng.random()
+            if shape < 0.5:
+                parts.append(rng.choice(words))
+            elif shape < 0.8:
+                parts.append(rng.choice(terminators))
+            else:
+                parts.append(rng.choice(spaces))
+            if rng.random() < 0.6:
+                parts.append(rng.choice(spaces))
+        text = "".join(parts)
+        assert split_sentences(text) == char_loop_split_sentences(text), repr(text)
+
+
+def test_quantities_are_the_tokens_the_number_pattern_matches():
+    # Only a token whose first character is decimal can be a quantity; other
+    # scripts' decimal digits count, superscripts and fractions do not.
+    rng = random.Random(11)
+    pieces = ["12", "12.5", "1.5.2", ".5", "x2", "2x", "٣", "٣.٥", "५०", "３", "²", "½", "1,000", "-3"]
+    matcher = GazetteerMatcher(spec_with([]))
+    for _ in range(300):
+        text = " ".join(rng.choices(pieces, k=rng.randint(1, 8))) + "."
+        [chunk] = annotate_with_matcher(doc(text), matcher).chunks
+        tokens = tokenize(text)
+        expected = tuple(
+            (index, float(token.text))
+            for index, token in enumerate(tokens)
+            if re.fullmatch(r"\d+(\.\d+)?", token.text)
+        )
+        assert chunk.quantities == expected, text

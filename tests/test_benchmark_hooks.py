@@ -76,6 +76,9 @@ def test_every_run_wrapper_fires_on_a_cold_run_and_a_rerun_with_new_input(tmp_pa
         assert layers.unfired(layers.RUN_TARGETS, tracer.fired) == [], config_file.name
         assert unspanned == [], config_file.name
     assert tracer.counts["ingest.docs_new"] == inputs.docs + inputs.new_docs
+    # One wrapped annotate_with_matcher call per document annotated: a run that
+    # batches documents past it leaves the annotate span short of its work.
+    assert tracer.counts["annotate.docs"] == inputs.docs + inputs.new_docs
     assert store_bytes(tmp_path / "traced") == store_bytes(tmp_path / "untraced")
 
 

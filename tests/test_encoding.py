@@ -299,6 +299,41 @@ def test_closed_slots_that_are_not_a_list_of_strings_exit_two_naming_the_maker_s
     assert store_bytes(store) == before
 
 
+def closed_as_number(state):
+    state["closed"] = 5
+    return "closed is not a JSON list of strings"
+
+
+def corpora_as_list(state):
+    state["corpora"] = []
+    return "corpora is not a JSON object"
+
+
+def card_without_fields(state):
+    state["cards"] = {"slot": {"card_id": "c"}}
+    return "the value of cards is not a maker.json record"
+
+
+@pytest.mark.parametrize("command", WRITERS, ids=COMMAND_IDS[: len(WRITERS)])
+@pytest.mark.parametrize("mistype", [closed_as_number, corpora_as_list, card_without_fields])
+def test_a_writer_refuses_a_mistyped_maker_state_before_it_cuts_any_log(
+    store, capsys, command, mistype
+):
+    # What a crashed run left past the commit survives the refusal: the writer
+    # builds the maker state before it cuts the logs back to the commit.
+    maker = store / "cards" / "maker.json"
+    state = json.loads(maker.read_text(encoding="utf-8"))
+    message = mistype(state)
+    maker.write_text(json.dumps(state), encoding="utf-8")
+    past_the_commit(store)
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert run_cli(*command, "--store", store) == 2
+    err = capsys.readouterr().err
+    assert f"error: {maker}: {message}" in err
+    assert store_bytes(store) == before
+
+
 def length_as_text(state):
     state["logs"]["notes/notes.jsonl"] = str(state["logs"]["notes/notes.jsonl"])
     return state["logs"]["notes/notes.jsonl"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -705,6 +706,38 @@ def test_crash_between_two_chunks_of_one_document_matches_an_uninterrupted_run(
             run_pipeline(crashed)
     run_pipeline(crashed)
     assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "clean")
+
+
+def test_a_failed_fsync_of_a_log_exits_two_naming_it_and_commits_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    argv = ["run", "--config", str(FIXTURES / "jobs_config.json"), "--store"]
+    assert cli_main([*argv, str(tmp_path / "clean")]) == 0
+    store = tmp_path / "store"
+    logs = [store / name for name in pipeline.LOGS]
+    fsync = os.fsync
+    failed: list[Path] = []
+
+    def failing_fsync(fd):
+        # Fails on a log, whose bytes a commit would name; syncs anything else.
+        inode = os.fstat(fd).st_ino
+        for path in logs:
+            if path.exists() and path.stat().st_ino == inode:
+                failed.append(path)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+        fsync(fd)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", failing_fsync)
+        capsys.readouterr()
+        assert cli_main([*argv, str(store)]) == 2
+    err = capsys.readouterr().err
+    assert failed and err == f"error: {failed[0]}: {os.strerror(errno.EIO)}\n"
+    assert not (store / "lock").exists()
+    # The store's first save committed its empty logs, and no commit followed.
+    assert all(log.end == 0 for log in cards.read_commit(store)[1].values())
+    assert cli_main([*argv, str(store)]) == 0
+    assert store_bytes(store) == store_bytes(tmp_path / "clean")
 
 
 # ---------------------------------------------------------------------------
