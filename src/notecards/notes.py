@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -82,11 +82,11 @@ class SynthesisConfig:
     window_length: timedelta = DEFAULT_WINDOW
     horizon_windows: int = 4
 
-    @property
+    @cached_property  # read once per chunk and per note
     def horizon(self) -> timedelta:
         return self.window_length * self.horizon_windows
 
-    @property
+    @cached_property
     def horizon_weeks(self) -> float:
         return self.horizon / timedelta(days=7)
 

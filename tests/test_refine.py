@@ -284,6 +284,18 @@ def test_conflict_free_batch_passes_through():
     assert {r.note.note_id for r in refined} == {"n-1", "n-2"}
 
 
+@pytest.mark.parametrize("rule", ["max", "majority", "combine"])
+def test_a_lone_note_passes_through_unless_its_action_combines(rule):
+    spec = policy_spec(rule, period="1m" if rule == "combine" else None)
+    [note] = weekly_notes([4])
+    [refined] = refine_notes([note], spec, WINDOW)
+    if rule == "combine":  # a run of one note, folded into its period
+        assert [a.rule for a in refined.applied_rules] == ["combine"]
+        assert refined.note.provenance == note.provenance
+    else:
+        assert refined.passthrough and refined.note == note
+
+
 def test_weekly_notes_combine_into_one_period_note():
     spec = policy_spec("combine", period="1m")
     batch = weekly_notes([4, 6, 5, 5])
